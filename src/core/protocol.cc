@@ -83,10 +83,10 @@ SharedState::SharedState(const RuntimeConfig& cfg)
     }
   }
   if (cfg.backend == BackendKind::kReference) {
-    reference_image.reset(new std::byte[heap.heap_bytes()]());
+    reference_image = AllocZeroedImage(heap.heap_bytes());
   }
   if (cfg.backend == BackendKind::kHlrc) {
-    home_image.reset(new std::byte[heap.heap_bytes()]());
+    home_image = AllocZeroedImage(heap.heap_bytes());
     home_mutexes.reset(new std::mutex[heap.num_units()]);
   }
   switch (cfg.gc_pass_mode) {
@@ -167,7 +167,7 @@ Node::Node(ProcId id, SharedState& shared)
       race_(shared.race.get()),
       image_(shared.reference_image
                  ? nullptr
-                 : new std::byte[shared.heap.heap_bytes()]()),
+                 : AllocZeroedImage(shared.heap.heap_bytes())),
       data_(shared.reference_image ? shared.reference_image.get()
                                    : image_.get()),
       table_(shared.heap.num_units(), unit_bytes_),
@@ -657,20 +657,14 @@ void Node::FetchUnits(const std::vector<UnitId>& units) {
           d->Apply(dst);
           if (twinned) d->Apply(table_.twin(unit));
         }
-        if (track) {
-          for (const DiffRun& run : runs) {
-            for (std::uint32_t i = 0; i < run.word_count; ++i) {
-              tracker_.Deliver(unit, run.word_offset + i, need.exchange_id);
-            }
-          }
-        }
       } else {
         need.diff->Apply(UnitSpan(unit));
         if (twinned) need.diff->Apply(table_.twin(unit));
-        if (track) {
-          need.diff->ForEachWord([&](std::uint32_t word) {
-            tracker_.Deliver(unit, word, need.exchange_id);
-          });
+      }
+      if (track) {
+        for (const DiffRun& run : need.runs()) {
+          tracker_.Deliver(unit, run.word_offset, run.word_count,
+                           need.exchange_id);
         }
       }
       const std::size_t payload_bytes = need.PayloadWords() * kWordBytes;
@@ -944,10 +938,8 @@ void Node::HlrcFetchUnits(const std::vector<UnitId>& units) {
       // Installing the received (or locally copied) unit is one memcpy.
       clock_.Advance(cost.TwinCost(unit_bytes_));
       if (track && remote) {
-        for (std::uint32_t w = 0;
-             w < static_cast<std::uint32_t>(words_per_unit); ++w) {
-          tracker_.Deliver(unit, w, ex);
-        }
+        tracker_.Deliver(unit, 0, static_cast<std::uint32_t>(words_per_unit),
+                         ex);
         // Words the local re-apply overwrote can never credit the fetch.
         for (const DiffRun& run : local.runs()) {
           tracker_.OnWrite(unit, run.word_offset, run.word_count);

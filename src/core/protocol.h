@@ -75,7 +75,7 @@ struct SharedState {
   // directly (null under the LRC backend, where every node owns a private
   // image).  Race-free programs touch disjoint words between
   // synchronizations, so direct concurrent access is well-defined.
-  std::unique_ptr<std::byte[]> reference_image;
+  HeapImage reference_image;
   // BackendKind::kHlrc (DESIGN.md §7): the home-node master copies of
   // every consistency unit, as one heap-sized image (which node is a
   // unit's home is pure metadata — HomeOf).  Releases apply diffs here
@@ -83,7 +83,7 @@ struct SharedState {
   // flush against a concurrent whole-unit fetch (race-free programs never
   // conflict on the words involved, but the host-level copies overlap).
   // Null unless the backend is kHlrc.
-  std::unique_ptr<std::byte[]> home_image;
+  HeapImage home_image;
   std::unique_ptr<std::mutex[]> home_mutexes;  // one per unit
   // Serial-vs-striped GC switch for this host (GcSerialPassLimit applied
   // to std::thread::hardware_concurrency() once at construction, so every
@@ -420,7 +420,7 @@ class Node {
   // access fast paths gate the observational feed on one pointer test.
   RaceDetector* const race_;
 
-  std::unique_ptr<std::byte[]> image_;  // private image (LRC; null for ref)
+  HeapImage image_;                     // private image (LRC; null for ref)
   std::byte* data_;                     // accesses go here (image_ or shared)
   PageTable table_;
   WordTracker tracker_;
@@ -499,6 +499,9 @@ class Node {
     }
     std::size_t PayloadWords() const {
       return flat != nullptr ? flat->payload_words() : diff->payload_words();
+    }
+    const std::vector<DiffRun>& runs() const {
+      return flat != nullptr ? flat->runs() : diff->runs();
     }
   };
   struct ResolvedDiff {

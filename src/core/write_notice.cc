@@ -106,7 +106,9 @@ std::size_t IntervalArchive::PruneThrough(Seq through) {
   std::size_t reclaimed = 0;
   std::uint64_t bytes = 0;
   while (!records_.empty() && records_.front()->seq <= through) {
-    bytes += records_.front()->RetainedBytes();
+    IntervalRecord& rec = *records_.front();
+    bytes += rec.RetainedBytes();
+    for (Diff& d : rec.diffs) d.ReleasePayload();
     records_.pop_front();
     ++reclaimed;
   }

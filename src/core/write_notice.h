@@ -14,7 +14,8 @@
 // previous barrier's global vector clock into per-unit canonical base
 // images and reclaims the records.  Chains of reclaimed intervals that
 // some node still had pending survive as FlattenedChains — payload-free
-// run lists whose data is served from the canonical base at fault time.
+// run lists whose data is served from the canonical base at fault time,
+// in both chain forms: pruning a record releases its diff payloads.
 // Identical chains pending at several nodes share one immutable ChainBody.
 #pragma once
 
@@ -43,7 +44,9 @@ struct IntervalRecord {
   // dependent under any setting (DESIGN.md §6).
   bool lock_release = false;
   std::vector<UnitId> units;
-  std::vector<Diff> diffs;  // parallel to `units`
+  // Parallel to `units`.  Archive GC releases the payloads when it prunes
+  // the record (IntervalArchive::PruneThrough); runs and sizes survive.
+  std::vector<Diff> diffs;
   // Lazy-diffing cost model: diffed[i] holds 1 + the *phase key* under
   // which the diff of units[i] was first materialized (0 = never).
   // Requesters under a LATER key are served from the writer's diff cache
@@ -152,8 +155,12 @@ struct ChainBody {
 //     other referents), and every accessor reads straight through it.
 //     Building one costs a shared_ptr copy, nothing more; the wire
 //     accounting is definitionally identical to a merged chain of one
-//     member.  The overwhelmingly common case for lock-heavy programs,
-//     whose per-molecule critical sections produce single-unit records.
+//     member.  The record's diff payloads were released when the archive
+//     pruned it, so it pins only runs, clock, stamps and word counts.
+//     The overwhelmingly common case for lock-heavy programs, whose
+//     per-molecule critical sections produce single-unit records, and
+//     for false sharing at coarse units, where concurrent writers block
+//     every chain and each writer-epoch leaves its own.
 //   * merged chain (`body` set): two or more members coalesced into a
 //     shared ChainBody (runs merged payload-free, stamps cons-listed).
 struct FlattenedChain {
@@ -294,8 +301,10 @@ class IntervalArchive {
   // Reclaim every record with seq <= through (always a prefix: seqs are
   // appended in increasing order).  Records survive reclamation exactly
   // as long as some FlattenedChain retains them (shared ownership); the
-  // GC converts every other reference first.  Returns the number of
-  // records reclaimed.
+  // GC converts every other reference first.  Each reclaimed record's
+  // diff payloads are released here: their words are already in the
+  // canonical base, and a chain reads only runs and sizes.  Returns the
+  // number of records reclaimed.
   std::size_t PruneThrough(Seq through);
 
   // Smallest seq still archived (0 when empty) — pruned seqs can never be

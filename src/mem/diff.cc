@@ -132,6 +132,7 @@ Diff Diff::Create(std::span<const std::byte> twin,
   }
 
   // Pass 2: one exact payload allocation, bulk-copied run by run.
+  diff.payload_words_ = total_words;
   diff.payload_.reserve(total_words * kWordBytes);
   for (const DiffRun& run : diff.runs_) {
     const std::byte* src = cp + std::size_t{run.word_offset} * kWordBytes;
@@ -142,6 +143,7 @@ Diff Diff::Create(std::span<const std::byte> twin,
 }
 
 std::uint32_t Diff::payload_word(std::size_t i) const {
+  CheckPayload();
   DSM_CHECK_LT(i, payload_words());
   return Load32(payload_.data() + i * kWordBytes);
 }
@@ -150,6 +152,8 @@ Diff Diff::Merge(const Diff& older, const Diff& newer,
                  std::size_t words_per_unit) {
   const std::vector<DiffRun>& ra = older.runs_;
   const std::vector<DiffRun>& rb = newer.runs_;
+  older.CheckPayload();
+  newer.CheckPayload();
   for (const DiffRun& r : ra) {
     DSM_CHECK_LE(static_cast<std::size_t>(r.word_offset) + r.word_count,
                  words_per_unit);
@@ -241,6 +245,7 @@ Diff Diff::Merge(const Diff& older, const Diff& newer,
     bpay += rb[bi].word_count;
     ++bi;
   }
+  merged.payload_words_ = merged.payload_.size() / kWordBytes;
   return merged;
 }
 
@@ -281,7 +286,13 @@ std::size_t Diff::RunWords(const std::vector<DiffRun>& runs) {
   return total;
 }
 
+void Diff::CheckPayload() const {
+  DSM_CHECK_EQ(payload_.size(), payload_bytes())
+      << "diff payload was released";
+}
+
 void Diff::Apply(std::span<std::byte> dst) const {
+  CheckPayload();
   const std::size_t num_words = dst.size() / kWordBytes;
   std::size_t payload_pos = 0;  // bytes
   for (const DiffRun& run : runs_) {
@@ -293,7 +304,6 @@ void Diff::Apply(std::span<std::byte> dst) const {
                 payload_.data() + payload_pos, run_bytes);
     payload_pos += run_bytes;
   }
-  DSM_CHECK_EQ(payload_pos, payload_.size());
 }
 
 }  // namespace dsm

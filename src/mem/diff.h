@@ -32,8 +32,17 @@ class Diff {
   static Diff Create(std::span<const std::byte> twin,
                      std::span<const std::byte> current);
 
-  // Scatter the recorded words into `dst` (a unit-sized buffer).
+  // Scatter the recorded words into `dst` (a unit-sized buffer).  The
+  // payload must not have been released.
   void Apply(std::span<std::byte> dst) const;
+
+  // Free the payload bytes, keeping the run list and every size accessor
+  // intact.  Archive GC calls this on reclaimed records, whose words
+  // already live in the canonical base: what survives is exactly what a
+  // flattened chain reads (runs and wire size).  Only the byte storage
+  // changes, so concurrent readers of runs() and the size accessors stay
+  // race-free.
+  void ReleasePayload() { std::vector<std::byte>().swap(payload_); }
 
   // Coalesce two diffs of the same unit from the same writer, `newer`
   // taking precedence on overlapping words.  Used to combat diff
@@ -57,8 +66,8 @@ class Diff {
 
   bool empty() const { return runs_.empty(); }
   std::size_t num_runs() const { return runs_.size(); }
-  std::size_t payload_words() const { return payload_.size() / kWordBytes; }
-  std::size_t payload_bytes() const { return payload_.size(); }
+  std::size_t payload_words() const { return payload_words_; }
+  std::size_t payload_bytes() const { return payload_words_ * kWordBytes; }
 
   // Wire size: header + per-run descriptors + payload.  Used for message
   // byte accounting and bandwidth timing.
@@ -72,26 +81,21 @@ class Diff {
   // Payload word `i` in run-major order (testing/inspection).
   std::uint32_t payload_word(std::size_t i) const;
 
-  // Enumerate the unit-relative word offsets this diff writes, in order.
-  // `fn` is called once per word.
-  template <typename Fn>
-  void ForEachWord(Fn&& fn) const {
-    for (const DiffRun& run : runs_) {
-      for (std::uint32_t i = 0; i < run.word_count; ++i) {
-        fn(run.word_offset + i);
-      }
-    }
-  }
-
   static constexpr std::size_t kHeaderBytes = 16;
   static constexpr std::size_t kRunDescriptorBytes = 8;
 
  private:
+  // DSM_CHECK that the payload bytes are still present (not released).
+  void CheckPayload() const;
+
   std::vector<DiffRun> runs_;
   // Bytes of the modified words, run by run.  Byte storage keeps payload
   // construction a pure bulk copy (no zero-initializing resize, no
   // aliasing-unsafe word pointers into the unit images).
   std::vector<std::byte> payload_;
+  // Words in the payload, written once by Create/Merge.  The size
+  // accessors read this, never payload_, so they survive ReleasePayload.
+  std::size_t payload_words_ = 0;
 };
 
 }  // namespace dsm

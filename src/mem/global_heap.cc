@@ -1,6 +1,7 @@
 #include "mem/global_heap.h"
 
 #include <bit>
+#include <new>
 
 #include "common/check.h"
 
@@ -36,6 +37,12 @@ GlobalAddr GlobalHeap::Alloc(std::size_t bytes, std::size_t align,
 
 GlobalAddr GlobalHeap::AllocUnitAligned(std::size_t bytes, const char* name) {
   return Alloc(bytes, unit_bytes_, name);
+}
+
+HeapImage AllocZeroedImage(std::size_t bytes) {
+  auto* p = static_cast<std::byte*>(std::calloc(bytes, 1));
+  if (p == nullptr) throw std::bad_alloc();
+  return HeapImage(p);
 }
 
 }  // namespace dsm

@@ -8,6 +8,8 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdlib>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -58,5 +60,15 @@ class GlobalHeap {
   std::size_t next_ = 0;
   std::vector<Allocation> allocations_;
 };
+
+// A heap-sized byte image (a node's private image, the HLRC home image, the
+// reference image), zeroed at allocation.  For large sizes std::calloc maps
+// fresh zero pages instead of writing zeros, so allocating touches no
+// memory and a page nobody writes never becomes resident.
+struct FreeDeleter {
+  void operator()(std::byte* p) const { std::free(p); }
+};
+using HeapImage = std::unique_ptr<std::byte[], FreeDeleter>;
+HeapImage AllocZeroedImage(std::size_t bytes);
 
 }  // namespace dsm

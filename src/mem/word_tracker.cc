@@ -1,9 +1,5 @@
 #include "mem/word_tracker.h"
 
-#include <cstring>
-
-#include "common/check.h"
-
 namespace dsm {
 
 WordTracker::WordTracker(std::size_t num_units, std::size_t words_per_unit)
@@ -14,8 +10,7 @@ WordTracker::WordTracker(std::size_t num_units, std::size_t words_per_unit)
 
 std::uint64_t* WordTracker::EnsureInterest(UnitId unit) {
   const std::size_t slots = (words_per_unit_ + 63) / 64;
-  interest_[unit] = std::make_unique<std::uint64_t[]>(slots);
-  std::memset(interest_[unit].get(), 0, slots * sizeof(std::uint64_t));
+  interest_[unit] = std::make_unique<std::uint64_t[]>(slots);  // zeroed
   return interest_[unit].get();
 }
 
@@ -42,22 +37,10 @@ bool WordTracker::ReadsAnyOf(UnitId unit,
   return false;
 }
 
-void WordTracker::EnsureUnit(UnitId unit) {
-  if (units_[unit] == nullptr) {
-    units_[unit] = std::make_unique<std::uint32_t[]>(words_per_unit_);
-    std::memset(units_[unit].get(), 0,
-                words_per_unit_ * sizeof(std::uint32_t));
-  }
-}
-
-void WordTracker::Deliver(UnitId unit, std::uint32_t word_in_unit,
-                          std::uint32_t msg_id) {
-  DSM_DCHECK(word_in_unit < words_per_unit_);
-  EnsureUnit(unit);
-  std::uint32_t& tag = units_[unit][word_in_unit];
-  // Redelivery to an already-fresh word re-tags without recounting.
-  fresh_[unit] += (tag == 0);
-  tag = msg_id + 1;
+std::uint32_t* WordTracker::EnsureUnit(UnitId unit) {
+  // make_unique<T[]> value-initializes: every tag starts at 0 (not fresh).
+  units_[unit] = std::make_unique<std::uint32_t[]>(words_per_unit_);
+  return units_[unit].get();
 }
 
 std::uint32_t WordTracker::Tag(UnitId unit, std::uint32_t word_in_unit) const {

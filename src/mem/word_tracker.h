@@ -36,10 +36,12 @@
 // canonical base at fault time.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <vector>
 
+#include "common/check.h"
 #include "mem/diff.h"
 #include "mem/types.h"
 
@@ -50,8 +52,21 @@ class WordTracker {
   // `words_per_unit` = unit_bytes / kWordBytes.
   WordTracker(std::size_t num_units, std::size_t words_per_unit);
 
-  // A diff from message `msg_id` wrote the word at (unit, word_in_unit).
-  void Deliver(UnitId unit, std::uint32_t word_in_unit, std::uint32_t msg_id);
+  // Message `msg_id` delivered the `count` consecutive words starting at
+  // (unit, first_word): one call per diff run or whole-unit fetch.  Each
+  // word is tagged fresh from `msg_id`; redelivery to an already-fresh
+  // word re-tags it without recounting.
+  void Deliver(UnitId unit, std::uint32_t first_word, std::uint32_t count,
+               std::uint32_t msg_id) {
+    DSM_DCHECK(std::size_t{first_word} + count <= words_per_unit_);
+    std::uint32_t* tags = units_[unit].get();
+    if (tags == nullptr) tags = EnsureUnit(unit);
+    tags += first_word;
+    std::uint32_t newly_fresh = 0;
+    for (std::uint32_t i = 0; i < count; ++i) newly_fresh += (tags[i] == 0);
+    std::fill_n(tags, count, msg_id + 1);
+    fresh_[unit] += newly_fresh;
+  }
 
   // Local read of `count` consecutive words.  Calls `credit(msg_id)` once
   // per fresh word consumed.  Hot path: units with no live fresh tag take
@@ -117,7 +132,7 @@ class WordTracker {
   std::uint32_t Tag(UnitId unit, std::uint32_t word_in_unit) const;
 
  private:
-  void EnsureUnit(UnitId unit);
+  std::uint32_t* EnsureUnit(UnitId unit);
   std::uint64_t* EnsureInterest(UnitId unit);
 
   // Credit loop for lock programs: consumes fresh tags AND records each

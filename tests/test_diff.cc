@@ -6,6 +6,7 @@
 #include <map>
 #include <vector>
 
+#include "common/check.h"
 #include "common/rng.h"
 #include "mem/diff.h"
 
@@ -74,15 +75,6 @@ TEST(Diff, ApplyPreservesConcurrentDisjointWrites) {
   EXPECT_EQ(merged, Bytes({5, 0, 0, 7}));
 }
 
-TEST(Diff, ForEachWordEnumeratesAllModifiedWords) {
-  auto twin = Bytes({0, 0, 0, 0, 0, 0});
-  auto cur = Bytes({1, 1, 0, 0, 1, 0});
-  Diff d = Diff::Create(twin, cur);
-  std::vector<std::uint32_t> offsets;
-  d.ForEachWord([&](std::uint32_t w) { offsets.push_back(w); });
-  EXPECT_EQ(offsets, (std::vector<std::uint32_t>{0, 1, 4}));
-}
-
 TEST(Diff, EncodedBytesAccountsRunsAndPayload) {
   auto twin = Bytes({0, 0, 0, 0});
   auto cur = Bytes({1, 0, 2, 0});
@@ -90,6 +82,37 @@ TEST(Diff, EncodedBytesAccountsRunsAndPayload) {
   EXPECT_EQ(d.EncodedBytes(), Diff::kHeaderBytes +
                                   2 * Diff::kRunDescriptorBytes +
                                   2 * kWordBytes);
+}
+
+// Archive GC releases a reclaimed record's payload while flattened chains
+// keep reading the record's runs and wire size: everything but the byte
+// storage must survive, for Create and Merge outputs alike.
+TEST(Diff, ReleasePayloadKeepsRunsAndSizes) {
+  auto base = Bytes({0, 0, 0, 0, 0, 0, 0, 0});
+  auto v1 = Bytes({1, 1, 0, 0, 2, 0, 0, 0});
+  auto v2 = Bytes({1, 3, 3, 0, 2, 0, 0, 4});
+  const Diff created = Diff::Create(base, v1);
+  const Diff merged =
+      Diff::Merge(created, Diff::Create(v1, v2), v1.size() / kWordBytes);
+  for (const Diff& original : {created, merged}) {
+    Diff d = original;
+    ASSERT_GT(d.payload_words(), 0u);
+    d.ReleasePayload();
+    EXPECT_TRUE(d.payload().empty());
+    EXPECT_EQ(d.payload().capacity(), 0u);
+    ASSERT_EQ(d.num_runs(), original.num_runs());
+    for (std::size_t r = 0; r < d.num_runs(); ++r) {
+      EXPECT_EQ(d.runs()[r].word_offset, original.runs()[r].word_offset);
+      EXPECT_EQ(d.runs()[r].word_count, original.runs()[r].word_count);
+    }
+    EXPECT_EQ(d.payload_words(), original.payload_words());
+    EXPECT_EQ(d.payload_bytes(), original.payload_bytes());
+    EXPECT_EQ(d.EncodedBytes(), original.EncodedBytes());
+    // The data is gone: applying (or merging) it is a checked error.
+    auto target = base;
+    EXPECT_THROW(d.Apply(target), CheckError);
+    EXPECT_THROW(Diff::Merge(d, original, 8), CheckError);
+  }
 }
 
 TEST(DiffMerge, NewerWinsOnOverlap) {

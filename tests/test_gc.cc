@@ -292,6 +292,110 @@ TEST(GcVirginStore, ChainHeadersStayOffNonSharers) {
   EXPECT_GT(big.stats.mem.chains_shared, small.stats.mem.chains_shared);
 }
 
+// --- payload release under false sharing --------------------------------------
+//
+// Procs 0 and 2 write disjoint words of ONE unit every epoch, so each
+// writer's records are ordered after the other's previous ones: no chain
+// can absorb the next epoch (the chains are `blocked`) and every reclaimed
+// record survives as a single-record FlattenedChain — the MGS-16K shape.
+// Proc 1 faults once early (so its history lives in its own chain headers,
+// not the virgin store) and then stays away until the history is
+// reclaimed.  Pruning must have dropped every retained record's payload
+// bytes while its runs and sizes — all the fault path reads — survive, and
+// the late fault must still match the archive-everything run bit for bit.
+struct FalseSharingOutcome {
+  std::vector<int> values;
+  RunStats stats;
+  std::size_t chains = 0;
+  std::size_t single_record = 0;
+  std::size_t blocked = 0;
+  std::size_t released = 0;      // single-record chains with no bytes
+  std::size_t sizes_intact = 0;  // ... whose sizes still read in full
+};
+
+FalseSharingOutcome RunFalseSharingReader(int gc_interval) {
+  RuntimeConfig cfg;
+  cfg.num_procs = 4;
+  cfg.heap_bytes = 1u << 20;
+  cfg.gc_interval_barriers = gc_interval;
+  constexpr int kEpochs = 10;
+  constexpr std::size_t kWords = 16;
+
+  Runtime rt(cfg);
+  auto data = rt.Alloc<int>(1024, "data");
+  const UnitId unit = rt.heap().UnitOf(data.base());
+  FalseSharingOutcome out;
+  std::mutex mu;
+  rt.Run([&](Proc& p) {
+    for (int e = 0; e < kEpochs; ++e) {
+      for (std::size_t i = 0; i < kWords; ++i) {
+        if (p.id() == 0) p.Write(data, i, 100 * (e + 1) + static_cast<int>(i));
+        if (p.id() == 2) {
+          p.Write(data, kWords + i, 5000 + 100 * e + static_cast<int>(i));
+        }
+      }
+      p.Barrier();
+      if (e == 0 && p.id() == 1) (void)p.Read(data, 0);  // become a sharer
+    }
+    // Idle barriers: with the default two-barrier lag the pass at the
+    // second flattens the last writing epoch, and every node's prune of
+    // that pass finishes before anyone leaves the third.
+    for (int i = 0; i < 3; ++i) p.Barrier();
+    if (p.id() == 1) {
+      FalseSharingOutcome seen;
+      for (const FlattenedChain& c : p.node().flattened_chains(unit)) {
+        ++seen.chains;
+        seen.blocked += c.blocked ? 1 : 0;
+        if (c.rec == nullptr) continue;
+        ++seen.single_record;
+        const Diff& d = c.rec_diff();
+        seen.released += d.payload().empty() ? 1 : 0;
+        const bool intact =
+            d.payload_words() == kWords && c.payload_words() == kWords &&
+            d.EncodedBytes() == Diff::kHeaderBytes +
+                                    Diff::kRunDescriptorBytes +
+                                    kWords * kWordBytes &&
+            c.EncodedBytes() == d.EncodedBytes();
+        seen.sizes_intact += intact ? 1 : 0;
+      }
+      std::vector<int> got;
+      for (std::size_t i = 0; i < 2 * kWords; ++i) {
+        got.push_back(p.Read(data, i));
+      }
+      std::lock_guard lock(mu);
+      seen.values = std::move(got);
+      out = std::move(seen);
+    }
+    p.Barrier();
+  });
+  out.stats = rt.CollectStats();
+  return out;
+}
+
+TEST(GcPayloadRelease, FalseSharedChainsKeepSizesButNoBytes) {
+  const FalseSharingOutcome off = RunFalseSharingReader(0);
+  const FalseSharingOutcome on = RunFalseSharingReader(1);
+
+  EXPECT_EQ(off.chains, 0u);
+  // One chain per writer-epoch after the reader's fault, all of them the
+  // single-record form, all but each writer's newest blocked.
+  EXPECT_GE(on.chains, 2u * 8u);
+  EXPECT_EQ(on.single_record, on.chains);
+  EXPECT_GE(on.blocked, on.chains - 2);
+  // Every retained record lost its bytes and kept its sizes.
+  EXPECT_EQ(on.released, on.single_record);
+  EXPECT_EQ(on.sizes_intact, on.single_record);
+
+  // The late fault, served from the canonical base, saw the newest values.
+  ASSERT_EQ(on.values.size(), 32u);
+  for (std::size_t i = 0; i < 16; ++i) {
+    EXPECT_EQ(on.values[i], 1000 + static_cast<int>(i)) << "word " << i;
+    EXPECT_EQ(on.values[16 + i], 5900 + static_cast<int>(i)) << "word " << i;
+  }
+  EXPECT_EQ(on.values, off.values);
+  ExpectModelledStateEqual(on.stats, off.stats, "false-shared late reader");
+}
+
 // --- lock-heavy sweeps -------------------------------------------------------
 //
 // Water and TSP synchronize through locks, whose grant order is host

@@ -244,7 +244,7 @@ TEST(PageTable, TwinPoolRecyclesDroppedBuffers) {
 
 TEST(WordTracker, CreditOnFirstReadOnly) {
   WordTracker tracker(2, 1024);
-  tracker.Deliver(0, 5, /*msg_id=*/3);
+  tracker.Deliver(0, 5, 1, /*msg_id=*/3);
   int credited = -1;
   tracker.OnRead(0, 5, 1, [&](std::uint32_t m) { credited = (int)m; });
   EXPECT_EQ(credited, 3);
@@ -255,7 +255,7 @@ TEST(WordTracker, CreditOnFirstReadOnly) {
 
 TEST(WordTracker, OverwriteKillsCredit) {
   WordTracker tracker(2, 1024);
-  tracker.Deliver(0, 7, 1);
+  tracker.Deliver(0, 7, 1, 1);
   tracker.OnWrite(0, 7, 1);
   int credited = -1;
   tracker.OnRead(0, 7, 1, [&](std::uint32_t m) { credited = (int)m; });
@@ -264,8 +264,8 @@ TEST(WordTracker, OverwriteKillsCredit) {
 
 TEST(WordTracker, RedeliveryRetags) {
   WordTracker tracker(2, 1024);
-  tracker.Deliver(0, 9, 1);
-  tracker.Deliver(0, 9, 2);  // newer message overwrites the tag
+  tracker.Deliver(0, 9, 1, 1);
+  tracker.Deliver(0, 9, 1, 2);  // newer message overwrites the tag
   std::vector<std::uint32_t> credits;
   tracker.OnRead(0, 9, 1, [&](std::uint32_t m) { credits.push_back(m); });
   EXPECT_EQ(credits, (std::vector<std::uint32_t>{2}));
@@ -281,9 +281,9 @@ TEST(WordTracker, UntouchedUnitsCostNothing) {
 
 TEST(WordTracker, RangeReadCreditsEachFreshWord) {
   WordTracker tracker(1, 64);
-  tracker.Deliver(0, 2, 0);
-  tracker.Deliver(0, 3, 0);
-  tracker.Deliver(0, 5, 1);
+  tracker.Deliver(0, 2, 1, 0);
+  tracker.Deliver(0, 3, 1, 0);
+  tracker.Deliver(0, 5, 1, 1);
   int credits = 0;
   tracker.OnRead(0, 0, 8, [&](std::uint32_t) { ++credits; });
   EXPECT_EQ(credits, 3);
@@ -294,9 +294,9 @@ TEST(WordTracker, RangeReadCreditsEachFreshWord) {
 TEST(WordTracker, FreshCountReachesZeroAfterCreditsAndOverwrites) {
   WordTracker tracker(2, 64);
   EXPECT_EQ(tracker.fresh_count(0), 0u);
-  tracker.Deliver(0, 1, 0);
-  tracker.Deliver(0, 5, 0);
-  tracker.Deliver(0, 9, 1);
+  tracker.Deliver(0, 1, 1, 0);
+  tracker.Deliver(0, 5, 1, 0);
+  tracker.Deliver(0, 9, 1, 1);
   EXPECT_EQ(tracker.fresh_count(0), 3u);
 
   tracker.OnWrite(0, 5, 1);  // one mark dies uncredited
@@ -310,7 +310,7 @@ TEST(WordTracker, FreshCountReachesZeroAfterCreditsAndOverwrites) {
 
 TEST(WordTracker, ExhaustedUnitTakesEarlyOutWithoutCredits) {
   WordTracker tracker(1, 64);
-  tracker.Deliver(0, 3, 7);
+  tracker.Deliver(0, 3, 1, 7);
   tracker.OnWrite(0, 0, 64);
   ASSERT_EQ(tracker.fresh_count(0), 0u);
 
@@ -326,8 +326,8 @@ TEST(WordTracker, ExhaustedUnitTakesEarlyOutWithoutCredits) {
 
 TEST(WordTracker, RedeliveryToFreshWordDoesNotDoubleCount) {
   WordTracker tracker(1, 64);
-  tracker.Deliver(0, 4, 1);
-  tracker.Deliver(0, 4, 2);  // re-tag, not a second fresh word
+  tracker.Deliver(0, 4, 1, 1);
+  tracker.Deliver(0, 4, 1, 2);  // re-tag, not a second fresh word
   EXPECT_EQ(tracker.fresh_count(0), 1u);
 
   std::vector<std::uint32_t> credits;
@@ -340,12 +340,39 @@ TEST(WordTracker, ReadStopsAtLastLiveTagButStaysExact) {
   // The early-break when the count hits zero must not skip credits: two
   // fresh words read in one range call both credit.
   WordTracker tracker(1, 64);
-  tracker.Deliver(0, 0, 3);
-  tracker.Deliver(0, 63, 4);
+  tracker.Deliver(0, 0, 1, 3);
+  tracker.Deliver(0, 63, 1, 4);
   std::vector<std::uint32_t> credits;
   tracker.OnRead(0, 0, 64, [&](std::uint32_t m) { credits.push_back(m); });
   EXPECT_EQ(credits, (std::vector<std::uint32_t>{3, 4}));
   EXPECT_EQ(tracker.fresh_count(0), 0u);
+}
+
+TEST(WordTracker, RunDeliveryMatchesPerWordDelivery) {
+  // One run over a partly-fresh range must leave exactly the tags and the
+  // fresh count that word-by-word delivery of the same range leaves:
+  // already-fresh words re-tag without recounting, the rest turn fresh.
+  WordTracker run(1, 64);
+  WordTracker per_word(1, 64);
+  for (WordTracker* t : {&run, &per_word}) {
+    t->Deliver(0, 10, 1, 1);
+    t->Deliver(0, 12, 3, 2);
+    t->Deliver(0, 40, 1, 3);  // outside the run below: must keep its tag
+  }
+  run.Deliver(0, 8, 16, 9);
+  for (std::uint32_t w = 8; w < 24; ++w) per_word.Deliver(0, w, 1, 9);
+
+  EXPECT_EQ(run.fresh_count(0), per_word.fresh_count(0));
+  EXPECT_EQ(run.fresh_count(0), 17u);
+  for (std::uint32_t w = 0; w < 64; ++w) {
+    EXPECT_EQ(run.Tag(0, w), per_word.Tag(0, w)) << "word " << w;
+  }
+  EXPECT_EQ(run.Tag(0, 40), 4u);
+
+  // A whole-unit delivery (the HLRC fetch shape) re-tags every word.
+  run.Deliver(0, 0, 64, 5);
+  EXPECT_EQ(run.fresh_count(0), 64u);
+  for (std::uint32_t w = 0; w < 64; ++w) EXPECT_EQ(run.Tag(0, w), 6u);
 }
 
 // --- core primitives ----------------------------------------------------------
