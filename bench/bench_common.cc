@@ -30,12 +30,7 @@ FigureRow RunOne(const apps::AppSpec& spec, const ConfigPoint& point,
   FigureRow row;
   row.config = point.label;
   row.exec_seconds = run.stats.exec_seconds();
-  row.useful_msgs = run.stats.comm.useful_messages;
-  row.useless_msgs = run.stats.comm.useless_messages;
-  row.sync_msgs = run.stats.comm.sync_messages;
-  row.useful_bytes = run.stats.comm.useful_data_bytes;
-  row.piggyback_bytes = run.stats.comm.piggyback_useless_bytes;
-  row.useless_bytes = run.stats.comm.useless_msg_data_bytes;
+  row.comm = run.stats.comm;
   row.result = run.result;
   return row;
 }
@@ -51,28 +46,27 @@ void PrintFigureBlock(const apps::AppSpec& spec, int num_procs) {
   for (const ConfigPoint& point : FigureConfigs()) {
     rows.push_back(RunOne(spec, point, num_procs));
   }
-  const FigureRow& base = rows.front();
-  const double base_msgs = static_cast<double>(
-      base.useful_msgs + base.useless_msgs + base.sync_msgs);
-  const double base_bytes = static_cast<double>(
-      base.useful_bytes + base.piggyback_bytes + base.useless_bytes);
+  const double base_msgs =
+      static_cast<double>(rows.front().comm.total_messages());
+  const double base_bytes =
+      static_cast<double>(rows.front().comm.total_data_bytes());
   for (const FigureRow& r : rows) {
-    const std::uint64_t msgs = r.useful_msgs + r.useless_msgs + r.sync_msgs;
-    const std::uint64_t bytes =
-        r.useful_bytes + r.piggyback_bytes + r.useless_bytes;
+    const CommBreakdown& c = r.comm;
+    const std::uint64_t msgs = c.total_messages();
+    const std::uint64_t bytes = c.total_data_bytes();
     std::printf(
         "%-5s %9.4f %6.3f | %9llu %8llu %8llu %7llu %6.3f | %9.1f %9.1f "
         "%9.1f %6.3f\n",
         r.config.c_str(), r.exec_seconds,
         r.exec_seconds / rows.front().exec_seconds,
-        static_cast<unsigned long long>(r.useful_msgs),
-        static_cast<unsigned long long>(r.useless_msgs),
-        static_cast<unsigned long long>(r.sync_msgs),
+        static_cast<unsigned long long>(c.useful_messages),
+        static_cast<unsigned long long>(c.useless_messages),
+        static_cast<unsigned long long>(c.sync_messages),
         static_cast<unsigned long long>(msgs),
         base_msgs > 0 ? static_cast<double>(msgs) / base_msgs : 0.0,
-        static_cast<double>(r.useful_bytes) / 1024.0,
-        static_cast<double>(r.piggyback_bytes) / 1024.0,
-        static_cast<double>(r.useless_bytes) / 1024.0,
+        static_cast<double>(c.useful_data_bytes) / 1024.0,
+        static_cast<double>(c.piggyback_useless_bytes) / 1024.0,
+        static_cast<double>(c.useless_msg_data_bytes) / 1024.0,
         base_bytes > 0 ? static_cast<double>(bytes) / base_bytes : 0.0);
   }
   std::printf("\n");

@@ -27,10 +27,7 @@ RuntimeConfig MakeRuntimeConfig(const ConfigPoint& point, int num_procs = 8);
 struct FigureRow {
   std::string config;
   double exec_seconds = 0;
-  // Message breakdown (counts).
-  std::uint64_t useful_msgs = 0, useless_msgs = 0, sync_msgs = 0;
-  // Data breakdown (bytes).
-  std::uint64_t useful_bytes = 0, piggyback_bytes = 0, useless_bytes = 0;
+  CommBreakdown comm;
   double result = 0;  // application checksum (cross-config consistency)
 };
 

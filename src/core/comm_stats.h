@@ -16,6 +16,7 @@
 #pragma once
 
 #include <cstdint>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -123,6 +124,83 @@ struct CommBreakdown {
   void Merge(const CommBreakdown& other);
   std::string ToString() const;
 };
+
+// The counter schema: every std::uint64_t member of CommBreakdown, declared
+// once.  Merge, ToString and the modelled-state visitor
+// (ForEachModelledValue, core/runtime.h) — and through it the bench
+// fingerprint and every A/B comparison — iterate these rows instead of
+// naming fields.  Add a counter by adding its member and one row;
+// tests/test_substrates.cc fails a member that has no row.
+//
+// Rows are listed group by group, in fingerprint order.  A skip_if_zero
+// group contributes nothing — no ToString line, no fingerprint bytes —
+// while every value in it is zero; counters added after fingerprints were
+// committed go in such a group, so those fingerprints hold.
+enum class CounterGroup : std::uint8_t {
+  kMessages,
+  kData,
+  kEvents,
+  kHome,
+  kRecovery,
+  kNoticeClocks,
+};
+
+struct CounterGroupInfo {
+  const char* name;  // ToString line label
+  bool skip_if_zero;
+  bool in_fingerprint;
+};
+
+// Indexed by CounterGroup.
+inline constexpr CounterGroupInfo kCounterGroups[] = {
+    {"messages", false, true},
+    {"data bytes", false, true},
+    {"events", false, true},
+    {"home", true, true},            // HLRC only (DESIGN.md §7)
+    {"recovery", true, true},        // a fault fired (DESIGN.md §9)
+    {"notice clocks", true, false},  // wire telemetry (DESIGN.md §8)
+};
+
+struct CounterRow {
+  const char* name;
+  std::uint64_t CommBreakdown::*member;
+  CounterGroup group;
+};
+
+#define DSM_COUNTER_ROW(member, group) \
+  { #member, &CommBreakdown::member, CounterGroup::group }
+inline constexpr CounterRow kCounterRows[] = {
+    DSM_COUNTER_ROW(useful_messages, kMessages),
+    DSM_COUNTER_ROW(useless_messages, kMessages),
+    DSM_COUNTER_ROW(sync_messages, kMessages),
+    DSM_COUNTER_ROW(useful_data_bytes, kData),
+    DSM_COUNTER_ROW(piggyback_useless_bytes, kData),
+    DSM_COUNTER_ROW(useless_msg_data_bytes, kData),
+    DSM_COUNTER_ROW(delivered_data_bytes, kData),
+    DSM_COUNTER_ROW(read_faults, kEvents),
+    DSM_COUNTER_ROW(write_faults, kEvents),
+    DSM_COUNTER_ROW(silent_validations, kEvents),
+    DSM_COUNTER_ROW(twins_created, kEvents),
+    DSM_COUNTER_ROW(diffs_created, kEvents),
+    DSM_COUNTER_ROW(diffs_applied, kEvents),
+    DSM_COUNTER_ROW(units_invalidated, kEvents),
+    DSM_COUNTER_ROW(group_prefetch_units, kEvents),
+    DSM_COUNTER_ROW(home_flush_messages, kHome),
+    DSM_COUNTER_ROW(home_flushes, kHome),
+    DSM_COUNTER_ROW(home_flush_bytes, kHome),
+    DSM_COUNTER_ROW(home_fetches, kHome),
+    DSM_COUNTER_ROW(home_fetch_bytes, kHome),
+    DSM_COUNTER_ROW(recoveries, kRecovery),
+    DSM_COUNTER_ROW(recovery_messages, kRecovery),
+    DSM_COUNTER_ROW(recovery_data_bytes, kRecovery),
+    DSM_COUNTER_ROW(recovery_units, kRecovery),
+    DSM_COUNTER_ROW(recovery_records, kRecovery),
+    DSM_COUNTER_ROW(recovery_retransmits, kRecovery),
+    DSM_COUNTER_ROW(recovery_retransmit_bytes, kRecovery),
+    DSM_COUNTER_ROW(notice_clock_bytes, kNoticeClocks),
+    DSM_COUNTER_ROW(notice_clock_bytes_dense, kNoticeClocks),
+};
+#undef DSM_COUNTER_ROW
 
 // Per-node, single-threaded statistics collector.
 class CommStats {

@@ -184,28 +184,9 @@ struct RuntimeConfig {
   // optimization — modelled times, statistics, and results are
   // bit-identical for any setting on barrier programs.  0 disables GC
   // (the archive-everything behavior, kept reachable for A/B testing).
+  // Read-aware flattening (DESIGN.md §6) only ever elides lock-release
+  // intervals, so barrier programs are unaffected by it.
   int gc_interval_barriers = 1;
-
-  // Read-aware flattening (DESIGN.md §6): the collector skips building
-  // flattened chains out of LOCK-RELEASE intervals none of whose words
-  // the pending node has ever read (Water's aux/force slots), recording
-  // only a per-unit elided-run list whose words are silently refreshed
-  // from the canonical base at the next fault.  Data-safe always; only
-  // lock-release intervals are eligible, so barrier programs — the
-  // bit-reproducible ones — are provably unaffected.  Kept toggleable for
-  // A/B runs.
-  bool gc_read_aware = true;
-
-  // Lock-chain-aware lazy-diffing phases (DESIGN.md §4): lock-ordered
-  // diff requesters between two barriers advance a per-lock-chain
-  // sub-phase derived from the LockService transfer order, so a requester
-  // ordered after the acquire that materialized a diff is served from the
-  // writer's cache instead of each paying the twin-scan cost.  Sharper
-  // modelled times for migratory data (Water/TSP); host-order dependent
-  // only for lock programs, which are not bit-reproducible anyway.
-  // Barrier programs never advance the sub-phase and replay bit-for-bit
-  // under either setting.
-  bool lock_chain_phases = true;
 
   // Archive-GC pass sizing: auto (hardware-concurrency-scaled serial
   // threshold) or forced serial/striped — see GcPassMode.

@@ -995,6 +995,137 @@ VirtualNanos Node::HlrcChargeRehomeLearning(std::size_t request_bytes) {
           shared_.config.cost.request_service_overhead);
 }
 
+namespace {
+
+// A dominated record resolved for one unit by the GC flatten pass.
+struct GcResolved {
+  const IntervalRecord* rec;
+  // Shared ownership handle (single-record chains retain the record);
+  // points into the pass's dominated-prefix snapshot, which outlives it.
+  const std::shared_ptr<const IntervalRecord>* owner;
+  int di;
+  std::uint64_t vc_sum;
+};
+
+// Canonicalize (sort + coalesce) the elided runs gathered in `accum` and
+// fold them into a unit's outstanding elided-run list.  `canon` is
+// scratch.
+void FoldElidedRuns(std::vector<DiffRun>& accum, std::vector<DiffRun>& canon,
+                    std::vector<DiffRun>& elided) {
+  std::sort(accum.begin(), accum.end(),
+            [](const DiffRun& a, const DiffRun& b) {
+              return a.word_offset < b.word_offset;
+            });
+  canon.clear();
+  for (const DiffRun& r : accum) {
+    if (!canon.empty() &&
+        r.word_offset <= canon.back().word_offset + canon.back().word_count) {
+      DiffRun& back = canon.back();
+      const std::uint32_t end = std::max(back.word_offset + back.word_count,
+                                         r.word_offset + r.word_count);
+      back.word_count = end - back.word_offset;
+    } else {
+      canon.push_back(r);
+    }
+  }
+  if (elided.empty()) {
+    elided = canon;
+  } else {
+    elided = Diff::MergeRuns(elided, canon);
+  }
+}
+
+// Extend a unit's flattened chains `flat` with its kept dominated records,
+// writer by writer, then freeze the blocked verdicts; returns the number
+// of chains started.  With `body_shared` every extended body is flagged
+// shared: virgin-store bodies are adopted by fault paths with no
+// synchronization point to flag them at, so the store's headers stay
+// permanently "shared" (every copy inherits the flag; a later store
+// extension clones first).  `foreign_vcw` is per-writer scratch.
+//
+// The fault path's absorption predicate — "no foreign interval q with
+// chain_first happened-before q but not candidate-tail happened-before
+// q" — only reads q.vc[w] for a chain of writer w: it fails exactly when
+// some foreign q has first_seq <= q.vc[w] < tail_seq.  Batches from
+// lock-heavy programs can hold hundreds of records per unit, so it is
+// evaluated by binary search over the sorted foreign clock entries
+// instead of rescanning the batch.  (Elided records are excluded: the
+// chains they would have ordered against are not built, and their words
+// reach the image via the base refresh regardless of absorption shape.)
+std::uint64_t BuildChains(std::vector<FlattenedChain>& flat,
+                          const std::vector<GcResolved>& kept, int nprocs,
+                          bool body_shared,
+                          std::vector<std::vector<Seq>>& foreign_vcw) {
+  for (ProcId w = 0; w < nprocs; ++w) foreign_vcw[w].clear();
+  for (const GcResolved& q : kept) {
+    for (ProcId w = 0; w < nprocs; ++w) {
+      if (q.rec->proc != w) foreign_vcw[w].push_back(q.rec->vc[w]);
+    }
+  }
+  for (ProcId w = 0; w < nprocs; ++w) {
+    std::sort(foreign_vcw[w].begin(), foreign_vcw[w].end());
+  }
+  auto may_absorb = [&](ProcId w, Seq first_seq, Seq tail_seq) {
+    const std::vector<Seq>& v = foreign_vcw[w];
+    auto it = std::lower_bound(v.begin(), v.end(), first_seq);
+    return it == v.end() || *it >= tail_seq;
+  };
+
+  std::uint64_t started = 0;
+  for (ProcId w = 0; w < nprocs; ++w) {
+    // Only the last existing chain of writer w may be extended.
+    std::size_t open = flat.size();
+    for (std::size_t i = 0; i < flat.size(); ++i) {
+      if (flat[i].writer == w) open = i;
+    }
+    for (const GcResolved& r : kept) {
+      if (r.rec->proc != w) continue;
+      const Diff& diff = r.rec->diffs[static_cast<std::size_t>(r.di)];
+      if (open != flat.size() && !flat[open].blocked &&
+          may_absorb(w, flat[open].first_seq, r.rec->seq)) {
+        FlattenedChain& c = flat[open];
+        // Copy-on-write: converts a single-record chain to a merged body,
+        // or clones a body shared with other nodes whose pending sets
+        // diverged.
+        ChainBody& b = c.MutableBody();
+        b.runs = Diff::MergeRuns(b.runs, diff.runs());
+        b.payload_words = Diff::RunWords(b.runs);
+        b.last_vc = r.rec->vc;
+        b.stamps = std::make_shared<const StampNode>(StampNode{
+            StampRef{r.rec->diffed, static_cast<std::uint32_t>(r.di)},
+            std::move(b.stamps)});
+        c.last_seq = r.rec->seq;
+        if (body_shared) c.body_shared = true;
+      } else {
+        // New chains start in the single-record form: one shared_ptr
+        // copy, no merged body until (unless) something is absorbed.
+        FlattenedChain c;
+        c.writer = w;
+        c.first_seq = r.rec->seq;
+        c.last_seq = r.rec->seq;
+        c.rec = *r.owner;
+        c.di = r.di;
+        flat.push_back(std::move(c));
+        ++started;
+        open = flat.size() - 1;
+      }
+    }
+  }
+  // A foreign reclaimed interval ordered after a chain's head means no
+  // later interval may ever be absorbed into the chain (the fault path
+  // would re-check this against the record, which is about to be
+  // reclaimed — freeze the verdict in the flag).
+  for (FlattenedChain& c : flat) {
+    if (c.blocked) continue;
+    const std::vector<Seq>& v = foreign_vcw[c.writer];
+    if (!v.empty() && v.back() >= c.first_seq) c.blocked = true;
+  }
+  return started;
+}
+
+}  // namespace
+
+
 // Flatten phase (pass 1 of DESIGN.md §6), striped: this node converts the
 // dominated pending notices of EVERY node for the units of its stripe
 // (unit % nprocs == id) into FlattenedChains, mirroring the fault path's
@@ -1038,8 +1169,7 @@ void Node::GcFlattenStripe(const VectorClock& through, int start,
   // bitmaps; with track_usage off no interest ever accumulates and the
   // predicate would elide EVERY lock-release record, breaking
   // track_usage's modelled-invisibility contract.
-  const bool read_aware =
-      shared.config.gc_read_aware && shared.config.track_usage;
+  const bool read_aware = shared.config.track_usage;
 
   // Snapshot each archive's dominated prefix once (one mutex hold per
   // archive): lock-heavy programs resolve tens of thousands of (proc,
@@ -1073,24 +1203,36 @@ void Node::GcFlattenStripe(const VectorClock& through, int start,
     return &*it;
   };
 
-  struct Resolved {
-    const IntervalRecord* rec;
-    // Shared ownership handle (single-record chains retain the record);
-    // points into dom_prefix, which outlives the pass.
-    const std::shared_ptr<const IntervalRecord>* owner;
-    int di;
-    std::uint64_t vc_sum;
-  };
-  auto vc_sum_of = [](const IntervalRecord& r) { return r.vc.Sum(); };
   // One reclaimed record is typically pending at most nodes; resolve each
-  // (proc, seq) once per unit and reuse across the node loop.
-  std::unordered_map<std::uint64_t, Resolved> resolve_memo;
+  // (proc, seq) once per unit and reuse across the node loop.  The first
+  // resolution routes the record to the canonical base, exactly once per
+  // unit: every resolved record is kept or elided by SOME node, and either
+  // way its words must reach the base.
+  std::unordered_map<std::uint64_t, GcResolved> resolve_memo;
+  auto resolve = [&](UnitId u,
+                     const PendingInterval& pi) -> const GcResolved& {
+    const std::uint64_t rkey =
+        (std::uint64_t{static_cast<std::uint32_t>(pi.proc)} << 32) | pi.seq;
+    auto memo = resolve_memo.find(rkey);
+    if (memo == resolve_memo.end()) {
+      const std::shared_ptr<const IntervalRecord>* owner =
+          find_dominated(pi.proc, pi.seq);
+      const IntervalRecord* rec = owner->get();
+      const int di = rec->IndexOf(u);
+      DSM_CHECK_GE(di, 0);
+      memo = resolve_memo
+                 .emplace(rkey, GcResolved{rec, owner, di, rec->vc.Sum()})
+                 .first;
+      gc_refs_.push_back({u, rec, di, memo->second.vc_sum});
+    }
+    return memo->second;
+  };
   std::vector<PendingInterval> live;
-  std::vector<Resolved> kept;
+  std::vector<GcResolved> kept;
   std::vector<DiffRun> elide_accum;
   std::vector<DiffRun> elide_canon;
-  // Per-writer sorted foreign clock entries of the current batch (see the
-  // absorption predicate below).
+  // Per-writer sorted foreign clock entries of the current batch
+  // (BuildChains scratch).
   std::vector<std::vector<Seq>> foreign_vcw(nprocs);
   // Chain intern cache for this worker's stripe.  Keyed on the node's
   // pre-existing chains (header fields + body identity — bodies are
@@ -1187,23 +1329,7 @@ void Node::GcFlattenStripe(const VectorClock& through, int start,
           }
           any_dom = true;
           if (virgin_built) continue;  // first virgin resolved the batch
-          const std::uint64_t rkey =
-              (std::uint64_t{static_cast<std::uint32_t>(pi.proc)} << 32) |
-              pi.seq;
-          auto memo = resolve_memo.find(rkey);
-          if (memo == resolve_memo.end()) {
-            const std::shared_ptr<const IntervalRecord>* owner =
-                find_dominated(pi.proc, pi.seq);
-            const IntervalRecord* rec = owner->get();
-            const int di = rec->IndexOf(u);
-            DSM_CHECK_GE(di, 0);
-            memo = resolve_memo
-                       .emplace(rkey,
-                                Resolved{rec, owner, di, vc_sum_of(*rec)})
-                       .first;
-            gc_refs_.push_back({u, rec, di, memo->second.vc_sum});
-          }
-          const Resolved& res = memo->second;
+          const GcResolved& res = resolve(u, pi);
           if (read_aware && res.rec->lock_release) {
             const Diff& diff =
                 res.rec->diffs[static_cast<std::size_t>(res.di)];
@@ -1220,88 +1346,11 @@ void Node::GcFlattenStripe(const VectorClock& through, int start,
         if (virgin_built) continue;
         virgin_built = true;
         if (!elide_accum.empty()) {
-          std::sort(elide_accum.begin(), elide_accum.end(),
-                    [](const DiffRun& a, const DiffRun& b) {
-                      return a.word_offset < b.word_offset;
-                    });
-          elide_canon.clear();
-          for (const DiffRun& r : elide_accum) {
-            if (!elide_canon.empty() &&
-                r.word_offset <= elide_canon.back().word_offset +
-                                     elide_canon.back().word_count) {
-              DiffRun& back = elide_canon.back();
-              const std::uint32_t end =
-                  std::max(back.word_offset + back.word_count,
-                           r.word_offset + r.word_count);
-              back.word_count = end - back.word_offset;
-            } else {
-              elide_canon.push_back(r);
-            }
-          }
-          if (virgin.elided.empty()) {
-            virgin.elided = elide_canon;
-          } else {
-            virgin.elided = Diff::MergeRuns(virgin.elided, elide_canon);
-          }
+          FoldElidedRuns(elide_accum, elide_canon, virgin.elided);
         }
-        if (kept.empty()) continue;
-        for (ProcId w = 0; w < nprocs; ++w) foreign_vcw[w].clear();
-        for (const Resolved& q : kept) {
-          for (ProcId w = 0; w < nprocs; ++w) {
-            if (q.rec->proc != w) foreign_vcw[w].push_back(q.rec->vc[w]);
-          }
-        }
-        for (ProcId w = 0; w < nprocs; ++w) {
-          std::sort(foreign_vcw[w].begin(), foreign_vcw[w].end());
-        }
-        auto may_absorb_v = [&](ProcId w, Seq first_seq, Seq tail_seq) {
-          const std::vector<Seq>& v = foreign_vcw[w];
-          auto it = std::lower_bound(v.begin(), v.end(), first_seq);
-          return it == v.end() || *it >= tail_seq;
-        };
-        std::vector<FlattenedChain>& flat = virgin.chains;
-        for (ProcId w = 0; w < nprocs; ++w) {
-          std::size_t open = flat.size();
-          for (std::size_t i = 0; i < flat.size(); ++i) {
-            if (flat[i].writer == w) open = i;
-          }
-          for (const Resolved& r : kept) {
-            if (r.rec->proc != w) continue;
-            const Diff& diff =
-                r.rec->diffs[static_cast<std::size_t>(r.di)];
-            if (open != flat.size() && !flat[open].blocked &&
-                may_absorb_v(w, flat[open].first_seq, r.rec->seq)) {
-              FlattenedChain& c = flat[open];
-              ChainBody& b = c.MutableBody();
-              b.runs = Diff::MergeRuns(b.runs, diff.runs());
-              b.payload_words = Diff::RunWords(b.runs);
-              b.last_vc = r.rec->vc;
-              b.stamps = std::make_shared<const StampNode>(StampNode{
-                  StampRef{r.rec->diffed, static_cast<std::uint32_t>(r.di)},
-                  std::move(b.stamps)});
-              c.last_seq = r.rec->seq;
-              // Virgin-store bodies are adopted by fault paths with no
-              // synchronization point to flag them at, so the store's
-              // header stays permanently "shared" (every copy inherits
-              // the flag; a later store extension clones first).
-              c.body_shared = true;
-            } else {
-              FlattenedChain c;
-              c.writer = w;
-              c.first_seq = r.rec->seq;
-              c.last_seq = r.rec->seq;
-              c.rec = *r.owner;
-              c.di = r.di;
-              flat.push_back(std::move(c));
-              ++virgin_new_chains;
-              open = flat.size() - 1;
-            }
-          }
-        }
-        for (FlattenedChain& c : flat) {
-          if (c.blocked) continue;
-          const std::vector<Seq>& v = foreign_vcw[c.writer];
-          if (!v.empty() && v.back() >= c.first_seq) c.blocked = true;
+        if (!kept.empty()) {
+          virgin_new_chains += BuildChains(virgin.chains, kept, nprocs,
+                                           /*body_shared=*/true, foreign_vcw);
         }
         continue;
       }
@@ -1315,25 +1364,7 @@ void Node::GcFlattenStripe(const VectorClock& through, int start,
           continue;
         }
         any_dom = true;
-        const std::uint64_t rkey =
-            (std::uint64_t{static_cast<std::uint32_t>(pi.proc)} << 32) |
-            pi.seq;
-        auto memo = resolve_memo.find(rkey);
-        if (memo == resolve_memo.end()) {
-          const std::shared_ptr<const IntervalRecord>* owner =
-              find_dominated(pi.proc, pi.seq);
-          const IntervalRecord* rec = owner->get();
-          const int di = rec->IndexOf(u);
-          DSM_CHECK_GE(di, 0);
-          memo = resolve_memo.emplace(
-                             rkey, Resolved{rec, owner, di, vc_sum_of(*rec)})
-                     .first;
-          // Route the record to the canonical base exactly once per unit:
-          // every resolved record is kept or elided by SOME node, and
-          // either way its words must reach the base.
-          gc_refs_.push_back({u, rec, di, memo->second.vc_sum});
-        }
-        const Resolved& res = memo->second;
+        const GcResolved& res = resolve(u, pi);
         const Diff& diff =
             res.rec->diffs[static_cast<std::size_t>(res.di)];
         if (read_aware && res.rec->lock_release &&
@@ -1349,32 +1380,7 @@ void Node::GcFlattenStripe(const VectorClock& through, int start,
       pend.assign(live.begin(), live.end());
 
       if (!elide_accum.empty()) {
-        // Canonicalize (sort + coalesce) the elided words and fold them
-        // into the node's outstanding elided-run list for the unit.
-        std::sort(elide_accum.begin(), elide_accum.end(),
-                  [](const DiffRun& a, const DiffRun& b) {
-                    return a.word_offset < b.word_offset;
-                  });
-        elide_canon.clear();
-        for (const DiffRun& r : elide_accum) {
-          if (!elide_canon.empty() &&
-              r.word_offset <= elide_canon.back().word_offset +
-                                   elide_canon.back().word_count) {
-            DiffRun& back = elide_canon.back();
-            const std::uint32_t end =
-                std::max(back.word_offset + back.word_count,
-                         r.word_offset + r.word_count);
-            back.word_count = end - back.word_offset;
-          } else {
-            elide_canon.push_back(r);
-          }
-        }
-        std::vector<DiffRun>& elided = node.elided_[u];
-        if (elided.empty()) {
-          elided = elide_canon;
-        } else {
-          elided = Diff::MergeRuns(elided, elide_canon);
-        }
+        FoldElidedRuns(elide_accum, elide_canon, node.elided_[u]);
       }
       if (kept.empty()) continue;
 
@@ -1392,7 +1398,7 @@ void Node::GcFlattenStripe(const VectorClock& through, int start,
         key_add(&identity, sizeof(identity));
       }
       key.push_back('\xff');
-      for (const Resolved& r : kept) {
+      for (const GcResolved& r : kept) {
         key_add(&r.rec, sizeof(r.rec));
       }
       auto hit = chain_cache.find(key);
@@ -1429,79 +1435,8 @@ void Node::GcFlattenStripe(const VectorClock& through, int start,
         }
         continue;
       }
-      // The fault path's absorption predicate — "no foreign interval q
-      // with chain_first happened-before q but not candidate-tail
-      // happened-before q" — only reads q.vc[w] for a chain of writer w:
-      // it fails exactly when some foreign q has first_seq <= q.vc[w] <
-      // tail_seq.  Batches from lock-heavy programs can hold hundreds of
-      // records per unit, so evaluate it by binary search over the
-      // sorted foreign clock entries instead of rescanning the batch.
-      // (Elided records are excluded: the chains they would have ordered
-      // against are not built for this node, and their words reach the
-      // image via the base refresh regardless of absorption shape.)
-      for (ProcId w = 0; w < nprocs; ++w) foreign_vcw[w].clear();
-      for (const Resolved& q : kept) {
-        for (ProcId w = 0; w < nprocs; ++w) {
-          if (q.rec->proc != w) foreign_vcw[w].push_back(q.rec->vc[w]);
-        }
-      }
-      for (ProcId w = 0; w < nprocs; ++w) {
-        std::sort(foreign_vcw[w].begin(), foreign_vcw[w].end());
-      }
-      auto may_absorb = [&](ProcId w, Seq first_seq, Seq tail_seq) {
-        const std::vector<Seq>& v = foreign_vcw[w];
-        auto it = std::lower_bound(v.begin(), v.end(), first_seq);
-        return it == v.end() || *it >= tail_seq;
-      };
-
-      std::vector<FlattenedChain>& flat = node.flattened_[u];
-      for (ProcId w = 0; w < nprocs; ++w) {
-        // Only the last existing chain of writer w may be extended.
-        std::size_t open = flat.size();
-        for (std::size_t i = 0; i < flat.size(); ++i) {
-          if (flat[i].writer == w) open = i;
-        }
-        for (const Resolved& r : kept) {
-          if (r.rec->proc != w) continue;
-          const Diff& diff = r.rec->diffs[static_cast<std::size_t>(r.di)];
-          if (open != flat.size() && !flat[open].blocked &&
-              may_absorb(w, flat[open].first_seq, r.rec->seq)) {
-            FlattenedChain& c = flat[open];
-            // Copy-on-write: converts a single-record chain to a merged
-            // body, or clones a body shared with other nodes whose
-            // pending sets diverged.
-            ChainBody& b = c.MutableBody();
-            b.runs = Diff::MergeRuns(b.runs, diff.runs());
-            b.payload_words = Diff::RunWords(b.runs);
-            b.last_vc = r.rec->vc;
-            b.stamps = std::make_shared<const StampNode>(StampNode{
-                StampRef{r.rec->diffed, static_cast<std::uint32_t>(r.di)},
-                std::move(b.stamps)});
-            c.last_seq = r.rec->seq;
-          } else {
-            // New chains start in the single-record form: one shared_ptr
-            // copy, no merged body until (unless) something is absorbed.
-            FlattenedChain c;
-            c.writer = w;
-            c.first_seq = r.rec->seq;
-            c.last_seq = r.rec->seq;
-            c.rec = *r.owner;
-            c.di = r.di;
-            flat.push_back(std::move(c));
-            ++chains_built;
-            open = flat.size() - 1;
-          }
-        }
-      }
-      // A foreign reclaimed interval ordered after a chain's head means
-      // no later interval may ever be absorbed into the chain (the fault
-      // path would re-check this against the record, which is about to be
-      // reclaimed — freeze the verdict in the flag).
-      for (FlattenedChain& c : flat) {
-        if (c.blocked) continue;
-        const std::vector<Seq>& v = foreign_vcw[c.writer];
-        if (!v.empty() && v.back() >= c.first_seq) c.blocked = true;
-      }
+      chains_built += BuildChains(node.flattened_[u], kept, nprocs,
+                                  /*body_shared=*/false, foreign_vcw);
       chain_cache.emplace(key, x);
     }
     // The store build ran once; credit it as if each consuming virgin had
@@ -1921,7 +1856,7 @@ void Node::AcquireLock(int lock_id) {
   // service-wide hand-off order, so diff requests issued from here on are
   // ordered after — and served from the cache of — anything materialized
   // under the previous holder's acquires.
-  if (shared_.config.lock_chain_phases && !hlrc_) {
+  if (!hlrc_) {
     lock_subphase_ = static_cast<std::uint32_t>(grant.chain_pos);
   }
 

@@ -1,9 +1,13 @@
 #include "core/runtime.h"
 
 #include <algorithm>
+#include <cstring>
 #include <exception>
+#include <iterator>
+#include <map>
 #include <sstream>
 #include <thread>
+#include <utility>
 
 #include "core/fault.h"
 
@@ -21,6 +25,99 @@ std::string RunStats::ToString() const {
   out << comm.ToString();
   out << "network:\n" << net.ToString();
   return out.str();
+}
+
+void ForEachModelledValue(const RunStats& stats, const ModelledValueFn& fn) {
+  // Values are gathered one group at a time, so a skip_if_zero group can
+  // be dropped whole.
+  std::vector<std::pair<std::string, std::uint64_t>> group;
+  auto emit = [&](bool skip_if_zero, bool in_fingerprint) {
+    const bool all_zero =
+        std::all_of(group.begin(), group.end(),
+                    [](const auto& v) { return v.second == 0; });
+    if (!skip_if_zero || !all_zero) {
+      for (const auto& [name, value] : group) fn(name, value, in_fingerprint);
+    }
+    group.clear();
+  };
+
+  group.emplace_back("exec_time", static_cast<std::uint64_t>(stats.exec_time));
+  for (std::size_t p = 0; p < stats.node_times.size(); ++p) {
+    group.emplace_back("node_times[" + std::to_string(p) + "]",
+                       static_cast<std::uint64_t>(stats.node_times[p]));
+  }
+  emit(false, true);
+
+  for (std::size_t g = 0; g < std::size(kCounterGroups); ++g) {
+    for (const CounterRow& row : kCounterRows) {
+      if (static_cast<std::size_t>(row.group) == g) {
+        group.emplace_back(row.name, stats.comm.*row.member);
+      }
+    }
+    if (g == static_cast<std::size_t>(CounterGroup::kRecovery)) {
+      group.emplace_back(
+          "recovery_modelled_ns",
+          static_cast<std::uint64_t>(stats.recovery_modelled_ns));
+    }
+    emit(kCounterGroups[g].skip_if_zero, kCounterGroups[g].in_fingerprint);
+  }
+
+  const SplitHistogram& sig = stats.comm.signature;
+  for (std::size_t k = 0; k < sig.num_buckets(); ++k) {
+    const std::string bucket = "signature[" + std::to_string(k) + "]";
+    group.emplace_back(bucket + ".useful", sig.useful(k));
+    group.emplace_back(bucket + ".useless", sig.useless(k));
+  }
+  group.emplace_back("recovery_events",
+                     static_cast<std::uint64_t>(stats.recovery_events));
+  emit(false, false);
+
+  for (std::size_t k = 0; k < kNumMessageKinds; ++k) {
+    const auto kind = static_cast<MessageKind>(k);
+    const std::string net = std::string("net.") + MessageKindName(kind);
+    group.emplace_back(net + ".msgs", stats.net.messages(kind));
+    group.emplace_back(net + ".bytes", stats.net.bytes(kind));
+    // The kinds appended for HLRC are skipped while zero, so fingerprints
+    // committed before they existed hold.
+    emit(k >= kFirstHomeMessageKind, true);
+  }
+}
+
+std::string ModelledStateDiff(const RunStats& a, const RunStats& b) {
+  // Keyed by name: an all-zero skip_if_zero group yields nothing, so a
+  // value only one side yields reads as 0 on the other.
+  std::map<std::string, std::pair<std::uint64_t, std::uint64_t>> values;
+  ForEachModelledValue(a, [&](std::string_view name, std::uint64_t v, bool) {
+    values[std::string(name)].first = v;
+  });
+  ForEachModelledValue(b, [&](std::string_view name, std::uint64_t v, bool) {
+    values[std::string(name)].second = v;
+  });
+  std::ostringstream out;
+  for (const auto& [name, v] : values) {
+    if (v.first != v.second) {
+      out << name << ": " << v.first << " vs " << v.second << "\n";
+    }
+  }
+  return out.str();
+}
+
+std::uint64_t ModelledFingerprint(double result, const RunStats& stats) {
+  std::uint64_t hash = 0xcbf29ce484222325ull;
+  auto mix = [&hash](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      hash ^= (v >> (8 * i)) & 0xff;
+      hash *= 0x100000001b3ull;
+    }
+  };
+  std::uint64_t result_bits = 0;
+  std::memcpy(&result_bits, &result, sizeof(result_bits));
+  mix(result_bits);
+  ForEachModelledValue(
+      stats, [&](std::string_view, std::uint64_t v, bool in_fingerprint) {
+        if (in_fingerprint) mix(v);
+      });
+  return hash;
 }
 
 Runtime::Runtime(RuntimeConfig cfg) : shared_(cfg) {

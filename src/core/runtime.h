@@ -19,8 +19,11 @@
 // the communication statistics and modelled execution time.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <memory>
+#include <string>
+#include <string_view>
 #include <type_traits>
 #include <vector>
 
@@ -151,6 +154,30 @@ struct RunStats {
   }
   std::string ToString() const;
 };
+
+// The modelled state of a run, value by value, in a fixed order: exec_time
+// and node_times; the CommBreakdown counter groups of kCounterRows, with
+// recovery_modelled_ns closing the recovery group; the signature buckets
+// and recovery_events; then one messages/bytes group per NetStats kind.  A
+// skip_if_zero group whose values are all zero yields nothing.
+// `in_fingerprint` is false for the values ModelledFingerprint leaves out
+// (the notice-clock telemetry, the signature and recovery_events), so
+// fingerprints committed before they were compared do not move.  Host-side
+// observations — mem, races, recovery_wall_ns — are not modelled state and
+// are never yielded.
+using ModelledValueFn = std::function<void(
+    std::string_view name, std::uint64_t value, bool in_fingerprint)>;
+void ForEachModelledValue(const RunStats& stats, const ModelledValueFn& fn);
+
+// Empty when `a` and `b` agree on every modelled value; otherwise one
+// "name: <a> vs <b>" line per value that differs.  The A/B tests assert
+// EXPECT_EQ(ModelledStateDiff(a, b), "") to show a host-side mechanism
+// left the model untouched.
+std::string ModelledStateDiff(const RunStats& a, const RunStats& b);
+
+// 64-bit FNV-1a over the bits of `result`, then every in_fingerprint
+// modelled value: the per-row fingerprint of bench_wallclock.
+std::uint64_t ModelledFingerprint(double result, const RunStats& stats);
 
 class Runtime {
  public:

@@ -43,45 +43,6 @@ RuntimeConfig GcConfig(const AggPoint& agg, int num_procs, int gc_interval) {
   return cfg;
 }
 
-// Every modelled quantity, bit for bit.  MemoryFootprint is deliberately
-// NOT compared: it is host-side telemetry and legitimately changes with
-// the GC setting.
-void ExpectModelledStateEqual(const RunStats& a, const RunStats& b,
-                              const std::string& where) {
-  EXPECT_EQ(a.exec_time, b.exec_time) << where;
-  EXPECT_EQ(a.node_times, b.node_times) << where;
-
-  const CommBreakdown& ca = a.comm;
-  const CommBreakdown& cb = b.comm;
-  EXPECT_EQ(ca.useful_messages, cb.useful_messages) << where;
-  EXPECT_EQ(ca.useless_messages, cb.useless_messages) << where;
-  EXPECT_EQ(ca.sync_messages, cb.sync_messages) << where;
-  EXPECT_EQ(ca.useful_data_bytes, cb.useful_data_bytes) << where;
-  EXPECT_EQ(ca.piggyback_useless_bytes, cb.piggyback_useless_bytes) << where;
-  EXPECT_EQ(ca.useless_msg_data_bytes, cb.useless_msg_data_bytes) << where;
-  EXPECT_EQ(ca.delivered_data_bytes, cb.delivered_data_bytes) << where;
-  EXPECT_EQ(ca.read_faults, cb.read_faults) << where;
-  EXPECT_EQ(ca.write_faults, cb.write_faults) << where;
-  EXPECT_EQ(ca.silent_validations, cb.silent_validations) << where;
-  EXPECT_EQ(ca.twins_created, cb.twins_created) << where;
-  EXPECT_EQ(ca.diffs_created, cb.diffs_created) << where;
-  EXPECT_EQ(ca.diffs_applied, cb.diffs_applied) << where;
-  EXPECT_EQ(ca.units_invalidated, cb.units_invalidated) << where;
-  EXPECT_EQ(ca.group_prefetch_units, cb.group_prefetch_units) << where;
-  EXPECT_EQ(ca.home_flush_messages, cb.home_flush_messages) << where;
-  EXPECT_EQ(ca.home_flushes, cb.home_flushes) << where;
-  EXPECT_EQ(ca.home_flush_bytes, cb.home_flush_bytes) << where;
-  EXPECT_EQ(ca.home_fetches, cb.home_fetches) << where;
-  EXPECT_EQ(ca.home_fetch_bytes, cb.home_fetch_bytes) << where;
-  EXPECT_EQ(ca.signature.ToString(), cb.signature.ToString()) << where;
-
-  for (std::size_t k = 0; k < kNumMessageKinds; ++k) {
-    const auto kind = static_cast<MessageKind>(k);
-    EXPECT_EQ(a.net.messages(kind), b.net.messages(kind)) << where;
-    EXPECT_EQ(a.net.bytes(kind), b.net.bytes(kind)) << where;
-  }
-}
-
 class GcEquivalenceTest
     : public ::testing::TestWithParam<ConformanceScenario> {};
 
@@ -102,7 +63,7 @@ TEST_P(GcEquivalenceTest, CollectedRunsMatchArchiveEverything) {
       if (s.modelled_stable) {
         // Bit-deterministic apps: GC must be perfectly invisible.
         EXPECT_EQ(run.result, baseline.result) << where;
-        ExpectModelledStateEqual(run.stats, baseline.stats, where);
+        EXPECT_EQ(ModelledStateDiff(run.stats, baseline.stats), "") << where;
       } else if (s.rel_tol == 0.0) {
         // Lock-scheduled statistics but an exact (commuting-sums)
         // checksum: Fuzz.  The result must still match bit for bit.
@@ -216,7 +177,7 @@ TEST(GcBasePlusTail, LateFaultMatchesFullHistoryBitForBit) {
   EXPECT_EQ(off.values, on.values);
 
   // And paid exactly the modelled costs of the full-history resolution.
-  ExpectModelledStateEqual(on.stats, off.stats, "late reader");
+  EXPECT_EQ(ModelledStateDiff(on.stats, off.stats), "") << "late reader";
 }
 
 // --- virgin store: chain headers live only on sharers ------------------------
@@ -280,7 +241,7 @@ TEST(GcVirginStore, ChainHeadersStayOffNonSharers) {
     EXPECT_EQ(big.values[i], 1000 + static_cast<int>(i)) << "word " << i;
   }
   EXPECT_EQ(big.values, off.values);
-  ExpectModelledStateEqual(big.stats, off.stats, "virgin 16p");
+  EXPECT_EQ(ModelledStateDiff(big.stats, off.stats), "") << "virgin 16p";
 
   // Chain bodies track the write history, not the cluster: the 12 extra
   // never-faulting processors ride the shared virgin image instead of
@@ -393,7 +354,8 @@ TEST(GcPayloadRelease, FalseSharedChainsKeepSizesButNoBytes) {
     EXPECT_EQ(on.values[16 + i], 5900 + static_cast<int>(i)) << "word " << i;
   }
   EXPECT_EQ(on.values, off.values);
-  ExpectModelledStateEqual(on.stats, off.stats, "false-shared late reader");
+  EXPECT_EQ(ModelledStateDiff(on.stats, off.stats), "")
+      << "false-shared late reader";
 }
 
 // --- lock-heavy sweeps -------------------------------------------------------
@@ -589,8 +551,8 @@ TEST(GcPolicy, SerialAndStripedPassesAreBitIdentical) {
   EXPECT_GT(serial.stats.mem.reclaimed_intervals, 0u);
   EXPECT_GT(striped.stats.mem.reclaimed_intervals, 0u);
   EXPECT_EQ(striped.result, serial.result);
-  ExpectModelledStateEqual(striped.stats, serial.stats,
-                           "serial vs striped");
+  EXPECT_EQ(ModelledStateDiff(striped.stats, serial.stats), "")
+      << "serial vs striped";
   // Host-side chain economics are deterministic too: each unit has one
   // worker in either mode, walking nodes in the same fixed order.
   EXPECT_EQ(striped.stats.mem.reclaimed_intervals,
@@ -683,7 +645,7 @@ TEST(HlrcCleanTwin, SkipKnobIsBitInvisible) {
   EXPECT_EQ(values_on, values_off);
   EXPECT_EQ(values_on[1], 0);
   EXPECT_EQ(values_on[15], 70);
-  ExpectModelledStateEqual(stats_on, stats_off, "clean-twin skip");
+  EXPECT_EQ(ModelledStateDiff(stats_on, stats_off), "") << "clean-twin skip";
 }
 
 // --- recovery telemetry back-compat ------------------------------------------

@@ -57,35 +57,6 @@ std::string ReportDump(const RaceStats& races) {
   return out;
 }
 
-// Every modelled quantity, bit for bit (host-side telemetry — mem, races,
-// recovery wall time — excluded, same discipline as tests/test_recovery.cc).
-void ExpectModelledStateEqual(const RunStats& a, const RunStats& b,
-                              const std::string& where) {
-  EXPECT_EQ(a.exec_time, b.exec_time) << where;
-  EXPECT_EQ(a.node_times, b.node_times) << where;
-
-  const CommBreakdown& ca = a.comm;
-  const CommBreakdown& cb = b.comm;
-  EXPECT_EQ(ca.useful_messages, cb.useful_messages) << where;
-  EXPECT_EQ(ca.useless_messages, cb.useless_messages) << where;
-  EXPECT_EQ(ca.sync_messages, cb.sync_messages) << where;
-  EXPECT_EQ(ca.useful_data_bytes, cb.useful_data_bytes) << where;
-  EXPECT_EQ(ca.delivered_data_bytes, cb.delivered_data_bytes) << where;
-  EXPECT_EQ(ca.read_faults, cb.read_faults) << where;
-  EXPECT_EQ(ca.write_faults, cb.write_faults) << where;
-  EXPECT_EQ(ca.twins_created, cb.twins_created) << where;
-  EXPECT_EQ(ca.diffs_created, cb.diffs_created) << where;
-  EXPECT_EQ(ca.diffs_applied, cb.diffs_applied) << where;
-  EXPECT_EQ(ca.units_invalidated, cb.units_invalidated) << where;
-  EXPECT_EQ(ca.signature.ToString(), cb.signature.ToString()) << where;
-
-  for (std::size_t k = 0; k < kNumMessageKinds; ++k) {
-    const auto kind = static_cast<MessageKind>(k);
-    EXPECT_EQ(a.net.messages(kind), b.net.messages(kind)) << where;
-    EXPECT_EQ(a.net.bytes(kind), b.net.bytes(kind)) << where;
-  }
-}
-
 // --- injected races: exact match across the full matrix ----------------------
 
 TEST(RacyFuzz, InjectedScheduleReportedExactlyEverywhere) {
@@ -237,7 +208,7 @@ TEST(RaceCheckObservational, BarrierAppModelledStateBitIdenticalOnAndOff) {
         std::string("Jacobi @ ") +
         (backend == BackendKind::kHlrc ? "HLRC" : "LRC");
     EXPECT_EQ(runs[0].result, runs[1].result) << where;
-    ExpectModelledStateEqual(runs[0].stats, runs[1].stats, where);
+    EXPECT_EQ(ModelledStateDiff(runs[0].stats, runs[1].stats), "") << where;
     EXPECT_FALSE(runs[0].stats.races.checked) << where;
     ASSERT_TRUE(runs[1].stats.races.checked) << where;
     EXPECT_TRUE(runs[1].stats.races.reports.empty()) << where;
@@ -282,7 +253,7 @@ TEST(RaceCheckObservational, LockChainModelledStateBitIdenticalOnAndOff) {
         (backend == BackendKind::kHlrc ? "HLRC" : "LRC");
     EXPECT_EQ(results[0], results[1]) << where;
     EXPECT_EQ(results[0], 78) << where;  // 1 + 2 + ... + 12
-    ExpectModelledStateEqual(stats[0], stats[1], where);
+    EXPECT_EQ(ModelledStateDiff(stats[0], stats[1]), "") << where;
     EXPECT_FALSE(stats[0].races.checked) << where;
     ASSERT_TRUE(stats[1].races.checked) << where;
     EXPECT_TRUE(stats[1].races.reports.empty()) << where;

@@ -47,45 +47,6 @@ const AggPoint kAggs[] = {
     {"Dyn", AggregationMode::kDynamic, 1},
 };
 
-// Every modelled quantity, bit for bit (MemoryFootprint excluded: host
-// telemetry).  Recovery wall time is host time and excluded too.
-void ExpectModelledStateEqual(const RunStats& a, const RunStats& b,
-                              const std::string& where) {
-  EXPECT_EQ(a.exec_time, b.exec_time) << where;
-  EXPECT_EQ(a.node_times, b.node_times) << where;
-  EXPECT_EQ(a.recovery_modelled_ns, b.recovery_modelled_ns) << where;
-
-  const CommBreakdown& ca = a.comm;
-  const CommBreakdown& cb = b.comm;
-  EXPECT_EQ(ca.useful_messages, cb.useful_messages) << where;
-  EXPECT_EQ(ca.useless_messages, cb.useless_messages) << where;
-  EXPECT_EQ(ca.sync_messages, cb.sync_messages) << where;
-  EXPECT_EQ(ca.useful_data_bytes, cb.useful_data_bytes) << where;
-  EXPECT_EQ(ca.delivered_data_bytes, cb.delivered_data_bytes) << where;
-  EXPECT_EQ(ca.read_faults, cb.read_faults) << where;
-  EXPECT_EQ(ca.write_faults, cb.write_faults) << where;
-  EXPECT_EQ(ca.twins_created, cb.twins_created) << where;
-  EXPECT_EQ(ca.diffs_created, cb.diffs_created) << where;
-  EXPECT_EQ(ca.diffs_applied, cb.diffs_applied) << where;
-  EXPECT_EQ(ca.units_invalidated, cb.units_invalidated) << where;
-  EXPECT_EQ(ca.recoveries, cb.recoveries) << where;
-  EXPECT_EQ(ca.recovery_messages, cb.recovery_messages) << where;
-  EXPECT_EQ(ca.recovery_data_bytes, cb.recovery_data_bytes) << where;
-  EXPECT_EQ(ca.recovery_units, cb.recovery_units) << where;
-  EXPECT_EQ(ca.recovery_records, cb.recovery_records) << where;
-  EXPECT_EQ(ca.recovery_retransmits, cb.recovery_retransmits) << where;
-  EXPECT_EQ(ca.recovery_retransmit_bytes, cb.recovery_retransmit_bytes)
-      << where;
-  EXPECT_EQ(a.recovery_events, b.recovery_events) << where;
-  EXPECT_EQ(ca.signature.ToString(), cb.signature.ToString()) << where;
-
-  for (std::size_t k = 0; k < kNumMessageKinds; ++k) {
-    const auto kind = static_cast<MessageKind>(k);
-    EXPECT_EQ(a.net.messages(kind), b.net.messages(kind)) << where;
-    EXPECT_EQ(a.net.bytes(kind), b.net.bytes(kind)) << where;
-  }
-}
-
 // --- targeted rebuild checks -------------------------------------------------
 //
 // A small deterministic epoch program with a known final value per word:
@@ -320,7 +281,7 @@ TEST(RecoveryDeterminism, SameSeedTwiceIsBitIdentical) {
           EXPECT_EQ(a.stats.comm.recoveries, 1u) << where;
           EXPECT_GT(a.stats.recovery_modelled_ns, 0) << where;
           EXPECT_EQ(a.result, b.result) << where;
-          ExpectModelledStateEqual(a.stats, b.stats, where);
+          EXPECT_EQ(ModelledStateDiff(a.stats, b.stats), "") << where;
         }
       }
     }
@@ -501,7 +462,7 @@ TEST(RecoveryTorture, RandomSchedulesRecoverBitIdentical) {
       // fires; whatever DID fire must have recovered cleanly.
       EXPECT_EQ(a.result, clean.result) << where;
       EXPECT_EQ(a.result, b.result) << where;
-      ExpectModelledStateEqual(a.stats, b.stats, where);
+      EXPECT_EQ(ModelledStateDiff(a.stats, b.stats), "") << where;
       EXPECT_LE(a.stats.comm.recoveries, cfg.fault.events.size()) << where;
     }
   }
@@ -562,7 +523,7 @@ TEST(RecoveryTelemetry, EmittedOnlyWhenAFaultFired) {
       RunEpochs(BackendKind::kLrc, FaultPlan::AtBarrier(1, 3));
   EXPECT_NE(fault.stats.ToString().find("recovery: events 1"),
             std::string::npos);
-  EXPECT_NE(fault.stats.comm.ToString().find("recovery: episodes=1"),
+  EXPECT_NE(fault.stats.comm.ToString().find("recovery: recoveries=1"),
             std::string::npos);
   // Recovery messages count toward the totals but stay outside the
   // reader-side delivered-byte taxonomy.

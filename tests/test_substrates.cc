@@ -9,6 +9,7 @@
 #include "common/check.h"
 #include "common/histogram.h"
 #include "common/rng.h"
+#include "core/runtime.h"
 #include "core/vector_clock.h"
 #include "core/write_notice.h"
 #include "mem/global_heap.h"
@@ -570,6 +571,37 @@ TEST(IntervalArchiveTest, ConcurrentAppendAndLookup) {
   writer.join();
   EXPECT_EQ(archive.size(), 1000u);
   EXPECT_EQ(archive.Range(0, 1000).size(), 1000u);
+}
+
+// --- stats schema -------------------------------------------------------------
+
+// Every std::uint64_t member of CommBreakdown has a schema row: a member
+// added without one changes the size and fails here.
+static_assert(sizeof(CommBreakdown) ==
+              std::size(kCounterRows) * sizeof(std::uint64_t) +
+                  sizeof(SplitHistogram));
+
+// Each row, set alone, is named by ModelledStateDiff and ToString, doubled
+// by Merge, and moves the fingerprint exactly when its group is hashed.
+TEST(StatsSchema, EveryCounterIsDiffedMergedAndHashed) {
+  const RunStats zero;
+  const std::uint64_t zero_fingerprint = ModelledFingerprint(0.0, zero);
+  for (const CounterRow& row : kCounterRows) {
+    RunStats one;
+    one.comm.*row.member = 3;
+    EXPECT_EQ(ModelledStateDiff(zero, one),
+              std::string(row.name) + ": 0 vs 3\n");
+    EXPECT_NE(one.comm.ToString().find(std::string(row.name) + "=3"),
+              std::string::npos)
+        << row.name;
+    CommBreakdown merged = one.comm;
+    merged.Merge(one.comm);
+    EXPECT_EQ(merged.*row.member, 6u) << row.name;
+    const bool hashed =
+        kCounterGroups[static_cast<std::size_t>(row.group)].in_fingerprint;
+    EXPECT_EQ(ModelledFingerprint(0.0, one) != zero_fingerprint, hashed)
+        << row.name;
+  }
 }
 
 }  // namespace
