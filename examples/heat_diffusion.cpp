@@ -2,10 +2,13 @@
 // across consistency-unit configurations.  Shows the aggregation trade-off
 // of the paper on a program you can modify: change kCols (the row size in
 // bytes) and watch the 8 K / 16 K numbers flip between "aggregation wins"
-// and "false sharing bites".
+// and "false sharing bites".  Every configuration must produce the same
+// checksum, bit for bit; the program exits 1 naming any that does not.
 //
 //   $ ./examples/heat_diffusion
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <vector>
 
@@ -35,6 +38,8 @@ int main() {
   std::printf("%-5s %12s %10s %10s %12s\n", "cfg", "time(ms)", "messages",
               "data(KB)", "checksum");
 
+  double first_checksum = 0.0;  // the 4K row's, which every row must match
+  int mismatches = 0;
   for (const Point& point : points) {
     dsm::RuntimeConfig cfg;
     cfg.num_procs = 8;
@@ -104,8 +109,18 @@ int main() {
                 (unsigned long long)stats.comm.total_messages(),
                 static_cast<double>(stats.comm.total_data_bytes()) / 1024.0,
                 checksum);
+    if (&point == &points[0]) {
+      first_checksum = checksum;
+    } else if (std::bit_cast<std::uint64_t>(checksum) !=
+               std::bit_cast<std::uint64_t>(first_checksum)) {
+      std::fprintf(stderr,
+                   "checksum mismatch: %s gives %.17g, %s gives %.17g\n",
+                   point.label, checksum, points[0].label, first_checksum);
+      ++mismatches;
+    }
   }
-  std::printf("\nAll checksums must match: the protocol is semantics-"
+  if (mismatches > 0) return 1;
+  std::printf("\nAll checksums match bit for bit: the protocol is semantics-"
               "preserving at every unit size.\n");
   return 0;
 }

@@ -411,7 +411,7 @@ void RecoveryCoordinator::Recover(Node& node, const VectorClock& to,
       UnitId unit;
       const IntervalRecord* rec;
       int di;
-      std::uint64_t vc_sum;
+      HbKey key;
     };
     std::vector<Replay> replay;
     for (ProcId p = 0; p < nprocs; ++p) {
@@ -421,14 +421,13 @@ void RecoveryCoordinator::Recover(Node& node, const VectorClock& to,
       // notice header plus the encoded diffs.
       std::size_t resp = 0;
       for (const IntervalRecord* rec : range) {
-        const std::uint64_t sum = rec->vc.Sum();
+        const HbKey key(*rec);
         resp += 16;
         for (std::size_t k = 0; k < rec->units.size(); ++k) {
           const Diff& d = rec->diffs[k];
           resp += d.EncodedBytes();
           c.recovery_data_bytes += d.payload_bytes();
-          replay.push_back(
-              {rec->units[k], rec, static_cast<int>(k), sum});
+          replay.push_back({rec->units[k], rec, static_cast<int>(k), key});
         }
       }
       c.recovery_messages += 2;
@@ -436,16 +435,11 @@ void RecoveryCoordinator::Recover(Node& node, const VectorClock& to,
       slowest = std::max(slowest, shared.net.RoundTripTime(16, resp) +
                                       cost.request_service_overhead);
     }
-    // Happens-before order per unit (same linear extension as the GC
-    // apply pass: clock sums, (proc, seq) tie-break for concurrent
-    // records — race-free programs write disjoint words there).
+    // Happens-before order per unit (HbKey, as in the GC apply pass).
     std::sort(replay.begin(), replay.end(),
               [](const Replay& a, const Replay& b) {
                 if (a.unit != b.unit) return a.unit < b.unit;
-                if (a.vc_sum != b.vc_sum) return a.vc_sum < b.vc_sum;
-                return a.rec->proc != b.rec->proc
-                           ? a.rec->proc < b.rec->proc
-                           : a.rec->seq < b.rec->seq;
+                return a.key < b.key;
               });
     for (const Replay& r : replay) {
       const Diff& d = r.rec->diffs[static_cast<std::size_t>(r.di)];

@@ -455,7 +455,6 @@ void Node::FetchUnits(const std::vector<UnitId>& units) {
 
       auto push_need = [&](NeedEntry e) {
         e.unit = unit;
-        e.writer = w;
         e.needs_scan = needs_scan;
         needs_scan = false;  // at most one scan per (writer, unit)
         needs_by_writer_[w].push_back(e);
@@ -465,8 +464,7 @@ void Node::FetchUnits(const std::vector<UnitId>& units) {
       for (FlattenedChain& c : flat) {
         if (c.writer != w || &c == open_flat) continue;
         NeedEntry e{};
-        e.last_seq = c.last_seq;
-        e.last_vc = &c.last_vc();
+        e.key = HbKey(c.last_vc(), w, c.last_seq);
         e.flat = &c;
         push_need(e);
       }
@@ -474,8 +472,7 @@ void Node::FetchUnits(const std::vector<UnitId>& units) {
           static_cast<std::uint32_t>(absorbed_scratch_.size());
       auto flush_flat = [&] {
         NeedEntry e{};
-        e.last_seq = open_flat->last_seq;
-        e.last_vc = &open_flat->last_vc();
+        e.key = HbKey(open_flat->last_vc(), w, open_flat->last_seq);
         e.flat = open_flat;
         e.absorbed_begin = absorbed_begin;
         e.absorbed_count =
@@ -515,8 +512,7 @@ void Node::FetchUnits(const std::vector<UnitId>& units) {
       const IntervalRecord* chain_last = nullptr;
       auto flush_live = [&] {
         NeedEntry e{};
-        e.last_seq = chain_last->seq;
-        e.last_vc = &chain_last->vc;
+        e.key = HbKey(*chain_last);
         e.diff = chain_diff;
         push_need(e);
         chain_diff = nullptr;
@@ -602,9 +598,12 @@ void Node::FetchUnits(const std::vector<UnitId>& units) {
   clock_.Advance(slowest_exchange);
   comm_stats_.RecordFault(num_writers, first_exchange);
 
-  // Apply diffs per unit, in happens-before order (ordered intervals may
-  // overlap words, e.g. migratory data under locks; concurrent intervals
-  // touch disjoint words in race-free programs).
+  // Apply diffs per unit, in happens-before order of the chain tails
+  // (HbKey): ordered intervals may overlap words, e.g. migratory data
+  // under locks; concurrent intervals touch disjoint words in race-free
+  // programs.  Ordering tails suffices: by the absorption rule above, a
+  // foreign interval ordered after a chain's head is ordered after its
+  // tail too, so every ordered pair of writes lands oldest first.
   const bool track = shared_.config.track_usage;
   std::vector<NeedEntry>& for_unit = apply_scratch_;
   for (UnitId unit : units) {
@@ -619,27 +618,11 @@ void Node::FetchUnits(const std::vector<UnitId>& units) {
         if (need.unit == unit) for_unit.push_back(need);
       }
     }
-    // Topological order by selection: repeatedly emit an entry with no
-    // remaining predecessor (the partial order is acyclic).
-    for (std::size_t done = 0; done < for_unit.size(); ++done) {
-      std::size_t pick = done;
-      for (std::size_t i = done; i < for_unit.size(); ++i) {
-        bool has_predecessor = false;
-        for (std::size_t j = done; j < for_unit.size(); ++j) {
-          if (i != j && for_unit[i].last_vc->Covers(for_unit[j].writer,
-                                                    for_unit[j].last_seq)) {
-            has_predecessor = true;
-            break;
-          }
-        }
-        if (!has_predecessor) {
-          pick = i;
-          break;
-        }
-      }
-      std::swap(for_unit[done], for_unit[pick]);
-
-      const NeedEntry& need = for_unit[done];
+    std::sort(for_unit.begin(), for_unit.end(),
+              [](const NeedEntry& a, const NeedEntry& b) {
+                return a.key < b.key;
+              });
+    for (const NeedEntry& need : for_unit) {
       const bool twinned = table_.HasTwin(unit);
       if (need.flat != nullptr) {
         // Reclaimed chain: its words live in the canonical base.  Copy
@@ -1004,7 +987,6 @@ struct GcResolved {
   // points into the pass's dominated-prefix snapshot, which outlives it.
   const std::shared_ptr<const IntervalRecord>* owner;
   int di;
-  std::uint64_t vc_sum;
 };
 
 // Canonicalize (sort + coalesce) the elided runs gathered in `accum` and
@@ -1220,10 +1202,8 @@ void Node::GcFlattenStripe(const VectorClock& through, int start,
       const IntervalRecord* rec = owner->get();
       const int di = rec->IndexOf(u);
       DSM_CHECK_GE(di, 0);
-      memo = resolve_memo
-                 .emplace(rkey, GcResolved{rec, owner, di, rec->vc.Sum()})
-                 .first;
-      gc_refs_.push_back({u, rec, di, memo->second.vc_sum});
+      memo = resolve_memo.emplace(rkey, GcResolved{rec, owner, di}).first;
+      gc_refs_.push_back({u, rec, di, HbKey(*rec)});
     }
     return memo->second;
   };
@@ -1472,13 +1452,13 @@ void Node::GcFlattenStripe(const VectorClock& through, int start,
       for (const std::shared_ptr<const IntervalRecord>& owner :
            dom_prefix_of(p)) {
         const IntervalRecord* rec = owner.get();
-        const std::uint64_t sum = rec->vc.Sum();
+        const HbKey key(*rec);
         for (std::size_t k = 0; k < rec->units.size(); ++k) {
           const UnitId u = rec->units[k];
           if (u % static_cast<UnitId>(step) != static_cast<UnitId>(start)) {
             continue;
           }
-          gc_refs_.push_back({u, rec, static_cast<int>(k), sum});
+          gc_refs_.push_back({u, rec, static_cast<int>(k), key});
         }
       }
     }
@@ -1488,15 +1468,10 @@ void Node::GcFlattenStripe(const VectorClock& through, int start,
 }
 
 // Apply phase (pass 2): flatten this stripe's referenced diffs into the
-// canonical base, per unit in happens-before order, so ordered overwrites
-// land newest-last.  Clock sums give a cheap deterministic linear
-// extension: r happened-before q implies q.vc >= r.vc pointwise (covering
-// a seq means the covering clock was merged from the closing writer's
-// clock), strictly so in q's own component, hence sum(r.vc) < sum(q.vc).
-// Concurrent records tie-break by (proc, seq); race-free programs write
-// disjoint words in concurrent intervals, so the tie-break is
-// unobservable there.  (Sums are precomputed at resolve time — deriving
-// them inside the comparator dominated this pass on lock-heavy batches.)
+// canonical base, per unit in happens-before order (HbKey), so ordered
+// overwrites land newest-last.  (Keys are precomputed at resolve time —
+// deriving clock sums inside the comparator dominated this pass on
+// lock-heavy batches.)
 // Also runs the base release-check for the stripe: a base neither a chain
 // nor an elided-run list references any more goes back to the pool
 // (elided runs pin the base because the silent refresh reads it at the
@@ -1517,12 +1492,7 @@ void Node::GcApplyStripe(int start, int step) {
     while (j < gc_refs_.size() && gc_refs_[j].unit == u) ++j;
     std::sort(gc_refs_.begin() + static_cast<std::ptrdiff_t>(i),
               gc_refs_.begin() + static_cast<std::ptrdiff_t>(j),
-              [](const GcRef& a, const GcRef& b) {
-                if (a.vc_sum != b.vc_sum) return a.vc_sum < b.vc_sum;
-                return a.rec->proc != b.rec->proc
-                           ? a.rec->proc < b.rec->proc
-                           : a.rec->seq < b.rec->seq;
-              });
+              [](const GcRef& a, const GcRef& b) { return a.key < b.key; });
     std::span<std::byte> base = shared.canonical->Ensure(u);
     const IntervalRecord* last = nullptr;
     for (; i < j; ++i) {

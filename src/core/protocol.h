@@ -483,9 +483,7 @@ class Node {
   // absorbed into its tail applied on top.
   struct NeedEntry {
     UnitId unit;
-    ProcId writer;
-    Seq last_seq;                // chain tail (happens-before ordering)
-    const VectorClock* last_vc;  // tail's close-time clock
+    HbKey key;                   // chain tail's happens-before sort key
     const Diff* diff;            // live chain: the (possibly merged) diff
     FlattenedChain* flat;        // reclaimed chain (data in canonical base)
     // Live diffs absorbed into flat's tail: indices into absorbed_scratch_.
@@ -527,12 +525,12 @@ class Node {
   // Striped archive GC (DESIGN.md §6): the (unit, record) references this
   // node's flatten stripe routed to the canonical base, unit-ordered
   // (flatten walks units ascending); consumed and cleared by
-  // GcApplyStripe.  vc_sum caches the happens-before sort key.
+  // GcApplyStripe.  `key` caches the record's happens-before sort key.
   struct GcRef {
     UnitId unit;
     const IntervalRecord* rec;
     int di;
-    std::uint64_t vc_sum;
+    HbKey key;
   };
   std::vector<GcRef> gc_refs_;
 };

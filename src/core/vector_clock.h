@@ -68,8 +68,8 @@ class VectorClock {
   // True iff the interval (proc, seq) is covered by this clock.
   bool Covers(ProcId proc, Seq seq) const { return (*this)[proc] >= seq; }
 
-  // Sum of all components (the GC's happens-before sort key).  O(runs)
-  // when frozen.
+  // Sum of all components (the leading term of HbKey, the happens-before
+  // sort key in core/write_notice.h).  O(runs) when frozen.
   std::uint64_t Sum() const;
 
   // Wire size of this clock under the sparse encoding: a 4-byte run count

@@ -106,6 +106,37 @@ struct IntervalRecord {
   }
 };
 
+// Sort key that puts intervals in happens-before order: the fault path's
+// chain apply, the GC's canonical-base apply and crash-recovery replay
+// all order a unit's diffs by it (DESIGN.md §6).  Built from an
+// interval's close-time clock and identity (for a chain: its tail's).
+//
+// Why sorting by it is a linear extension of happens-before: let r
+// happen-before q (q.vc covers (r.proc, r.seq)).  Clocks only grow, and
+// q's writer learned of r by merging a clock published at or after r's
+// close, so q.vc >= r.vc in every component.  And q.vc[q.proc] == q.seq
+// while r.vc[q.proc] < q.seq, since r did not see q.  So the sum of
+// q.vc is strictly larger, and r sorts first.  Concurrent intervals
+// tie-break by (proc, seq), which is deterministic; race-free programs
+// write disjoint words in concurrent intervals, so their relative order
+// never shows in memory.
+struct HbKey {
+  std::uint64_t vc_sum = 0;
+  ProcId proc = -1;
+  Seq seq = 0;
+
+  HbKey() = default;
+  HbKey(const VectorClock& vc, ProcId p, Seq s)
+      : vc_sum(vc.Sum()), proc(p), seq(s) {}
+  explicit HbKey(const IntervalRecord& rec)
+      : HbKey(rec.vc, rec.proc, rec.seq) {}
+
+  friend bool operator<(const HbKey& a, const HbKey& b) {
+    if (a.vc_sum != b.vc_sum) return a.vc_sum < b.vc_sum;
+    return a.proc != b.proc ? a.proc < b.proc : a.seq < b.seq;
+  }
+};
+
 // One lazy-diffing stamp retained from a reclaimed record (see
 // IntervalRecord::diffed): the shared array plus the unit's index in it.
 struct StampRef {

@@ -5,6 +5,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "core/runtime.h"
 
@@ -74,6 +75,58 @@ TEST(ProtocolEdge, ForeignIntervalBetweenSameWriterChain) {
   });
   EXPECT_EQ(v0, 20);  // p1's ordered overwrite wins over p0's first write
   EXPECT_EQ(v1, 30);
+}
+
+// Apply order at scale, with the gather order reversed.  Eight procs share
+// one 16 KB unit for kApplyEpochs barrier epochs.  Procs 1-7 each rewrite
+// their own word every epoch (false sharing: every writer-epoch is its
+// own chain), and a migratory word passes from proc 7 down to proc 1 and
+// round again, so the writer-ascending order in which a fault gathers
+// chains is the reverse of happens-before.  Proc 0 first touches the unit
+// after the last epoch and fetches every chain at once, live (gc=0) or
+// flattened (gc=1); it must read what the Reference backend reads.
+constexpr int kApplyEpochs = 66;  // the last migratory writer is proc 5
+constexpr std::size_t kUnitInts = 4096;  // one 16 KB unit
+constexpr std::size_t kMigratoryWord = 1;
+
+struct ApplyOrderRun {
+  std::vector<int> seen;  // proc 0's final read of every word
+  RunStats stats;
+};
+
+ApplyOrderRun RunReversedGather(BackendKind backend, int gc_interval) {
+  RuntimeConfig cfg = Config(8, 4);
+  cfg.backend = backend;
+  cfg.gc_interval_barriers = gc_interval;
+  Runtime rt(cfg);
+  auto a = rt.AllocUnitAligned<int>(kUnitInts, "unit");
+  ApplyOrderRun out;
+  rt.Run([&](Proc& p) {
+    for (int e = 0; e < kApplyEpochs; ++e) {
+      if (p.id() != 0) {
+        p.Write(a, static_cast<std::size_t>(p.id()) * 512, e * 100 + p.id());
+      }
+      if (p.id() == 7 - e % 7) p.Write(a, kMigratoryWord, e * 100 + 50);
+      p.Barrier();
+    }
+    if (p.id() == 0) {
+      out.seen.resize(kUnitInts);
+      for (std::size_t i = 0; i < kUnitInts; ++i) out.seen[i] = p.Read(a, i);
+    }
+  });
+  out.stats = rt.CollectStats();
+  return out;
+}
+
+TEST(ProtocolEdge, ApplyOrderAtScaleWithReversedGather) {
+  const ApplyOrderRun ref = RunReversedGather(BackendKind::kReference, 0);
+  ASSERT_EQ(ref.seen.size(), kUnitInts);
+  EXPECT_EQ(ref.seen[kMigratoryWord], (kApplyEpochs - 1) * 100 + 50);
+  const ApplyOrderRun live = RunReversedGather(BackendKind::kLrc, 0);
+  const ApplyOrderRun flat = RunReversedGather(BackendKind::kLrc, 1);
+  EXPECT_EQ(live.seen, ref.seen);
+  EXPECT_EQ(flat.seen, ref.seen);
+  EXPECT_EQ(ModelledStateDiff(live.stats, flat.stats), "");
 }
 
 // A unit invalidated while locally dirty keeps local modifications after

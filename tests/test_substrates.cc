@@ -3,6 +3,7 @@
 // word tracker, vector clocks, interval archive, net stats.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <thread>
 #include <vector>
 
@@ -571,6 +572,76 @@ TEST(IntervalArchiveTest, ConcurrentAppendAndLookup) {
   writer.join();
   EXPECT_EQ(archive.size(), 1000u);
   EXPECT_EQ(archive.Range(0, 1000).size(), 1000u);
+}
+
+// HbKey orders every random 8-proc history in happens-before order.  The
+// clocks evolve as the protocol's do: a close bumps the closer's own
+// component, a lock release publishes the releaser's clock and a later
+// acquire merges it, and a barrier merges every clock into every clock.
+// Sorted by the key, no record may precede a record that its own clock
+// covers.  Each history also holds a covered pair that (proc, seq) alone
+// would order backwards, so a key without the clock sum fails here.
+TEST(HbKeyTest, SortIsALinearExtensionOfHappensBefore) {
+  constexpr int kProcs = 8;
+  constexpr int kLocks = 3;
+  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+    Xoshiro256 rng(seed);
+    std::vector<VectorClock> vc(kProcs, VectorClock(kProcs));
+    std::vector<VectorClock> lock_vc(kLocks, VectorClock(kProcs));
+    std::vector<IntervalRecord> history;
+    auto close = [&](ProcId p) {
+      IntervalRecord rec;
+      rec.proc = p;
+      rec.seq = ++vc[p][p];
+      rec.vc = vc[p];
+      history.push_back(std::move(rec));
+    };
+    for (int step = 0; step < 240; ++step) {
+      const auto p = static_cast<ProcId>(rng.UniformInt(kProcs));
+      const std::uint64_t event = rng.UniformInt(20);
+      if (event < 10) {
+        close(p);
+      } else if (event < 19) {
+        // Lock hand-off: p releases, a random proc acquires.
+        const std::size_t lock = rng.UniformInt(kLocks);
+        close(p);
+        lock_vc[lock] = vc[p];
+        vc[rng.UniformInt(kProcs)].Merge(lock_vc[lock]);
+      } else {
+        VectorClock global(kProcs);
+        for (ProcId q = 0; q < kProcs; ++q) {
+          if (rng.UniformInt(2) == 0) close(q);
+          global.Merge(vc[q]);
+        }
+        for (ProcId q = 0; q < kProcs; ++q) vc[q] = global;
+      }
+    }
+
+    // Pairs where b happened-before a but a has the lower proc id.
+    std::size_t inverted_by_proc = 0;
+    for (const IntervalRecord& a : history) {
+      for (const IntervalRecord& b : history) {
+        if (a.proc < b.proc && a.vc.Covers(b.proc, b.seq)) {
+          ++inverted_by_proc;
+        }
+      }
+    }
+    EXPECT_GT(inverted_by_proc, 0u) << "seed " << seed;
+
+    std::sort(history.begin(), history.end(),
+              [](const IntervalRecord& a, const IntervalRecord& b) {
+                return HbKey(a) < HbKey(b);
+              });
+    std::size_t violations = 0;
+    for (std::size_t i = 0; i < history.size(); ++i) {
+      for (std::size_t j = i + 1; j < history.size(); ++j) {
+        if (history[i].vc.Covers(history[j].proc, history[j].seq)) {
+          ++violations;
+        }
+      }
+    }
+    EXPECT_EQ(violations, 0u) << "seed " << seed;
+  }
 }
 
 // --- stats schema -------------------------------------------------------------
