@@ -38,29 +38,6 @@ enum class BackendKind {
   kHlrc,
 };
 
-// Archive-GC pass sizing policy: dominated-record count at or below which
-// a pass runs serially on proc 0 instead of striping across the idle
-// nodes (see Node::Barrier).  Striping conserves work — it only buys
-// wall-clock when the stripe workers run on real cores — so the threshold
-// scales inversely with host parallelism: on a single core striping is
-// pure rendezvous overhead (forced serial), with unknown concurrency (0)
-// the historical fixed threshold is kept, and on wide hosts even light
-// passes are worth spreading.  Pure function of the argument so tests pin
-// the policy; modelled state is bit-identical either way (DESIGN.md §6),
-// which is what makes a host-dependent switch legal at all.
-std::size_t GcSerialPassLimit(unsigned hardware_threads);
-
-// Archive-GC pass execution mode.  kAuto applies GcSerialPassLimit to
-// the host's hardware concurrency; the force modes exist so the
-// serial/striped bit-equivalence can be exercised on ANY host (a test
-// that only runs whichever mode the local core count selects would let
-// a divergence ship undetected).
-enum class GcPassMode {
-  kAuto,
-  kForceSerial,
-  kForceStriped,
-};
-
 // ---------------------------------------------------------------------------
 // Deterministic fault injection (DESIGN.md §9).
 // ---------------------------------------------------------------------------
@@ -174,10 +151,6 @@ struct RuntimeConfig {
   // the largest static unit the paper studies (16 KB).
   int max_group_pages = 4;
 
-  // Word-level useful/useless classification (paper §5.3).  Costs nothing
-  // in modelled time; can be disabled for raw-speed host runs.
-  bool track_usage = true;
-
   // Archive garbage collection (DESIGN.md §6): every N-th global barrier,
   // flatten all intervals dominated by the flatten target (below) into
   // canonical base images and reclaim the records.  A host-side
@@ -187,10 +160,6 @@ struct RuntimeConfig {
   // Read-aware flattening (DESIGN.md §6) only ever elides lock-release
   // intervals, so barrier programs are unaffected by it.
   int gc_interval_barriers = 1;
-
-  // Archive-GC pass sizing: auto (hardware-concurrency-scaled serial
-  // threshold) or forced serial/striped — see GcPassMode.
-  GcPassMode gc_pass_mode = GcPassMode::kAuto;
 
   // Flatten target age: collect only intervals dominated by the global
   // vector clock from this many barriers ago (minimum 1 — the youngest
@@ -206,16 +175,6 @@ struct RuntimeConfig {
   // unit-interleaved; larger blocks give each node contiguous home
   // ranges, trading hot-home risk for fewer homes per multi-unit fetch).
   int hlrc_home_block_units = 1;
-
-  // Home-based LRC only: track a per-unit clean-twin flag (no byte of the
-  // unit changed since the twin was taken) and skip the release-time
-  // eager diff SCAN over units whose flag is still clean.  Host-side
-  // optimization only — the modelled diff-create cost and every modelled
-  // counter (diffs_created, home flush messages/bytes) are charged as if
-  // the scan ran, so modelled state is bit-identical under either
-  // setting.  Programs that rewrite values in place (empty diffs) skip
-  // the full twin comparison at every release.
-  bool hlrc_skip_clean_diff_scan = true;
 
   // Number of DSM lock ids available to the application.
   int num_locks = 4096;

@@ -373,9 +373,6 @@ void RecoveryCoordinator::Recover(Node& node, const VectorClock& to,
     // registered, which only drops history no one can need.
     shared.sharers->Register(u, node.id_);
   }
-  if (!node.twin_dirty_.empty()) {
-    std::fill(node.twin_dirty_.begin(), node.twin_dirty_.end(), 0);
-  }
 
   // --- rebuild the image from the stable substrate --------------------------
   VirtualNanos slowest = 0;  // parallel sources: clock takes the max

@@ -1,9 +1,6 @@
 #include "core/protocol.h"
 
 #include <algorithm>
-#include <limits>
-#include <string>
-#include <thread>
 #include <unordered_map>
 
 #include "analysis/race_detector.h"
@@ -21,18 +18,6 @@ const RuntimeConfig& Validated(const RuntimeConfig& cfg) {
 }
 
 }  // namespace
-
-std::size_t GcSerialPassLimit(unsigned hardware_threads) {
-  if (hardware_threads == 0) return 1024;  // unknown: historical default
-  if (hardware_threads == 1) {
-    return std::numeric_limits<std::size_t>::max();  // striping buys nothing
-  }
-  // Wider hosts amortize the stripe rendezvous over more real cores, so
-  // progressively lighter passes are worth spreading; the 4-thread point
-  // reproduces the historical fixed threshold, and the floor keeps truly
-  // trivial passes (a handful of records) serial on any machine.
-  return std::max<std::size_t>(4096 / hardware_threads, 64);
-}
 
 const char* RuntimeConfig::UnitLabel() const {
   if (aggregation == AggregationMode::kDynamic) return "Dyn";
@@ -89,18 +74,6 @@ SharedState::SharedState(const RuntimeConfig& cfg)
     home_image = AllocZeroedImage(heap.heap_bytes());
     home_mutexes.reset(new std::mutex[heap.num_units()]);
   }
-  switch (cfg.gc_pass_mode) {
-    case GcPassMode::kForceSerial:
-      gc_serial_pass_limit = std::numeric_limits<std::size_t>::max();
-      break;
-    case GcPassMode::kForceStriped:
-      gc_serial_pass_limit = 0;  // every non-empty pass stripes
-      break;
-    case GcPassMode::kAuto:
-      gc_serial_pass_limit =
-          GcSerialPassLimit(std::thread::hardware_concurrency());
-      break;
-  }
   archives.reserve(cfg.num_procs);
   for (int p = 0; p < cfg.num_procs; ++p) {
     archives.push_back(std::make_unique<IntervalArchive>());
@@ -122,9 +95,6 @@ SharedState::SharedState(const RuntimeConfig& cfg)
       std::make_unique<CanonicalStore>(heap.num_units(), heap.unit_bytes());
   sharers = std::make_unique<SharerDirectory>(heap.num_units(), cfg.num_procs);
   virgin_history.resize(heap.num_units());
-  gc_dom_prefix.resize(cfg.num_procs);
-  gc_dom_ready = std::vector<std::atomic<std::uint8_t>>(cfg.num_procs);
-  for (auto& r : gc_dom_ready) r.store(0, std::memory_order_relaxed);
 }
 
 SharedState::~SharedState() = default;
@@ -162,7 +132,6 @@ Node::Node(ProcId id, SharedState& shared)
                         shared.config.backend != BackendKind::kReference),
       hlrc_(protocol_enabled_ &&
             shared.config.backend == BackendKind::kHlrc),
-      twin_track_(hlrc_ && shared.config.hlrc_skip_clean_diff_scan),
       shared_access_cost_(shared.config.cost.shared_access),
       race_(shared.race.get()),
       image_(shared.reference_image
@@ -189,7 +158,6 @@ Node::Node(ProcId id, SharedState& shared)
     hlrc_flush_server_.assign(
         static_cast<std::size_t>(shared.config.num_procs), 0);
   }
-  if (twin_track_) twin_dirty_.assign(shared.heap.num_units(), 0);
 }
 
 void Node::ReadBytesSlow(GlobalAddr addr, void* out, std::size_t bytes) {
@@ -233,10 +201,6 @@ void Node::WriteBytesSlow(GlobalAddr addr, const void* in,
       tracker_.OnWrite(unit,
                        static_cast<std::uint32_t>(offset_in_unit / kWordBytes),
                        static_cast<std::uint32_t>(chunk / kWordBytes));
-      if (twin_track_ && twin_dirty_[unit] == 0 &&
-          std::memcmp(data_ + addr, src, chunk) != 0) {
-        twin_dirty_[unit] = 1;
-      }
     }
     if (race_ != nullptr) {
       RaceOnAccess(unit, offset_in_unit, chunk, /*is_write=*/true);
@@ -293,7 +257,6 @@ void Node::TwinUnit(UnitId unit, bool cheap) {
   table_.set_state(unit, UnitState::kDirty);
   comm_stats_.counters().twins_created += 1;
   retwin_cheap_[unit] = 0;
-  if (twin_track_) twin_dirty_[unit] = 0;  // twin == image at creation
   // A fresh twin settles all drained requests; live (same-phase) request
   // flags are left for the next barrier drain, so a request concurrent
   // with this interval makes the NEXT re-twin expensive regardless of
@@ -604,7 +567,6 @@ void Node::FetchUnits(const std::vector<UnitId>& units) {
   // programs.  Ordering tails suffices: by the absorption rule above, a
   // foreign interval ordered after a chain's head is ordered after its
   // tail too, so every ordered pair of writes lands oldest first.
-  const bool track = shared_.config.track_usage;
   std::vector<NeedEntry>& for_unit = apply_scratch_;
   for (UnitId unit : units) {
     // Read-aware flattening fallback: lay any elided reclaimed words down
@@ -644,11 +606,9 @@ void Node::FetchUnits(const std::vector<UnitId>& units) {
         need.diff->Apply(UnitSpan(unit));
         if (twinned) need.diff->Apply(table_.twin(unit));
       }
-      if (track) {
-        for (const DiffRun& run : need.runs()) {
-          tracker_.Deliver(unit, run.word_offset, run.word_count,
-                           need.exchange_id);
-        }
+      for (const DiffRun& run : need.runs()) {
+        tracker_.Deliver(unit, run.word_offset, run.word_count,
+                         need.exchange_id);
       }
       const std::size_t payload_bytes = need.PayloadWords() * kWordBytes;
       comm_stats_.counters().diffs_applied += 1;
@@ -743,23 +703,8 @@ void Node::HlrcFlushInterval(bool lock_release) {
     // Notice-only record: the empty diff keeps the archive's units/diffs
     // parallel-array invariant without retaining any payload.
     rec.diffs.emplace_back();
-    // The modelled scan always runs — eager diffing is how the releaser
-    // discovers emptiness — even when the host-side scan below is
-    // skipped, so modelled time and counters are knob-independent.
     create_cost += cost.DiffCreateCost(unit_bytes_);
     comm_stats_.counters().diffs_created += 1;
-    if (twin_track_ && twin_dirty_[unit] == 0) {
-      // Clean twin: no byte changed since TwinUnit took the snapshot
-      // (WriteBytes keeps the flag exact with a value comparison), so the
-      // eager scan would yield an empty diff — nothing for the home and
-      // no flush message.  Skip the host-side twin comparison.
-      DSM_DCHECK(Diff::Create(table_.twin(unit), UnitSpan(unit)).empty());
-      table_.DropTwin(unit);
-      if (table_.state(unit) == UnitState::kDirty) {
-        table_.set_state(unit, UnitState::kReadValid);
-      }
-      continue;
-    }
     const Diff diff = Diff::Create(table_.twin(unit), UnitSpan(unit));
     const ProcId home = shared_.EffectiveHome(unit);
     // An empty diff means the interval changed no bytes: the twin scan
@@ -843,7 +788,6 @@ void Node::HlrcFlushInterval(bool lock_release) {
 void Node::HlrcFetchUnits(const std::vector<UnitId>& units) {
   const CostModel& cost = shared_.config.cost;
   const std::size_t words_per_unit = unit_bytes_ / kWordBytes;
-  const bool track = shared_.config.track_usage;
 
   for (auto& v : fetch_by_home_) v.clear();
   for (UnitId unit : units) {
@@ -897,14 +841,7 @@ void Node::HlrcFetchUnits(const std::vector<UnitId>& units) {
       // of the LRC path's "apply foreign diffs to image AND twin", so
       // diff(twin, image) still yields exactly the local modifications.
       Diff local;
-      if (twinned) {
-        if (!twin_track_ || twin_dirty_[unit] != 0) {
-          local = Diff::Create(table_.twin(unit), dst);
-        } else {
-          // Clean twin: the capture scan would find nothing.
-          DSM_DCHECK(Diff::Create(table_.twin(unit), dst).empty());
-        }
-      }
+      if (twinned) local = Diff::Create(table_.twin(unit), dst);
       {
         const std::byte* src =
             shared_.home_image.get() + shared_.heap.UnitBase(unit);
@@ -915,12 +852,9 @@ void Node::HlrcFetchUnits(const std::vector<UnitId>& units) {
         }
       }
       if (twinned && !local.empty()) local.Apply(dst);
-      // The twin now matches the home copy and the image differs from it
-      // by exactly `local`: re-anchor the clean flag.
-      if (twin_track_ && twinned) twin_dirty_[unit] = local.empty() ? 0 : 1;
       // Installing the received (or locally copied) unit is one memcpy.
       clock_.Advance(cost.TwinCost(unit_bytes_));
-      if (track && remote) {
+      if (remote) {
         tracker_.Deliver(unit, 0, static_cast<std::uint32_t>(words_per_unit),
                          ex);
         // Words the local re-apply overwrote can never credit the fetch.
@@ -1108,73 +1042,43 @@ std::uint64_t BuildChains(std::vector<FlattenedChain>& flat,
 }  // namespace
 
 
-// Flatten phase (pass 1 of DESIGN.md §6), striped: this node converts the
-// dominated pending notices of EVERY node for the units of its stripe
-// (unit % nprocs == id) into FlattenedChains, mirroring the fault path's
-// chain coalescing exactly (same absorption predicate over the same
-// record set — live records from later epochs can never block a dominated
-// absorption, because they happened-after every dominated interval).  It
-// also collects the (record, diff) pairs some node still needed into
-// gc_refs_: only those must go into the canonical base — an interval
-// pending nowhere was already applied by every node, and any word of it
-// that a future chain covers is rewritten there by a newer record of that
-// chain.  Striping keeps the pass deterministic (each unit has exactly
-// one worker, which walks nodes in fixed order) while spreading the work
-// over the idle window's threads instead of serializing it on proc 0.
+// Flatten phase (pass 1 of DESIGN.md §6): the barrier coordinator
+// converts the dominated pending notices of EVERY node into
+// FlattenedChains, unit by unit and nodes in fixed order, mirroring the
+// fault path's chain coalescing exactly (same absorption predicate over
+// the same record set — live records from later epochs can never block a
+// dominated absorption, because they happened-after every dominated
+// interval).  It also collects the (record, diff) pairs some node still
+// needed into gc_refs_: only those must go into the canonical base — an
+// interval pending nowhere was already applied by every node, and any
+// word of it that a future chain covers is rewritten there by a newer
+// record of that chain.
 //
-// Two further optimizations recover the lock-heavy Water regression
-// (ROADMAP item 1):
-//
-//  * Read-aware flattening: a dominated LOCK-RELEASE record none of
-//    whose words the pending node ever read (Water's aux/force slots)
-//    builds no chain at all — its words go into the node's per-unit
-//    elided-run list, silently refreshed from the canonical base at the
-//    next fault.  The record still reaches the base, so a mispredicted
-//    later read is data-safe.  Barrier-closed records are never elided,
-//    which keeps the pass bit-invisible for barrier (= bit-reproducible)
-//    programs.
-//
-//  * Shared flattened chains: one reclaimed record is typically pending
-//    at most of the other nodes, and their chain builds are identical
-//    whenever their pre-existing chains and kept record lists coincide.
-//    An intern cache keyed on exactly those inputs builds each chain set
-//    once and hands out cheap headers over shared ChainBodies; per-node
-//    builds remain only where pending sets diverge.  All sharing for a
-//    unit happens inside its one worker, so the cache is worker-local
-//    and the build (including the telemetry) is bit-deterministic.
-void Node::GcFlattenStripe(const VectorClock& through, int start,
-                           int step) {
+// Read-aware flattening recovers the lock-heavy Water regression: a
+// dominated LOCK-RELEASE record none of whose words the pending node ever
+// read (Water's aux/force slots) builds no chain at all — its words go
+// into the node's per-unit elided-run list, silently refreshed from the
+// canonical base at the next fault.  The record still reaches the base,
+// so a mispredicted later read is data-safe.  Barrier-closed records are
+// never elided, which keeps the pass bit-invisible for barrier
+// (= bit-reproducible) programs.
+void Node::GcFlatten(const VectorClock& through) {
   SharedState& shared = shared_;
   const int nprocs = shared.config.num_procs;
   const std::size_t num_units = shared.heap.num_units();
-  // Read-aware elision needs the usage tracker's consumed-delivery
-  // bitmaps; with track_usage off no interest ever accumulates and the
-  // predicate would elide EVERY lock-release record, breaking
-  // track_usage's modelled-invisibility contract.
-  const bool read_aware = shared.config.track_usage;
 
   // Snapshot each archive's dominated prefix once (one mutex hold per
   // archive): lock-heavy programs resolve tens of thousands of (proc,
   // seq) references per pass, and per-reference Find() would pay a mutex
   // round-trip each.  The snapshot is a lock-free binary-search index.
-  // Shared dominated-prefix snapshots, built once per archive per pass by
-  // the first worker that needs one.
-  auto dom_prefix_of =
-      [&shared, &through](
-          ProcId p) -> const std::vector<std::shared_ptr<const IntervalRecord>>& {
-    if (shared.gc_dom_ready[p].load(std::memory_order_acquire) == 0) {
-      std::lock_guard lock(shared.gc_snapshot_mutex);
-      if (shared.gc_dom_ready[p].load(std::memory_order_relaxed) == 0) {
-        shared.gc_dom_prefix[p] =
-            shared.archives[p]->RangeShared(0, through[p]);
-        shared.gc_dom_ready[p].store(1, std::memory_order_release);
-      }
-    }
-    return shared.gc_dom_prefix[p];
-  };
+  std::vector<std::vector<std::shared_ptr<const IntervalRecord>>> dom_prefix(
+      static_cast<std::size_t>(nprocs));
+  for (ProcId p = 0; p < nprocs; ++p) {
+    dom_prefix[p] = shared.archives[p]->RangeShared(0, through[p]);
+  }
   auto find_dominated =
       [&](ProcId p, Seq seq) -> const std::shared_ptr<const IntervalRecord>* {
-    const auto& v = dom_prefix_of(p);
+    const auto& v = dom_prefix[p];
     auto it = std::lower_bound(
         v.begin(), v.end(), seq,
         [](const std::shared_ptr<const IntervalRecord>& r, Seq s) {
@@ -1214,19 +1118,6 @@ void Node::GcFlattenStripe(const VectorClock& through, int start,
   // Per-writer sorted foreign clock entries of the current batch
   // (BuildChains scratch).
   std::vector<std::vector<Seq>> foreign_vcw(nprocs);
-  // Chain intern cache for this worker's stripe.  Keyed on the node's
-  // pre-existing chains (header fields + body identity — bodies are
-  // compared by pointer, which is sound because every body referenced by
-  // a key outlives the cache) and the kept record pointers; the unit is
-  // implicit (all keys of one worker iteration share it, and the cache is
-  // cleared per unit).  The value is a node's complete post-build chain
-  // vector; a hit replaces the hitting node's chains wholesale with
-  // header copies sharing the cached bodies.
-  std::unordered_map<std::string, ProcId> chain_cache;
-  std::string key;
-  auto key_add = [&key](const void* p, std::size_t n) {
-    key.append(static_cast<const char*>(p), n);
-  };
   std::uint64_t chains_built = 0, chains_shared = 0, records_elided = 0;
 
   // Dominated-writer scratch for the virgin bookkeeping below: one bit per
@@ -1235,9 +1126,7 @@ void Node::GcFlattenStripe(const VectorClock& through, int start,
       (static_cast<std::size_t>(nprocs) + 63) / 64);
 
   DSM_CHECK(gc_refs_.empty());
-  for (UnitId u = static_cast<UnitId>(start); u < num_units;
-       u += static_cast<UnitId>(step)) {
-    chain_cache.clear();
+  for (UnitId u = 0; u < num_units; ++u) {
     resolve_memo.clear();
     SharedState::VirginHistory& virgin = shared.virgin_history[u];
 
@@ -1310,7 +1199,7 @@ void Node::GcFlattenStripe(const VectorClock& through, int start,
           any_dom = true;
           if (virgin_built) continue;  // first virgin resolved the batch
           const GcResolved& res = resolve(u, pi);
-          if (read_aware && res.rec->lock_release) {
+          if (res.rec->lock_release) {
             const Diff& diff =
                 res.rec->diffs[static_cast<std::size_t>(res.di)];
             elide_accum.insert(elide_accum.end(), diff.runs().begin(),
@@ -1347,7 +1236,7 @@ void Node::GcFlattenStripe(const VectorClock& through, int start,
         const GcResolved& res = resolve(u, pi);
         const Diff& diff =
             res.rec->diffs[static_cast<std::size_t>(res.di)];
-        if (read_aware && res.rec->lock_release &&
+        if (res.rec->lock_release &&
             !node.tracker_.ReadsAnyOf(u, diff.runs())) {
           elide_accum.insert(elide_accum.end(), diff.runs().begin(),
                              diff.runs().end());
@@ -1363,61 +1252,8 @@ void Node::GcFlattenStripe(const VectorClock& through, int start,
         FoldElidedRuns(elide_accum, elide_canon, node.elided_[u]);
       }
       if (kept.empty()) continue;
-
-      // Pre-state identity: (body pointer, blocked) per chain suffices.
-      // A fault always consumes (clears) the chains it touches, and a GC
-      // extension copy-on-writes any shared body, so two chains with the
-      // same body pointer are bit-identical except for the blocked flag,
-      // which a later build may set on one sharer's header only.
-      key.clear();
-      for (const FlattenedChain& c : node.flattened_[u]) {
-        key.push_back(c.blocked ? 1 : 0);
-        const void* identity = c.rec != nullptr
-                                   ? static_cast<const void*>(c.rec.get())
-                                   : static_cast<const void*>(c.body.get());
-        key_add(&identity, sizeof(identity));
-      }
-      key.push_back('\xff');
-      for (const GcResolved& r : kept) {
-        key_add(&r.rec, sizeof(r.rec));
-      }
-      auto hit = chain_cache.find(key);
-      if (hit != chain_cache.end()) {
-        // Identical pre-state and inputs: adopt the builder node's result
-        // (cheap headers; the bodies — runs, stamps, clocks — are
-        // shared).  The builder's vector is final (every node is visited
-        // once per unit), and this node's vector was its element-wise
-        // twin before the build, so only entries the build touched need
-        // copying — long-lived chain lists on never-faulting nodes would
-        // otherwise pay a full refcount round per chain per pass.
-        // Non-const: adopting flags the builder's merged bodies as shared
-        // (safe — one worker owns every node of this unit, see above), so
-        // the builder's own next extension copy-on-writes instead of
-        // mutating a body this node now also holds.
-        std::vector<FlattenedChain>& built =
-            shared.nodes[hit->second]->flattened_[u];
-        std::vector<FlattenedChain>& mine = node.flattened_[u];
-        DSM_CHECK_GE(built.size(), mine.size());
-        for (std::size_t i = 0; i < mine.size(); ++i) {
-          FlattenedChain& b = built[i];
-          FlattenedChain& m = mine[i];
-          if (m.rec.get() != b.rec.get() || m.body.get() != b.body.get() ||
-              m.blocked != b.blocked || m.last_seq != b.last_seq) {
-            if (b.body != nullptr) b.body_shared = true;
-            m = b;
-            ++chains_shared;
-          }
-        }
-        for (std::size_t i = mine.size(); i < built.size(); ++i) {
-          if (built[i].body != nullptr) built[i].body_shared = true;
-          mine.push_back(built[i]);
-          ++chains_shared;
-        }
-        continue;
-      }
       chains_built += BuildChains(node.flattened_[u], kept, nprocs,
                                   /*body_shared=*/false, foreign_vcw);
-      chain_cache.emplace(key, x);
     }
     // The store build ran once; credit it as if each consuming virgin had
     // built (shared) it, keeping the counters comparable across runs with
@@ -1441,8 +1277,8 @@ void Node::GcFlattenStripe(const VectorClock& through, int start,
   // consumed it already applied its words), but a recovery checkpoint must
   // hold EVERY dominated interval: the victim's rebuilt image is base +
   // surviving log, with nothing else to fall back on.  Under an armed
-  // fault plan, replace this stripe's base-routing refs wholesale with the
-  // full dominated record set.  Host-side only (the chain builds above are
+  // fault plan, replace the base-routing refs wholesale with the full
+  // dominated record set.  Host-side only (the chain builds above are
   // untouched), and armed-plan-gated, so fault-free runs stay
   // bit-identical.  Each (unit, record) pair appears exactly once; the
   // apply pass orders each unit group in happens-before order itself.
@@ -1450,15 +1286,11 @@ void Node::GcFlattenStripe(const VectorClock& through, int start,
     gc_refs_.clear();
     for (ProcId p = 0; p < nprocs; ++p) {
       for (const std::shared_ptr<const IntervalRecord>& owner :
-           dom_prefix_of(p)) {
+           dom_prefix[p]) {
         const IntervalRecord* rec = owner.get();
         const HbKey key(*rec);
         for (std::size_t k = 0; k < rec->units.size(); ++k) {
-          const UnitId u = rec->units[k];
-          if (u % static_cast<UnitId>(step) != static_cast<UnitId>(start)) {
-            continue;
-          }
-          gc_refs_.push_back({u, rec, static_cast<int>(k), key});
+          gc_refs_.push_back({rec->units[k], rec, static_cast<int>(k), key});
         }
       }
     }
@@ -1467,23 +1299,21 @@ void Node::GcFlattenStripe(const VectorClock& through, int start,
   }
 }
 
-// Apply phase (pass 2): flatten this stripe's referenced diffs into the
-// canonical base, per unit in happens-before order (HbKey), so ordered
-// overwrites land newest-last.  (Keys are precomputed at resolve time —
-// deriving clock sums inside the comparator dominated this pass on
-// lock-heavy batches.)
-// Also runs the base release-check for the stripe: a base neither a chain
-// nor an elided-run list references any more goes back to the pool
-// (elided runs pin the base because the silent refresh reads it at the
-// next fault).  Release never overlaps a concurrent worker's apply: a
-// unit with fresh references always retains chains or elided runs.
-void Node::GcApplyStripe(int start, int step) {
+// Apply phase (pass 2): flatten the referenced diffs into the canonical
+// base, per unit in happens-before order (HbKey), so ordered overwrites
+// land newest-last.  (Keys are precomputed at resolve time — deriving
+// clock sums inside the comparator dominated this pass on lock-heavy
+// batches.)  Also runs the base release-check: a base neither a chain nor
+// an elided-run list references any more goes back to the pool (elided
+// runs pin the base because the silent refresh reads it at the next
+// fault).
+void Node::GcApply() {
   SharedState& shared = shared_;
   const int nprocs = shared.config.num_procs;
   const std::size_t num_units = shared.heap.num_units();
 
   // gc_refs_ is already grouped by unit in ascending order (the flatten
-  // stripe walks units ascending), so only each group needs the
+  // pass walks units ascending), so only each group needs the
   // happens-before sort — far cheaper than one global sort on lock-heavy
   // batches.
   for (std::size_t i = 0; i < gc_refs_.size();) {
@@ -1509,8 +1339,7 @@ void Node::GcApplyStripe(int start, int step) {
   // checkpoint content the victim's rebuild depends on (DESIGN.md §9).
   if (shared.fault != nullptr) return;
 
-  for (UnitId u = static_cast<UnitId>(start); u < num_units;
-       u += static_cast<UnitId>(step)) {
+  for (UnitId u = 0; u < num_units; ++u) {
     if (!shared.canonical->Has(u)) continue;
     // The virgin store pins the base too: any never-faulted node may adopt
     // its chains/elided runs at a later fault and silently refresh from it.
@@ -1537,10 +1366,6 @@ void Node::GcApplyStripe(int start, int step) {
 // flatten phase, and notices_seen_ >= through everywhere, so no fault or
 // notice collection can touch the pruned prefix.
 void Node::GcPruneOwn(const VectorClock& through) {
-  // Drop the pass's shared snapshot first: records survive the prune
-  // exactly as long as a FlattenedChain retains them.
-  shared_.gc_dom_prefix[id_].clear();
-  shared_.gc_dom_ready[id_].store(0, std::memory_order_relaxed);
   shared_.archives[id_]->PruneThrough(through[id_]);
 }
 
@@ -1650,70 +1475,47 @@ void Node::Barrier() {
       }
     }
   }
-  // Archive GC rides the same idle window (DESIGN.md §6), striped over
-  // every node: each flattens all nodes' dominated pending notices for
-  // its own unit stripe, an inner rendezvous separates flattening from
-  // base application (applies read other stripes' reclaimed records), and
-  // the dominated archive prefixes are pruned after the window closes
-  // (mutex-guarded; nothing live references them).  Every node derives
-  // the same gc_due verdict from purely local state — gc_history holds
-  // min(completed barriers, lag) entries, so "history full" is exactly
-  // sync_phase_ >= lag — and proc 0 only appends to the history after the
-  // inner rendezvous proved every stripe worker took its copy of the
-  // flatten target.
+  // Archive GC rides the same idle window (DESIGN.md §6): the
+  // coordinator flattens every node's dominated pending notices and
+  // applies them to the canonical bases while its peers wait at the
+  // closing rendezvous, and every node prunes its own dominated archive
+  // prefix after the window closes (mutex-guarded; nothing live
+  // references it).  Every node derives the same gc_due verdict from
+  // purely local state — gc_history holds min(completed barriers, lag)
+  // entries, so "history full" is exactly sync_phase_ >= lag.
   const int gc_interval = shared_.config.gc_interval_barriers;
   const auto gc_lag = static_cast<std::uint32_t>(
       std::max(1, shared_.config.gc_lag_barriers));
   const bool gc_due =
       !hlrc_ && gc_interval > 0 && sync_phase_ >= gc_lag &&
       (sync_phase_ + 1) % static_cast<std::uint32_t>(gc_interval) == 0;
-  bool gc_ran = false;
   VectorClock gc_through;
   if (gc_due) {
-    // Stable read: proc 0 appends to gc_history only after the closing
-    // rendezvous below, which happens-before every other node's next
-    // Arrive — so the deque is frozen while any node copies the front.
+    // Stable read: the coordinator appends to gc_history only after the
+    // closing rendezvous below, which happens-before every other node's
+    // next Arrive — so the deque is frozen while any node copies the
+    // front.
     gc_through = shared_.gc_history.front();
-    // Size the pass (archives are frozen, so every node computes the
-    // same count and picks the same mode).  Light passes — steady-state
-    // barrier programs reclaim a handful of records per barrier — run
-    // serially on proc 0 inside the existing window: an inner rendezvous
-    // would cost more in wakeups than the whole pass.  Heavy lock-driven
-    // batches stripe across every idle node, with the rendezvous
-    // separating flattening from base application.
-    std::size_t dominated = 0;
-    for (ProcId p = 0; p < num_procs(); ++p) {
-      dominated += shared_.archives[p]->CountThrough(gc_through[p]);
+  }
+  if (gc_due && id_ == res.coordinator) {
+    // Archives are frozen inside the window; a pass with nothing
+    // dominated is skipped and not counted.
+    bool any_dominated = false;
+    for (ProcId p = 0; p < num_procs() && !any_dominated; ++p) {
+      any_dominated = shared_.archives[p]->CountThrough(gc_through[p]) > 0;
     }
-    gc_ran = dominated > 0;
-    // Serial-vs-striped switch, hardware-concurrency aware (see
-    // GcSerialPassLimit): identical on every node, so all pick one mode.
-    if (gc_ran && dominated <= shared_.gc_serial_pass_limit) {
-      if (id_ == res.coordinator) {
-        // Serial-GC role: normally proc 0; migrated to the lowest
-        // surviving rank for a barrier whose schedule kills proc 0 (the
-        // about-to-crash victim's pass would die with it) and back once
-        // the victim has rebuilt.
-        GcFlattenStripe(gc_through, 0, 1);
-        GcApplyStripe(0, 1);
-        // Checkpoint watermark (DESIGN.md §9): everything <= gc_through is
-        // now in the bases.  Published before the closing rendezvous, which
-        // happens-before any recovery read of it.
-        if (shared_.fault != nullptr) shared_.checkpoint_vc = gc_through;
-        ++shared_.gc_passes;
-      }
-    } else if (gc_ran) {
-      GcFlattenStripe(gc_through, id_, num_procs());
-      shared_.barrier->Rendezvous();
-      GcApplyStripe(id_, num_procs());
-      if (id_ == res.coordinator) {
-        // Striped watermark: the coordinator's apply may finish before its
-        // peers', but the only reader — a recovering victim — reads after
-        // the closing rendezvous, which orders it after every stripe's
-        // apply.
-        if (shared_.fault != nullptr) shared_.checkpoint_vc = gc_through;
-        ++shared_.gc_passes;
-      }
+    if (any_dominated) {
+      // GC role: normally proc 0; migrated to the lowest surviving rank
+      // for a barrier whose schedule kills proc 0 (the about-to-crash
+      // victim's pass would die with it) and back once the victim has
+      // rebuilt.
+      GcFlatten(gc_through);
+      GcApply();
+      // Checkpoint watermark (DESIGN.md §9): everything <= gc_through is
+      // now in the bases.  Published before the closing rendezvous, which
+      // happens-before any recovery read of it.
+      if (shared_.fault != nullptr) shared_.checkpoint_vc = gc_through;
+      ++shared_.gc_passes;
     }
   }
   // HLRC rides the same idle window for its notice-log watermark prune
@@ -1737,7 +1539,7 @@ void Node::Barrier() {
       shared_.gc_history.pop_front();
     }
   }
-  if (gc_ran) GcPruneOwn(gc_through);
+  if (gc_due) GcPruneOwn(gc_through);
   if (shared_.fault != nullptr) {
     const int ev = shared_.fault->MatchAtBarrier(id_, sync_phase_);
     if (ev >= 0) {

@@ -60,15 +60,13 @@ struct SharedState {
   std::unique_ptr<BarrierService> barrier;
   std::unique_ptr<LockService> locks;
   // Archive GC (DESIGN.md §6): canonical base images holding the contents
-  // of reclaimed intervals, archive footprint telemetry, and the flatten
-  // target — the global vector clock of the last completed barrier, which
-  // every node has fully processed by the time the next barrier's idle
-  // window opens.  gc_target/gc_passes are touched only by proc 0 inside
-  // that window.
+  // of reclaimed intervals and archive footprint telemetry.
   std::unique_ptr<CanonicalStore> canonical;
   ArchiveTelemetry archive_telemetry;
   // Global clocks of the most recent gc_lag_barriers completed barriers,
-  // oldest first; the front is the flatten target once full.
+  // oldest first; the front is the flatten target once full.  gc_history
+  // and gc_passes are written only by the barrier coordinator (see
+  // Node::Barrier for the ordering).
   std::deque<VectorClock> gc_history;
   std::uint64_t gc_passes = 0;
   // BackendKind::kReference: the single image all processors access
@@ -85,10 +83,6 @@ struct SharedState {
   // Null unless the backend is kHlrc.
   HeapImage home_image;
   std::unique_ptr<std::mutex[]> home_mutexes;  // one per unit
-  // Serial-vs-striped GC switch for this host (GcSerialPassLimit applied
-  // to std::thread::hardware_concurrency() once at construction, so every
-  // node derives the same pass mode).
-  std::size_t gc_serial_pass_limit = 0;
   // Per-unit sharer directory (DESIGN.md §8): which processors have ever
   // faulted on each unit.  Nodes register on the fault path; the GC and
   // its invariant checks read inside the barrier window.
@@ -186,14 +180,6 @@ struct SharedState {
   // Peer access for the lazy-diffing cost flags; filled in by Runtime
   // after node construction.
   std::vector<Node*> nodes;
-  // Striped archive GC: per-archive snapshot of the dominated prefix,
-  // built once per pass by whichever stripe worker first needs it (under
-  // the mutex) and shared read-only by the rest.  Slot p is cleared by
-  // node p in GcPruneOwn, releasing the batch's shared ownership.
-  std::mutex gc_snapshot_mutex;
-  std::vector<std::vector<std::shared_ptr<const IntervalRecord>>>
-      gc_dom_prefix;
-  std::vector<std::atomic<std::uint8_t>> gc_dom_ready;
 
   explicit SharedState(const RuntimeConfig& cfg);
   // Out-of-line: FaultInjector is incomplete here (unique_ptr member).
@@ -297,18 +283,16 @@ class Node {
   // refreshes the bytes without modelling the reclaimed deliveries).
   void RefreshElided(UnitId unit);
 
-  // Barrier-epoch archive GC (DESIGN.md §6), orchestrated by Barrier()
-  // inside the extended idle window: flatten the dominated pending
-  // notices of every node for this node's unit stripe (serial passes
-  // use proc 0 with the full range), then — after a rendezvous for
-  // striped passes — apply the stripe's referenced diffs to the
-  // canonical bases and run the base release-check.  GcPruneOwn
-  // reclaims this node's own dominated archive prefix; it is safe to
-  // run concurrently with resumed application threads (archives are
-  // mutex-guarded and no live reference to a dominated record can
-  // exist).
-  void GcFlattenStripe(const VectorClock& through, int start, int step);
-  void GcApplyStripe(int start, int step);
+  // Barrier-epoch archive GC (DESIGN.md §6), run by the barrier
+  // coordinator alone inside the extended idle window: flatten the
+  // dominated pending notices of every node for every unit, then apply
+  // the referenced diffs to the canonical bases and run the base
+  // release-check.  GcPruneOwn reclaims this node's own dominated archive
+  // prefix; every node runs it after the window closes, concurrently with
+  // resumed application threads (archives are mutex-guarded and no live
+  // reference to a dominated record can exist).
+  void GcFlatten(const VectorClock& through);
+  void GcApply();
   void GcPruneOwn(const VectorClock& through);
 
   // Lazy-diffing phase key: barrier phase in the upper half, lock-chain
@@ -407,12 +391,6 @@ class Node {
   // Home-based LRC backend active (protocol on + BackendKind::kHlrc):
   // releases flush to homes, faults fetch whole units, no archive GC.
   const bool hlrc_;
-  // HLRC clean-twin tracking on (hlrc_ && config.hlrc_skip_clean_diff_scan):
-  // writes compare against the image until a byte actually changes, letting
-  // the eager release-time diff scan short-circuit for value-identical
-  // writes (the diff would be empty).  Host-side only — the modelled diff
-  // cost and message counts are unchanged.
-  const bool twin_track_;
   // Per-word cost of a shared access, cached off the config for the
   // fast path.
   const VirtualNanos shared_access_cost_;
@@ -448,9 +426,6 @@ class Node {
   std::vector<std::uint8_t> retwin_cheap_;
   std::vector<std::atomic<std::uint8_t>> diff_requested_;
   std::vector<std::uint8_t> diff_request_seen_;
-  // Clean-twin flags (sized num_units only when twin_track_): 0 while the
-  // unit's bytes still equal its twin, 1 once a write changed anything.
-  std::vector<std::uint8_t> twin_dirty_;
   // Last re-home batch epoch this node has learned
   // (SharedState::rehome_epoch).  A lagging node's next remote home
   // contact pays the modelled timeout + retransmit per missed batch and
@@ -522,10 +497,10 @@ class Node {
   std::vector<std::size_t> hlrc_flush_bytes_;          // HlrcFlushInterval
   std::vector<VirtualNanos> hlrc_flush_server_;        // HlrcFlushInterval
 
-  // Striped archive GC (DESIGN.md §6): the (unit, record) references this
-  // node's flatten stripe routed to the canonical base, unit-ordered
-  // (flatten walks units ascending); consumed and cleared by
-  // GcApplyStripe.  `key` caches the record's happens-before sort key.
+  // Archive GC (DESIGN.md §6): the (unit, record) references the flatten
+  // pass routed to the canonical base, unit-ordered (flatten walks units
+  // ascending); consumed and cleared by GcApply.  `key` caches the
+  // record's happens-before sort key.
   struct GcRef {
     UnitId unit;
     const IntervalRecord* rec;
@@ -582,10 +557,6 @@ inline void Node::WriteBytes(GlobalAddr addr, const void* in,
       tracker_.OnWrite(unit,
                        static_cast<std::uint32_t>(offset_in_unit / kWordBytes),
                        static_cast<std::uint32_t>(bytes / kWordBytes));
-      if (twin_track_ && twin_dirty_[unit] == 0 &&
-          std::memcmp(data_ + addr, in, bytes) != 0) {
-        twin_dirty_[unit] = 1;
-      }
     }
     if (race_ != nullptr) [[unlikely]] {
       RaceOnAccess(unit, offset_in_unit, bytes, /*is_write=*/true);

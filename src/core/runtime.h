@@ -119,9 +119,9 @@ struct MemoryFootprint {
   std::uint64_t reclaimed_intervals = 0;
   std::uint64_t canonical_base_peak_bytes = 0;
   std::uint64_t gc_passes = 0;
-  // Archive-GC chain economics (DESIGN.md §6): chain bodies built, chain
-  // headers adopted from the GC's intern cache (shared flattened chains),
-  // and dominated record references skipped by read-aware flattening.
+  // Archive-GC chain economics (DESIGN.md §6): chains built, chains
+  // credited to virgin nodes sharing one virgin-store build, and dominated
+  // record references skipped by read-aware flattening.
   std::uint64_t chains_built = 0;
   std::uint64_t chains_shared = 0;
   std::uint64_t records_elided = 0;

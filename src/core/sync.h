@@ -61,7 +61,7 @@ class BarrierService {
   // state can be read and reset deterministically (no application faults
   // are in flight anywhere).  Two things ride this window: the
   // lazy-diffing cost-model flag drain, and the barrier-epoch archive GC
-  // (DESIGN.md §6), which proc 0 executes before its own rendezvous
+  // (DESIGN.md §6), which the coordinator runs before its own rendezvous
   // arrival — the wait here is what keeps every other node from faulting
   // into a half-collected archive.  Does not count as a completed
   // barrier.

@@ -156,11 +156,11 @@ struct StampNode {
 };
 
 // The immutable bulk of a flattened chain, shared (shared_ptr) by every
-// node whose pending set produced the identical chain — the GC builds it
-// once per unique (unit, pending-history) and hands copies of the cheap
-// per-node header out (DESIGN.md §6).  Holds everything the fault path
-// needs to replay bit-identical modelled costs without the reclaimed
-// records' payload:
+// header copied from the virgin store (DESIGN.md §6 and §8): the GC
+// builds a never-faulted unit's history once there, and each node that
+// later faults on the unit copies the cheap per-node headers.  Holds
+// everything the fault path needs to replay bit-identical modelled costs
+// without the reclaimed records' payload:
 //
 //   * the canonical run list of the chain's merged diff (wire-size and
 //     word-delivery accounting; the data itself is copied from the
@@ -204,11 +204,11 @@ struct FlattenedChain {
   // witnesses are gone).
   bool blocked = false;
   // True while `body` may be referenced by another node's header or by
-  // the shared virgin store.  Set at every point a merged body crosses
-  // nodes (virgin-store builds, the GC's chain-cache adoption) — all
-  // inside the GC window, whose rendezvous orders them — and cleared by
-  // the copy-on-write clone in MutableBody().  Deliberately a plain
-  // bool, not a body.use_count() peek: see MutableBody.
+  // the shared virgin store.  Set where a merged body starts crossing
+  // nodes — the GC's virgin-store build, inside the GC window, whose
+  // rendezvous orders it — and cleared by the copy-on-write clone in
+  // MutableBody().  Deliberately a plain bool, not a body.use_count()
+  // peek: see MutableBody.
   bool body_shared = false;
   std::shared_ptr<const IntervalRecord> rec;  // single-record form
   int di = -1;                                // unit's index within *rec
@@ -283,18 +283,18 @@ struct FlattenedChain {
 
 // Footprint counters shared by all archives of a run (updated under each
 // archive's own mutex; atomics make the cross-archive sums race-free).
-// The chain counters are accumulated by the GC's flatten workers — one
-// per node in striped passes — inside the idle barrier window.
+// The chain counters are added once per pass by the barrier coordinator's
+// GC flatten, inside the idle barrier window.
 struct ArchiveTelemetry {
   std::atomic<std::uint64_t> live_intervals{0};
   std::atomic<std::uint64_t> peak_live_intervals{0};
   std::atomic<std::uint64_t> live_bytes{0};
   std::atomic<std::uint64_t> peak_live_bytes{0};
   std::atomic<std::uint64_t> reclaimed_intervals{0};
-  // Archive-GC chain economics (DESIGN.md §6): bodies actually
-  // constructed, chain headers adopted from the intern cache instead of
-  // rebuilt, and dominated record references skipped entirely by
-  // read-aware flattening.
+  // Archive-GC chain economics (DESIGN.md §6): chains actually built,
+  // chains credited to virgin nodes that share one virgin-store build
+  // instead of building their own, and dominated record references
+  // skipped entirely by read-aware flattening.
   std::atomic<std::uint64_t> chains_built{0};
   std::atomic<std::uint64_t> chains_shared{0};
   std::atomic<std::uint64_t> records_elided{0};
@@ -343,7 +343,7 @@ class IntervalArchive {
   Seq min_retained_seq() const;
 
   // Number of archived records with seq <= through (O(log n)).  The GC
-  // sizes a pass with it to pick serial vs striped execution.
+  // skips a pass that would reclaim nothing.
   std::size_t CountThrough(Seq through) const;
 
   void set_telemetry(ArchiveTelemetry* t) { telemetry_ = t; }

@@ -42,12 +42,11 @@ const char* UnitStateName(UnitState s);
 // reclaimed interval, applied in happens-before order on top of the
 // zero-initialized heap.  FlattenedChains carry only run lists; at fault
 // time their data is copied from here.  Shared across nodes: mutation
-// (Ensure/Release) happens only inside the idle barrier window, where the
-// striped GC workers allocate and release concurrently — the buffer pool
-// and its counters are mutex-guarded.  Each unit's slot is touched by
-// exactly one worker (unit stripe), and fault-time reads happen only
-// outside the window against an immutable-between-barriers image, so reads
-// need no locking.
+// (Ensure/Release) happens only in the barrier coordinator's GC pass
+// inside the idle barrier window, and fault-time reads happen only outside
+// the window against an immutable-between-barriers image, so reads need
+// no locking.  The pool mutex is uncontended (one GC pass at a time,
+// ordered by the barrier) and cheaply guards the pool and its counters.
 //
 // Buffers are allocated lazily (only units that ever had a pending chain
 // flattened pay) and recycled through a free pool, like twins: when a GC
@@ -97,8 +96,8 @@ class CanonicalStore {
 
  private:
   std::size_t unit_bytes_;
-  // Guards the pool and counters against concurrent GC workers; per-unit
-  // slots themselves are stripe-exclusive.
+  // Guards the pool and counters; per-unit slots are written only by the
+  // GC pass.
   mutable std::mutex pool_mutex_;
   std::vector<std::unique_ptr<std::byte[]>> bases_;
   std::vector<std::unique_ptr<std::byte[]>> free_bases_;

@@ -16,9 +16,10 @@
 //
 // Threading: a processor sets only its own bit, from its own thread
 // (fetch_or; concurrent with other processors' faults on the same
-// unit).  Readers are either the owning thread (fault path) or the GC
-// workers inside the barrier's idle window, which every registration
-// happens-before via the barrier arrival — relaxed ordering suffices.
+// unit).  Readers are either the owning thread (fault path) or the
+// coordinator's GC pass inside the barrier's idle window, which every
+// registration happens-before via the barrier arrival — relaxed ordering
+// suffices.
 #pragma once
 
 #include <atomic>

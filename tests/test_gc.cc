@@ -12,7 +12,6 @@
 
 #include <cctype>
 #include <cstring>
-#include <limits>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -153,9 +152,9 @@ TEST(GcBasePlusTail, LateFaultMatchesFullHistoryBitForBit) {
   const LateReaderOutcome off = RunLateReader(0);
   const LateReaderOutcome on = RunLateReader(1);
 
-  // Procs 1 and 3 never touch the unit, so their pending sets (and
-  // pre-existing chains) are identical every pass: the GC's intern cache
-  // must build their chains once and share the bodies.
+  // Procs 1 and 3 never touch the unit, so they stay virgins: the GC
+  // builds their history once in the virgin store and credits the second
+  // virgin's chains as shared.
   EXPECT_GT(on.stats.mem.chains_built, 0u);
   EXPECT_GT(on.stats.mem.chains_shared, 0u);
   // Barrier-only program: read-aware flattening must never engage.
@@ -404,8 +403,8 @@ TEST(GcLockHeavy, WaterSweepRecoversMemoryAndElides) {
           << where;
     }
     // The lock-heavy machinery engaged: chains were built, some were
-    // adopted from the intern cache, and never-read force/aux slots were
-    // elided instead of chained.
+    // shared through the virgin store, and never-read force/aux slots
+    // were elided instead of chained.
     EXPECT_GT(on.mem.chains_built, 0u) << where;
     EXPECT_GT(on.mem.chains_shared, 0u) << where;
     EXPECT_GT(on.mem.records_elided, 0u) << where;
@@ -509,59 +508,6 @@ TEST(HlrcNoArchive, NoticeLogIsWatermarkPruned) {
   }
 }
 
-// --- serial-vs-striped pass sizing -------------------------------------------
-//
-// GcSerialPassLimit is the (pure) policy behind the GC's execution-mode
-// switch; modelled state is identical either way, so the policy is free
-// to depend on the host — pin its shape so a refactor cannot silently
-// turn every pass striped on a laptop or serial on a server.
-TEST(GcPolicy, SerialLimitScalesWithHardwareConcurrency) {
-  // Unknown concurrency: the historical fixed threshold.
-  EXPECT_EQ(GcSerialPassLimit(0), 1024u);
-  // Single core: striping conserves work but buys no parallelism — every
-  // pass stays serial.
-  EXPECT_EQ(GcSerialPassLimit(1), std::numeric_limits<std::size_t>::max());
-  // The 4-thread point reproduces the historical default; wider hosts
-  // stripe progressively lighter passes, down to a floor.
-  EXPECT_EQ(GcSerialPassLimit(2), 2048u);
-  EXPECT_EQ(GcSerialPassLimit(4), 1024u);
-  EXPECT_EQ(GcSerialPassLimit(8), 512u);
-  EXPECT_EQ(GcSerialPassLimit(64), 64u);
-  EXPECT_EQ(GcSerialPassLimit(256), 64u);
-  for (unsigned hw = 2; hw < 128; ++hw) {
-    EXPECT_GE(GcSerialPassLimit(hw), GcSerialPassLimit(hw + 1)) << hw;
-  }
-}
-
-// The switch is only legal because both execution modes are bit-identical
-// to the model — force each mode explicitly (the auto policy would pick
-// whichever one this host's core count selects, leaving the other
-// untested) and compare everything.
-TEST(GcPolicy, SerialAndStripedPassesAreBitIdentical) {
-  auto run_mode = [](GcPassMode mode) {
-    RuntimeConfig cfg;
-    cfg.num_procs = 4;
-    cfg.gc_pass_mode = mode;
-    auto app = MakeApp("MGS", "tiny");
-    return Execute(*app, cfg);
-  };
-  const AppRun serial = run_mode(GcPassMode::kForceSerial);
-  const AppRun striped = run_mode(GcPassMode::kForceStriped);
-  // Both modes actually collected (MGS reclaims every barrier).
-  EXPECT_GT(serial.stats.mem.reclaimed_intervals, 0u);
-  EXPECT_GT(striped.stats.mem.reclaimed_intervals, 0u);
-  EXPECT_EQ(striped.result, serial.result);
-  EXPECT_EQ(ModelledStateDiff(striped.stats, serial.stats), "")
-      << "serial vs striped";
-  // Host-side chain economics are deterministic too: each unit has one
-  // worker in either mode, walking nodes in the same fixed order.
-  EXPECT_EQ(striped.stats.mem.reclaimed_intervals,
-            serial.stats.mem.reclaimed_intervals);
-  EXPECT_EQ(striped.stats.mem.chains_built, serial.stats.mem.chains_built);
-  EXPECT_EQ(striped.stats.mem.chains_shared,
-            serial.stats.mem.chains_shared);
-}
-
 // --- bounded archive ---------------------------------------------------------
 //
 // MGS is the archive-growth worst case: every vector is rewritten at every
@@ -590,62 +536,68 @@ TEST(GcBoundedArchive, MgsPeakLiveIntervalsDoNotScaleWithBarriers) {
   EXPECT_LT(on.peak_archive_bytes, off.peak_archive_bytes / 4);
 }
 
-// --- HLRC clean-twin skip ----------------------------------------------------
+// --- HLRC value-identical rewrites ------------------------------------------
 //
-// hlrc_skip_clean_diff_scan is a host-side fast path: when a twin is
-// known clean (every write since TwinUnit restored the twin's value),
-// the flush and fetch paths skip the word-by-word diff scan but must
-// still charge the exact modelled costs of the scan they skipped.  A/B
-// the knob on a program that mixes value-identical rewrites (unit 0 —
-// clean twin every epoch after the first) with genuinely-changing writes
-// (unit 1): results and every modelled quantity must be bit-identical.
-TEST(HlrcCleanTwin, SkipKnobIsBitInvisible) {
-  auto run = [](bool skip) {
-    RuntimeConfig cfg;
-    cfg.num_procs = 4;
-    cfg.backend = BackendKind::kHlrc;
-    cfg.heap_bytes = 1u << 20;
-    cfg.hlrc_skip_clean_diff_scan = skip;
-    constexpr int kEpochs = 8;
+// An HLRC release diffs every dirty unit eagerly.  A unit whose writes all
+// restored its twin's values yields an empty diff: the release counts the
+// diff and pays the scan, but the home has nothing to absorb, so no flush
+// message or bytes are modelled.  The writer rewrites unit 0 with the same
+// values every epoch after the first, while one word of unit 1 really
+// changes; neither unit is homed at the writer.
+TEST(HlrcValueIdenticalRewrite, CountsDiffButModelsNoFlush) {
+  RuntimeConfig cfg;
+  cfg.num_procs = 4;
+  cfg.backend = BackendKind::kHlrc;
+  cfg.heap_bytes = 1u << 20;
+  constexpr int kEpochs = 8;
 
-    Runtime rt(cfg);
-    auto data = rt.AllocUnitAligned<int>(2048, "data");  // two 4K units
-    std::vector<int> seen;
-    std::mutex mu;
-    rt.Run([&](Proc& p) {
-      std::vector<int> got;
-      for (int e = 0; e < kEpochs; ++e) {
-        if (p.id() == 0) {
-          // Unit 0: value-identical rewrites — the twin ends each epoch
-          // clean, yet the flush must charge the full scan accounting.
-          for (std::size_t i = 0; i < 8; ++i) {
-            p.Write(data, i, 7 * static_cast<int>(i));
-          }
-          // Unit 1: a word that really changes — the dirty path.
-          p.Write(data, 1024, e * 10);
+  Runtime rt(cfg);
+  auto data = rt.AllocUnitAligned<int>(2048, "data");  // two 4K units
+  // Homes are unit-interleaved, so this writer homes neither unit and
+  // every non-empty diff is a remote flush.
+  const auto unit0 = static_cast<int>(data.base() / cfg.unit_bytes());
+  const int writer = (unit0 + 2) % cfg.num_procs;
+  const int reader = (unit0 + 3) % cfg.num_procs;
+  std::vector<int> seen;
+  std::mutex mu;
+  rt.Run([&](Proc& p) {
+    std::vector<int> got;
+    for (int e = 0; e < kEpochs; ++e) {
+      if (p.id() == writer) {
+        // Unit 0: word 0 keeps its zero; words 1..7 change only in
+        // epoch 0.
+        for (std::size_t i = 0; i < 8; ++i) {
+          p.Write(data, i, 7 * static_cast<int>(i));
         }
-        p.Barrier();
-        if (p.id() == 1) {
-          got.push_back(p.Read(data, 0));
-          got.push_back(p.Read(data, 1024));
-        }
-        p.Barrier();
+        // Unit 1: a word that changes in every epoch but the first.
+        p.Write(data, 1024, e * 10);
       }
-      if (p.id() == 1) {
-        std::lock_guard lock(mu);
-        seen = std::move(got);
+      p.Barrier();
+      if (p.id() == reader) {
+        got.push_back(p.Read(data, 3));
+        got.push_back(p.Read(data, 1024));
       }
-    });
-    return std::make_pair(std::move(seen), rt.CollectStats());
-  };
+      p.Barrier();
+    }
+    if (p.id() == reader) {
+      std::lock_guard lock(mu);
+      seen = std::move(got);
+    }
+  });
+  const RunStats stats = rt.CollectStats();
 
-  const auto [values_on, stats_on] = run(true);
-  const auto [values_off, stats_off] = run(false);
-  ASSERT_EQ(values_on.size(), 16u);
-  EXPECT_EQ(values_on, values_off);
-  EXPECT_EQ(values_on[1], 0);
-  EXPECT_EQ(values_on[15], 70);
-  EXPECT_EQ(ModelledStateDiff(stats_on, stats_off), "") << "clean-twin skip";
+  ASSERT_EQ(seen.size(), 2u * kEpochs);
+  for (int e = 0; e < kEpochs; ++e) {
+    EXPECT_EQ(seen[2 * e], 21) << "epoch " << e;
+    EXPECT_EQ(seen[2 * e + 1], e * 10) << "epoch " << e;
+  }
+  // Both units are diffed at every writer release.
+  EXPECT_EQ(stats.comm.diffs_created, 2u * kEpochs);
+  // Only non-empty diffs reach a home: unit 0 in epoch 0 (7 words),
+  // unit 1 in epochs 1..7 (1 word each).  One home per release.
+  EXPECT_EQ(stats.comm.home_flushes, 1u + (kEpochs - 1));
+  EXPECT_EQ(stats.comm.home_flush_bytes, (7u + (kEpochs - 1)) * kWordBytes);
+  EXPECT_EQ(stats.comm.home_flush_messages, 2u * kEpochs);
 }
 
 // --- recovery telemetry back-compat ------------------------------------------

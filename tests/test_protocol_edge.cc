@@ -164,25 +164,6 @@ TEST(ProtocolEdge, DirtyUnitSurvivesInvalidationAndMerge) {
   EXPECT_EQ(final512, 200);
 }
 
-// Usage tracking off: results identical, classification becomes
-// all-useless (no credits), raw counts unchanged.
-TEST(ProtocolEdge, TrackingDisabledKeepsSemantics) {
-  RuntimeConfig cfg = Config(2);
-  cfg.track_usage = false;
-  Runtime rt(cfg);
-  auto a = rt.Alloc<int>(256, "a");
-  int seen = -1;
-  rt.Run([&](Proc& p) {
-    if (p.id() == 0) p.Write(a, 7, 77);
-    p.Barrier();
-    if (p.id() == 1) seen = p.Read(a, 7);
-  });
-  EXPECT_EQ(seen, 77);
-  RunStats s = rt.CollectStats();
-  EXPECT_EQ(s.comm.useful_messages, 0u);  // nothing credited
-  EXPECT_EQ(s.comm.useless_messages, 2u);
-}
-
 // Multi-unit element access: a struct spanning two consistency units is
 // read and written coherently.
 TEST(ProtocolEdge, AccessSpanningUnits) {
@@ -237,21 +218,35 @@ TEST(ProtocolEdge, StatsToStringsAreNonEmpty) {
   EXPECT_FALSE(s.net.ToString().empty());
 }
 
-// Deterministic replay: two identical barrier-program runs produce
-// identical statistics and virtual times.
+// Deterministic replay: two identical runs produce identical statistics
+// and virtual times, and the archive GC's host-side counters agree too
+// (the pass walks units and nodes in a fixed order).  Besides the shared
+// array every node rewrites, one writer per epoch updates a cold unit
+// (its notices stay pending past the GC lag, so chains get built) and,
+// under a lock no two epochs contend for, a unit nobody reads (its
+// lock-release records get elided).
 TEST(ProtocolEdge, DeterministicReplay) {
   auto run_once = [] {
     Runtime rt(Config(4, 2));
     auto a = rt.AllocUnitAligned<int>(8192, "a");
+    auto cold = rt.AllocUnitAligned<int>(2048, "cold");      // one unit
+    auto unread = rt.AllocUnitAligned<int>(2048, "unread");  // one unit
     rt.Run([&](Proc& p) {
-      for (int it = 0; it < 3; ++it) {
+      for (int it = 0; it < 4; ++it) {
+        const bool turn = p.id() == it % p.nprocs();
         for (int i = p.id(); i < 8192; i += p.nprocs()) {
           p.Write(a, static_cast<std::size_t>(i), it + i);
         }
+        if (turn) p.Write(cold, static_cast<std::size_t>(it), it + 1);
         p.Barrier();
         long sum = 0;
         for (int i = 0; i < 512; ++i) {
           sum += p.Read(a, static_cast<std::size_t>(i));
+        }
+        if (turn) {
+          p.Lock(0);
+          p.Write(unread, static_cast<std::size_t>(it), it + 1);
+          p.Unlock(0);
         }
         p.Compute(static_cast<std::uint64_t>(sum % 7));
         p.Barrier();
@@ -262,6 +257,15 @@ TEST(ProtocolEdge, DeterministicReplay) {
   const RunStats a = run_once();
   const RunStats b = run_once();
   EXPECT_EQ(ModelledStateDiff(a, b), "");
+  EXPECT_GT(a.mem.gc_passes, 0u);
+  EXPECT_GT(a.mem.chains_built, 0u);
+  EXPECT_GT(a.mem.chains_shared, 0u);
+  EXPECT_GT(a.mem.records_elided, 0u);
+  EXPECT_EQ(a.mem.gc_passes, b.mem.gc_passes);
+  EXPECT_EQ(a.mem.reclaimed_intervals, b.mem.reclaimed_intervals);
+  EXPECT_EQ(a.mem.chains_built, b.mem.chains_built);
+  EXPECT_EQ(a.mem.chains_shared, b.mem.chains_shared);
+  EXPECT_EQ(a.mem.records_elided, b.mem.records_elided);
 }
 
 // --- RuntimeConfig validation (fail-fast misuse diagnostics) -----------------
