@@ -38,17 +38,23 @@ void Mgs::Body(Proc& p) {
     return static_cast<int>(vec % static_cast<std::size_t>(P));
   };
 
-  // Deterministic well-conditioned initialization: every owner fills its
-  // vectors (diagonal dominance keeps the basis numerically stable).
+  // Whole vectors move through range accesses (DESIGN.md §2).  A vector
+  // that is reduced and then rewritten is read twice, for the reduction
+  // and again for the update: the update is a read-modify-write of every
+  // word, and the model charges that read.
+  std::vector<float> row(N);
+
+  // Deterministic well-conditioned initialization: every proc draws the
+  // whole sequence and each owner writes its vectors (diagonal dominance
+  // keeps the basis numerically stable).
   {
     Xoshiro256 rng(0xA5C0FFEEu);
     for (std::size_t v = 0; v < M; ++v) {
       for (std::size_t k = 0; k < N; ++k) {
-        const float x =
-            static_cast<float>(rng.UniformDouble(-0.5, 0.5)) +
-            (k % M == v ? 4.0f : 0.0f);
-        if (owner(v) == p.id()) p.Write(vectors_, at(v, k), x);
+        row[k] = static_cast<float>(rng.UniformDouble(-0.5, 0.5)) +
+                 (k % M == v ? 4.0f : 0.0f);
       }
+      if (owner(v) == p.id()) p.WriteRange(vectors_, at(v, 0), row);
     }
   }
   p.Barrier();
@@ -57,15 +63,13 @@ void Mgs::Body(Proc& p) {
   for (std::size_t i = 0; i < M; ++i) {
     // Owner normalizes the pivot vector.
     if (owner(i) == p.id()) {
+      p.ReadRange(vectors_, at(i, 0), row);
       double norm2 = 0.0;
-      for (std::size_t k = 0; k < N; ++k) {
-        const float x = p.Read(vectors_, at(i, k));
-        norm2 += static_cast<double>(x) * x;
-      }
+      for (const float x : row) norm2 += static_cast<double>(x) * x;
       const float inv = static_cast<float>(1.0 / std::sqrt(norm2));
-      for (std::size_t k = 0; k < N; ++k) {
-        p.Write(vectors_, at(i, k), p.Read(vectors_, at(i, k)) * inv);
-      }
+      p.ReadRange(vectors_, at(i, 0), row);
+      for (float& x : row) x *= inv;
+      p.WriteRange(vectors_, at(i, 0), row);
       p.Compute(4 * N);
     }
     p.Barrier();
@@ -75,20 +79,18 @@ void Mgs::Body(Proc& p) {
     for (std::size_t j = i + 1; j < M; ++j) {
       if (owner(j) != p.id()) continue;
       if (!have_pivot) {  // read the pivot once per processor
-        for (std::size_t k = 0; k < N; ++k) {
-          pivot[k] = p.Read(vectors_, at(i, k));
-        }
+        p.ReadRange(vectors_, at(i, 0), pivot);
         have_pivot = true;
       }
+      p.ReadRange(vectors_, at(j, 0), row);
       double dot = 0.0;
       for (std::size_t k = 0; k < N; ++k) {
-        dot += static_cast<double>(p.Read(vectors_, at(j, k))) * pivot[k];
+        dot += static_cast<double>(row[k]) * pivot[k];
       }
       const float d = static_cast<float>(dot);
-      for (std::size_t k = 0; k < N; ++k) {
-        p.Write(vectors_, at(j, k),
-                p.Read(vectors_, at(j, k)) - d * pivot[k]);
-      }
+      p.ReadRange(vectors_, at(j, 0), row);
+      for (std::size_t k = 0; k < N; ++k) row[k] -= d * pivot[k];
+      p.WriteRange(vectors_, at(j, 0), row);
       p.Compute(4 * N);
     }
     p.Barrier();

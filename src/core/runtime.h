@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <type_traits>
@@ -78,6 +79,28 @@ class Proc {
     node_.WriteBytes(a.addr_of(i), &v, sizeof(T));
   }
 
+  // Range access: the elements of `a` from `first` on, one per span
+  // element, as one Node access.  A whole-vector loop then pays one
+  // protection check, one tracker pass and one race-detector call per
+  // unit, and one clock advance, instead of one of each per element.  It
+  // models exactly the ascending per-element loop over the same span
+  // (DESIGN.md §2).  An empty span touches nothing.
+  template <typename T>
+  void ReadRange(const SharedArray<T>& a, std::size_t first,
+                 std::type_identity_t<std::span<T>> out) {
+    CheckRange(a, first, out.size());
+    if (out.empty()) return;
+    node_.ReadBytes(a.addr_of(first), out.data(), out.size_bytes());
+  }
+
+  template <typename T>
+  void WriteRange(const SharedArray<T>& a, std::size_t first,
+                  std::type_identity_t<std::span<const T>> in) {
+    CheckRange(a, first, in.size());
+    if (in.empty()) return;
+    node_.WriteBytes(a.addr_of(first), in.data(), in.size_bytes());
+  }
+
   // Raw-address access, for per-field access into shared structs:
   //   p.ReadAt<float>(bodies.addr_of(i) + offsetof(Body, x))
   template <typename T>
@@ -106,6 +129,16 @@ class Proc {
   Node& node() { return node_; }
 
  private:
+  // Always on: throws unless [first, first + n) lies inside `a`, written
+  // so that first + n cannot overflow.
+  template <typename T>
+  static void CheckRange(const SharedArray<T>& a, std::size_t first,
+                         std::size_t n) {
+    DSM_CHECK(first <= a.size() && n <= a.size() - first)
+        << "range of " << n << " at " << first << " outside an array of "
+        << a.size();
+  }
+
   Node& node_;
 };
 

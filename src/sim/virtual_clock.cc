@@ -1,13 +1,6 @@
 #include "sim/virtual_clock.h"
 
-#include "common/check.h"
-
 namespace dsm {
-
-void VirtualClock::Advance(VirtualNanos delta) {
-  DSM_CHECK_GE(delta, 0);
-  now_ += delta;
-}
 
 void VirtualClock::AdvanceTo(VirtualNanos t) {
   if (t > now_) now_ = t;

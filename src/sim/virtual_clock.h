@@ -14,6 +14,8 @@
 
 #include <cstdint>
 
+#include "common/check.h"
+
 namespace dsm {
 
 // Nanoseconds of virtual time.
@@ -29,8 +31,12 @@ class VirtualClock {
 
   VirtualNanos now() const { return now_; }
 
-  // Advance by a non-negative amount of modelled work.
-  void Advance(VirtualNanos delta);
+  // Advance by a non-negative amount of modelled work.  Inline: every
+  // shared access ends here.
+  void Advance(VirtualNanos delta) {
+    DSM_CHECK_GE(delta, 0);
+    now_ += delta;
+  }
 
   // Move forward to `t` if `t` is later (used by synchronization:
   // clocks never run backwards).

@@ -344,6 +344,111 @@ TEST(HlrcHomeAssignment, BlockSizeNeverChangesResults) {
   }
 }
 
+// --- Range access is the element loop (DESIGN.md §2) -------------------------
+
+// Four procs false-share a six-unit int array.  Each epoch every proc
+// writes one span that starts mid-unit and crosses unit boundaries; the
+// spans are disjoint but neighbours share a unit, so the readers' faults
+// deliver diffs.  After a barrier every proc reads each other proc's
+// span, a span that ends exactly on a unit boundary, and an empty span at
+// the array's end.  The last epoch's reads follow no barrier, so each
+// node's clock still holds its own access costs at the end.  `ranges`
+// selects ReadRange/WriteRange over per-element Read/Write.
+struct SpanRun {
+  std::vector<int> seen;  // values read, proc by proc
+  RunStats stats;
+};
+
+SpanRun RunSpans(const Cell& cell, int gc_interval, bool ranges) {
+  constexpr int kProcs = 4;
+  constexpr int kEpochs = 3;
+  RuntimeConfig cfg = CellConfig(cell, kProcs);
+  cfg.heap_bytes = 1u << 20;
+  cfg.gc_interval_barriers = gc_interval;
+  cfg.race_check = true;
+  Runtime rt(cfg);
+  const std::size_t u = cfg.unit_bytes() / sizeof(int);  // ints per unit
+  auto a = rt.AllocUnitAligned<int>(6 * u, "spans");
+
+  std::vector<std::vector<int>> seen(kProcs);
+  rt.Run([&](Proc& p) {
+    std::vector<int> buf;
+    auto write = [&](std::size_t first, std::size_t end, int epoch) {
+      buf.clear();
+      for (std::size_t i = first; i < end; ++i) {
+        buf.push_back(epoch * 100003 + static_cast<int>(i));
+      }
+      if (ranges) {
+        p.WriteRange(a, first, buf);
+      } else {
+        for (std::size_t i = first; i < end; ++i) {
+          p.Write(a, i, buf[i - first]);
+        }
+      }
+    };
+    auto read = [&](std::size_t first, std::size_t end) {
+      std::vector<int>& out = seen[static_cast<std::size_t>(p.id())];
+      if (ranges) {
+        buf.resize(end - first);
+        p.ReadRange(a, first, buf);
+        out.insert(out.end(), buf.begin(), buf.end());
+      } else {
+        for (std::size_t i = first; i < end; ++i) out.push_back(p.Read(a, i));
+      }
+    };
+    for (int e = 0; e < kEpochs; ++e) {
+      if (e > 0) p.Barrier();
+      const std::size_t s = 3 * static_cast<std::size_t>(e);
+      const std::size_t bounds[kProcs + 1] = {u / 2 + s, 7 * u / 4 + s,
+                                              11 * u / 4 + s, 33 * u / 8 + s,
+                                              16 * u / 3 + s};
+      const auto me = static_cast<std::size_t>(p.id());
+      write(bounds[me], bounds[me + 1], e);
+      p.Barrier();
+      for (std::size_t q = 1; q < kProcs; ++q) {
+        const std::size_t other = (me + q) % kProcs;
+        read(bounds[other], bounds[other + 1]);
+      }
+      read(u / 4, 3 * u);  // ends on a unit boundary
+      read(a.size(), a.size());
+    }
+  });
+  SpanRun run;
+  for (const std::vector<int>& s : seen) {
+    run.seen.insert(run.seen.end(), s.begin(), s.end());
+  }
+  run.stats = rt.CollectStats();
+  return run;
+}
+
+TEST(RangeAccess, RangeIsTheElementLoop) {
+  for (const Cell& cell : SweepCells()) {
+    // The sequentially consistent element run at the same unit size is
+    // the oracle for the values.
+    const SpanRun oracle =
+        RunSpans({cell.mode, cell.pages_per_unit, BackendKind::kReference}, 1,
+                 /*ranges=*/false);
+    ASSERT_FALSE(oracle.seen.empty());
+    for (int gc : {0, 1}) {
+      const RuntimeConfig cfg = CellConfig(cell, 4);
+      const std::string where = std::string(cfg.UnitLabel()) + "/" +
+                                cfg.BackendLabel() +
+                                " gc=" + std::to_string(gc);
+      const SpanRun elem = RunSpans(cell, gc, /*ranges=*/false);
+      const SpanRun range = RunSpans(cell, gc, /*ranges=*/true);
+      EXPECT_EQ(elem.seen, oracle.seen) << where;
+      EXPECT_EQ(range.seen, elem.seen) << where;
+      EXPECT_EQ(ModelledStateDiff(elem.stats, range.stats), "") << where;
+      EXPECT_TRUE(elem.stats.races.checked) << where;
+      EXPECT_TRUE(elem.stats.races.reports.empty()) << where;
+      EXPECT_TRUE(range.stats.races.reports.empty()) << where;
+      if (cell.backend != BackendKind::kReference) {
+        EXPECT_GT(range.stats.comm.delivered_data_bytes, 0u) << where;
+      }
+    }
+  }
+}
+
 // --- Runtime misuse and error propagation ----------------------------------
 
 TEST(RuntimeMisuse, SecondRunThrows) {

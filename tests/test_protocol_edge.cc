@@ -1,8 +1,10 @@
 // Protocol edge cases: diff chains under lock ordering, coalescing
-// correctness, invalidation of dirty units, stats plumbing, and label /
-// config helpers.
+// correctness, invalidation of dirty units, range bounds, stats plumbing,
+// and label / config helpers.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -189,6 +191,43 @@ TEST(ProtocolEdge, AccessSpanningUnits) {
   });
   EXPECT_EQ(lo, 1);
   EXPECT_EQ(hi, 2);
+}
+
+// Range bounds are checked in every build type, without overflow, and an
+// empty range touches nothing, not even the unit its address falls in.
+TEST(ProtocolEdge, RangeEdges) {
+  Runtime rt(Config(2));
+  const std::size_t n = 1536;  // 1.5 units: the array ends mid-unit
+  auto a = rt.AllocUnitAligned<int>(n, "a");
+  std::vector<int> buf(n);
+  CommBreakdown before, after_empty, after_read;
+  VirtualNanos clock_before = 0, clock_after_empty = 0;
+  rt.Run([&](Proc& p) {
+    if (p.id() == 1) p.Write(a, n - 1, 7);
+    p.Barrier();  // the array's last unit is now invalid at proc 0
+    if (p.id() != 0) return;
+    EXPECT_THROW(p.ReadRange(a, 1, std::span<int>(buf)), CheckError);
+    EXPECT_THROW(p.WriteRange(a, n + 1, std::span<const int>()), CheckError);
+    // first + 4 wraps around to 2, which a naive bound would accept.
+    const std::size_t near_max = SIZE_MAX - 1;
+    EXPECT_THROW(p.ReadRange(a, near_max, std::span<int>(buf.data(), 4)),
+                 CheckError);
+    EXPECT_THROW(p.WriteRange(a, near_max, std::span<const int>(buf.data(), 4)),
+                 CheckError);
+
+    before = p.node().comm_stats().counters();
+    clock_before = p.now();
+    p.ReadRange(a, n, std::span<int>());
+    p.WriteRange(a, n, std::span<const int>());
+    after_empty = p.node().comm_stats().counters();
+    clock_after_empty = p.now();
+    EXPECT_EQ(p.Read(a, n - 1), 7);  // the same unit does fault when read
+    after_read = p.node().comm_stats().counters();
+  });
+  EXPECT_EQ(after_empty.read_faults, before.read_faults);
+  EXPECT_EQ(after_empty.write_faults, before.write_faults);
+  EXPECT_EQ(clock_after_empty, clock_before);
+  EXPECT_EQ(after_read.read_faults, before.read_faults + 1);
 }
 
 TEST(ProtocolEdge, UnitLabels) {
