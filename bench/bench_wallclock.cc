@@ -23,6 +23,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -130,15 +131,19 @@ void Usage(std::FILE* f) {
       "  differs from the matching row of PATH.\n");
 }
 
+[[noreturn]] void UsageError(const std::string& msg) {
+  std::fprintf(stderr, "%s\n", msg.c_str());
+  Usage(stderr);
+  std::exit(2);
+}
+
 // --race takes exactly "on" or "off" — the same whole-token strictness as
 // ParseCount: a typo ('--race=On', '--race=1') must not silently run an
 // unchecked sweep that is then read as a clean race report.
 bool ParseRaceFlag(const char* s) {
   if (std::strcmp(s, "on") == 0) return true;
   if (std::strcmp(s, "off") == 0) return false;
-  std::fprintf(stderr, "--race: invalid value '%s' (want on|off)\n", s);
-  Usage(stderr);
-  std::exit(2);
+  UsageError(std::string("--race: invalid value '") + s + "' (want on|off)");
 }
 
 // Validated numeric flag parsing: the whole token must be a base-10
@@ -150,69 +155,10 @@ int ParseCount(const char* flag, const char* s, int min_value) {
   const long v = std::strtol(s, &end, 10);
   if (errno != 0 || end == s || *end != '\0' || v < min_value ||
       v > 1 << 20) {
-    std::fprintf(stderr, "%s: invalid value '%s' (integer >= %d required)\n",
-                 flag, s, min_value);
-    Usage(stderr);
-    std::exit(2);
+    UsageError(std::string(flag) + ": invalid value '" + s +
+               "' (integer >= " + std::to_string(min_value) + " required)");
   }
   return static_cast<int>(v);
-}
-
-// A crash schedule plus the row tag it is reported under.  Default = inert.
-struct FaultSpec {
-  std::string label;  // "" = no fault
-  dsm::FaultSchedule schedule;
-};
-
-// --fault accepts an ordered '+'-separated schedule of crash events —
-// "barrier:V@N" (kill proc V at its N-th barrier) and "release:V@M"
-// (kill proc V after its M-th interval close), any victim including
-// proc 0, e.g. "barrier:0@4+release:2@6" — or "seed:S" (1–3 events fully
-// derived from the 64-bit seed S).  Anything else is a usage error
-// (exit 2) — a silently ignored crash spec would report failure-free
-// numbers as a fault row.
-FaultSpec ParseFaultSpec(const char* s) {
-  auto fail = [s]() -> FaultSpec {
-    std::fprintf(stderr,
-                 "--fault: invalid spec '%s' (want barrier:V@N or "
-                 "release:V@M, '+'-chained, or seed:S)\n",
-                 s);
-    Usage(stderr);
-    std::exit(2);
-  };
-  FaultSpec spec;
-  spec.label = s;
-  if (std::strncmp(s, "seed:", 5) == 0) {
-    char* end = nullptr;
-    errno = 0;
-    const unsigned long long seed = std::strtoull(s + 5, &end, 10);
-    if (errno != 0 || end == s + 5 || *end != '\0') return fail();
-    spec.schedule = dsm::FaultSchedule::FromSeed(seed);
-    return spec;
-  }
-  const char* p = s;
-  while (true) {
-    const char* plus = std::strchr(p, '+');
-    const std::string tok =
-        plus != nullptr ? std::string(p, plus) : std::string(p);
-    const bool at_barrier = tok.compare(0, 8, "barrier:") == 0;
-    const bool after_release = tok.compare(0, 8, "release:") == 0;
-    if (!at_barrier && !after_release) return fail();
-    const std::size_t at = tok.find('@', 8);
-    if (at == std::string::npos || at == 8 || at + 1 == tok.size()) {
-      return fail();
-    }
-    const int victim =
-        ParseCount("--fault victim", tok.substr(8, at - 8).c_str(), 0);
-    const int point = ParseCount("--fault point", tok.c_str() + at + 1,
-                                 at_barrier ? 0 : 1);
-    spec.schedule.events.push_back(
-        at_barrier ? dsm::FaultPlan::AtBarrier(victim, point)
-                   : dsm::FaultPlan::AfterRelease(victim, point));
-    if (plus == nullptr) break;
-    p = plus + 1;
-  }
-  return spec;
 }
 
 // --procs accepts a comma-separated sweep list ("--procs=8,16,64").
@@ -231,20 +177,33 @@ std::vector<int> ParseProcsList(const char* s) {
   return list;
 }
 
-Row RunCell(const BenchScenario& s, const ModePoint& mode,
-            const BackendPoint& backend, int num_procs, int gc_interval,
-            const FaultSpec& fault, int gc_lag = 0,
-            bool race_check = false) {
-  RuntimeConfig cfg;
-  cfg.num_procs = num_procs;
-  cfg.aggregation = mode.mode;
-  cfg.pages_per_unit = mode.pages_per_unit;
-  cfg.backend = backend.backend;
-  cfg.gc_interval_barriers = gc_interval;
-  cfg.fault = fault.schedule;
-  cfg.race_check = race_check;
-  if (gc_lag > 0) cfg.gc_lag_barriers = gc_lag;
+// One sweep cell: where a row runs and the --fault spec it runs under.
+struct Cell {
+  BenchScenario scenario;
+  ModePoint mode;
+  BackendPoint backend;
+  int procs = 8;
+  std::string fault;  // crash-schedule spec, "" = failure-free
+  int gc_lag = 0;     // non-default gc_lag_barriers for fault-sweep rows
+};
 
+// The cell's config; throws std::invalid_argument for a malformed fault
+// spec (FaultSchedule::Parse), but leaves range checks to Validate().
+RuntimeConfig CellConfig(const Cell& c, int gc_interval, bool race_check) {
+  RuntimeConfig cfg;
+  cfg.num_procs = c.procs;
+  cfg.aggregation = c.mode.mode;
+  cfg.pages_per_unit = c.mode.pages_per_unit;
+  cfg.backend = c.backend.backend;
+  cfg.gc_interval_barriers = gc_interval;
+  if (!c.fault.empty()) cfg.fault = FaultSchedule::Parse(c.fault, c.procs);
+  cfg.race_check = race_check;
+  if (c.gc_lag > 0) cfg.gc_lag_barriers = c.gc_lag;
+  return cfg;
+}
+
+Row RunCell(const Cell& c, const RuntimeConfig& cfg) {
+  const BenchScenario& s = c.scenario;
   auto app = apps::MakeApp(s.app, s.dataset);
   const auto t0 = std::chrono::steady_clock::now();
   const apps::AppRun run = apps::Execute(*app, cfg);
@@ -253,11 +212,11 @@ Row RunCell(const BenchScenario& s, const ModePoint& mode,
   Row row;
   row.app = s.app;
   row.dataset = s.dataset;
-  row.mode = mode.label;
-  row.backend = backend.label;
-  row.fault = fault.label;
-  row.procs = num_procs;
-  row.gc_lag = gc_lag;
+  row.mode = c.mode.label;
+  row.backend = c.backend.label;
+  row.fault = c.fault;
+  row.procs = cfg.num_procs;
+  row.gc_lag = c.gc_lag;
   row.stable = s.stable;
   row.wall_ms =
       std::chrono::duration<double, std::milli>(t1 - t0).count();
@@ -271,7 +230,7 @@ Row RunCell(const BenchScenario& s, const ModePoint& mode,
   row.race_checked = run.stats.races.checked;
   row.races = run.stats.races.reports.size() + run.stats.races.dropped;
   if (const auto* kv = dynamic_cast<const apps::KvStore*>(app.get())) {
-    row.kv_requests = kv->ModelledRequests(num_procs);
+    row.kv_requests = kv->ModelledRequests(cfg.num_procs);
     const double modelled_s = run.stats.exec_seconds();
     if (modelled_s > 0) {
       row.kv_rps = static_cast<double>(row.kv_requests) / modelled_s;
@@ -515,7 +474,7 @@ int main(int argc, char** argv) {
   std::vector<int> procs_list;
   int gc_interval = dsm::RuntimeConfig{}.gc_interval_barriers;
   std::string app_filter, mode_filter, backend_filter, baseline_path;
-  FaultSpec fault_spec;  // inert unless --fault= is given
+  std::string fault_spec;  // failure-free unless --fault= is given
   bool fault_sweep_only = false;
   bool kv_sweep_only = false;
   bool race_check = false;
@@ -546,7 +505,16 @@ int main(int argc, char** argv) {
       backend_filter = argv[i] + 10;
     } else if (std::strncmp(argv[i], "--fault=", 8) == 0) {
       // Run every selected row under this crash schedule (DESIGN.md §9).
-      fault_spec = ParseFaultSpec(argv[i] + 8);
+      // Each cell parses the spec at its own processor count; parsing it
+      // here as well makes bad grammar a usage error even when no cell
+      // runs under it.  A silently ignored crash spec would report
+      // failure-free numbers as a fault row.
+      fault_spec = argv[i] + 8;
+      try {
+        dsm::FaultSchedule::Parse(fault_spec, 2);
+      } catch (const std::invalid_argument& e) {
+        UsageError(std::string("--fault: ") + e.what());
+      }
     } else if (std::strcmp(argv[i], "--fault-sweep") == 0) {
       fault_sweep_only = true;
     } else if (std::strcmp(argv[i], "--kv-sweep") == 0) {
@@ -554,9 +522,7 @@ int main(int argc, char** argv) {
     } else if (std::strncmp(argv[i], "--race=", 7) == 0) {
       race_check = ParseRaceFlag(argv[i] + 7);
     } else {
-      std::fprintf(stderr, "unknown flag '%s'\n", argv[i]);
-      Usage(stderr);
-      return 2;
+      UsageError(std::string("unknown flag '") + argv[i] + "'");
     }
   }
   const bool default_procs = procs_list.empty();
@@ -565,17 +531,123 @@ int main(int argc, char** argv) {
     return filter.empty() || std::string(value).find(filter) !=
                                  std::string::npos;
   };
+  // A filtered (or non-default-GC, non-default-procs, explicitly faulted)
+  // run is a partial sweep: never let it silently clobber the tracked
+  // full-sweep baseline at the default path.
+  // --race=on is partial too: modelled numbers and fingerprints are
+  // bit-identical either way, but the host wall-clock pays for the shadow
+  // analysis and must not overwrite the tracked unchecked trajectory.
+  const bool partial = !app_filter.empty() || !mode_filter.empty() ||
+                       !backend_filter.empty() || !default_procs ||
+                       !fault_spec.empty() || fault_sweep_only ||
+                       kv_sweep_only || race_check ||
+                       gc_interval !=
+                           dsm::RuntimeConfig{}.gc_interval_barriers;
+
+  std::vector<Cell> cells;
+  const BenchScenario jacobi{"Jacobi", "1Kx1K", true};
+  // Recovery-cost slice (DESIGN.md §9): a three-event schedule covering a
+  // proc-0 coordinator failover and — under HLRC, where every victim is
+  // also a home — two home crashes, swept across the GC lag (which sets
+  // how much log tail an LRC rebuild must replay above the checkpoint)
+  // on both backends.  Part of the full default sweep so the rows are
+  // tracked in BENCH_wallclock.json; --fault-sweep runs just this slice.
+  auto add_fault_sweep = [&]() {
+    for (const BackendPoint& backend : kBackends) {
+      for (int lag : {1, 2, 4, 8}) {
+        cells.push_back(
+            {jacobi, kModes[0], backend, 8, "barrier:0@4+release:2@6", lag});
+      }
+    }
+  };
+  // KV request slice (ROADMAP "serve real traffic"): the three bench
+  // mixes — each >= 1M modelled requests at the default 8 processors —
+  // on both protocol backends at the 4 K base unit, reporting modelled
+  // requests/sec.  Rows are unstable (lock-scheduled wall-clock and
+  // modelled time) but their checksums are pinned by the --baseline
+  // gate: the commuting-checksum result must never move.  Rides the full
+  // default sweep; --kv-sweep runs just this slice.
+  auto add_kv_sweep = [&]() {
+    const BenchScenario kKvMixes[] = {
+        {"KV", "read-mostly", false},
+        {"KV", "write-heavy", false},
+        {"KV", "hot", false},
+    };
+    for (const BackendPoint& backend : kBackends) {
+      for (const BenchScenario& s : kKvMixes) {
+        cells.push_back({s, kModes[0], backend, 8, "", 0});
+      }
+    }
+  };
+  if (fault_sweep_only || kv_sweep_only) {
+    if (fault_sweep_only) add_fault_sweep();
+    if (kv_sweep_only) add_kv_sweep();
+  } else {
+    for (const BackendPoint& backend : kBackends) {
+      if (!backend_filter.empty() && backend_filter != backend.label) {
+        continue;
+      }
+      for (const BenchScenario& s : kScenarios) {
+        if (!matches(app_filter, s.app)) continue;
+        for (const ModePoint& mode : kModes) {
+          if (!matches(mode_filter, mode.label)) continue;
+          for (int np : procs_list) {
+            cells.push_back({s, mode, backend, np, fault_spec, 0});
+          }
+        }
+      }
+    }
+  }
+  // Cluster-scaling trajectory (DESIGN.md §8): the full default sweep also
+  // times one bit-deterministic app with the processor count doubling past
+  // the paper's native 8, on both backends, so the sharer-directory and
+  // clock work is gated at scale from PR to PR.
+  if (!partial) {
+    for (const BackendPoint& backend : kBackends) {
+      for (int np : {16, 32, 64, 128}) {
+        cells.push_back({jacobi, kModes[0], backend, np, "", 0});
+      }
+    }
+    // Crash-recovery trajectory (DESIGN.md §9): one barrier app under a
+    // kill-at-barrier and a kill-mid-interval schedule, on both backends.
+    // Barrier apps recover bit-deterministically, so these rows are
+    // stable: the fingerprint pins the post-recovery result AND the full
+    // recovery telemetry from PR to PR.
+    for (const BackendPoint& backend : kBackends) {
+      for (const char* fault : {"barrier:1@4", "release:1@8"}) {
+        cells.push_back({jacobi, kModes[0], backend, 8, fault, 0});
+      }
+    }
+    // Recovery-cost axis: the multi-fault gc_lag sweep rides the full
+    // default sweep too, so its recovery_ms / recovery_bytes rows are
+    // tracked in the committed baseline.
+    add_fault_sweep();
+    // Request-throughput axis: the KV mixes ride the default sweep so
+    // their modelled_requests_per_sec trajectory and pinned checksums
+    // are tracked in the committed baseline.
+    add_kv_sweep();
+  }
+
+  // Build and validate every cell's config before the first row runs: a
+  // schedule, --procs or --gc value that Validate() rejects is a usage
+  // error, not an abort part-way through the sweep.
+  std::vector<dsm::RuntimeConfig> configs;
+  for (const Cell& c : cells) {
+    try {
+      configs.push_back(CellConfig(c, gc_interval, race_check));
+      configs.back().Validate();
+    } catch (const std::invalid_argument& e) {
+      UsageError(e.what());
+    }
+  }
 
   std::vector<Row> rows;
   std::printf("%-8s %-10s %-4s %-4s %5s %10s %14s  %-16s %-6s %12s %14s\n",
               "app", "dataset", "cfg", "bknd", "procs", "wall(ms)",
               "modelled(ms)", "fingerprint", "stable", "peak_ivals",
               "peak_arch_KB");
-  auto run_and_print = [&](const BenchScenario& s, const ModePoint& mode,
-                           const BackendPoint& backend, int np,
-                           const FaultSpec& fault, int gc_lag = 0) {
-    Row row = RunCell(s, mode, backend, np, gc_interval, fault, gc_lag,
-                      race_check);
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    Row row = RunCell(cells[i], configs[i]);
     std::printf(
         "%-8s %-10s %-4s %-4s %5d %10.1f %14.3f  %016llx %-6s %12llu "
         "%14llu%s%s",
@@ -602,108 +674,6 @@ int main(int argc, char** argv) {
     }
     std::printf("\n");
     rows.push_back(std::move(row));
-  };
-  // Recovery-cost slice (DESIGN.md §9): a three-event schedule covering a
-  // proc-0 coordinator failover and — under HLRC, where every victim is
-  // also a home — two home crashes, swept across the GC lag (which sets
-  // how much log tail an LRC rebuild must replay above the checkpoint)
-  // on both backends.  Part of the full default sweep so the rows are
-  // tracked in BENCH_wallclock.json; --fault-sweep runs just this slice.
-  auto run_fault_sweep = [&]() {
-    const BenchScenario jacobi{"Jacobi", "1Kx1K", true};
-    FaultSpec sched;
-    sched.label = "barrier:0@4+release:2@6";
-    sched.schedule.events = {dsm::FaultPlan::AtBarrier(0, 4),
-                             dsm::FaultPlan::AfterRelease(2, 6)};
-    for (const BackendPoint& backend : kBackends) {
-      for (int lag : {1, 2, 4, 8}) {
-        run_and_print(jacobi, kModes[0], backend, 8, sched, lag);
-      }
-    }
-  };
-  // KV request slice (ROADMAP "serve real traffic"): the three bench
-  // mixes — each >= 1M modelled requests at the default 8 processors —
-  // on both protocol backends at the 4 K base unit, reporting modelled
-  // requests/sec.  Rows are unstable (lock-scheduled wall-clock and
-  // modelled time) but their checksums are pinned by the --baseline
-  // gate: the commuting-checksum result must never move.  Rides the full
-  // default sweep; --kv-sweep runs just this slice.
-  auto run_kv_sweep = [&]() {
-    const BenchScenario kKvMixes[] = {
-        {"KV", "read-mostly", false},
-        {"KV", "write-heavy", false},
-        {"KV", "hot", false},
-    };
-    for (const BackendPoint& backend : kBackends) {
-      for (const BenchScenario& s : kKvMixes) {
-        run_and_print(s, kModes[0], backend, 8, FaultSpec{});
-      }
-    }
-  };
-  if (fault_sweep_only || kv_sweep_only) {
-    if (fault_sweep_only) run_fault_sweep();
-    if (kv_sweep_only) run_kv_sweep();
-  } else {
-    for (const BackendPoint& backend : kBackends) {
-      if (!backend_filter.empty() && backend_filter != backend.label) {
-        continue;
-      }
-      for (const BenchScenario& s : kScenarios) {
-        if (!matches(app_filter, s.app)) continue;
-        for (const ModePoint& mode : kModes) {
-          if (!matches(mode_filter, mode.label)) continue;
-          for (int np : procs_list) {
-            run_and_print(s, mode, backend, np, fault_spec);
-          }
-        }
-      }
-    }
-  }
-  // A filtered (or non-default-GC, non-default-procs, explicitly faulted)
-  // run is a partial sweep: never let it silently clobber the tracked
-  // full-sweep baseline at the default path.
-  // --race=on is partial too: modelled numbers and fingerprints are
-  // bit-identical either way, but the host wall-clock pays for the shadow
-  // analysis and must not overwrite the tracked unchecked trajectory.
-  const bool partial = !app_filter.empty() || !mode_filter.empty() ||
-                       !backend_filter.empty() || !default_procs ||
-                       !fault_spec.label.empty() || fault_sweep_only ||
-                       kv_sweep_only || race_check ||
-                       gc_interval !=
-                           dsm::RuntimeConfig{}.gc_interval_barriers;
-  // Cluster-scaling trajectory (DESIGN.md §8): the full default sweep also
-  // times one bit-deterministic app with the processor count doubling past
-  // the paper's native 8, on both backends, so the sparse-clock and
-  // sharer-directory work is gated at scale from PR to PR.
-  if (!partial) {
-    const BenchScenario jacobi{"Jacobi", "1Kx1K", true};
-    for (const BackendPoint& backend : kBackends) {
-      for (int np : {16, 32, 64, 128}) {
-        run_and_print(jacobi, kModes[0], backend, np, FaultSpec{});
-      }
-    }
-    // Crash-recovery trajectory (DESIGN.md §9): one barrier app under a
-    // kill-at-barrier and a kill-mid-interval plan, on both backends.
-    // Barrier apps recover bit-deterministically, so these rows are
-    // stable: the fingerprint pins the post-recovery result AND the full
-    // recovery telemetry from PR to PR.
-    const FaultSpec kFaultSlice[] = {
-        {"barrier:1@4", dsm::FaultPlan::AtBarrier(1, 4)},
-        {"release:1@8", dsm::FaultPlan::AfterRelease(1, 8)},
-    };
-    for (const BackendPoint& backend : kBackends) {
-      for (const FaultSpec& fault : kFaultSlice) {
-        run_and_print(jacobi, kModes[0], backend, 8, fault);
-      }
-    }
-    // Recovery-cost axis: the multi-fault gc_lag sweep rides the full
-    // default sweep too, so its recovery_ms / recovery_bytes rows are
-    // tracked in the committed baseline.
-    run_fault_sweep();
-    // Request-throughput axis: the KV mixes ride the default sweep so
-    // their modelled_requests_per_sec trajectory and pinned checksums
-    // are tracked in the committed baseline.
-    run_kv_sweep();
   }
   // Read the baseline BEFORE writing results (--out may point at the
   // same file; CI reuses the committed baseline path for the artifact),

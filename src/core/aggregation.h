@@ -45,7 +45,6 @@ class DynamicAggregator {
   // Members of the group containing `unit` (including `unit`), or empty.
   std::span<const UnitId> GroupOf(UnitId unit) const;
 
-  int max_group_pages() const { return max_group_pages_; }
   std::size_t num_groups() const { return num_live_groups_; }
   std::size_t accesses_this_interval() const { return access_seq_.size(); }
 

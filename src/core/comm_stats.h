@@ -68,7 +68,7 @@ struct CommBreakdown {
   // would poison the false-sharing signature) and outside
   // delivered_data_bytes, whose invariant covers fault-path deliveries
   // only.  All zero — and skipped by ToString and the bench fingerprint —
-  // unless a FaultPlan actually fired.
+  // unless a fault schedule event actually fired.
   std::uint64_t recoveries = 0;             // crash-recovery episodes
   std::uint64_t recovery_messages = 0;      // requests + replies, all sources
   std::uint64_t recovery_data_bytes = 0;    // checkpoint/home/log payload

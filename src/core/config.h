@@ -6,6 +6,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "mem/types.h"
@@ -42,99 +43,62 @@ enum class BackendKind {
 // Deterministic fault injection (DESIGN.md §9).
 // ---------------------------------------------------------------------------
 
-enum class FaultKind : std::uint8_t {
-  kNone = 0,
-  // Kill the victim at its `barrier`-th global barrier (0-based), inside the
+enum class FaultPoint : std::uint8_t {
+  // Kill the victim at its `at`-th global barrier (0-based), inside the
   // barrier idle window — after its interval closed and its notices are
   // published, before the release.  Recovery rebuilds the victim to the
   // merged global clock of that barrier.
   kAtBarrier,
-  // Kill the victim mid-interval, immediately after its `release`-th
-  // interval close (1-based count over ALL CloseInterval calls — barrier
-  // and lock-release alike).  Recovery rebuilds the victim to the frozen
+  // Kill the victim mid-interval, immediately after its `at`-th interval
+  // close (1-based count over ALL CloseInterval calls — barrier and
+  // lock-release alike).  Recovery rebuilds the victim to the close-time
   // vector clock of that archived interval.
   kAfterRelease,
 };
 
-// One seeded, fully deterministic crash event.  An armed event
-// (kind != kNone) is one entry of a FaultSchedule; a default-constructed
-// event is inert and leaves every modelled number and fingerprint
-// bit-identical to a build without the subsystem.
-struct FaultPlan {
-  FaultKind kind = FaultKind::kNone;
-  // Victim processor id.  Negative → derived deterministically from `seed`
-  // at Runtime construction, uniform over ALL processors — proc 0
-  // included; a proc-0 crash migrates the coordinator roles (serial GC,
-  // HLRC watermark prune, barrier-manager cost asymmetry) to the lowest
-  // surviving rank for the crash barrier and back on rebuild.
-  int victim = -1;
-  // kAtBarrier: 0-based global barrier index at which the victim dies.
-  int barrier = 0;
-  // kAfterRelease: 1-based count of interval closes after which it dies.
-  int release = 1;
-  // Seed for derived choices (victim when victim < 0).  Two runs with the
-  // same plan — seed included — inject at the identical modelled point.
-  std::uint64_t seed = 0;
-
-  bool armed() const { return kind != FaultKind::kNone; }
-
-  static FaultPlan AtBarrier(int victim, int barrier,
-                             std::uint64_t seed = 0) {
-    FaultPlan p;
-    p.kind = FaultKind::kAtBarrier;
-    p.victim = victim;
-    p.barrier = barrier;
-    p.seed = seed;
-    return p;
-  }
-  static FaultPlan AfterRelease(int victim, int release,
-                                std::uint64_t seed = 0) {
-    FaultPlan p;
-    p.kind = FaultKind::kAfterRelease;
-    p.victim = victim;
-    p.release = release;
-    p.seed = seed;
-    return p;
-  }
-  // Fully seeded plan: kind, victim and trigger point all derived from
-  // `seed` (used by the fuzz-style determinism tests).
-  static FaultPlan FromSeed(std::uint64_t seed);
-
-  // "barrier:V@N" / "release:V@M" (bench_wallclock's --fault syntax;
-  // "V" is "?" while a seeded victim is still unresolved).
-  std::string Label() const;
-};
-
-// An ordered list of seeded crash events (DESIGN.md §9).  Events may name
-// different victims or the same victim more than once — a repeat victim
-// fires again only after its earlier recovery, which is automatic because
-// every trigger point is served on the victim's own thread in program
-// order.  No processor is excluded: the schedule may kill proc 0 (the
-// coordinator roles migrate for the crash barrier) or an HLRC home node
-// (the home's units are re-homed and surviving flushes retransmit).  Each
-// event's trigger point is an absolute victim-local count from the start
-// of the run, which is what keeps multi-fault runs bit-reproducible: no
-// event's firing depends on cross-thread timing, only on its own victim's
-// deterministic progress.  A default-constructed schedule is inert.
+// An ordered list of deterministic crash events (DESIGN.md §9).  Each
+// event names a concrete victim, and ANY processor may be one: proc 0
+// (its coordinator roles migrate to the lowest surviving rank for the
+// crash barrier and back on rebuild), an HLRC home (its units are
+// re-homed and surviving flushes retransmit), or a processor an earlier
+// event already killed (it fires again only after that recovery, which
+// is automatic because every trigger point is served on the victim's own
+// thread in program order).  Each trigger point is an absolute
+// victim-local count from the start of the run, which keeps multi-fault
+// runs bit-reproducible: no event's firing depends on cross-thread
+// timing.  A default-constructed schedule is inert and leaves every
+// modelled number and fingerprint bit-identical to a build without the
+// subsystem.
 struct FaultSchedule {
-  std::vector<FaultPlan> events;
-  // Seed for derived choices (per-event victims when victim < 0).
-  std::uint64_t seed = 0;
+  struct Event {
+    FaultPoint point = FaultPoint::kAtBarrier;
+    int victim = 0;
+    // kAtBarrier: 0-based global barrier index; kAfterRelease: 1-based
+    // count of interval closes.
+    int at = 0;
 
-  FaultSchedule() = default;
-  // Single-event schedule; keeps FaultPlan call sites source-compatible.
-  FaultSchedule(const FaultPlan& plan) {  // NOLINT(runtime/explicit)
-    if (plan.armed()) events.push_back(plan);
-    seed = plan.seed;
-  }
+    bool operator==(const Event&) const = default;
+  };
+  std::vector<Event> events;
 
   bool armed() const { return !events.empty(); }
 
-  // Fully seeded schedule: 1–3 events whose kinds, trigger points and
-  // victims (any processor, proc 0 included) all derive from `seed`.
-  static FaultSchedule FromSeed(std::uint64_t seed);
+  // Fully seeded schedule for `num_procs` (>= 2) processors: 1–3 events
+  // whose points and victims (any processor, proc 0 included) all derive
+  // from `seed`, then deterministic fix-ups that keep it well-formed: an
+  // event repeating an earlier one moves to a later `at` (a victim dies
+  // once per trigger point), and so does an at-barrier event whose
+  // barrier would kill every processor.  The same (seed, num_procs)
+  // always yields the same events.
+  static FaultSchedule FromSeed(std::uint64_t seed, int num_procs);
 
-  // "+"-joined event labels: "barrier:1@2+release:0@4".
+  // Inverse of Label(): "barrier:V@N" / "release:V@M" events, '+'-chained,
+  // or "seed:S" for FromSeed(S, num_procs).  Checks the grammar only —
+  // numbers are unsigned base-10 — and throws std::invalid_argument on
+  // anything else; RuntimeConfig::Validate() checks the ranges.
+  static FaultSchedule Parse(std::string_view spec, int num_procs);
+
+  // '+'-joined event labels, "barrier:1@2+release:0@4"; "none" if inert.
   std::string Label() const;
 };
 
@@ -169,15 +133,6 @@ struct RuntimeConfig {
   // reserves the flattening work for genuinely cold chains, whose length
   // stays bounded by interval × lag barriers either way.
   int gc_lag_barriers = 2;
-
-  // Home-based LRC only: homes are assigned to consistency units
-  // round-robin over processors in blocks of this many units (1 =
-  // unit-interleaved; larger blocks give each node contiguous home
-  // ranges, trading hot-home risk for fewer homes per multi-unit fetch).
-  int hlrc_home_block_units = 1;
-
-  // Number of DSM lock ids available to the application.
-  int num_locks = 4096;
 
   // On-line happens-before race detection (DESIGN.md §10): shadow every
   // shared word with FastTrack-style access epochs ordered by the same

@@ -1,10 +1,12 @@
 #include "core/fault.h"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cstring>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "analysis/race_detector.h"
@@ -14,7 +16,7 @@
 namespace dsm {
 namespace {
 
-// Deterministic mixer for seed-derived plan choices (SplitMix64).
+// Deterministic mixer for seed-derived schedule choices (SplitMix64).
 std::uint64_t Mix64(std::uint64_t x) {
   x += 0x9e3779b97f4a7c15ull;
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
@@ -24,6 +26,49 @@ std::uint64_t Mix64(std::uint64_t x) {
 
 [[noreturn]] void Invalid(const std::string& msg) {
   throw std::invalid_argument("RuntimeConfig: " + msg);
+}
+
+std::string EventLabel(const FaultSchedule::Event& e) {
+  return (e.point == FaultPoint::kAtBarrier ? "barrier:" : "release:") +
+         std::to_string(e.victim) + "@" + std::to_string(e.at);
+}
+
+// True when the at-barrier events of `events` kill all `num_procs`
+// processors at `barrier`, leaving no one to run the coordinator roles.
+bool KillsEveryone(const std::vector<FaultSchedule::Event>& events,
+                   int barrier, int num_procs) {
+  for (int v = 0; v < num_procs; ++v) {
+    const bool dies = std::any_of(
+        events.begin(), events.end(), [&](const FaultSchedule::Event& f) {
+          return f.point == FaultPoint::kAtBarrier && f.victim == v &&
+                 f.at == barrier;
+        });
+    if (!dies) return false;
+  }
+  return true;
+}
+
+// A whole token of base-10 digits (no sign, no blanks) that fits `T`.
+template <typename T>
+bool ParseNumber(std::string_view s, T* out) {
+  if (s.empty() || s[0] < '0' || s[0] > '9') return false;
+  const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), *out);
+  return ec == std::errc() && end == s.data() + s.size();
+}
+
+// One "barrier:V@N" / "release:V@M" token.
+bool ParseEvent(std::string_view tok, FaultSchedule::Event* e) {
+  if (tok.starts_with("barrier:")) {
+    e->point = FaultPoint::kAtBarrier;
+  } else if (tok.starts_with("release:")) {
+    e->point = FaultPoint::kAfterRelease;
+  } else {
+    return false;
+  }
+  const std::size_t at = tok.find('@');
+  return at != std::string_view::npos &&
+         ParseNumber(tok.substr(8, at - 8), &e->victim) &&
+         ParseNumber(tok.substr(at + 1), &e->at);
 }
 
 }  // namespace
@@ -78,13 +123,6 @@ void RuntimeConfig::Validate() const {
     Invalid("gc_lag_barriers = " + std::to_string(gc_lag_barriers) +
             " is absurd (limit 1024)");
   }
-  if (hlrc_home_block_units < 1) {
-    Invalid("hlrc_home_block_units must be >= 1 (got " +
-            std::to_string(hlrc_home_block_units) + ")");
-  }
-  if (num_locks < 1) {
-    Invalid("num_locks must be >= 1 (got " + std::to_string(num_locks) + ")");
-  }
   if (fault.armed()) {
     if (backend == BackendKind::kReference) {
       Invalid("fault injection requires a protocol backend; the reference "
@@ -99,57 +137,36 @@ void RuntimeConfig::Validate() const {
               " events; limit 64");
     }
     for (std::size_t i = 0; i < fault.events.size(); ++i) {
-      const FaultPlan& e = fault.events[i];
+      const FaultSchedule::Event& e = fault.events[i];
       const std::string slot = "fault.events[" + std::to_string(i) + "]";
-      if (!e.armed()) {
-        Invalid(slot + " is unarmed (kind == kNone); schedules hold only "
-                "armed events");
-      }
       // Any victim is legal, processor 0 included: the coordinator roles
       // fail over for the crash barrier (DESIGN.md §9).
-      if (e.victim >= num_procs) {
+      if (e.victim < 0 || e.victim >= num_procs) {
         Invalid(slot + ".victim = " + std::to_string(e.victim) +
                 " out of range for num_procs = " + std::to_string(num_procs));
       }
-      if (e.kind == FaultKind::kAtBarrier && e.barrier < 0) {
-        Invalid(slot + ".barrier must be >= 0 (got " +
-                std::to_string(e.barrier) + ")");
+      if (e.point == FaultPoint::kAtBarrier && e.at < 0) {
+        Invalid(slot + ".at must be >= 0 for a barrier event (got " +
+                std::to_string(e.at) + ")");
       }
-      if (e.kind == FaultKind::kAfterRelease && e.release < 1) {
-        Invalid(slot + ".release must be >= 1 (got " +
-                std::to_string(e.release) + ")");
+      if (e.point == FaultPoint::kAfterRelease && e.at < 1) {
+        Invalid(slot + ".at must be >= 1 for a release event (got " +
+                std::to_string(e.at) + ")");
       }
       for (std::size_t j = 0; j < i; ++j) {
-        const FaultPlan& f = fault.events[j];
-        if (e.victim < 0 || f.victim != e.victim || f.kind != e.kind) {
-          continue;  // seeded victims are de-duplicated at resolve time
-        }
-        const bool same_point = e.kind == FaultKind::kAtBarrier
-                                    ? f.barrier == e.barrier
-                                    : f.release == e.release;
-        if (same_point) {
+        if (fault.events[j] == e) {
           Invalid(slot + " duplicates event " + std::to_string(j) + " (" +
-                  e.Label() + "): a victim dies at most once per trigger "
-                  "point");
+                  EventLabel(e) + "): a victim dies at most once per "
+                  "trigger point");
         }
       }
     }
     // Every barrier phase needs a survivor to run the coordinator roles.
-    for (const FaultPlan& e : fault.events) {
-      if (e.kind != FaultKind::kAtBarrier || e.victim < 0) continue;
-      int dead = 0;
-      for (int v = 0; v < num_procs; ++v) {
-        for (const FaultPlan& f : fault.events) {
-          if (f.kind == FaultKind::kAtBarrier && f.victim == v &&
-              f.barrier == e.barrier) {
-            ++dead;
-            break;
-          }
-        }
-      }
-      if (dead == num_procs) {
+    for (const FaultSchedule::Event& e : fault.events) {
+      if (e.point == FaultPoint::kAtBarrier &&
+          KillsEveryone(fault.events, e.at, num_procs)) {
         Invalid("fault schedule kills every processor at barrier " +
-                std::to_string(e.barrier) +
+                std::to_string(e.at) +
                 "; at least one must survive to coordinate");
       }
     }
@@ -162,161 +179,124 @@ void RuntimeConfig::Validate() const {
 }
 
 // ---------------------------------------------------------------------------
-// Plan resolution
+// Schedule construction
 // ---------------------------------------------------------------------------
 
-FaultPlan FaultPlan::FromSeed(std::uint64_t seed) {
-  FaultPlan p;
-  const std::uint64_t r = Mix64(seed);
-  p.kind = (r & 1) != 0 ? FaultKind::kAtBarrier : FaultKind::kAfterRelease;
-  p.victim = -1;  // derived from the seed once num_procs is known
-  p.barrier = 1 + static_cast<int>((r >> 16) % 4);
-  p.release = 1 + static_cast<int>((r >> 24) % 8);
-  p.seed = seed;
-  return p;
-}
-
-std::string FaultPlan::Label() const {
-  if (!armed()) return "none";
-  const std::string v = victim < 0 ? "?" : std::to_string(victim);
-  return kind == FaultKind::kAtBarrier
-             ? "barrier:" + v + "@" + std::to_string(barrier)
-             : "release:" + v + "@" + std::to_string(release);
-}
-
-FaultSchedule FaultSchedule::FromSeed(std::uint64_t seed) {
+FaultSchedule FaultSchedule::FromSeed(std::uint64_t seed, int num_procs) {
+  if (num_procs < 2) {
+    throw std::invalid_argument(
+        "FaultSchedule::FromSeed: num_procs must be >= 2 (got " +
+        std::to_string(num_procs) + "); someone must survive the crash");
+  }
+  constexpr std::uint64_t kGolden = 0x9e3779b97f4a7c15ull;
   FaultSchedule s;
-  s.seed = seed;
   const int count = 1 + static_cast<int>(Mix64(seed) % 3);
   for (int i = 0; i < count; ++i) {
-    // Distinct sub-seed per event so kinds and points decorrelate.
-    s.events.push_back(FaultPlan::FromSeed(
-        Mix64(seed + 0x9e3779b97f4a7c15ull *
-                         static_cast<std::uint64_t>(i + 1))));
+    // Distinct sub-seed per event so points decorrelate; the victim adds
+    // an index salt so one seed yields independent victims.  Victims are
+    // uniform over ALL processors — proc 0's coordinator roles fail over.
+    const std::uint64_t sub =
+        Mix64(seed + kGolden * static_cast<std::uint64_t>(i + 1));
+    const std::uint64_t r = Mix64(sub);
+    Event e;
+    e.point = (r & 1) != 0 ? FaultPoint::kAtBarrier : FaultPoint::kAfterRelease;
+    e.at = e.point == FaultPoint::kAtBarrier
+               ? 1 + static_cast<int>((r >> 16) % 4)
+               : 1 + static_cast<int>((r >> 24) % 8);
+    e.victim = static_cast<int>(
+        Mix64(sub ^ (0xdeadbeefcafef00dull +
+                     kGolden * static_cast<std::uint64_t>(i))) %
+        static_cast<std::uint64_t>(num_procs));
+    s.events.push_back(e);
   }
-  return s;
+  // Well-formedness fix-ups, so every seeded schedule passes Validate():
+  // (1) an event repeating an earlier one moves to a later point; (2) a
+  // barrier that kills every processor moves the offending event on.
+  // Each bump only increases trigger points, so the loop reaches a fixed
+  // point quickly.
+  for (int pass = 0;; ++pass) {
+    DSM_CHECK_LT(pass, 1024) << "seeded fix-ups failed to stabilize";
+    bool changed = false;
+    for (std::size_t i = 0; i < s.events.size(); ++i) {
+      for (std::size_t j = 0; j < i; ++j) {
+        if (s.events[j] == s.events[i]) {
+          ++s.events[i].at;
+          changed = true;
+        }
+      }
+    }
+    for (Event& e : s.events) {
+      if (e.point == FaultPoint::kAtBarrier &&
+          KillsEveryone(s.events, e.at, num_procs)) {
+        ++e.at;
+        changed = true;
+      }
+    }
+    if (!changed) return s;
+  }
+}
+
+FaultSchedule FaultSchedule::Parse(std::string_view spec, int num_procs) {
+  std::uint64_t seed = 0;
+  if (spec.starts_with("seed:") && ParseNumber(spec.substr(5), &seed)) {
+    return FromSeed(seed, num_procs);
+  }
+  FaultSchedule s;
+  for (std::string_view rest = spec;;) {
+    const std::size_t plus = rest.find('+');
+    Event e;
+    if (!ParseEvent(rest.substr(0, plus), &e)) {
+      throw std::invalid_argument(
+          "invalid fault spec '" + std::string(spec) +
+          "' (want barrier:V@N or release:V@M, '+'-chained, or seed:S)");
+    }
+    s.events.push_back(e);
+    if (plus == std::string_view::npos) return s;
+    rest.remove_prefix(plus + 1);
+  }
 }
 
 std::string FaultSchedule::Label() const {
   if (events.empty()) return "none";
   std::string out;
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    if (i > 0) out += '+';
-    out += events[i].Label();
+  for (const Event& e : events) {
+    if (!out.empty()) out += '+';
+    out += EventLabel(e);
   }
   return out;
-}
-
-FaultPlan ResolveFaultPlan(FaultPlan plan, int num_procs) {
-  if (!plan.armed() || plan.victim >= 0) return plan;
-  DSM_CHECK_GE(num_procs, 2);
-  const std::uint64_t r = Mix64(plan.seed ^ 0xdeadbeefcafef00dull);
-  // Uniform over ALL processors — proc 0's coordinator roles fail over.
-  plan.victim = static_cast<int>(r % static_cast<std::uint64_t>(num_procs));
-  return plan;
-}
-
-FaultSchedule ResolveFaultSchedule(FaultSchedule schedule, int num_procs) {
-  if (!schedule.armed()) return schedule;
-  DSM_CHECK_GE(num_procs, 2);
-  for (std::size_t i = 0; i < schedule.events.size(); ++i) {
-    FaultPlan& e = schedule.events[i];
-    if (e.victim >= 0) continue;
-    // Event 0 reproduces the single-plan derivation exactly; later events
-    // add an index salt so one seed yields independent victims.
-    const std::uint64_t r = Mix64(
-        e.seed ^ (0xdeadbeefcafef00dull +
-                  0x9e3779b97f4a7c15ull * static_cast<std::uint64_t>(i)));
-    e.victim = static_cast<int>(r % static_cast<std::uint64_t>(num_procs));
-  }
-  // Deterministic well-formedness fix-ups, so every seeded schedule is
-  // runnable: (1) no two events share (victim, kind, point) — bump the
-  // later event's point; (2) no barrier phase kills every processor —
-  // bump the offending event's barrier.  Each bump only increases trigger
-  // points, so the loop reaches a fixed point quickly.
-  for (int pass = 0;; ++pass) {
-    DSM_CHECK_LT(pass, 1024) << "re-home fix-ups failed to stabilize";
-    bool changed = false;
-    for (std::size_t i = 0; i < schedule.events.size(); ++i) {
-      FaultPlan& e = schedule.events[i];
-      for (std::size_t j = 0; j < i; ++j) {
-        const FaultPlan& f = schedule.events[j];
-        if (f.victim != e.victim || f.kind != e.kind) continue;
-        if (e.kind == FaultKind::kAtBarrier && f.barrier == e.barrier) {
-          ++e.barrier;
-          changed = true;
-        } else if (e.kind == FaultKind::kAfterRelease &&
-                   f.release == e.release) {
-          ++e.release;
-          changed = true;
-        }
-      }
-    }
-    for (std::size_t i = 0; i < schedule.events.size(); ++i) {
-      FaultPlan& e = schedule.events[i];
-      if (e.kind != FaultKind::kAtBarrier) continue;
-      int dead = 0;
-      for (int v = 0; v < num_procs; ++v) {
-        for (const FaultPlan& f : schedule.events) {
-          if (f.kind == FaultKind::kAtBarrier && f.victim == v &&
-              f.barrier == e.barrier) {
-            ++dead;
-            break;
-          }
-        }
-      }
-      if (dead == num_procs) {
-        ++e.barrier;
-        changed = true;
-      }
-    }
-    if (!changed) break;
-  }
-  return schedule;
 }
 
 // ---------------------------------------------------------------------------
 // FaultInjector
 // ---------------------------------------------------------------------------
 
-FaultInjector::FaultInjector(const FaultSchedule& resolved)
-    : schedule_(resolved),
-      fired_(new std::atomic<std::uint8_t>[resolved.events.size()]) {
+FaultInjector::FaultInjector(const FaultSchedule& schedule)
+    : schedule_(schedule),
+      fired_(new std::atomic<std::uint8_t>[schedule.events.size()]) {
   DSM_CHECK(schedule_.armed());
   for (std::size_t i = 0; i < schedule_.events.size(); ++i) {
-    DSM_CHECK_GE(schedule_.events[i].victim, 0);
     fired_[i].store(0, std::memory_order_relaxed);
   }
 }
 
-int FaultInjector::MatchAtBarrier(ProcId proc,
-                                  std::uint32_t sync_phase) const {
+int FaultInjector::Match(ProcId proc, FaultPoint point,
+                         std::uint32_t count) const {
   for (std::size_t i = 0; i < schedule_.events.size(); ++i) {
-    const FaultPlan& e = schedule_.events[i];
-    if (e.kind != FaultKind::kAtBarrier || e.victim != proc) continue;
-    if (sync_phase != static_cast<std::uint32_t>(e.barrier)) continue;
-    if (fired_[i].load(std::memory_order_acquire) != 0) continue;
-    return static_cast<int>(i);
-  }
-  return -1;
-}
-
-int FaultInjector::MatchAfterClose(ProcId proc, Seq seq) const {
-  for (std::size_t i = 0; i < schedule_.events.size(); ++i) {
-    const FaultPlan& e = schedule_.events[i];
-    if (e.kind != FaultKind::kAfterRelease || e.victim != proc) continue;
-    if (seq != static_cast<Seq>(e.release)) continue;
-    if (fired_[i].load(std::memory_order_acquire) != 0) continue;
-    return static_cast<int>(i);
+    const FaultSchedule::Event& e = schedule_.events[i];
+    if (e.point == point && e.victim == proc &&
+        static_cast<std::uint32_t>(e.at) == count &&
+        fired_[i].load(std::memory_order_acquire) == 0) {
+      return static_cast<int>(i);
+    }
   }
   return -1;
 }
 
 bool FaultInjector::CrashesAtBarrier(ProcId proc,
                                      std::uint32_t sync_phase) const {
-  for (const FaultPlan& e : schedule_.events) {
-    if (e.kind == FaultKind::kAtBarrier && e.victim == proc &&
-        static_cast<std::uint32_t>(e.barrier) == sync_phase) {
+  for (const FaultSchedule::Event& e : schedule_.events) {
+    if (e.point == FaultPoint::kAtBarrier && e.victim == proc &&
+        static_cast<std::uint32_t>(e.at) == sync_phase) {
       return true;
     }
   }

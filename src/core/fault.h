@@ -1,9 +1,9 @@
 // Deterministic fault injection and crash recovery (DESIGN.md §9).
 //
-// A seeded FaultSchedule (core/config.h) is an ordered list of crash
-// events; each names one victim processor — ANY processor, proc 0
-// included — and one modelled crash point: the victim's n-th global
-// barrier, or immediately after its m-th interval close.  Trigger points
+// A FaultSchedule (core/config.h) is an ordered list of crash events;
+// each names one victim processor — ANY processor, proc 0 included — and
+// one modelled crash point: the victim's n-th global barrier, or
+// immediately after its m-th interval close.  Trigger points
 // are absolute victim-local counts, so every event fires at a
 // deterministic point on its victim's own thread regardless of host
 // scheduling; a repeat victim fires again only after its earlier
@@ -64,42 +64,25 @@ namespace dsm {
 class Node;
 struct SharedState;
 
-// Resolves one seeded event: a negative victim is derived from plan.seed,
-// uniform over ALL processors (proc 0 included — its coordinator roles
-// fail over).  Identity for plans with an explicit victim.
-FaultPlan ResolveFaultPlan(FaultPlan plan, int num_procs);
-
-// Resolves a whole schedule: per-event seeded victims first, then
-// deterministic fix-ups that keep the schedule well-formed — two events
-// with the same victim, kind and trigger point get strictly increasing
-// points (a victim can only die once per point), and a barrier phase that
-// would kill every processor at once bumps its later events forward until
-// a survivor exists to run the coordinator roles.
-FaultSchedule ResolveFaultSchedule(FaultSchedule schedule, int num_procs);
-
-// Owns one run's resolved FaultSchedule and fires each event exactly
-// once, in victim-local program order.  Trigger predicates are pure
-// functions of (schedule, caller, protocol point) plus the per-event
-// fired flags; an event's flag is only ever written by its own victim's
-// thread, and all cross-thread reads (a later event on another victim,
-// CollectStats after join) go through acquire/release atomics, so
-// re-arming after a recovery is race-free under TSan semantics.
+// Owns one run's FaultSchedule and fires each event exactly once, in
+// victim-local program order.  The trigger predicate is a pure function
+// of (schedule, caller, protocol point) plus the per-event fired flags;
+// an event's flag is only ever written by its own victim's thread, and
+// all cross-thread reads (a later event on another victim, CollectStats
+// after join) go through acquire/release atomics, so re-arming after a
+// recovery is race-free under TSan semantics.
 class FaultInjector {
  public:
-  // `resolved` must have every victim >= 0 (SharedState resolves seeded
-  // schedules before constructing the injector).
-  explicit FaultInjector(const FaultSchedule& resolved);
+  // `schedule` must have passed RuntimeConfig::Validate().
+  explicit FaultInjector(const FaultSchedule& schedule);
 
-  const FaultSchedule& schedule() const { return schedule_; }
-
-  // Trigger predicates, called on `proc`'s own thread: the index of the
-  // unfired event that fires at this point, or -1.  MatchAtBarrier is
-  // called by every node inside the barrier of phase `sync_phase` (after
-  // the idle-window GC, before notices are collected); MatchAfterClose by
-  // the closing node right after its interval record with sequence number
-  // `seq` was appended to its archive.
-  int MatchAtBarrier(ProcId proc, std::uint32_t sync_phase) const;
-  int MatchAfterClose(ProcId proc, Seq seq) const;
+  // Trigger predicate, called on `proc`'s own thread: the index of the
+  // unfired event that fires at this point, or -1.  Every node asks for
+  // kAtBarrier inside the barrier of phase `count` (after the idle-window
+  // GC, before notices are collected); the closing node asks for
+  // kAfterRelease right after its interval record with sequence number
+  // `count` was appended to its archive.
+  int Match(ProcId proc, FaultPoint point, std::uint32_t count) const;
 
   // Static schedule query (independent of fired state): does an
   // at-barrier event kill `proc` at `sync_phase`?  Drives
@@ -139,11 +122,11 @@ class FaultInjector {
 // CommBreakdown/clock and the injector's telemetry.
 class RecoveryCoordinator {
  public:
-  // Rebuild `victim` to the consistent cut `to` (dense or frozen): the
-  // merged global clock of the crash barrier for at-barrier events, the
-  // frozen close-time clock of the victim's last durable interval for
-  // after-release events.  `event_index` is the schedule slot returned by
-  // the matching trigger predicate.  Must run on the victim's own thread.
+  // Rebuild `victim` to the consistent cut `to`: the merged global clock
+  // of the crash barrier for at-barrier events, the close-time clock of
+  // the victim's last durable interval for after-release events.
+  // `event_index` is the schedule slot returned by the trigger predicate.
+  // Must run on the victim's own thread.
   static void Recover(Node& victim, const VectorClock& to, int event_index);
 };
 

@@ -52,13 +52,8 @@ SharedState::SharedState(const RuntimeConfig& cfg)
       heap(cfg.heap_bytes, cfg.unit_bytes()),
       net(cfg.net),
       barrier(std::make_unique<BarrierService>(cfg.num_procs)),
-      locks(std::make_unique<LockService>(cfg.num_locks, cfg.num_procs)) {
+      locks(std::make_unique<LockService>(kNumLocks, cfg.num_procs)) {
   if (config.fault.armed()) {
-    // Resolve the schedule (seed-derived victims, well-formedness
-    // fix-ups) once, store it back so introspection sees the concrete
-    // events, re-validate the concrete form, and arm the injector.
-    config.fault = ResolveFaultSchedule(config.fault, config.num_procs);
-    config.Validate();
     fault = std::make_unique<FaultInjector>(config.fault);
     checkpoint_vc = VectorClock(config.num_procs);
     if (config.backend == BackendKind::kHlrc) {
@@ -89,7 +84,7 @@ SharedState::SharedState(const RuntimeConfig& cfg)
   if (cfg.race_check) {
     race = std::make_unique<RaceDetector>(cfg.num_procs, heap.num_units(),
                                           heap.unit_bytes() / kWordBytes,
-                                          cfg.num_locks);
+                                          kNumLocks);
   }
   canonical =
       std::make_unique<CanonicalStore>(heap.num_units(), heap.unit_bytes());
@@ -118,7 +113,7 @@ ProcId SharedState::CoordinatorFor(std::uint32_t sync_phase) const {
   for (ProcId r = 0; r < config.num_procs; ++r) {
     if (!fault->CrashesAtBarrier(r, sync_phase)) return r;
   }
-  // Validate() and ResolveFaultSchedule guarantee a survivor per phase.
+  // Validate() guarantees a survivor per phase.
   DSM_CHECK(false) << "no surviving coordinator at barrier " << sync_phase;
   return 0;
 }
@@ -669,7 +664,8 @@ void Node::CloseInterval(bool lock_release) {
   table_.ClearDirtyList();
   const IntervalRecord* stored = shared_.archives[id_]->Append(std::move(rec));
   if (shared_.fault != nullptr) {
-    const int ev = shared_.fault->MatchAfterClose(id_, stored->seq);
+    const int ev = shared_.fault->Match(id_, FaultPoint::kAfterRelease,
+                                         stored->seq);
     if (ev >= 0) {
       // Crash point: the interval just reached the (stable) archive, all
       // twins are dropped, nothing is half-written.  Rebuild in place and
@@ -768,7 +764,8 @@ void Node::HlrcFlushInterval(bool lock_release) {
 
   const IntervalRecord* stored = shared_.archives[id_]->Append(std::move(rec));
   if (shared_.fault != nullptr) {
-    const int ev = shared_.fault->MatchAfterClose(id_, stored->seq);
+    const int ev = shared_.fault->Match(id_, FaultPoint::kAfterRelease,
+                                         stored->seq);
     if (ev >= 0) {
       // Same crash point as the LRC path: record archived, homes already
       // absorbed this interval's diffs, twins dropped.
@@ -1277,9 +1274,9 @@ void Node::GcFlatten(const VectorClock& through) {
   // consumed it already applied its words), but a recovery checkpoint must
   // hold EVERY dominated interval: the victim's rebuilt image is base +
   // surviving log, with nothing else to fall back on.  Under an armed
-  // fault plan, replace the base-routing refs wholesale with the full
+  // fault schedule, replace the base-routing refs wholesale with the full
   // dominated record set.  Host-side only (the chain builds above are
-  // untouched), and armed-plan-gated, so fault-free runs stay
+  // untouched), and armed-schedule-gated, so fault-free runs stay
   // bit-identical.  Each (unit, record) pair appears exactly once; the
   // apply pass orders each unit group in happens-before order itself.
   if (shared.fault != nullptr) {
@@ -1334,7 +1331,7 @@ void Node::GcApply() {
   }
   gc_refs_.clear();
 
-  // Armed fault plan: the bases ARE the recovery checkpoints.  Never
+  // Armed fault schedule: the bases ARE the recovery checkpoints.  Never
   // release one — a released base re-Ensures ZEROED, silently dropping
   // checkpoint content the victim's rebuild depends on (DESIGN.md §9).
   if (shared.fault != nullptr) return;
@@ -1541,7 +1538,8 @@ void Node::Barrier() {
   }
   if (gc_due) GcPruneOwn(gc_through);
   if (shared_.fault != nullptr) {
-    const int ev = shared_.fault->MatchAtBarrier(id_, sync_phase_);
+    const int ev = shared_.fault->Match(id_, FaultPoint::kAtBarrier,
+                                         sync_phase_);
     if (ev >= 0) {
       // Crash point "at barrier n": the victim dies as barrier n completes
       // (its interval is archived, any GC pass of this window — run by the

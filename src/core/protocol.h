@@ -53,7 +53,7 @@ class RaceDetector;         // analysis/race_detector.h
 
 // Everything shared between nodes; owned by Runtime.
 struct SharedState {
-  RuntimeConfig config;
+  const RuntimeConfig config;
   GlobalHeap heap;
   NetworkModel net;
   std::vector<std::unique_ptr<IntervalArchive>> archives;  // per proc
@@ -102,9 +102,7 @@ struct SharedState {
   std::vector<VirginHistory> virgin_history;
 
   // Deterministic fault injection (DESIGN.md §9): null unless
-  // config.fault is armed; the resolved plan (victim derived from the
-  // seed when negative) lives in the injector AND is written back into
-  // `config.fault` at construction.
+  // config.fault is armed.
   std::unique_ptr<FaultInjector> fault;
   // Happens-before race detection (DESIGN.md §10): null unless
   // config.race_check.  Observational only — nodes feed it access and
@@ -115,7 +113,7 @@ struct SharedState {
   // represented in the canonical bases.  Written by proc 0 inside the GC
   // window (before the closing rendezvous, which happens-before every
   // later read); recovery replays only archive records ABOVE it.
-  // Maintained only under an armed fault plan (dense, all-zero
+  // Maintained only under an armed fault schedule (dense, all-zero
   // otherwise), so no-fault runs take no new work.
   VectorClock checkpoint_vc;
   // HLRC home-crash re-homing (DESIGN.md §9): per-unit home override,
@@ -138,14 +136,10 @@ struct SharedState {
   // post-barrier EffectiveHome read via the closing rendezvous.
   void ApplyPendingRehomes();
 
-  // Home node of `unit` under kHlrc: round-robin over processors in
-  // blocks of config.hlrc_home_block_units units.  This is the static
-  // base map; EffectiveHome folds in crash-driven overrides.
+  // Home node of `unit` under kHlrc: round-robin over processors.  This
+  // is the static base map; EffectiveHome folds in crash-driven overrides.
   ProcId HomeOf(UnitId unit) const {
-    const auto block =
-        static_cast<UnitId>(std::max(1, config.hlrc_home_block_units));
-    return static_cast<ProcId>((unit / block) %
-                               static_cast<UnitId>(config.num_procs));
+    return static_cast<ProcId>(unit % static_cast<UnitId>(config.num_procs));
   }
 
   // HomeOf plus the per-unit crash override table.
@@ -157,15 +151,13 @@ struct SharedState {
     return HomeOf(unit);
   }
 
-  // New home for `unit` after home `dead` crashed: the HomeOf block map
+  // New home for `unit` after home `dead` crashed: the HomeOf round-robin
   // re-run over the surviving ranks (the dead rank excised, ranks above
   // shifted down) — deterministic, communication-free, and as balanced as
   // the primary map.
   ProcId RehomeTarget(UnitId unit, ProcId dead) const {
-    const auto block =
-        static_cast<UnitId>(std::max(1, config.hlrc_home_block_units));
     const ProcId h = static_cast<ProcId>(
-        (unit / block) % static_cast<UnitId>(config.num_procs - 1));
+        unit % static_cast<UnitId>(config.num_procs - 1));
     return h >= dead ? h + 1 : h;
   }
 

@@ -89,6 +89,9 @@ class BarrierService {
   Result current_;
 };
 
+// Number of DSM lock ids available to the application.
+inline constexpr int kNumLocks = 4096;
+
 // FIFO-queued DSM locks with last-owner caching: re-acquiring a lock that
 // no other processor touched since the caller's last release is a local
 // operation (TreadMarks keeps lock tokens at the last owner).

@@ -5,95 +5,33 @@
 
 namespace dsm {
 
-void VectorClock::Freeze() {
-  if (!runs_.empty() || entries_.empty()) return;
-  // Dense fallback: at the paper's native cluster size the run-length
-  // form saves no memory (the run vector's overhead eats the win) and
-  // taxes the fault path's per-component reads, so small clocks stay
-  // dense.  EncodedBytes() is representation-independent, so the sparse
-  // wire accounting is unaffected by this policy.
-  if (entries_.size() <= kKeepDenseProcs) return;
-  size_ = static_cast<int>(entries_.size());
-  runs_.push_back({0, entries_[0]});
-  for (int i = 1; i < size_; ++i) {
-    if (entries_[i] != runs_.back().value) {
-      runs_.push_back({static_cast<std::uint32_t>(i), entries_[i]});
-    }
-  }
-  runs_.shrink_to_fit();
-  std::vector<Seq>().swap(entries_);
-}
-
-Seq VectorClock::AtFrozen(ProcId p) const {
-  DSM_DCHECK(p >= 0 && p < size_);
-  const auto idx = static_cast<std::uint32_t>(p);
-  std::size_t i = 1;
-  while (i < runs_.size() && runs_[i].start <= idx) ++i;
-  return runs_[i - 1].value;
-}
-
 void VectorClock::Merge(const VectorClock& other) {
-  DSM_CHECK(runs_.empty());
   DSM_CHECK_EQ(size(), other.size());
-  if (other.runs_.empty()) {
-    for (int i = 0; i < size(); ++i) {
-      entries_[i] = std::max(entries_[i], other.entries_[i]);
-    }
-    return;
-  }
-  for (std::size_t r = 0; r < other.runs_.size(); ++r) {
-    const std::uint32_t end = r + 1 < other.runs_.size()
-                                  ? other.runs_[r + 1].start
-                                  : static_cast<std::uint32_t>(other.size_);
-    const Seq v = other.runs_[r].value;
-    for (std::uint32_t i = other.runs_[r].start; i < end; ++i) {
-      entries_[i] = std::max(entries_[i], v);
-    }
+  for (int i = 0; i < size(); ++i) {
+    entries_[i] = std::max(entries_[i], other.entries_[i]);
   }
 }
 
 bool VectorClock::DominatedBy(const VectorClock& other) const {
   DSM_CHECK_EQ(size(), other.size());
   for (int i = 0; i < size(); ++i) {
-    if ((*this)[i] > other[i]) return false;
+    if (entries_[i] > other.entries_[i]) return false;
   }
   return true;
 }
 
 std::uint64_t VectorClock::Sum() const {
   std::uint64_t sum = 0;
-  if (runs_.empty()) {
-    for (const Seq v : entries_) sum += v;
-    return sum;
-  }
-  for (std::size_t r = 0; r < runs_.size(); ++r) {
-    const std::uint32_t end = r + 1 < runs_.size()
-                                  ? runs_[r + 1].start
-                                  : static_cast<std::uint32_t>(size_);
-    sum += static_cast<std::uint64_t>(end - runs_[r].start) * runs_[r].value;
-  }
+  for (const Seq v : entries_) sum += v;
   return sum;
 }
 
 std::size_t VectorClock::EncodedBytes() const {
-  std::size_t num_runs;
-  if (!runs_.empty()) {
-    num_runs = runs_.size();
-  } else {
-    num_runs = entries_.empty() ? 0 : 1;
-    for (std::size_t i = 1; i < entries_.size(); ++i) {
-      if (entries_[i] != entries_[i - 1]) ++num_runs;
-    }
+  std::size_t num_runs = entries_.empty() ? 0 : 1;
+  for (std::size_t i = 1; i < entries_.size(); ++i) {
+    if (entries_[i] != entries_[i - 1]) ++num_runs;
   }
   return std::min(4 + 8 * num_runs, DenseEncodedBytes(size()));
-}
-
-bool VectorClock::operator==(const VectorClock& other) const {
-  if (size() != other.size()) return false;
-  for (int i = 0; i < size(); ++i) {
-    if ((*this)[i] != other[i]) return false;
-  }
-  return true;
 }
 
 std::string VectorClock::ToString() const {

@@ -6,11 +6,6 @@
 
 namespace dsm {
 
-const Diff* IntervalRecord::DiffFor(UnitId unit) const {
-  const int i = IndexOf(unit);
-  return i < 0 ? nullptr : &diffs[static_cast<std::size_t>(i)];
-}
-
 int IntervalRecord::IndexOf(UnitId unit) const {
   for (std::size_t i = 0; i < units.size(); ++i) {
     if (units[i] == unit) return static_cast<int>(i);
@@ -50,9 +45,6 @@ const IntervalRecord* IntervalArchive::Append(IntervalRecord record) {
   DSM_CHECK(records_.empty() || records_.back()->seq < record.seq)
       << "archive appends must be in increasing seq order";
   DSM_CHECK_EQ(record.units.size(), record.diffs.size());
-  // Archived records are immutable and shared; compact the close-time
-  // clock to its run-length form (DESIGN.md §8).
-  record.vc.Freeze();
   record.diffed.reset(
       new std::atomic<std::uint64_t>[record.units.size()]());
   if (telemetry_ != nullptr) telemetry_->OnAppend(record.RetainedBytes());
@@ -136,15 +128,6 @@ std::size_t IntervalArchive::CountThrough(Seq through) const {
 std::size_t IntervalArchive::size() const {
   std::lock_guard lock(mutex_);
   return records_.size();
-}
-
-std::size_t IntervalArchive::TotalDiffBytes() const {
-  std::lock_guard lock(mutex_);
-  std::size_t total = 0;
-  for (const auto& r : records_) {
-    for (const auto& d : r->diffs) total += d.EncodedBytes();
-  }
-  return total;
 }
 
 }  // namespace dsm

@@ -70,8 +70,6 @@ struct IntervalRecord {
   // record's payload was flattened away in the meantime.
   std::shared_ptr<std::atomic<std::uint64_t>[]> diffed;
 
-  // Returns nullptr when this interval did not modify `unit`.
-  const Diff* DiffFor(UnitId unit) const;
   // Index of `unit` within units/diffs, or -1.
   int IndexOf(UnitId unit) const;
   // True iff a requester under phase key `key` pays the scan cost for
@@ -98,12 +96,6 @@ struct IntervalRecord {
   // Bytes retained by this record: notice metadata plus the wire size of
   // every diff (runs + payload).  The unit of archive-memory telemetry.
   std::size_t RetainedBytes() const;
-
-  // True iff this interval happened-before `other` (LRC partial order):
-  // other's close-time clock covers this interval.
-  bool HappenedBefore(const IntervalRecord& other) const {
-    return other.vc.Covers(proc, seq);
-  }
 };
 
 // Sort key that puts intervals in happens-before order: the fault path's
@@ -349,7 +341,6 @@ class IntervalArchive {
   void set_telemetry(ArchiveTelemetry* t) { telemetry_ = t; }
 
   std::size_t size() const;
-  std::size_t TotalDiffBytes() const;
 
  private:
   mutable std::mutex mutex_;

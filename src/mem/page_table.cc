@@ -7,20 +7,6 @@
 
 namespace dsm {
 
-const char* UnitStateName(UnitState s) {
-  switch (s) {
-    case UnitState::kReadValid:
-      return "read_valid";
-    case UnitState::kDirty:
-      return "dirty";
-    case UnitState::kInvalid:
-      return "invalid";
-    case UnitState::kUpdatedInvalid:
-      return "updated_invalid";
-  }
-  return "unknown";
-}
-
 CanonicalStore::CanonicalStore(std::size_t num_units, std::size_t unit_bytes)
     : unit_bytes_(unit_bytes), bases_(num_units) {}
 
@@ -31,7 +17,6 @@ std::span<std::byte> CanonicalStore::Ensure(UnitId unit) {
       bases_[unit] = std::move(free_bases_.back());
       free_bases_.pop_back();
       std::memset(bases_[unit].get(), 0, unit_bytes_);
-      ++recycles_;
     } else {
       bases_[unit].reset(new std::byte[unit_bytes_]());
     }

@@ -35,8 +35,6 @@ enum class UnitState : std::uint8_t {
   kUpdatedInvalid,
 };
 
-const char* UnitStateName(UnitState s);
-
 // Canonical base images for archive GC (DESIGN.md §6): one full-unit
 // snapshot per consistency unit that holds the contents implied by every
 // reclaimed interval, applied in happens-before order on top of the
@@ -88,11 +86,9 @@ class CanonicalStore {
   void Release(UnitId unit);
 
   std::size_t unit_bytes() const { return unit_bytes_; }
-  // Bytes currently held by live bases / the high-water mark over the run
-  // (pooled free buffers are not counted: they are capacity, not content).
-  std::size_t live_bytes() const { return live_count_ * unit_bytes_; }
+  // High-water mark of the bytes held by live bases over the run (pooled
+  // free buffers are not counted: they are capacity, not content).
   std::size_t peak_bytes() const { return peak_count_ * unit_bytes_; }
-  std::uint64_t base_recycles() const { return recycles_; }
 
  private:
   std::size_t unit_bytes_;
@@ -103,7 +99,6 @@ class CanonicalStore {
   std::vector<std::unique_ptr<std::byte[]>> free_bases_;
   std::size_t live_count_ = 0;
   std::size_t peak_count_ = 0;
-  std::uint64_t recycles_ = 0;
 };
 
 class PageTable {

@@ -319,31 +319,6 @@ TEST(SparseClockTelemetry, NoticeBytesTrackFrontiersNotClusterSize) {
   EXPECT_LT(sparse64, 2.0 * sparse8);
 }
 
-// --- HLRC home-assignment knob ----------------------------------------------
-
-TEST(HlrcHomeAssignment, BlockSizeNeverChangesResults) {
-  // hlrc_home_block_units moves data between homes (different message
-  // targets and combining) but must never change what a program computes.
-  const ConformanceScenario jacobi = ConformanceScenarios().front();
-  ASSERT_EQ(jacobi.app, "Jacobi");
-  double first = 0.0;
-  for (int block : {1, 2, 8}) {
-    RuntimeConfig cfg;
-    cfg.num_procs = jacobi.num_procs;
-    cfg.backend = BackendKind::kHlrc;
-    cfg.hlrc_home_block_units = block;
-    auto app = MakeApp(jacobi.app, jacobi.dataset);
-    const AppRun run = Execute(*app, cfg);
-    if (block == 1) {
-      first = run.result;
-      ExpectMatchesGolden(jacobi, run.result, "HLRC block=1");
-    } else {
-      EXPECT_EQ(run.result, first) << "block=" << block;
-    }
-    EXPECT_GT(run.stats.comm.home_flushes, 0u) << "block=" << block;
-  }
-}
-
 // --- Range access is the element loop (DESIGN.md §2) -------------------------
 
 // Four procs false-share a six-unit int array.  Each epoch every proc

@@ -171,13 +171,11 @@ TEST(RacyKvDetector, ReportsAreRunToRunDeterministic) {
 // request traffic.
 std::vector<FaultSchedule> KvSchedules(BackendKind backend) {
   std::vector<FaultSchedule> out;
-  FaultSchedule multi;
-  multi.events = {FaultPlan::AtBarrier(1, 2),
-                  FaultPlan::AfterRelease(3, 500)};
-  out.push_back(multi);
-  out.push_back(FaultSchedule(FaultPlan::AtBarrier(0, 3)));
+  out.push_back({.events = {{FaultPoint::kAtBarrier, 1, 2},
+                            {FaultPoint::kAfterRelease, 3, 500}}});
+  out.push_back({.events = {{FaultPoint::kAtBarrier, 0, 3}}});
   if (backend == BackendKind::kHlrc) {
-    out.push_back(FaultSchedule(FaultPlan::AtBarrier(2, 4)));
+    out.push_back({.events = {{FaultPoint::kAtBarrier, 2, 4}}});
   }
   return out;
 }
@@ -218,7 +216,7 @@ TEST(KvFaultRecovery, SameScheduleTwiceSameChecksum) {
   // under the identical armed schedule.
   for (BackendKind backend : {BackendKind::kLrc, BackendKind::kHlrc}) {
     RuntimeConfig cfg = CellConfig(backend, kAggs[0], 4);
-    cfg.fault = FaultSchedule::FromSeed(0x6b760d5eedull);
+    cfg.fault = FaultSchedule::FromSeed(0x6b760d5eedull, cfg.num_procs);
     double first = 0.0;
     for (int round = 0; round < 2; ++round) {
       KvStore app(KvDataset("tiny"));

@@ -362,69 +362,95 @@ TEST(ConfigValidation, RejectsBadServiceKnobs) {
   cfg = Config(2);
   cfg.gc_interval_barriers = -1;
   ExpectRejected(cfg, "gc_interval_barriers");
-
-  cfg = Config(2);
-  cfg.hlrc_home_block_units = 0;
-  ExpectRejected(cfg, "hlrc_home_block_units");
-
-  cfg = Config(2);
-  cfg.num_locks = 0;
-  ExpectRejected(cfg, "num_locks");
 }
 
-TEST(ConfigValidation, RejectsMalformedFaultPlans) {
+TEST(ConfigValidation, RejectsMalformedFaultEvents) {
   // Victim 0 is legal: its barrier-manager / serial-GC / watermark roles
   // fail over to the lowest surviving rank for the crash barrier
   // (DESIGN.md §9).
   RuntimeConfig cfg = Config(4);
-  cfg.fault = FaultPlan::AtBarrier(0, 1);
+  cfg.fault.events = {{FaultPoint::kAtBarrier, 0, 1}};
   EXPECT_NO_THROW(Runtime rt(cfg));
 
   cfg = Config(4);
-  cfg.fault = FaultPlan::AtBarrier(4, 1);  // out of range
+  cfg.fault.events = {{FaultPoint::kAtBarrier, 4, 1}};  // out of range
+  ExpectRejected(cfg, "victim");
+
+  // Victims are always concrete: a negative one is out of range too.
+  cfg = Config(4);
+  cfg.fault.events = {{FaultPoint::kAtBarrier, -1, 1}};
   ExpectRejected(cfg, "victim");
 
   cfg = Config(4);
-  cfg.fault = FaultPlan::AtBarrier(1, -1);
+  cfg.fault.events = {{FaultPoint::kAtBarrier, 1, -1}};
   ExpectRejected(cfg, "barrier");
 
   cfg = Config(4);
-  cfg.fault = FaultPlan::AfterRelease(1, 0);
+  cfg.fault.events = {{FaultPoint::kAfterRelease, 1, 0}};
   ExpectRejected(cfg, "release");
 
   // The reference oracle has no protocol state to crash and rebuild.
   cfg = Config(4);
   cfg.backend = BackendKind::kReference;
-  cfg.fault = FaultPlan::AtBarrier(1, 1);
+  cfg.fault.events = {{FaultPoint::kAtBarrier, 1, 1}};
   ExpectRejected(cfg, "reference");
 
   // LRC recovery needs the archive GC's canonical-base checkpoints.
   cfg = Config(4);
   cfg.gc_interval_barriers = 0;
-  cfg.fault = FaultPlan::AtBarrier(1, 1);
+  cfg.fault.events = {{FaultPoint::kAtBarrier, 1, 1}};
   ExpectRejected(cfg, "no checkpoint available");
 
-  // A well-formed plan on a protocol backend is accepted.
+  // A well-formed event on a protocol backend is accepted.
   cfg = Config(4);
-  cfg.fault = FaultPlan::AfterRelease(1, 2);
+  cfg.fault.events = {{FaultPoint::kAfterRelease, 1, 2}};
   EXPECT_NO_THROW(Runtime rt(cfg));
 }
 
 TEST(ConfigValidation, RejectsMalformedFaultSchedules) {
   // A victim dies at most once per trigger point.
   RuntimeConfig cfg = Config(4);
-  cfg.fault.events = {FaultPlan::AtBarrier(1, 2), FaultPlan::AtBarrier(1, 2)};
+  cfg.fault.events = {{FaultPoint::kAtBarrier, 1, 2},
+                      {FaultPoint::kAtBarrier, 1, 2}};
   ExpectRejected(cfg, "at most once");
 
   // A barrier phase must leave a survivor to run the coordinator roles.
   cfg = Config(2);
-  cfg.fault.events = {FaultPlan::AtBarrier(0, 1), FaultPlan::AtBarrier(1, 1)};
+  cfg.fault.events = {{FaultPoint::kAtBarrier, 0, 1},
+                      {FaultPoint::kAtBarrier, 1, 1}};
   ExpectRejected(cfg, "survive");
 
   // The same victim may die twice at distinct points — proc 0 included.
   cfg = Config(4);
-  cfg.fault.events = {FaultPlan::AtBarrier(0, 1), FaultPlan::AtBarrier(0, 3)};
+  cfg.fault.events = {{FaultPoint::kAtBarrier, 0, 1},
+                      {FaultPoint::kAtBarrier, 0, 3}};
   EXPECT_NO_THROW(Runtime rt(cfg));
+}
+
+// FaultSchedule::Parse checks the spec grammar and nothing else.
+TEST(FaultSpecParse, RejectsMalformedSpecs) {
+  for (const char* spec :
+       {"", "barrier", "barrier:1", "barrier:@2", "barrier:1@", "barrier:1@2+",
+        "+barrier:1@2", "crash:1@2", "barrier:x@2", "barrier:-1@2", "seed:",
+        "seed:12x"}) {
+    EXPECT_THROW(FaultSchedule::Parse(spec, 4), std::invalid_argument)
+        << "spec '" << spec << "'";
+  }
+}
+
+TEST(FaultSpecParse, LeavesRangeChecksToValidate) {
+  // Well-formed specs with out-of-range numbers parse; Validate() rejects.
+  RuntimeConfig cfg = Config(4);
+  cfg.fault = FaultSchedule::Parse("barrier:9@1", 4);
+  ASSERT_EQ(cfg.fault.events.size(), 1u);
+  EXPECT_EQ(cfg.fault.events[0].victim, 9);
+  ExpectRejected(cfg, "victim");
+
+  cfg.fault = FaultSchedule::Parse("release:1@0", 4);
+  ExpectRejected(cfg, "release");
+
+  cfg.fault = FaultSchedule::Parse("barrier:1@2+barrier:1@2", 4);
+  ExpectRejected(cfg, "at most once");
 }
 
 }  // namespace

@@ -114,7 +114,7 @@ TEST(RacyFuzz, StillExactUnderAnArmedCrashSchedule) {
   // sweep republishes the victim's lock clocks (no locks here, but the
   // barrier-crash path exercises the clock hand-off through recovery).
   RuntimeConfig cfg = CellConfig(BackendKind::kHlrc, kAggs[0], 4);
-  cfg.fault = FaultPlan::AtBarrier(/*victim=*/1, /*barrier=*/4);
+  cfg.fault.events = {{FaultPoint::kAtBarrier, /*victim=*/1, /*at=*/4}};
   RacyFuzz app(FuzzDataset("tiny"));
   const AppRun run = Execute(app, cfg);
   ASSERT_TRUE(run.stats.races.checked);
@@ -167,16 +167,16 @@ TEST(RaceFreeSuite, ZeroReportsUnderCrashSchedules) {
     const char* app;
     const char* dataset;
     BackendKind backend;
-    FaultPlan plan;
+    FaultSchedule::Event event;
   };
   const Case cases[] = {
-      {"Jacobi", "tiny", BackendKind::kLrc, FaultPlan::AtBarrier(1, 2)},
-      {"Fuzz", "tiny", BackendKind::kLrc, FaultPlan::AfterRelease(2, 5)},
-      {"Fuzz", "tiny", BackendKind::kHlrc, FaultPlan::AfterRelease(2, 5)},
+      {"Jacobi", "tiny", BackendKind::kLrc, {FaultPoint::kAtBarrier, 1, 2}},
+      {"Fuzz", "tiny", BackendKind::kLrc, {FaultPoint::kAfterRelease, 2, 5}},
+      {"Fuzz", "tiny", BackendKind::kHlrc, {FaultPoint::kAfterRelease, 2, 5}},
   };
   for (const Case& c : cases) {
     RuntimeConfig cfg = CellConfig(c.backend, kAggs[0], 4);
-    cfg.fault = c.plan;
+    cfg.fault.events = {c.event};
     if (c.backend == BackendKind::kLrc) cfg.gc_interval_barriers = 2;
     const std::string where = std::string(c.app) + " @ " +
                               cfg.BackendLabel() + " fault " +

@@ -1,6 +1,6 @@
 // Deterministic fault injection + crash recovery (DESIGN.md §9).
 //
-// A seeded FaultSchedule kills an ordered list of victims — ANY
+// A FaultSchedule kills an ordered list of victims — ANY
 // processor, proc 0 and repeat victims included — each at a modelled
 // point: the victim's n-th barrier or right after its m-th interval
 // close.  The RecoveryCoordinator rebuilds each victim's volatile state
@@ -13,8 +13,10 @@
 //   * post-recovery results bit-identical to the failure-free run for
 //     every conformance cell (tolerance only for lock-scheduled apps),
 //     proc-0 and home-crash schedules included,
-//   * the same schedule (seed included) twice → bit-identical everything,
-//     recovery telemetry included — swept over ≥32 random schedules,
+//   * the same schedule twice → bit-identical everything, recovery
+//     telemetry included — swept over ≥32 seeded schedules,
+//   * FaultSchedule::FromSeed pins the seeded crash points, and Parse
+//     inverts Label,
 //   * LRC with the archive GC disabled fails fast with a clear
 //     "no checkpoint available" error instead of hanging; HLRC with the
 //     GC disabled accepts the same schedule (homes, not checkpoints, are
@@ -47,6 +49,10 @@ const AggPoint kAggs[] = {
     {"Dyn", AggregationMode::kDynamic, 1},
 };
 
+using Events = std::vector<FaultSchedule::Event>;
+constexpr FaultPoint kBarrier = FaultPoint::kAtBarrier;
+constexpr FaultPoint kRelease = FaultPoint::kAfterRelease;
+
 // --- targeted rebuild checks -------------------------------------------------
 //
 // A small deterministic epoch program with a known final value per word:
@@ -61,13 +67,13 @@ struct EpochOutcome {
   RunStats stats;
 };
 
-EpochOutcome RunEpochs(BackendKind backend, const FaultSchedule& plan,
+EpochOutcome RunEpochs(BackendKind backend, const Events& events,
                        int gc_interval = -1) {
   RuntimeConfig cfg;
   cfg.num_procs = 4;
   cfg.heap_bytes = 1u << 20;
   cfg.backend = backend;
-  cfg.fault = plan;
+  cfg.fault.events = events;
   if (gc_interval >= 0) cfg.gc_interval_barriers = gc_interval;
   constexpr int kEpochs = 8;
   constexpr std::size_t kWords = 16;
@@ -129,9 +135,8 @@ void ExpectEpochValues(const EpochOutcome& out, const std::string& where) {
 TEST(RecoveryRebuild, LrcAtBarrierMatchesFailureFree) {
   // Barrier 3: the first GC pass (interval 1, lag 2) has completed, so the
   // rebuild exercises checkpoint bases + log tail, not just log replay.
-  const EpochOutcome fault =
-      RunEpochs(BackendKind::kLrc, FaultPlan::AtBarrier(1, 3));
-  const EpochOutcome clean = RunEpochs(BackendKind::kLrc, FaultPlan{});
+  const EpochOutcome fault = RunEpochs(BackendKind::kLrc, {{kBarrier, 1, 3}});
+  const EpochOutcome clean = RunEpochs(BackendKind::kLrc, {});
   ExpectEpochValues(fault, "lrc at-barrier");
   EXPECT_EQ(fault.victim_saw, clean.victim_saw);
   EXPECT_EQ(fault.peer_saw, clean.peer_saw);
@@ -145,17 +150,15 @@ TEST(RecoveryRebuild, LrcAtBarrierMatchesFailureFree) {
 TEST(RecoveryRebuild, LrcEarlyBarrierRebuildsFromPureLogReplay) {
   // Barrier 1: no GC pass has run yet — no canonical bases, the rebuild
   // is pure archive replay from the zero heap.
-  const EpochOutcome fault =
-      RunEpochs(BackendKind::kLrc, FaultPlan::AtBarrier(1, 1));
+  const EpochOutcome fault = RunEpochs(BackendKind::kLrc, {{kBarrier, 1, 1}});
   ExpectEpochValues(fault, "lrc early barrier");
   EXPECT_EQ(fault.stats.comm.recoveries, 1u);
   EXPECT_GT(fault.stats.comm.recovery_records, 0u);
 }
 
 TEST(RecoveryRebuild, LrcAfterReleaseRebuildsMidInterval) {
-  const EpochOutcome fault =
-      RunEpochs(BackendKind::kLrc, FaultPlan::AfterRelease(1, 2));
-  const EpochOutcome clean = RunEpochs(BackendKind::kLrc, FaultPlan{});
+  const EpochOutcome fault = RunEpochs(BackendKind::kLrc, {{kRelease, 1, 2}});
+  const EpochOutcome clean = RunEpochs(BackendKind::kLrc, {});
   ExpectEpochValues(fault, "lrc after-release");
   EXPECT_EQ(fault.victim_saw, clean.victim_saw);
   EXPECT_EQ(fault.peer_saw, clean.peer_saw);
@@ -164,8 +167,8 @@ TEST(RecoveryRebuild, LrcAfterReleaseRebuildsMidInterval) {
 
 TEST(RecoveryRebuild, HlrcAtBarrierRebuildsFromHomes) {
   const EpochOutcome fault =
-      RunEpochs(BackendKind::kHlrc, FaultPlan::AtBarrier(1, 3));
-  const EpochOutcome clean = RunEpochs(BackendKind::kHlrc, FaultPlan{});
+      RunEpochs(BackendKind::kHlrc, {{kBarrier, 1, 3}});
+  const EpochOutcome clean = RunEpochs(BackendKind::kHlrc, {});
   ExpectEpochValues(fault, "hlrc at-barrier");
   EXPECT_EQ(fault.victim_saw, clean.victim_saw);
   EXPECT_EQ(fault.peer_saw, clean.peer_saw);
@@ -177,7 +180,7 @@ TEST(RecoveryRebuild, HlrcAtBarrierRebuildsFromHomes) {
 
 TEST(RecoveryRebuild, HlrcAfterReleaseRebuildsFromHomes) {
   const EpochOutcome fault =
-      RunEpochs(BackendKind::kHlrc, FaultPlan::AfterRelease(1, 2));
+      RunEpochs(BackendKind::kHlrc, {{kRelease, 1, 2}});
   ExpectEpochValues(fault, "hlrc after-release");
   EXPECT_EQ(fault.stats.comm.recoveries, 1u);
 }
@@ -192,9 +195,9 @@ class RecoveryConformanceTest
 
 TEST_P(RecoveryConformanceTest, PostRecoveryChecksumMatchesFailureFree) {
   const ConformanceScenario& s = GetParam();
-  const FaultPlan kPlans[] = {
-      FaultPlan::AtBarrier(1, 1),
-      FaultPlan::AfterRelease(1, 2),
+  const FaultSchedule::Event kEvents[] = {
+      {kBarrier, 1, 1},
+      {kRelease, 1, 2},
   };
   for (const AggPoint& agg : kAggs) {
     for (BackendKind backend : {BackendKind::kLrc, BackendKind::kHlrc}) {
@@ -211,18 +214,17 @@ TEST_P(RecoveryConformanceTest, PostRecoveryChecksumMatchesFailureFree) {
       const AppRun baseline = Execute(*base_app, cfg);
       EXPECT_EQ(baseline.stats.comm.recoveries, 0u) << cell;
 
-      for (const FaultPlan& plan : kPlans) {
+      for (const FaultSchedule::Event& event : kEvents) {
         const std::string where =
-            cell + (plan.kind == FaultKind::kAtBarrier ? " at-barrier"
-                                                       : " after-release");
+            cell + (event.point == kBarrier ? " at-barrier" : " after-release");
         RuntimeConfig fcfg = cfg;
-        fcfg.fault = plan;
+        fcfg.fault.events = {event};
         auto app = MakeApp(s.app, s.dataset);
         const AppRun run = Execute(*app, fcfg);
-        if (plan.kind == FaultKind::kAfterRelease && s.rel_tol > 0.0) {
+        if (event.point == kRelease && s.rel_tol > 0.0) {
           // Lock-scheduled apps distribute work by host timing: the victim
           // may close fewer non-empty intervals than the trigger (TSP's
-          // queue can starve a worker), so the plan fires at most once.
+          // queue can starve a worker), so the event fires at most once.
           EXPECT_LE(run.stats.comm.recoveries, 1u) << where;
         } else {
           EXPECT_EQ(run.stats.comm.recoveries, 1u) << where;
@@ -250,28 +252,27 @@ INSTANTIATE_TEST_SUITE_P(
 
 // --- determinism -------------------------------------------------------------
 //
-// The same plan — seed-derived victim included — twice must reproduce the
-// run bit for bit: checksum, full modelled state, recovery telemetry.
-// Swept over backend × unit size × gc cadence.
-TEST(RecoveryDeterminism, SameSeedTwiceIsBitIdentical) {
+// The same schedule twice must reproduce the run bit for bit: checksum,
+// full modelled state, recovery telemetry.  Swept over backend × unit
+// size × gc cadence.
+TEST(RecoveryDeterminism, SameScheduleTwiceIsBitIdentical) {
   for (BackendKind backend : {BackendKind::kLrc, BackendKind::kHlrc}) {
     for (const AggPoint& agg : kAggs) {
       for (int gc : {1, 4}) {
-        for (FaultPlan plan :
-             {FaultPlan::AtBarrier(-1, 2, 0x5eedULL),
-              FaultPlan::AfterRelease(-1, 2, 0x5eedULL)}) {
+        for (const FaultSchedule::Event& event :
+             {FaultSchedule::Event{kBarrier, 1, 2},
+              FaultSchedule::Event{kRelease, 1, 2}}) {
           const std::string where =
               std::string(backend == BackendKind::kLrc ? "LRC" : "HLRC") +
               " @ " + agg.label + " gc=" + std::to_string(gc) +
-              (plan.kind == FaultKind::kAtBarrier ? " at-barrier"
-                                                  : " after-release");
+              (event.point == kBarrier ? " at-barrier" : " after-release");
           RuntimeConfig cfg;
           cfg.num_procs = 4;
           cfg.aggregation = agg.mode;
           cfg.pages_per_unit = agg.ppu;
           cfg.backend = backend;
           cfg.gc_interval_barriers = gc;
-          cfg.fault = plan;
+          cfg.fault.events = {event};
 
           auto app_a = MakeApp("Jacobi", "tiny");
           const AppRun a = Execute(*app_a, cfg);
@@ -294,44 +295,89 @@ TEST(RecoveryDeterminism, SeedDerivedVictimIsStableOverAllProcs) {
   bool saw_zero = false;
   bool saw_nonzero = false;
   for (std::uint64_t seed = 0; seed < 64; ++seed) {
-    const FaultPlan p =
-        ResolveFaultPlan(FaultPlan::AtBarrier(-1, 1, seed), 8);
-    const FaultPlan q =
-        ResolveFaultPlan(FaultPlan::AtBarrier(-1, 1, seed), 8);
-    EXPECT_EQ(p.victim, q.victim) << seed;
-    EXPECT_GE(p.victim, 0) << seed;
-    EXPECT_LT(p.victim, 8) << seed;
-    (p.victim == 0 ? saw_zero : saw_nonzero) = true;
+    const FaultSchedule p = FaultSchedule::FromSeed(seed, 8);
+    const FaultSchedule q = FaultSchedule::FromSeed(seed, 8);
+    EXPECT_EQ(p.events, q.events) << seed;
+    ASSERT_FALSE(p.events.empty()) << seed;
+    for (const FaultSchedule::Event& e : p.events) {
+      EXPECT_GE(e.victim, 0) << seed;
+      EXPECT_LT(e.victim, 8) << seed;
+    }
+    (p.events[0].victim == 0 ? saw_zero : saw_nonzero) = true;
   }
   EXPECT_TRUE(saw_zero) << "64 seeds never picked proc 0: not uniform";
   EXPECT_TRUE(saw_nonzero);
-  // An explicit victim passes through untouched.
-  EXPECT_EQ(ResolveFaultPlan(FaultPlan::AtBarrier(3, 1, 42), 8).victim, 3);
 
-  // Schedule resolution: event 0 of a seeded schedule reproduces the
-  // single-plan derivation (back-compat for recorded seeds), and resolved
-  // schedules are well-formed — no duplicate (victim, kind, point).
+  // Seeded schedules are well-formed — no duplicate (victim, point, at) —
+  // and pass Validate() as they are.
   for (std::uint64_t seed = 0; seed < 32; ++seed) {
-    FaultSchedule s;
-    s.events.push_back(FaultPlan::AtBarrier(-1, 1, seed));
-    const FaultSchedule r = ResolveFaultSchedule(s, 8);
-    EXPECT_EQ(r.events[0].victim,
-              ResolveFaultPlan(FaultPlan::AtBarrier(-1, 1, seed), 8).victim)
-        << seed;
-
-    const FaultSchedule t = ResolveFaultSchedule(FaultSchedule::FromSeed(seed), 4);
-    for (std::size_t i = 0; i < t.events.size(); ++i) {
+    RuntimeConfig cfg;
+    cfg.num_procs = 4;
+    cfg.fault = FaultSchedule::FromSeed(seed, 4);
+    const Events& t = cfg.fault.events;
+    for (std::size_t i = 0; i < t.size(); ++i) {
       for (std::size_t j = 0; j < i; ++j) {
-        const FaultPlan& a = t.events[i];
-        const FaultPlan& b = t.events[j];
-        EXPECT_FALSE(a.victim == b.victim && a.kind == b.kind &&
-                     (a.kind == FaultKind::kAtBarrier
-                          ? a.barrier == b.barrier
-                          : a.release == b.release))
-            << "seed " << seed << " events " << j << "," << i;
+        EXPECT_FALSE(t[i] == t[j]) << "seed " << seed << " events " << j
+                                   << "," << i;
       }
     }
+    EXPECT_NO_THROW(cfg.Validate()) << "seed " << seed;
   }
+}
+
+// Golden derivations: a change to FromSeed would silently move every
+// seeded crash point — the torture sweep's and the KV recovery test's.
+// Seeds 6 and 32 exercise the duplicate-point fix-up (the second event
+// moves on by one), seed 34 at two processors the survivor fix-up (the
+// first event moves off the barrier that would kill both).
+TEST(RecoveryDeterminism, SeededSchedulesMatchGoldenEvents) {
+  struct Golden {
+    std::uint64_t seed;
+    int num_procs;
+    Events events;
+  };
+  const Golden kGolden[] = {
+      {4, 4, {{kBarrier, 1, 3}, {kRelease, 0, 2}}},
+      {6, 4, {{kRelease, 3, 4}, {kRelease, 3, 5}, {kRelease, 0, 7}}},
+      {32, 4, {{kBarrier, 1, 4}, {kBarrier, 1, 5}}},
+      {34, 2, {{kBarrier, 0, 2}, {kBarrier, 1, 1}, {kBarrier, 0, 3}}},
+      {0x6b760d5eedull, 4, {{kRelease, 1, 4}, {kRelease, 3, 1}}},
+  };
+  for (const Golden& g : kGolden) {
+    const FaultSchedule s = FaultSchedule::FromSeed(g.seed, g.num_procs);
+    EXPECT_EQ(s.events, g.events)
+        << "seed " << g.seed << " @ " << g.num_procs << ": " << s.Label();
+  }
+}
+
+// Parse is the inverse of Label: the committed bench_wallclock fault-row
+// specs and seeded schedules all round-trip to the same events, and
+// "seed:S" is FromSeed(S, n).
+TEST(FaultScheduleSpec, ParseInvertsLabel) {
+  const struct {
+    const char* spec;
+    Events events;
+  } kBenchRows[] = {
+      {"barrier:1@4", {{kBarrier, 1, 4}}},
+      {"release:1@8", {{kRelease, 1, 8}}},
+      {"barrier:0@4+release:2@6", {{kBarrier, 0, 4}, {kRelease, 2, 6}}},
+  };
+  for (const auto& row : kBenchRows) {
+    const FaultSchedule s = FaultSchedule::Parse(row.spec, 8);
+    EXPECT_EQ(s.events, row.events) << row.spec;
+    EXPECT_EQ(s.Label(), row.spec);
+  }
+  for (int n : {2, 3, 4, 8}) {
+    for (std::uint64_t seed = 0; seed < 64; ++seed) {
+      const FaultSchedule s = FaultSchedule::FromSeed(seed, n);
+      EXPECT_EQ(FaultSchedule::Parse(s.Label(), n).events, s.events)
+          << s.Label();
+      EXPECT_EQ(FaultSchedule::Parse("seed:" + std::to_string(seed), n).events,
+                s.events)
+          << "seed " << seed << " @ " << n;
+    }
+  }
+  EXPECT_EQ(FaultSchedule{}.Label(), "none");
 }
 
 // --- coordinator failover ----------------------------------------------------
@@ -345,9 +391,8 @@ TEST(CoordinatorFailover, ProcZeroCrashMatchesFailureFree) {
   for (BackendKind backend : {BackendKind::kLrc, BackendKind::kHlrc}) {
     const std::string where =
         backend == BackendKind::kLrc ? "LRC" : "HLRC";
-    const EpochOutcome fault =
-        RunEpochs(backend, FaultPlan::AtBarrier(0, 3));
-    const EpochOutcome clean = RunEpochs(backend, FaultSchedule{});
+    const EpochOutcome fault = RunEpochs(backend, {{kBarrier, 0, 3}});
+    const EpochOutcome clean = RunEpochs(backend, {});
     ExpectEpochValues(fault, where + " proc-0 at-barrier");
     EXPECT_EQ(fault.victim_saw, clean.victim_saw) << where;
     EXPECT_EQ(fault.peer_saw, clean.peer_saw) << where;
@@ -361,9 +406,8 @@ TEST(CoordinatorFailover, ProcZeroAfterReleaseCrashRecovers) {
   // this pins the proc-0 rebuild path itself (its own archive feeds the
   // replay under LRC).
   for (BackendKind backend : {BackendKind::kLrc, BackendKind::kHlrc}) {
-    const EpochOutcome fault =
-        RunEpochs(backend, FaultPlan::AfterRelease(0, 2));
-    const EpochOutcome clean = RunEpochs(backend, FaultSchedule{});
+    const EpochOutcome fault = RunEpochs(backend, {{kRelease, 0, 2}});
+    const EpochOutcome clean = RunEpochs(backend, {});
     EXPECT_EQ(fault.victim_saw, clean.victim_saw);
     EXPECT_EQ(fault.peer_saw, clean.peer_saw);
     EXPECT_EQ(fault.stats.comm.recoveries, 1u);
@@ -379,8 +423,8 @@ TEST(CoordinatorFailover, ProcZeroAfterReleaseCrashRecovers) {
 // contact after the re-home batch applies.
 TEST(HlrcHomeCrash, RehomedUnitsChargeRetransmits) {
   const EpochOutcome fault =
-      RunEpochs(BackendKind::kHlrc, FaultPlan::AtBarrier(1, 3));
-  const EpochOutcome clean = RunEpochs(BackendKind::kHlrc, FaultSchedule{});
+      RunEpochs(BackendKind::kHlrc, {{kBarrier, 1, 3}});
+  const EpochOutcome clean = RunEpochs(BackendKind::kHlrc, {});
   ExpectEpochValues(fault, "hlrc home crash");
   EXPECT_EQ(fault.victim_saw, clean.victim_saw);
   EXPECT_EQ(fault.peer_saw, clean.peer_saw);
@@ -398,13 +442,12 @@ TEST(MultiFaultSchedules, SameVictimTwiceRecoversTwice) {
   // Satellite 6 regression: the per-event fired flags make re-arming a
   // recovered victim race-free — the second event must fire exactly once,
   // after (and only after) the first recovery completed.
-  FaultSchedule sched;
-  sched.events = {FaultPlan::AtBarrier(1, 2), FaultPlan::AtBarrier(1, 5)};
+  const Events sched = {{kBarrier, 1, 2}, {kBarrier, 1, 5}};
   for (BackendKind backend : {BackendKind::kLrc, BackendKind::kHlrc}) {
     const std::string where =
         backend == BackendKind::kLrc ? "LRC" : "HLRC";
     const EpochOutcome fault = RunEpochs(backend, sched);
-    const EpochOutcome clean = RunEpochs(backend, FaultSchedule{});
+    const EpochOutcome clean = RunEpochs(backend, {});
     ExpectEpochValues(fault, where + " same victim twice");
     EXPECT_EQ(fault.victim_saw, clean.victim_saw) << where;
     EXPECT_EQ(fault.peer_saw, clean.peer_saw) << where;
@@ -414,14 +457,12 @@ TEST(MultiFaultSchedules, SameVictimTwiceRecoversTwice) {
 }
 
 TEST(MultiFaultSchedules, ThreeVictimsMixedKindsAcrossBackends) {
-  FaultSchedule sched;
-  sched.events = {FaultPlan::AtBarrier(0, 2), FaultPlan::AfterRelease(1, 4),
-                  FaultPlan::AtBarrier(2, 6)};
+  const Events sched = {{kBarrier, 0, 2}, {kRelease, 1, 4}, {kBarrier, 2, 6}};
   for (BackendKind backend : {BackendKind::kLrc, BackendKind::kHlrc}) {
     const std::string where =
         backend == BackendKind::kLrc ? "LRC" : "HLRC";
     const EpochOutcome fault = RunEpochs(backend, sched);
-    const EpochOutcome clean = RunEpochs(backend, FaultSchedule{});
+    const EpochOutcome clean = RunEpochs(backend, {});
     ExpectEpochValues(fault, where + " three victims");
     EXPECT_EQ(fault.victim_saw, clean.victim_saw) << where;
     EXPECT_EQ(fault.peer_saw, clean.peer_saw) << where;
@@ -452,7 +493,7 @@ TEST(RecoveryTorture, RandomSchedulesRecoverBitIdentical) {
       auto clean_app = MakeApp(app, "tiny");
       const AppRun clean = Execute(*clean_app, cfg);
 
-      cfg.fault = FaultSchedule::FromSeed(seed);
+      cfg.fault = FaultSchedule::FromSeed(seed, cfg.num_procs);
       auto app_a = MakeApp(app, "tiny");
       const AppRun a = Execute(*app_a, cfg);
       auto app_b = MakeApp(app, "tiny");
@@ -474,7 +515,7 @@ TEST(RecoveryValidation, LrcWithoutGcFailsFastWithClearError) {
   RuntimeConfig cfg;
   cfg.num_procs = 4;
   cfg.gc_interval_barriers = 0;  // no GC → no canonical-base checkpoints
-  cfg.fault = FaultPlan::AtBarrier(1, 1);
+  cfg.fault.events = {{kBarrier, 1, 1}};
   try {
     Runtime rt(cfg);
     FAIL() << "expected std::invalid_argument";
@@ -490,20 +531,20 @@ TEST(RecoveryValidation, HlrcWithoutGcAcceptsArmedSchedules) {
   // reads home images, not canonical-base checkpoints, so an armed
   // schedule with the archive GC disabled must be accepted — and recover.
   const EpochOutcome fault = RunEpochs(
-      BackendKind::kHlrc, FaultPlan::AtBarrier(1, 3), /*gc_interval=*/0);
+      BackendKind::kHlrc, {{kBarrier, 1, 3}}, /*gc_interval=*/0);
   const EpochOutcome clean =
-      RunEpochs(BackendKind::kHlrc, FaultSchedule{}, /*gc_interval=*/0);
+      RunEpochs(BackendKind::kHlrc, {}, /*gc_interval=*/0);
   ExpectEpochValues(fault, "hlrc gc=0");
   EXPECT_EQ(fault.victim_saw, clean.victim_saw);
   EXPECT_EQ(fault.peer_saw, clean.peer_saw);
   EXPECT_EQ(fault.stats.comm.recoveries, 1u);
 }
 
-TEST(RecoveryValidation, ReferenceBackendRejectsFaultPlans) {
+TEST(RecoveryValidation, ReferenceBackendRejectsFaultSchedules) {
   RuntimeConfig cfg;
   cfg.num_procs = 4;
   cfg.backend = BackendKind::kReference;
-  cfg.fault = FaultPlan::AtBarrier(1, 1);
+  cfg.fault.events = {{kBarrier, 1, 1}};
   EXPECT_THROW(Runtime rt(cfg), std::invalid_argument);
 }
 
@@ -513,14 +554,13 @@ TEST(RecoveryValidation, ReferenceBackendRejectsFaultPlans) {
 // when a fault actually fired, so no-fault output is byte-identical to
 // builds that predate the subsystem.
 TEST(RecoveryTelemetry, EmittedOnlyWhenAFaultFired) {
-  const EpochOutcome clean = RunEpochs(BackendKind::kLrc, FaultPlan{});
+  const EpochOutcome clean = RunEpochs(BackendKind::kLrc, {});
   EXPECT_EQ(clean.stats.ToString().find("recovery"), std::string::npos);
   EXPECT_EQ(clean.stats.comm.ToString().find("recovery"), std::string::npos);
   EXPECT_EQ(clean.stats.recovery_modelled_ns, 0);
   EXPECT_EQ(clean.stats.recovery_wall_ns, 0u);
 
-  const EpochOutcome fault =
-      RunEpochs(BackendKind::kLrc, FaultPlan::AtBarrier(1, 3));
+  const EpochOutcome fault = RunEpochs(BackendKind::kLrc, {{kBarrier, 1, 3}});
   EXPECT_NE(fault.stats.ToString().find("recovery: events 1"),
             std::string::npos);
   EXPECT_NE(fault.stats.comm.ToString().find("recovery: recoveries=1"),

@@ -400,65 +400,13 @@ TEST(VectorClockTest, DominatedByAndCovers) {
   EXPECT_FALSE(b.Covers(0, 3));
 }
 
-TEST(VectorClockTest, FreezeKeepsSmallClocksDense) {
-  VectorClock vc(static_cast<int>(VectorClock::kKeepDenseProcs));
-  vc[3] = 9;
-  vc.Freeze();
-  EXPECT_FALSE(vc.frozen());
-  EXPECT_EQ(vc[3], 9u);
-}
-
-TEST(VectorClockTest, FrozenObserversMatchDense) {
-  // Barrier-style lockstep clock with one writer ahead and a straggler:
-  // three runs.  Every observer must answer identically on either form.
-  constexpr int kProcs = 32;
-  VectorClock dense(kProcs);
-  for (ProcId p = 0; p < kProcs; ++p) dense[p] = 5;
-  dense[0] = 7;
-  dense[kProcs - 1] = 2;
-  VectorClock frozen = dense;
-  frozen.Freeze();
-  ASSERT_TRUE(frozen.frozen());
-
-  // Frozen clocks are immutable: read through the const operator[] (the
-  // mutable overload requires the dense form).
-  const VectorClock& fz = frozen;
-  EXPECT_EQ(fz.size(), kProcs);
-  for (ProcId p = 0; p < kProcs; ++p) {
-    EXPECT_EQ(fz[p], dense[p]) << "component " << static_cast<int>(p);
-  }
-  EXPECT_EQ(frozen.Sum(), dense.Sum());
-  EXPECT_TRUE(frozen == dense);
-  EXPECT_TRUE(dense == frozen);
-  EXPECT_TRUE(dense.DominatedBy(frozen));
-  EXPECT_TRUE(frozen.DominatedBy(dense));
-  EXPECT_TRUE(frozen.Covers(0, 7));
-  EXPECT_FALSE(frozen.Covers(1, 6));
-
-  // Freeze is idempotent and a second Freeze changes nothing observable.
-  VectorClock again = frozen;
-  again.Freeze();
-  EXPECT_TRUE(again == dense);
-
-  // Merge-from accepts either form and lands on the elementwise max.
-  VectorClock from_frozen(kProcs), from_dense(kProcs);
-  from_frozen[1] = 11;
-  from_dense[1] = 11;
-  from_frozen.Merge(frozen);
-  from_dense.Merge(dense);
-  EXPECT_TRUE(from_frozen == from_dense);
-  EXPECT_EQ(from_frozen[1], 11u);
-  EXPECT_EQ(from_frozen[2], 5u);
-}
-
 TEST(VectorClockTest, EncodedBytesTracksRunsNotProcs) {
   // 64 lockstep components = one run: 4-byte count + one 8-byte run,
-  // against 4 + 4*64 dense.  The sparse form never beats dense at <= 8
-  // procs (kKeepDenseProcs) and never exceeds the dense fallback.
+  // against 4 + 4*64 dense.  The sparse form never exceeds the dense
+  // fallback.
   constexpr int kProcs = 64;
   VectorClock lockstep(kProcs);
   for (ProcId p = 0; p < kProcs; ++p) lockstep[p] = 3;
-  lockstep.Freeze();
   EXPECT_EQ(lockstep.EncodedBytes(), 4u + 8u);
   EXPECT_EQ(VectorClock::DenseEncodedBytes(kProcs), 4u + 4u * 64u);
 
@@ -466,15 +414,11 @@ TEST(VectorClockTest, EncodedBytesTracksRunsNotProcs) {
   // falls back to the dense encoding rather than paying 8 bytes per run.
   VectorClock zigzag(kProcs);
   for (ProcId p = 0; p < kProcs; ++p) zigzag[p] = (p % 2 == 0) ? 1 : 2;
-  zigzag.Freeze();
   EXPECT_LE(zigzag.EncodedBytes(), VectorClock::DenseEncodedBytes(kProcs));
 
-  // Small clocks stay dense in memory (kKeepDenseProcs) but the wire
-  // accounting is representation-independent: three runs either way.
+  // Small clocks count runs the same way: three here.
   VectorClock small(8);
   small[2] = 4;
-  EXPECT_EQ(small.EncodedBytes(), 4u + 8u * 3u);
-  small.Freeze();
   EXPECT_EQ(small.EncodedBytes(), 4u + 8u * 3u);
 }
 
@@ -507,31 +451,6 @@ TEST(IntervalArchiveTest, RejectsOutOfOrderAppend) {
   older.proc = 0;
   older.seq = 4;
   EXPECT_THROW(archive.Append(std::move(older)), CheckError);
-}
-
-TEST(IntervalArchiveTest, HappenedBeforeViaVectorClocks) {
-  IntervalRecord a;
-  a.proc = 0;
-  a.seq = 1;
-  a.vc = VectorClock(2);
-  a.vc[0] = 1;
-
-  IntervalRecord b_after;
-  b_after.proc = 1;
-  b_after.seq = 1;
-  b_after.vc = VectorClock(2);
-  b_after.vc[0] = 1;  // saw a
-  b_after.vc[1] = 1;
-
-  IntervalRecord b_concurrent;
-  b_concurrent.proc = 1;
-  b_concurrent.seq = 1;
-  b_concurrent.vc = VectorClock(2);
-  b_concurrent.vc[1] = 1;
-
-  EXPECT_TRUE(a.HappenedBefore(b_after));
-  EXPECT_FALSE(a.HappenedBefore(b_concurrent));
-  EXPECT_FALSE(b_concurrent.HappenedBefore(a));
 }
 
 TEST(IntervalArchiveTest, PaysForDiffPhaseSemantics) {
