@@ -1,5 +1,5 @@
 // Host-side throughput of the twin/diff machinery (the simulator's hot
-// paths): diff creation, application, and merge across unit sizes and
+// paths): diff creation and application across unit sizes and
 // modification densities.
 #include <benchmark/benchmark.h>
 
@@ -118,21 +118,6 @@ void BM_DiffApply(benchmark::State& state) {
                           static_cast<std::int64_t>(d.payload_bytes()));
 }
 BENCHMARK(BM_DiffApply)->Arg(4096)->Arg(16384);
-
-void BM_DiffMerge(benchmark::State& state) {
-  const std::size_t bytes = static_cast<std::size_t>(state.range(0));
-  Buffers b1 = MakeBuffers(bytes, 0.4, 1);
-  Buffers b2 = MakeBuffers(bytes, 0.4, 2);
-  Diff d1 = Diff::Create(b1.twin, b1.current);
-  Diff d2 = Diff::Create(b2.twin, b2.current);
-  for (auto _ : state) {
-    Diff m = Diff::Merge(d1, d2, bytes / kWordBytes);
-    benchmark::DoNotOptimize(m);
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(bytes));
-}
-BENCHMARK(BM_DiffMerge)->Arg(4096)->Arg(16384);
 
 }  // namespace
 }  // namespace dsm

@@ -128,7 +128,8 @@ void Usage(std::FILE* f) {
       "  pays for the shadow analysis, modelled numbers and fingerprints\n"
       "  are bit-identical to --race=off.  --baseline=PATH exits 1 when a\n"
       "  stable row's fingerprint or modelled_ms, or a KV row's checksum,\n"
-      "  differs from the matching row of PATH.\n");
+      "  differs from the matching row of PATH, when a row has no match in\n"
+      "  PATH, or, on the full sweep, when a row of PATH was not run.\n");
 }
 
 [[noreturn]] void UsageError(const std::string& msg) {
@@ -310,31 +311,47 @@ std::vector<BaselineRow> ReadBaseline(const std::string& path) {
   return rows;
 }
 
+// The key the gate matches a row by, as it prints it: e.g.
+// "Jacobi/1Kx1K/4K/LRC/p8", then any fault spec and gc_lag.
+template <typename R>
+std::string RowKey(const R& r) {
+  std::string key = r.app + "/" + r.dataset + "/" + r.mode + "/" +
+                    r.backend + "/p" + std::to_string(r.procs);
+  if (!r.fault.empty()) key += " " + r.fault;
+  if (r.gc_lag > 0) key += " lag=" + std::to_string(r.gc_lag);
+  return key;
+}
+
 // Gate: modelled state must be bit-identical to the committed baseline.
 // A stable row fails when its fingerprint or modelled_ms (as written)
 // differs; a KV row — lock-scheduled, so unstable — fails when its
-// commuting checksum moves.  Other unstable rows and rows missing from the
-// baseline never fail.  Host wall-clock is printed for every matched row
+// commuting checksum moves.  A row the gate cannot compare fails too: a
+// sweep row with no baseline match and, when `full_sweep`, a baseline row
+// the sweep did not run.  Host wall-clock is printed for every matched row
 // but never gates: one sample of one row moves 2x from run to run on a
 // shared host, so host time is gated by benchmark/run.py's repeated
 // parent/change pairs instead.  Returns the number of failing rows.
 int CompareToBaseline(const std::vector<Row>& rows,
-                      const std::vector<BaselineRow>& baseline) {
+                      const std::vector<BaselineRow>& baseline,
+                      bool full_sweep) {
   int failures = 0;
+  std::vector<bool> matched(baseline.size(), false);
   for (const Row& r : rows) {
     const BaselineRow* base = nullptr;
-    for (const BaselineRow& b : baseline) {
+    for (std::size_t i = 0; i < baseline.size(); ++i) {
+      const BaselineRow& b = baseline[i];
       if (b.app == r.app && b.dataset == r.dataset && b.mode == r.mode &&
           b.backend == r.backend && b.fault == r.fault &&
           b.procs == r.procs && b.gc_lag == r.gc_lag) {
         base = &b;
+        matched[i] = true;
         break;
       }
     }
     if (base == nullptr) {
-      std::printf("baseline: %s/%s/%s/%s/p%d not in baseline (new row?)\n",
-                  r.app.c_str(), r.dataset.c_str(), r.mode.c_str(),
-                  r.backend.c_str(), r.procs);
+      ++failures;
+      std::printf("baseline: %s not in baseline  MISMATCH\n",
+                  RowKey(r).c_str());
       continue;
     }
     char fingerprint[24];
@@ -366,9 +383,17 @@ int CompareToBaseline(const std::vector<Row>& rows,
                   base->modelled_ms.c_str(), modelled_ms);
     }
   }
+  for (std::size_t i = 0; full_sweep && i < baseline.size(); ++i) {
+    if (matched[i]) continue;
+    ++failures;
+    std::printf("baseline: %s not in sweep  MISMATCH\n",
+                RowKey(baseline[i]).c_str());
+  }
   if (failures > 0) {
-    std::printf("baseline gate FAILED: %d row(s) changed modelled state\n",
-                failures);
+    std::printf(
+        "baseline gate FAILED: %d row(s) changed modelled state or were "
+        "unmatched\n",
+        failures);
   } else {
     std::printf("baseline gate passed: modelled state bit-identical\n");
   }
@@ -693,7 +718,9 @@ int main(int argc, char** argv) {
                    baseline_path.c_str());
       return 2;
     }
-    if (CompareToBaseline(rows, baseline) > 0) return 1;
+    if (CompareToBaseline(rows, baseline, /*full_sweep=*/!partial) > 0) {
+      return 1;
+    }
   }
   return 0;
 }

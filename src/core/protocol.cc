@@ -338,7 +338,6 @@ void Node::ValidateUnit(UnitId unit) {
 void Node::FetchUnits(const std::vector<UnitId>& units) {
   const CostModel& cost = shared_.config.cost;
   const int nprocs = num_procs();
-  const std::size_t words_per_unit = unit_bytes_ / kWordBytes;
 
   // Gather needed diffs, grouped by writer.  Consecutive intervals of the
   // SAME writer are coalesced into one combined diff when no foreign
@@ -356,9 +355,8 @@ void Node::FetchUnits(const std::vector<UnitId>& units) {
   // reclaimed one, so the absorption check degenerates to the foreign
   // live records plus the chain's `blocked` flag).
   for (auto& v : needs_by_writer_) v.clear();
-  std::deque<Diff>& merged_storage = merged_scratch_;
-  merged_storage.clear();
-  absorbed_scratch_.clear();
+  merged_runs_scratch_.clear();
+  live_diffs_scratch_.clear();
   for (UnitId unit : units) {
     // Resolve all live pending notices of this unit first (needed for the
     // foreign-interval ordering checks).
@@ -376,7 +374,7 @@ void Node::FetchUnits(const std::vector<UnitId>& units) {
       all.push_back({rec, &rec->diffs[static_cast<std::size_t>(di)],
                      rec->PaysForDiff(di, stamp_key())});
     }
-    std::vector<FlattenedChain>& flat = flattened_[unit];
+    const std::vector<FlattenedChain>& flat = flattened_[unit];
     for (ProcId w = 0; w < nprocs; ++w) {
       // This writer's intervals, in increasing seq order (pending notices
       // arrive in acquire order, which respects per-writer seq order);
@@ -386,18 +384,18 @@ void Node::FetchUnits(const std::vector<UnitId>& units) {
       for (const ResolvedDiff& r : all) {
         if (r.rec->proc == w) chain_input.push_back(&r);
       }
-      FlattenedChain* open_flat = nullptr;  // last flattened chain of w
-      for (FlattenedChain& c : flat) {
-        if (c.writer == w) open_flat = &c;
+      const FlattenedChain* last_flat = nullptr;
+      for (const FlattenedChain& c : flat) {
+        if (c.writer == w) last_flat = &c;
       }
-      if (open_flat == nullptr && chain_input.empty()) continue;
+      if (last_flat == nullptr && chain_input.empty()) continue;
 
       // One server-side twin scan per (writer, unit) with any interval
       // this requester pays to materialize; everything materialized in an
       // earlier phase is served from the writer's diff cache.  Reclaimed
       // intervals keep their first-requester stamps alive in the chains.
       bool needs_scan = false;
-      for (FlattenedChain& c : flat) {
+      for (const FlattenedChain& c : flat) {
         if (c.writer != w) continue;
         c.ForEachStamp([&](std::atomic<std::uint64_t>& stamp) {
           if (IntervalRecord::PaysForStamp(stamp, stamp_key())) {
@@ -417,28 +415,20 @@ void Node::FetchUnits(const std::vector<UnitId>& units) {
         needs_scan = false;  // at most one scan per (writer, unit)
         needs_by_writer_[w].push_back(e);
       };
-      // Emit every flattened chain of w but the last; the last may still
-      // absorb live records into its tail.
-      for (FlattenedChain& c : flat) {
-        if (c.writer != w || &c == open_flat) continue;
+      auto head_need = [&](const FlattenedChain& c) {
         NeedEntry e{};
         e.key = HbKey(c.last_vc(), w, c.last_seq);
-        e.flat = &c;
-        push_need(e);
-      }
-      std::uint32_t absorbed_begin =
-          static_cast<std::uint32_t>(absorbed_scratch_.size());
-      auto flush_flat = [&] {
-        NeedEntry e{};
-        e.key = HbKey(open_flat->last_vc(), w, open_flat->last_seq);
-        e.flat = open_flat;
-        e.absorbed_begin = absorbed_begin;
-        e.absorbed_count =
-            static_cast<std::uint32_t>(absorbed_scratch_.size()) -
-            absorbed_begin;
-        push_need(e);
-        open_flat = nullptr;
+        e.head = &c;
+        e.runs = &c.runs();
+        e.payload_words = c.payload_words();
+        e.live_begin = static_cast<std::uint32_t>(live_diffs_scratch_.size());
+        return e;
       };
+      // Every flattened chain of w but the last is finished; the last may
+      // still absorb live records into its tail.
+      for (const FlattenedChain& c : flat) {
+        if (c.writer == w && &c != last_flat) push_need(head_need(c));
+      }
 
       // May we absorb r into a chain whose head is (w, first_seq)?  Every
       // foreign interval must be either not-after the head or after the
@@ -465,51 +455,39 @@ void Node::FetchUnits(const std::vector<UnitId>& units) {
         return it == foreign_vcw.end() || *it >= r.seq;
       };
 
-      const IntervalRecord* chain_first = nullptr;
-      const Diff* chain_diff = nullptr;
-      const IntervalRecord* chain_last = nullptr;
-      auto flush_live = [&] {
-        NeedEntry e{};
-        e.key = HbKey(*chain_last);
-        e.diff = chain_diff;
-        push_need(e);
-        chain_diff = nullptr;
-      };
-      for (const ResolvedDiff* r : chain_input) {
-        if (open_flat != nullptr) {
-          if (!open_flat->blocked &&
-              may_absorb(open_flat->first_seq, *r->rec)) {
-            // Copy-on-write: other nodes may share this chain's body.
-            ChainBody& b = open_flat->MutableBody();
-            b.runs = Diff::MergeRuns(b.runs, r->diff->runs());
-            b.payload_words = Diff::RunWords(b.runs);
-            b.last_vc = r->rec->vc;
-            open_flat->last_seq = r->rec->seq;
-            absorbed_scratch_.push_back(r->diff);
-            continue;
-          }
-          flush_flat();
-        }
-        if (chain_diff == nullptr) {
-          chain_first = r->rec;
-          chain_last = r->rec;
-          chain_diff = r->diff;
-          continue;
-        }
-        if (may_absorb(chain_first->seq, *r->rec)) {
-          merged_storage.push_back(
-              Diff::Merge(*chain_diff, *r->diff, words_per_unit));
-          chain_diff = &merged_storage.back();
-          chain_last = r->rec;
-        } else {
-          flush_live();
-          chain_first = r->rec;
-          chain_last = r->rec;
-          chain_diff = r->diff;
-        }
+      // The open chain (open.runs == nullptr: none) starts as w's last
+      // flattened chain.  Each live record joins it or closes it and
+      // starts the next.
+      NeedEntry open{};
+      Seq first_seq = 0;
+      bool blocked = false;
+      if (last_flat != nullptr) {
+        open = head_need(*last_flat);
+        first_seq = last_flat->first_seq;
+        blocked = last_flat->blocked;
       }
-      if (open_flat != nullptr) flush_flat();
-      if (chain_diff != nullptr) flush_live();
+      for (const ResolvedDiff* r : chain_input) {
+        const std::vector<DiffRun>& runs = r->diff->runs();
+        if (open.runs != nullptr && !blocked &&
+            may_absorb(first_seq, *r->rec)) {
+          merged_runs_scratch_.push_back(Diff::MergeRuns(*open.runs, runs));
+          open.runs = &merged_runs_scratch_.back();
+          open.payload_words = Diff::RunWords(*open.runs);
+        } else {
+          if (open.runs != nullptr) push_need(open);
+          open = NeedEntry{};
+          open.runs = &runs;
+          open.payload_words = r->diff->payload_words();
+          open.live_begin =
+              static_cast<std::uint32_t>(live_diffs_scratch_.size());
+          first_seq = r->rec->seq;
+          blocked = false;
+        }
+        open.key = HbKey(*r->rec);
+        live_diffs_scratch_.push_back(r->diff);
+        ++open.live_count;
+      }
+      if (open.runs != nullptr) push_need(open);
     }
   }
 
@@ -535,7 +513,7 @@ void Node::FetchUnits(const std::vector<UnitId>& units) {
         last_unit_in_req = need.unit;
       }
       response_bytes += need.EncodedBytes();
-      delivered_words += static_cast<std::uint32_t>(need.PayloadWords());
+      delivered_words += static_cast<std::uint32_t>(need.payload_words);
     }
     comm_stats_.AddDelivered(
         ex, delivered_words,
@@ -566,8 +544,8 @@ void Node::FetchUnits(const std::vector<UnitId>& units) {
   for (UnitId unit : units) {
     // Read-aware flattening fallback: lay any elided reclaimed words down
     // first (host-side copy from the canonical base — the same source the
-    // chains below copy from), so everything applied afterwards lands on
-    // the bytes the full history would have produced.
+    // chain heads below copy from), so everything applied afterwards lands
+    // on the bytes the full history would have produced.
     RefreshElided(unit);
     for_unit.clear();
     for (ProcId w = 0; w < nprocs; ++w) {
@@ -579,33 +557,31 @@ void Node::FetchUnits(const std::vector<UnitId>& units) {
               [](const NeedEntry& a, const NeedEntry& b) {
                 return a.key < b.key;
               });
+    std::span<std::byte> dst = UnitSpan(unit);
     for (const NeedEntry& need : for_unit) {
       const bool twinned = table_.HasTwin(unit);
-      if (need.flat != nullptr) {
-        // Reclaimed chain: its words live in the canonical base.  Copy
-        // the chain's runs from the base, then lay any live diffs
-        // absorbed into the tail on top (they are newer than everything
-        // reclaimed, so they win exactly as in the merged-diff path).
-        const std::vector<DiffRun>& runs = need.flat->runs();
-        std::span<std::byte> dst = UnitSpan(unit);
+      if (need.head != nullptr) {
+        // Reclaimed head: its words live in the canonical base.  Its own
+        // runs suffice — a word only a live member covers is written by
+        // that member below.
+        const std::vector<DiffRun>& runs = need.head->runs();
         shared_.canonical->CopyRuns(unit, dst, runs);
         if (twinned) {
           shared_.canonical->CopyRuns(unit, table_.twin(unit), runs);
         }
-        for (std::uint32_t a = 0; a < need.absorbed_count; ++a) {
-          const Diff* d = absorbed_scratch_[need.absorbed_begin + a];
-          d->Apply(dst);
-          if (twinned) d->Apply(table_.twin(unit));
-        }
-      } else {
-        need.diff->Apply(UnitSpan(unit));
-        if (twinned) need.diff->Apply(table_.twin(unit));
       }
-      for (const DiffRun& run : need.runs()) {
+      // Live members oldest first: every word of the union ends with its
+      // newest member's value, exactly what one combined diff carries.
+      for (std::uint32_t i = 0; i < need.live_count; ++i) {
+        const Diff* d = live_diffs_scratch_[need.live_begin + i];
+        d->Apply(dst);
+        if (twinned) d->Apply(table_.twin(unit));
+      }
+      for (const DiffRun& run : *need.runs) {
         tracker_.Deliver(unit, run.word_offset, run.word_count,
                          need.exchange_id);
       }
-      const std::size_t payload_bytes = need.PayloadWords() * kWordBytes;
+      const std::size_t payload_bytes = need.payload_words * kWordBytes;
       comm_stats_.counters().diffs_applied += 1;
       comm_stats_.counters().delivered_data_bytes += payload_bytes;
       clock_.Advance(cost.DiffApplyCost(payload_bytes));
@@ -950,24 +926,19 @@ void FoldElidedRuns(std::vector<DiffRun>& accum, std::vector<DiffRun>& canon,
 
 // Extend a unit's flattened chains `flat` with its kept dominated records,
 // writer by writer, then freeze the blocked verdicts; returns the number
-// of chains started.  With `body_shared` every extended body is flagged
-// shared: virgin-store bodies are adopted by fault paths with no
-// synchronization point to flag them at, so the store's headers stay
-// permanently "shared" (every copy inherits the flag; a later store
-// extension clones first).  `foreign_vcw` is per-writer scratch.
+// of chains started.  `foreign_vcw` is per-writer scratch.
 //
 // The fault path's absorption predicate — "no foreign interval q with
-// chain_first happened-before q but not candidate-tail happened-before
-// q" — only reads q.vc[w] for a chain of writer w: it fails exactly when
-// some foreign q has first_seq <= q.vc[w] < tail_seq.  Batches from
-// lock-heavy programs can hold hundreds of records per unit, so it is
-// evaluated by binary search over the sorted foreign clock entries
-// instead of rescanning the batch.  (Elided records are excluded: the
+// the chain's head happened-before q but not candidate-tail
+// happened-before q" — only reads q.vc[w] for a chain of writer w: it
+// fails exactly when some foreign q has first_seq <= q.vc[w] < tail_seq.
+// Batches from lock-heavy programs can hold hundreds of records per unit,
+// so it is evaluated by binary search over the sorted foreign clock
+// entries instead of rescanning the batch.  (Elided records are excluded: the
 // chains they would have ordered against are not built, and their words
 // reach the image via the base refresh regardless of absorption shape.)
 std::uint64_t BuildChains(std::vector<FlattenedChain>& flat,
                           const std::vector<GcResolved>& kept, int nprocs,
-                          bool body_shared,
                           std::vector<std::vector<Seq>>& foreign_vcw) {
   for (ProcId w = 0; w < nprocs; ++w) foreign_vcw[w].clear();
   for (const GcResolved& q : kept) {
@@ -998,8 +969,7 @@ std::uint64_t BuildChains(std::vector<FlattenedChain>& flat,
           may_absorb(w, flat[open].first_seq, r.rec->seq)) {
         FlattenedChain& c = flat[open];
         // Copy-on-write: converts a single-record chain to a merged body,
-        // or clones a body shared with other nodes whose pending sets
-        // diverged.
+        // or clones a body shared with the virgin store or other nodes.
         ChainBody& b = c.MutableBody();
         b.runs = Diff::MergeRuns(b.runs, diff.runs());
         b.payload_words = Diff::RunWords(b.runs);
@@ -1008,7 +978,6 @@ std::uint64_t BuildChains(std::vector<FlattenedChain>& flat,
             StampRef{r.rec->diffed, static_cast<std::uint32_t>(r.di)},
             std::move(b.stamps)});
         c.last_seq = r.rec->seq;
-        if (body_shared) c.body_shared = true;
       } else {
         // New chains start in the single-record form: one shared_ptr
         // copy, no merged body until (unless) something is absorbed.
@@ -1175,82 +1144,53 @@ void Node::GcFlatten(const VectorClock& through) {
       Node& node = *shared.nodes[x];
       std::vector<PendingInterval>& pend = node.pending_[u];
       if (pend.empty()) continue;
-      if (!shared.sharers->IsSharer(u, x)) {
-        // Virgin fast path (DESIGN.md §8): this node never faulted on the
-        // unit, so its dominated batch equals every other virgin's and —
-        // having consumed no deliveries — its read-interest bitmap is
-        // empty, collapsing the read-aware predicate to the record kind.
-        // The first virgin flattens the shared batch once into the virgin
-        // store; the rest only drop their dominated entries.  Chain
-        // headers thus stop scaling with the cluster size on units most
-        // nodes never touch.
-        live.clear();
-        kept.clear();
-        elide_accum.clear();
-        bool any_dom = false;
-        for (const PendingInterval& pi : pend) {
-          if (pi.seq > through[pi.proc]) {
-            live.push_back(pi);
-            continue;
-          }
-          any_dom = true;
-          if (virgin_built) continue;  // first virgin resolved the batch
-          const GcResolved& res = resolve(u, pi);
-          if (res.rec->lock_release) {
-            const Diff& diff =
-                res.rec->diffs[static_cast<std::size_t>(res.di)];
-            elide_accum.insert(elide_accum.end(), diff.runs().begin(),
-                               diff.runs().end());
-            ++virgin_elided;
-            continue;
-          }
-          kept.push_back(res);
-        }
-        if (!any_dom) continue;
-        ++virgin_consumers;
-        pend.assign(live.begin(), live.end());
-        if (virgin_built) continue;
-        virgin_built = true;
-        if (!elide_accum.empty()) {
-          FoldElidedRuns(elide_accum, elide_canon, virgin.elided);
-        }
-        if (!kept.empty()) {
-          virgin_new_chains += BuildChains(virgin.chains, kept, nprocs,
-                                           /*body_shared=*/true, foreign_vcw);
-        }
-        continue;
-      }
+      // Virgin fast path (DESIGN.md §8): a node that never faulted on the
+      // unit holds the same dominated batch as every other virgin and —
+      // having consumed no deliveries — an empty read-interest bitmap,
+      // collapsing the read-aware predicate to the record kind.  The first
+      // virgin flattens the shared batch once into the virgin store; the
+      // rest only drop their dominated entries.  Chain headers thus stop
+      // scaling with the cluster size on units most nodes never touch.
+      const bool is_virgin = !shared.sharers->IsSharer(u, x);
       live.clear();
       kept.clear();
       elide_accum.clear();
       bool any_dom = false;
+      std::uint64_t elided = 0;
       for (const PendingInterval& pi : pend) {
         if (pi.seq > through[pi.proc]) {
           live.push_back(pi);
           continue;
         }
         any_dom = true;
+        if (is_virgin && virgin_built) continue;  // first virgin resolved it
         const GcResolved& res = resolve(u, pi);
-        const Diff& diff =
-            res.rec->diffs[static_cast<std::size_t>(res.di)];
+        const Diff& diff = res.rec->diffs[static_cast<std::size_t>(res.di)];
         if (res.rec->lock_release &&
-            !node.tracker_.ReadsAnyOf(u, diff.runs())) {
+            (is_virgin || !node.tracker_.ReadsAnyOf(u, diff.runs()))) {
           elide_accum.insert(elide_accum.end(), diff.runs().begin(),
                              diff.runs().end());
-          ++records_elided;
+          ++elided;
           continue;
         }
         kept.push_back(res);
       }
       if (!any_dom) continue;
       pend.assign(live.begin(), live.end());
-
+      if (is_virgin) {
+        ++virgin_consumers;
+        if (virgin_built) continue;
+        virgin_built = true;
+      }
+      (is_virgin ? virgin_elided : records_elided) += elided;
       if (!elide_accum.empty()) {
-        FoldElidedRuns(elide_accum, elide_canon, node.elided_[u]);
+        FoldElidedRuns(elide_accum, elide_canon,
+                       is_virgin ? virgin.elided : node.elided_[u]);
       }
       if (kept.empty()) continue;
-      chains_built += BuildChains(node.flattened_[u], kept, nprocs,
-                                  /*body_shared=*/false, foreign_vcw);
+      (is_virgin ? virgin_new_chains : chains_built) +=
+          BuildChains(is_virgin ? virgin.chains : node.flattened_[u], kept,
+                      nprocs, foreign_vcw);
     }
     // The store build ran once; credit it as if each consuming virgin had
     // built (shared) it, keeping the counters comparable across runs with
@@ -1366,9 +1306,9 @@ void Node::GcPruneOwn(const VectorClock& through) {
   shared_.archives[id_]->PruneThrough(through[id_]);
 }
 
-void Node::CollectNotices(const VectorClock& target,
-                          std::size_t* notice_bytes,
-                          std::vector<const IntervalRecord*>& out) const {
+std::size_t Node::CollectNotices(const VectorClock& target,
+                                 std::vector<const IntervalRecord*>& out) {
+  CommBreakdown& c = comm_stats_.counters();
   out.clear();
   std::size_t bytes = 0;
   for (ProcId p = 0; p < num_procs(); ++p) {
@@ -1377,10 +1317,15 @@ void Node::CollectNotices(const VectorClock& target,
     auto range = shared_.archives[p]->Range(notices_seen_[p], target[p]);
     for (const IntervalRecord* rec : range) {
       bytes += rec->NoticeBytes();
+      // Sparse-clock telemetry (DESIGN.md §8): wire bytes the consumed
+      // notices' interval clocks would cost, run-length encoded vs dense.
+      c.notice_clock_bytes += rec->vc.EncodedBytes();
       out.push_back(rec);
     }
   }
-  if (notice_bytes != nullptr) *notice_bytes = bytes;
+  c.notice_clock_bytes_dense +=
+      out.size() * VectorClock::DenseEncodedBytes(num_procs());
+  return bytes;
 }
 
 void Node::InvalidateFrom(
@@ -1557,16 +1502,8 @@ void Node::Barrier() {
   // nodes aligned at phase entry, mirroring gc-free barrier programs).
   lock_subphase_ = 0;
 
-  std::size_t incoming_bytes = 0;
   std::vector<const IntervalRecord*>& records = notice_scratch_;
-  CollectNotices(res.global_vc, &incoming_bytes, records);
-  // Sparse-clock telemetry (DESIGN.md §8): wire bytes the consumed
-  // notices' interval clocks would cost, run-length encoded vs dense.
-  for (const IntervalRecord* rec : records) {
-    comm_stats_.counters().notice_clock_bytes += rec->vc.EncodedBytes();
-  }
-  comm_stats_.counters().notice_clock_bytes_dense +=
-      records.size() * VectorClock::DenseEncodedBytes(num_procs());
+  const std::size_t incoming_bytes = CollectNotices(res.global_vc, records);
 
   // Modelled barrier cost (centralized manager, normally proc 0 — the
   // coordinator when proc 0 crashes at this barrier): all clients ship
@@ -1632,14 +1569,8 @@ void Node::AcquireLock(int lock_id) {
 
   VectorClock target = vc_;
   target.Merge(grant.release_vc);
-  std::size_t notice_bytes = 0;
   std::vector<const IntervalRecord*>& records = notice_scratch_;
-  CollectNotices(target, &notice_bytes, records);
-  for (const IntervalRecord* rec : records) {
-    comm_stats_.counters().notice_clock_bytes += rec->vc.EncodedBytes();
-  }
-  comm_stats_.counters().notice_clock_bytes_dense +=
-      records.size() * VectorClock::DenseEncodedBytes(num_procs());
+  const std::size_t notice_bytes = CollectNotices(target, records);
 
   // Request travels to the manager/holder; the grant returns with the
   // write notices the acquirer has not yet seen.  The grant cannot arrive

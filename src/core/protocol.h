@@ -295,8 +295,13 @@ class Node {
   }
 
   // Fetch and apply all pending diffs for `units` (all must have pending
-  // notices), combining requests per writer.  Records exchanges, the fault
-  // record, and all modelled costs.
+  // notices), combining requests per writer.  Each writer's consecutive
+  // intervals reach the reader as chains of one form: an optional
+  // reclaimed head whose words are copied from the canonical base, then
+  // the live diffs absorbed into it, applied oldest first.  A chain's wire
+  // size, delivered words and apply cost are those of one combined diff
+  // over the union of its members' runs (Diff::MergeRuns).  Records
+  // exchanges, the fault record, and all modelled costs.
   void FetchUnits(const std::vector<UnitId>& units);
 
   // --- home-based LRC (BackendKind::kHlrc, DESIGN.md §7) -------------------
@@ -358,10 +363,11 @@ class Node {
 
   // Collect archive records newly covered by `target` (all procs except
   // self), in (proc, seq) order, into `out` (cleared first; callers pass
-  // the reusable notice_scratch_).  Also reports their total write-notice
-  // payload size.
-  void CollectNotices(const VectorClock& target, std::size_t* notice_bytes,
-                      std::vector<const IntervalRecord*>& out) const;
+  // the reusable notice_scratch_).  Counts the sparse-clock telemetry of
+  // the collected records and returns their total write-notice payload
+  // size.
+  std::size_t CollectNotices(const VectorClock& target,
+                             std::vector<const IntervalRecord*>& out);
 
   // Invalidate the units named in `records` and queue pending notices.
   void InvalidateFrom(const std::vector<const IntervalRecord*>& records);
@@ -441,32 +447,30 @@ class Node {
   NetStats net_stats_;
 
   // Scratch buffers reused across faults and synchronizations, so the
-  // steady-state fault path performs no allocations (vector capacity and
-  // pooled diff storage persist between calls).
+  // steady-state fault path performs few allocations (vector capacity
+  // persists between calls).
   //
-  // One per-writer coalesced chain the fault must fetch: either a live
-  // chain (diff != nullptr) or a flattened chain (flat != nullptr) whose
-  // payload is copied from the canonical base, with any live diffs
-  // absorbed into its tail applied on top.
+  // One per-writer coalesced chain the fault must fetch: an optional
+  // reclaimed head (its words live in the canonical base), then the live
+  // diffs absorbed into it, oldest first.
   struct NeedEntry {
     UnitId unit;
-    HbKey key;                   // chain tail's happens-before sort key
-    const Diff* diff;            // live chain: the (possibly merged) diff
-    FlattenedChain* flat;        // reclaimed chain (data in canonical base)
-    // Live diffs absorbed into flat's tail: indices into absorbed_scratch_.
-    std::uint32_t absorbed_begin;
-    std::uint32_t absorbed_count;
+    HbKey key;                    // chain tail's happens-before sort key
+    const FlattenedChain* head;   // reclaimed head, or null
+    // Union of every member's runs: the head's or the only record's own
+    // list, or a merged list in merged_runs_scratch_.
+    const std::vector<DiffRun>* runs;
+    std::size_t payload_words;    // == Diff::RunWords(*runs)
+    // Live diffs, oldest first: indices into live_diffs_scratch_.
+    std::uint32_t live_begin;
+    std::uint32_t live_count;
     std::uint32_t exchange_id;
     bool needs_scan;  // server must materialize (this requester pays)
 
+    // Wire size of the chain as one combined diff (Diff::EncodedBytes).
     std::size_t EncodedBytes() const {
-      return flat != nullptr ? flat->EncodedBytes() : diff->EncodedBytes();
-    }
-    std::size_t PayloadWords() const {
-      return flat != nullptr ? flat->payload_words() : diff->payload_words();
-    }
-    const std::vector<DiffRun>& runs() const {
-      return flat != nullptr ? flat->runs() : diff->runs();
+      return Diff::kHeaderBytes + runs->size() * Diff::kRunDescriptorBytes +
+             payload_words * kWordBytes;
     }
   };
   struct ResolvedDiff {
@@ -478,9 +482,11 @@ class Node {
   std::vector<ResolvedDiff> resolved_scratch_;        // FetchUnits
   std::vector<const ResolvedDiff*> chain_scratch_;    // FetchUnits
   std::vector<Seq> foreign_vcw_scratch_;              // FetchUnits
-  std::deque<Diff> merged_scratch_;                   // FetchUnits
+  // Merged run lists of multi-member chains; a deque keeps NeedEntry::runs
+  // pointers stable as it grows.
+  std::deque<std::vector<DiffRun>> merged_runs_scratch_;  // FetchUnits
   std::vector<NeedEntry> apply_scratch_;              // FetchUnits
-  std::vector<const Diff*> absorbed_scratch_;         // FetchUnits
+  std::vector<const Diff*> live_diffs_scratch_;       // FetchUnits
   std::vector<UnitId> fetch_scratch_;                 // ValidateUnit
   std::vector<const IntervalRecord*> notice_scratch_;  // Barrier/AcquireLock
   // HLRC scratch (empty vectors under the other backends): fault-time

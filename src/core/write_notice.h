@@ -195,13 +195,6 @@ struct FlattenedChain {
   // (matches the fault path's per-record safety check, whose reclaimed
   // witnesses are gone).
   bool blocked = false;
-  // True while `body` may be referenced by another node's header or by
-  // the shared virgin store.  Set where a merged body starts crossing
-  // nodes — the GC's virgin-store build, inside the GC window, whose
-  // rendezvous orders it — and cleared by the copy-on-write clone in
-  // MutableBody().  Deliberately a plain bool, not a body.use_count()
-  // peek: see MutableBody.
-  bool body_shared = false;
   std::shared_ptr<const IntervalRecord> rec;  // single-record form
   int di = -1;                                // unit's index within *rec
   std::shared_ptr<ChainBody> body;            // merged form (rec == null)
@@ -233,18 +226,13 @@ struct FlattenedChain {
     }
   }
 
-  // Mutable merged body for tail extension (GC absorption or fault-path
-  // live absorption): converts a single-record chain to a merged body,
-  // and clones a body other nodes may share (copy-on-write).  The
-  // uniqueness test is the explicit `body_shared` flag, NOT
-  // body.use_count() > 1: use_count() is a relaxed atomic load, so
-  // observing "count == 1" establishes no happens-before with a peer
-  // header's just-finished clone of the same body, and mutating in
-  // place on its strength is a formal data race (TSan caught two
-  // concurrent fault-path absorptions doing exactly that in the
-  // recovery torture suite).  The flag errs conservative: a header
-  // whose body was ever shared clones once even if every other sharer
-  // has since dropped theirs.
+  // Mutable merged body for tail extension by the GC: converts a
+  // single-record chain to a merged body, and clones a body another
+  // header shares (copy-on-write).  Called only by the barrier
+  // coordinator inside the GC window (BuildChains), where every header
+  // copy or drop is either its own or one a node thread made outside the
+  // window, ordered before it by the barrier — so use_count() is exact
+  // here (DESIGN.md §10).  The fault path never writes a body.
   ChainBody& MutableBody() {
     if (rec != nullptr) {
       auto b = std::make_shared<ChainBody>();
@@ -256,20 +244,10 @@ struct FlattenedChain {
       body = std::move(b);
       rec = nullptr;
       di = -1;
-    } else if (body_shared) {
+    } else if (body.use_count() > 1) {
       body = std::make_shared<ChainBody>(*body);
-      body_shared = false;
     }
     return *body;
-  }
-
-  // Wire size of the chain's merged diff, matching Diff::EncodedBytes().
-  std::size_t EncodedBytes() const {
-    return rec != nullptr
-               ? rec_diff().EncodedBytes()
-               : Diff::kHeaderBytes +
-                     body->runs.size() * Diff::kRunDescriptorBytes +
-                     body->payload_words * kWordBytes;
   }
 };
 

@@ -148,107 +148,6 @@ std::uint32_t Diff::payload_word(std::size_t i) const {
   return Load32(payload_.data() + i * kWordBytes);
 }
 
-Diff Diff::Merge(const Diff& older, const Diff& newer,
-                 std::size_t words_per_unit) {
-  const std::vector<DiffRun>& ra = older.runs_;
-  const std::vector<DiffRun>& rb = newer.runs_;
-  older.CheckPayload();
-  newer.CheckPayload();
-  for (const DiffRun& r : ra) {
-    DSM_CHECK_LE(static_cast<std::size_t>(r.word_offset) + r.word_count,
-                 words_per_unit);
-  }
-  for (const DiffRun& r : rb) {
-    DSM_CHECK_LE(static_cast<std::size_t>(r.word_offset) + r.word_count,
-                 words_per_unit);
-  }
-
-  Diff merged;
-  merged.runs_.reserve(ra.size() + rb.size());
-  merged.payload_.reserve(older.payload_.size() + newer.payload_.size());
-
-  // Emit a segment, coalescing with the previous one when adjacent (both
-  // inputs have canonical runs, so output runs stay maximal and disjoint).
-  auto append = [&merged](std::uint32_t offset, const std::byte* bytes,
-                          std::uint32_t count) {
-    if (count == 0) return;
-    if (!merged.runs_.empty() &&
-        merged.runs_.back().word_offset + merged.runs_.back().word_count ==
-            offset) {
-      merged.runs_.back().word_count += count;
-    } else {
-      merged.runs_.push_back({offset, count});
-    }
-    merged.payload_.insert(merged.payload_.end(), bytes,
-                           bytes + std::size_t{count} * kWordBytes);
-  };
-
-  // Two-pointer walk over both sorted run lists: O(runs + payload), no
-  // per-word scratch.  `newer` wins on overlapping words.
-  std::size_t ai = 0, bi = 0;
-  std::size_t apay = 0, bpay = 0;  // payload word index of run ai / bi
-  std::uint32_t a_done = 0;        // words of run ai already emitted/dropped
-  auto a_bytes = [&](std::size_t words_in) {
-    return older.payload_.data() + (apay + words_in) * kWordBytes;
-  };
-  auto b_bytes = [&] { return newer.payload_.data() + bpay * kWordBytes; };
-  while (ai < ra.size() && bi < rb.size()) {
-    const DiffRun& a = ra[ai];
-    const DiffRun& b = rb[bi];
-    const std::uint32_t a_start = a.word_offset + a_done;
-    const std::uint32_t a_end = a.word_offset + a.word_count;
-    const std::uint32_t b_end = b.word_offset + b.word_count;
-    if (a_end <= b.word_offset) {
-      // Older run entirely before the next newer run.
-      append(a_start, a_bytes(a_done), a_end - a_start);
-      apay += a.word_count;
-      ++ai;
-      a_done = 0;
-    } else if (b_end <= a_start) {
-      // Newer run entirely before the rest of the older run.
-      append(b.word_offset, b_bytes(), b.word_count);
-      bpay += b.word_count;
-      ++bi;
-    } else {
-      // Overlap: the older prefix survives, then the whole newer run; every
-      // older word the newer run covers is dropped.
-      if (a_start < b.word_offset) {
-        append(a_start, a_bytes(a_done), b.word_offset - a_start);
-      }
-      append(b.word_offset, b_bytes(), b.word_count);
-      bpay += b.word_count;
-      ++bi;
-      while (ai < ra.size()) {
-        const DiffRun& drop = ra[ai];
-        if (drop.word_offset + drop.word_count <= b_end) {
-          apay += drop.word_count;
-          ++ai;
-          a_done = 0;
-          continue;
-        }
-        if (drop.word_offset < b_end) {
-          a_done = std::max(a_done, b_end - drop.word_offset);
-        }
-        break;
-      }
-    }
-  }
-  while (ai < ra.size()) {
-    const DiffRun& a = ra[ai];
-    append(a.word_offset + a_done, a_bytes(a_done), a.word_count - a_done);
-    apay += a.word_count;
-    ++ai;
-    a_done = 0;
-  }
-  while (bi < rb.size()) {
-    append(rb[bi].word_offset, b_bytes(), rb[bi].word_count);
-    bpay += rb[bi].word_count;
-    ++bi;
-  }
-  merged.payload_words_ = merged.payload_.size() / kWordBytes;
-  return merged;
-}
-
 std::vector<DiffRun> Diff::MergeRuns(const std::vector<DiffRun>& a,
                                      const std::vector<DiffRun>& b) {
   std::vector<DiffRun> out;

@@ -5,7 +5,10 @@
 // working copy to produce a *diff*: a run-length-encoded record of modified
 // words.  A reader merges concurrent diffs by applying them in turn; for
 // race-free programs concurrent diffs touch disjoint words, so application
-// order between concurrent writers does not matter.
+// order between concurrent writers does not matter.  Consecutive diffs of
+// one writer may overlap: they are applied oldest first, so each word ends
+// with its newest value, and MergeRuns gives the run list of their union,
+// which is what one combined diff would put on the wire.
 #pragma once
 
 #include <cstddef>
@@ -44,20 +47,14 @@ class Diff {
   // race-free.
   void ReleasePayload() { std::vector<std::byte>().swap(payload_); }
 
-  // Coalesce two diffs of the same unit from the same writer, `newer`
-  // taking precedence on overlapping words.  Used to combat diff
-  // accumulation: when a reader fetches several consecutive intervals of
-  // one writer and no foreign interval is ordered between them, the
-  // intermediate versions of overlapping words can never be observed, so
-  // the server ships one combined diff (`words_per_unit` bounds offsets).
-  static Diff Merge(const Diff& older, const Diff& newer,
-                    std::size_t words_per_unit);
-
-  // Payload-free counterpart of Merge: the canonical (sorted, maximal,
-  // disjoint) run decomposition of the union of two canonical run lists.
-  // Guaranteed to equal Merge(a, b).runs() for any diffs with those runs —
-  // archive GC relies on this to keep wire-size accounting bit-identical
-  // after diff payloads have been reclaimed (see DESIGN.md §6).
+  // The canonical (sorted, maximal, disjoint) run decomposition of the
+  // union of two canonical run lists.  Used to combat diff accumulation:
+  // when a reader fetches several consecutive intervals of one writer and
+  // no foreign interval is ordered between them, the intermediate versions
+  // of overlapping words can never be observed, so the server ships one
+  // combined diff whose runs are this union.  Payload-free, so the fault
+  // path and archive GC count that diff's wire size and delivered words
+  // whether or not the members' payloads were reclaimed (DESIGN.md §6).
   static std::vector<DiffRun> MergeRuns(const std::vector<DiffRun>& a,
                                         const std::vector<DiffRun>& b);
 
@@ -93,7 +90,7 @@ class Diff {
   // construction a pure bulk copy (no zero-initializing resize, no
   // aliasing-unsafe word pointers into the unit images).
   std::vector<std::byte> payload_;
-  // Words in the payload, written once by Create/Merge.  The size
+  // Words in the payload, written once by Create.  The size
   // accessors read this, never payload_, so they survive ReleasePayload.
   std::size_t payload_words_ = 0;
 };

@@ -86,61 +86,34 @@ TEST(Diff, EncodedBytesAccountsRunsAndPayload) {
 
 // Archive GC releases a reclaimed record's payload while flattened chains
 // keep reading the record's runs and wire size: everything but the byte
-// storage must survive, for Create and Merge outputs alike.
+// storage must survive.
 TEST(Diff, ReleasePayloadKeepsRunsAndSizes) {
   auto base = Bytes({0, 0, 0, 0, 0, 0, 0, 0});
   auto v1 = Bytes({1, 1, 0, 0, 2, 0, 0, 0});
-  auto v2 = Bytes({1, 3, 3, 0, 2, 0, 0, 4});
-  const Diff created = Diff::Create(base, v1);
-  const Diff merged =
-      Diff::Merge(created, Diff::Create(v1, v2), v1.size() / kWordBytes);
-  for (const Diff& original : {created, merged}) {
-    Diff d = original;
-    ASSERT_GT(d.payload_words(), 0u);
-    d.ReleasePayload();
-    EXPECT_TRUE(d.payload().empty());
-    EXPECT_EQ(d.payload().capacity(), 0u);
-    ASSERT_EQ(d.num_runs(), original.num_runs());
-    for (std::size_t r = 0; r < d.num_runs(); ++r) {
-      EXPECT_EQ(d.runs()[r].word_offset, original.runs()[r].word_offset);
-      EXPECT_EQ(d.runs()[r].word_count, original.runs()[r].word_count);
-    }
-    EXPECT_EQ(d.payload_words(), original.payload_words());
-    EXPECT_EQ(d.payload_bytes(), original.payload_bytes());
-    EXPECT_EQ(d.EncodedBytes(), original.EncodedBytes());
-    // The data is gone: applying (or merging) it is a checked error.
-    auto target = base;
-    EXPECT_THROW(d.Apply(target), CheckError);
-    EXPECT_THROW(Diff::Merge(d, original, 8), CheckError);
+  const Diff original = Diff::Create(base, v1);
+  Diff d = original;
+  ASSERT_GT(d.payload_words(), 0u);
+  d.ReleasePayload();
+  EXPECT_TRUE(d.payload().empty());
+  EXPECT_EQ(d.payload().capacity(), 0u);
+  ASSERT_EQ(d.num_runs(), original.num_runs());
+  for (std::size_t r = 0; r < d.num_runs(); ++r) {
+    EXPECT_EQ(d.runs()[r].word_offset, original.runs()[r].word_offset);
+    EXPECT_EQ(d.runs()[r].word_count, original.runs()[r].word_count);
   }
-}
-
-TEST(DiffMerge, NewerWinsOnOverlap) {
-  auto base = Bytes({0, 0, 0, 0});
-  auto v1 = Bytes({1, 1, 0, 0});
-  auto v2 = Bytes({2, 1, 9, 0});
-  Diff d1 = Diff::Create(base, v1);
-  Diff d2 = Diff::Create(v1, v2);
-  Diff merged = Diff::Merge(d1, d2, 4);
+  EXPECT_EQ(d.payload_words(), original.payload_words());
+  EXPECT_EQ(d.payload_bytes(), original.payload_bytes());
+  EXPECT_EQ(d.EncodedBytes(), original.EncodedBytes());
+  // The data is gone: applying it is a checked error.
   auto target = base;
-  merged.Apply(target);
-  EXPECT_EQ(target, v2);
+  EXPECT_THROW(d.Apply(target), CheckError);
 }
 
-TEST(DiffMerge, UnionOfDisjointRuns) {
-  auto base = Bytes({0, 0, 0, 0, 0});
-  auto v1 = Bytes({1, 0, 0, 0, 0});
-  auto v2 = Bytes({1, 0, 0, 0, 5});
-  Diff d1 = Diff::Create(base, v1);
-  Diff d2 = Diff::Create(v1, v2);
-  Diff merged = Diff::Merge(d1, d2, 5);
-  EXPECT_EQ(merged.payload_words(), 2u);
-  auto target = base;
-  merged.Apply(target);
-  EXPECT_EQ(target, v2);
-}
-
-// --- Merge vs. a brute-force word-map oracle -------------------------------
+// --- Consecutive diffs vs. a brute-force word-map oracle --------------------
+//
+// What the fault path does with consecutive diffs of one writer: it counts
+// one combined diff whose runs are MergeRuns of the members' runs, and
+// applies the members oldest first.
 
 // Word-map view of a diff: offset → value, in apply order.
 std::map<std::uint32_t, std::uint32_t> WordMap(const Diff& d) {
@@ -154,8 +127,7 @@ std::map<std::uint32_t, std::uint32_t> WordMap(const Diff& d) {
   return map;
 }
 
-// The oracle: absorb older then newer word by word (newer wins), exactly
-// the semantics the O(runs + payload) two-pointer merge must reproduce.
+// The oracle: absorb older then newer word by word (newer wins).
 std::map<std::uint32_t, std::uint32_t> MergeOracle(const Diff& older,
                                                    const Diff& newer) {
   std::map<std::uint32_t, std::uint32_t> map = WordMap(older);
@@ -165,10 +137,11 @@ std::map<std::uint32_t, std::uint32_t> MergeOracle(const Diff& older,
 
 // Canonical runs: non-empty, sorted, maximal (a gap of at least one
 // unmodified word between consecutive runs).
-void ExpectCanonicalRuns(const Diff& d, std::size_t words_per_unit) {
+void ExpectCanonicalRuns(const std::vector<DiffRun>& runs,
+                         std::size_t words_per_unit) {
   std::uint32_t prev_end = 0;
   bool first = true;
-  for (const DiffRun& run : d.runs()) {
+  for (const DiffRun& run : runs) {
     EXPECT_GT(run.word_count, 0u);
     if (!first) {
       EXPECT_GT(run.word_offset, prev_end);
@@ -179,11 +152,55 @@ void ExpectCanonicalRuns(const Diff& d, std::size_t words_per_unit) {
   EXPECT_LE(prev_end, words_per_unit);
 }
 
-void ExpectMergeMatchesOracle(const Diff& older, const Diff& newer,
-                              std::size_t words_per_unit) {
-  const Diff merged = Diff::Merge(older, newer, words_per_unit);
-  EXPECT_EQ(WordMap(merged), MergeOracle(older, newer));
-  ExpectCanonicalRuns(merged, words_per_unit);
+// The merged runs must be canonical and cover exactly the oracle's words,
+// and applying older then newer to `base` must write exactly the oracle's
+// values.  Returns the merged runs.
+std::vector<DiffRun> ExpectChainMatchesOracle(
+    const Diff& older, const Diff& newer, const std::vector<std::byte>& base) {
+  const std::map<std::uint32_t, std::uint32_t> oracle =
+      MergeOracle(older, newer);
+  const std::vector<DiffRun> runs =
+      Diff::MergeRuns(older.runs(), newer.runs());
+  ExpectCanonicalRuns(runs, base.size() / kWordBytes);
+  std::vector<std::uint32_t> covered, oracle_words;
+  for (const DiffRun& run : runs) {
+    for (std::uint32_t i = 0; i < run.word_count; ++i) {
+      covered.push_back(run.word_offset + i);
+    }
+  }
+  for (const auto& [offset, value] : oracle) oracle_words.push_back(offset);
+  EXPECT_EQ(covered, oracle_words);
+
+  std::vector<std::byte> applied = base;
+  older.Apply(applied);
+  newer.Apply(applied);
+  std::vector<std::byte> expected = base;
+  for (const auto& [offset, value] : oracle) {
+    std::memcpy(expected.data() + std::size_t{offset} * kWordBytes, &value,
+                kWordBytes);
+  }
+  EXPECT_EQ(applied, expected);
+  return runs;
+}
+
+TEST(DiffMerge, NewerWinsOnOverlap) {
+  auto base = Bytes({0, 0, 0, 0});
+  auto v1 = Bytes({1, 1, 0, 0});
+  auto v2 = Bytes({2, 1, 9, 0});
+  const std::vector<DiffRun> runs = ExpectChainMatchesOracle(
+      Diff::Create(base, v1), Diff::Create(v1, v2), base);
+  ASSERT_EQ(runs.size(), 1u);  // [0,3)
+  EXPECT_EQ(Diff::RunWords(runs), 3u);
+}
+
+TEST(DiffMerge, UnionOfDisjointRuns) {
+  auto base = Bytes({0, 0, 0, 0, 0});
+  auto v1 = Bytes({1, 0, 0, 0, 0});
+  auto v2 = Bytes({1, 0, 0, 0, 5});
+  const std::vector<DiffRun> runs = ExpectChainMatchesOracle(
+      Diff::Create(base, v1), Diff::Create(v1, v2), base);
+  EXPECT_EQ(runs.size(), 2u);
+  EXPECT_EQ(Diff::RunWords(runs), 2u);
 }
 
 TEST(DiffMerge, EmptyOlder) {
@@ -191,9 +208,7 @@ TEST(DiffMerge, EmptyOlder) {
   auto v = Bytes({0, 7, 7, 0});
   Diff empty = Diff::Create(base, base);
   Diff d = Diff::Create(base, v);
-  ExpectMergeMatchesOracle(empty, d, 4);
-  const Diff merged = Diff::Merge(empty, d, 4);
-  EXPECT_EQ(merged.payload_words(), 2u);
+  EXPECT_EQ(Diff::RunWords(ExpectChainMatchesOracle(empty, d, base)), 2u);
 }
 
 TEST(DiffMerge, EmptyNewer) {
@@ -201,17 +216,15 @@ TEST(DiffMerge, EmptyNewer) {
   auto v = Bytes({3, 0, 0, 3});
   Diff d = Diff::Create(base, v);
   Diff empty = Diff::Create(base, base);
-  ExpectMergeMatchesOracle(d, empty, 4);
-  const Diff merged = Diff::Merge(d, empty, 4);
-  EXPECT_EQ(WordMap(merged), WordMap(d));
+  const std::vector<DiffRun> runs = ExpectChainMatchesOracle(d, empty, base);
+  EXPECT_EQ(runs.size(), d.num_runs());
+  EXPECT_EQ(Diff::RunWords(runs), d.payload_words());
 }
 
 TEST(DiffMerge, BothEmpty) {
   auto base = Bytes({1, 2, 3});
   Diff empty = Diff::Create(base, base);
-  const Diff merged = Diff::Merge(empty, empty, 3);
-  EXPECT_TRUE(merged.empty());
-  EXPECT_EQ(merged.payload_words(), 0u);
+  EXPECT_TRUE(ExpectChainMatchesOracle(empty, empty, base).empty());
 }
 
 TEST(DiffMerge, FullyOverlappingRunsNewerWins) {
@@ -220,11 +233,10 @@ TEST(DiffMerge, FullyOverlappingRunsNewerWins) {
   auto v2 = Bytes({0, 2, 2, 2, 0, 0});
   Diff older = Diff::Create(base, v1);
   Diff newer = Diff::Create(base, v2);
-  ExpectMergeMatchesOracle(older, newer, 6);
-  const Diff merged = Diff::Merge(older, newer, 6);
-  ASSERT_EQ(merged.num_runs(), 1u);
-  EXPECT_EQ(merged.payload_words(), 3u);
-  for (std::size_t i = 0; i < 3; ++i) EXPECT_EQ(merged.payload_word(i), 2u);
+  const std::vector<DiffRun> runs =
+      ExpectChainMatchesOracle(older, newer, base);
+  ASSERT_EQ(runs.size(), 1u);
+  EXPECT_EQ(Diff::RunWords(runs), 3u);
 }
 
 TEST(DiffMerge, PartialOverlapKeepsOlderFringe) {
@@ -234,11 +246,11 @@ TEST(DiffMerge, PartialOverlapKeepsOlderFringe) {
   auto v2 = Bytes({0, 0, 0, 2, 2, 2, 0});
   Diff older = Diff::Create(base, v1);
   Diff newer = Diff::Create(base, v2);
-  ExpectMergeMatchesOracle(older, newer, 7);
-  const Diff merged = Diff::Merge(older, newer, 7);
-  ASSERT_EQ(merged.num_runs(), 1u);  // [1,6) coalesces
-  EXPECT_EQ(merged.runs()[0].word_offset, 1u);
-  EXPECT_EQ(merged.runs()[0].word_count, 5u);
+  const std::vector<DiffRun> runs =
+      ExpectChainMatchesOracle(older, newer, base);
+  ASSERT_EQ(runs.size(), 1u);  // [1,6) coalesces
+  EXPECT_EQ(runs[0].word_offset, 1u);
+  EXPECT_EQ(runs[0].word_count, 5u);
 }
 
 TEST(DiffMerge, AdjacentRunsCoalesceIntoOne) {
@@ -247,11 +259,11 @@ TEST(DiffMerge, AdjacentRunsCoalesceIntoOne) {
   auto v2 = Bytes({0, 0, 0, 6, 6, 0});  // run [3,5), adjacent
   Diff older = Diff::Create(base, v1);
   Diff newer = Diff::Create(base, v2);
-  ExpectMergeMatchesOracle(older, newer, 6);
-  const Diff merged = Diff::Merge(older, newer, 6);
-  ASSERT_EQ(merged.num_runs(), 1u);
-  EXPECT_EQ(merged.runs()[0].word_offset, 1u);
-  EXPECT_EQ(merged.runs()[0].word_count, 4u);
+  const std::vector<DiffRun> runs =
+      ExpectChainMatchesOracle(older, newer, base);
+  ASSERT_EQ(runs.size(), 1u);
+  EXPECT_EQ(runs[0].word_offset, 1u);
+  EXPECT_EQ(runs[0].word_count, 4u);
 }
 
 TEST(DiffMerge, InterleavedDisjointRuns) {
@@ -260,10 +272,10 @@ TEST(DiffMerge, InterleavedDisjointRuns) {
   auto v2 = Bytes({0, 0, 2, 0, 0, 0, 2, 0, 0, 0, 2, 0});  // runs at 2, 6, 10
   Diff older = Diff::Create(base, v1);
   Diff newer = Diff::Create(base, v2);
-  ExpectMergeMatchesOracle(older, newer, 12);
-  const Diff merged = Diff::Merge(older, newer, 12);
-  EXPECT_EQ(merged.num_runs(), 6u);
-  EXPECT_EQ(merged.payload_words(), 6u);
+  const std::vector<DiffRun> runs =
+      ExpectChainMatchesOracle(older, newer, base);
+  EXPECT_EQ(runs.size(), 6u);
+  EXPECT_EQ(Diff::RunWords(runs), 6u);
 }
 
 TEST(DiffMerge, NewerRunSpanningSeveralOlderRuns) {
@@ -272,7 +284,7 @@ TEST(DiffMerge, NewerRunSpanningSeveralOlderRuns) {
   auto v2 = Bytes({0, 2, 2, 2, 2, 2, 0, 0});  // one run [1,6) across them
   Diff older = Diff::Create(base, v1);
   Diff newer = Diff::Create(base, v2);
-  ExpectMergeMatchesOracle(older, newer, 8);
+  ExpectChainMatchesOracle(older, newer, base);
 }
 
 // --- property tests --------------------------------------------------------
@@ -305,36 +317,9 @@ TEST_P(DiffPropertyTest, CreateApplyRoundTrip) {
   EXPECT_EQ(target, cur);
 }
 
-// Merge equivalence: applying (d1 then d2) equals applying Merge(d1, d2).
-TEST_P(DiffPropertyTest, MergeEquivalentToSequentialApply) {
-  Xoshiro256 rng(GetParam() ^ 0xfeed);
-  const std::size_t words = 32 + rng.UniformInt(512);
-  std::vector<std::uint32_t> v0(words), v1(words), v2(words);
-  for (std::size_t i = 0; i < words; ++i) {
-    v0[i] = static_cast<std::uint32_t>(rng.Next());
-    v1[i] = rng.UniformDouble() < 0.25 ? v0[i] + 1 : v0[i];
-    v2[i] = rng.UniformDouble() < 0.25 ? v1[i] + 1 : v1[i];
-  }
-  auto b0 = Bytes(v0), b1 = Bytes(v1), b2 = Bytes(v2);
-  Diff d1 = Diff::Create(b0, b1);
-  Diff d2 = Diff::Create(b1, b2);
-
-  auto sequential = b0;
-  d1.Apply(sequential);
-  d2.Apply(sequential);
-
-  auto merged_target = b0;
-  Diff merged = Diff::Merge(d1, d2, words);
-  merged.Apply(merged_target);
-
-  EXPECT_EQ(sequential, merged_target);
-  // The merged payload never exceeds the sum of the parts.
-  EXPECT_LE(merged.payload_words(), d1.payload_words() + d2.payload_words());
-}
-
-// Merge against the word-map oracle on independent random overlap
-// patterns (not chained versions: arbitrary partial overlaps, adjacency,
-// and containment all occur).
+// MergeRuns and in-order apply against the word-map oracle on independent
+// random overlap patterns (not chained versions: arbitrary partial
+// overlaps, adjacency, and containment all occur).
 TEST_P(DiffPropertyTest, MergeMatchesWordMapOracle) {
   Xoshiro256 rng(GetParam() ^ 0xabcd);
   const std::size_t words = 32 + rng.UniformInt(512);
@@ -347,7 +332,7 @@ TEST_P(DiffPropertyTest, MergeMatchesWordMapOracle) {
   auto b0 = Bytes(v0), b1 = Bytes(v1), b2 = Bytes(v2);
   Diff older = Diff::Create(b0, b1);
   Diff newer = Diff::Create(b0, b2);
-  ExpectMergeMatchesOracle(older, newer, words);
+  ExpectChainMatchesOracle(older, newer, b0);
 }
 
 // Runs are canonical: sorted, non-overlapping, maximal.
@@ -372,31 +357,6 @@ TEST_P(DiffPropertyTest, RunsAreCanonical) {
     first = false;
   }
   EXPECT_LE(prev_end, words);
-}
-
-// Archive GC reconstructs merged-chain wire sizes from payload-free run
-// lists, so MergeRuns must reproduce Merge's run structure exactly.
-TEST_P(DiffPropertyTest, MergeRunsMatchesMergeRunStructure) {
-  Xoshiro256 rng(GetParam() ^ 0x6c0de);
-  const std::size_t words = 64 + rng.UniformInt(256);
-  std::vector<std::uint32_t> v0(words), v1(words), v2(words);
-  for (std::size_t i = 0; i < words; ++i) {
-    v0[i] = static_cast<std::uint32_t>(rng.Next());
-    v1[i] = rng.UniformDouble() < 0.4 ? v0[i] + 1 : v0[i];
-    v2[i] = rng.UniformDouble() < 0.4 ? v0[i] + 2 : v0[i];
-  }
-  auto b0 = Bytes(v0), b1 = Bytes(v1), b2 = Bytes(v2);
-  const Diff older = Diff::Create(b0, b1);
-  const Diff newer = Diff::Create(b0, b2);
-  const Diff merged = Diff::Merge(older, newer, words);
-  const std::vector<DiffRun> runs =
-      Diff::MergeRuns(older.runs(), newer.runs());
-  ASSERT_EQ(runs.size(), merged.runs().size());
-  for (std::size_t i = 0; i < runs.size(); ++i) {
-    EXPECT_EQ(runs[i].word_offset, merged.runs()[i].word_offset) << i;
-    EXPECT_EQ(runs[i].word_count, merged.runs()[i].word_count) << i;
-  }
-  EXPECT_EQ(Diff::RunWords(runs), merged.payload_words());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DiffPropertyTest,
