@@ -127,9 +127,10 @@ void Usage(std::FILE* f) {
       "  the happens-before race checker (DESIGN.md §10): host wall-clock\n"
       "  pays for the shadow analysis, modelled numbers and fingerprints\n"
       "  are bit-identical to --race=off.  --baseline=PATH exits 1 when a\n"
-      "  stable row's fingerprint or modelled_ms, or a KV row's checksum,\n"
-      "  differs from the matching row of PATH, when a row has no match in\n"
-      "  PATH, or, on the full sweep, when a row of PATH was not run.\n");
+      "  stable row's fingerprint, modelled_ms or GC counters, or a KV\n"
+      "  row's checksum, differs from the matching row of PATH, when a row\n"
+      "  has no match in PATH, or, on the full sweep, when a row of PATH\n"
+      "  was not run.\n");
 }
 
 [[noreturn]] void UsageError(const std::string& msg) {
@@ -241,6 +242,28 @@ Row RunCell(const Cell& c, const RuntimeConfig& cfg) {
   return row;
 }
 
+// The MemoryFootprint columns of a JSON row, in output order (host-side
+// telemetry, outside the fingerprint).  `gated` columns replay exactly at
+// a fixed configuration, so the gate compares them on stable rows; the
+// two archive peaks sample archive appends, which host scheduling orders,
+// and are only reported.
+struct MemoryJsonField {
+  const char* json_name;
+  std::uint64_t MemoryFootprint::*member;
+  bool gated;
+};
+const MemoryJsonField kMemoryJsonFields[] = {
+    {"peak_live_intervals", &MemoryFootprint::peak_live_intervals, false},
+    {"peak_archive_bytes", &MemoryFootprint::peak_archive_bytes, false},
+    {"reclaimed_intervals", &MemoryFootprint::reclaimed_intervals, true},
+    {"canonical_base_bytes", &MemoryFootprint::canonical_base_peak_bytes,
+     true},
+    {"gc_passes", &MemoryFootprint::gc_passes, true},
+    {"chains_built", &MemoryFootprint::chains_built, true},
+    {"chains_shared", &MemoryFootprint::chains_shared, true},
+    {"records_elided", &MemoryFootprint::records_elided, true},
+};
+
 // Minimal reader for the JSON this binary itself writes (one row object
 // per line): extracts each row's key fields and what the gate compares.
 struct BaselineRow {
@@ -258,6 +281,7 @@ struct BaselineRow {
   // lock-schedule dependent, but the commuting checksum must never move.
   double result = 0;
   bool has_result = false;
+  MemoryFootprint mem;  // the gated kMemoryJsonFields columns (absent → 0)
 };
 
 std::vector<BaselineRow> ReadBaseline(const std::string& path) {
@@ -305,6 +329,15 @@ std::vector<BaselineRow> ReadBaseline(const std::string& path) {
       r.result = std::atof(res + 10);
       r.has_result = true;
     }
+    for (const MemoryJsonField& mf : kMemoryJsonFields) {
+      if (!mf.gated) continue;
+      char key[64];
+      std::snprintf(key, sizeof(key), "\"%s\": ", mf.json_name);
+      const char* v = std::strstr(line, key);
+      if (v != nullptr) {
+        r.mem.*mf.member = std::strtoull(v + std::strlen(key), nullptr, 10);
+      }
+    }
     if (!r.app.empty()) rows.push_back(std::move(r));
   }
   std::fclose(f);
@@ -323,14 +356,15 @@ std::string RowKey(const R& r) {
 }
 
 // Gate: modelled state must be bit-identical to the committed baseline.
-// A stable row fails when its fingerprint or modelled_ms (as written)
-// differs; a KV row — lock-scheduled, so unstable — fails when its
-// commuting checksum moves.  A row the gate cannot compare fails too: a
-// sweep row with no baseline match and, when `full_sweep`, a baseline row
-// the sweep did not run.  Host wall-clock is printed for every matched row
-// but never gates: one sample of one row moves 2x from run to run on a
-// shared host, so host time is gated by benchmark/run.py's repeated
-// parent/change pairs instead.  Returns the number of failing rows.
+// A stable row fails when its fingerprint or modelled_ms (as written) or
+// one of its gated GC counters differs; a KV row — lock-scheduled, so
+// unstable — fails when its commuting checksum moves.  A row the gate
+// cannot compare fails too: a sweep row with no baseline match and, when
+// `full_sweep`, a baseline row the sweep did not run.  Host wall-clock is
+// printed for every matched row but never gates: one sample of one row
+// moves 2x from run to run on a shared host, so host time is gated by
+// benchmark/run.py's repeated parent/change pairs instead.  Returns the
+// number of failing rows.
 int CompareToBaseline(const std::vector<Row>& rows,
                       const std::vector<BaselineRow>& baseline,
                       bool full_sweep) {
@@ -361,26 +395,40 @@ int CompareToBaseline(const std::vector<Row>& rows,
     std::snprintf(modelled_ms, sizeof(modelled_ms), "%.6f", r.modelled_ms);
     const bool checksum_moved =
         r.app == "KV" && base->has_result && r.result != base->result;
-    const bool state_moved = r.stable && base->stable &&
-                             (base->fingerprint != fingerprint ||
-                              base->modelled_ms != modelled_ms);
+    const bool compared = r.stable && base->stable;
+    const bool state_moved = compared && (base->fingerprint != fingerprint ||
+                                          base->modelled_ms != modelled_ms);
+    std::string gc_moved;
+    for (const MemoryJsonField& mf : kMemoryJsonFields) {
+      const std::uint64_t was = base->mem.*mf.member;
+      const std::uint64_t now = r.mem.*mf.member;
+      if (!compared || !mf.gated || was == now) continue;
+      char buf[128];
+      std::snprintf(buf, sizeof(buf), " %s %llu -> %llu", mf.json_name,
+                    static_cast<unsigned long long>(was),
+                    static_cast<unsigned long long>(now));
+      gc_moved += buf;
+    }
     std::string tag = r.fault;
     if (r.gc_lag > 0) tag += " lag=" + std::to_string(r.gc_lag);
+    const bool moved = checksum_moved || state_moved || !gc_moved.empty();
     std::printf("baseline: %-8s %-10s %-4s %-4s p%-3d %-30s wall %8.1f -> "
                 "%8.1f ms%s\n",
                 r.app.c_str(), r.dataset.c_str(), r.mode.c_str(),
                 r.backend.c_str(), r.procs, tag.c_str(), base->wall_ms,
-                r.wall_ms, checksum_moved || state_moved ? "  MISMATCH" : "");
+                r.wall_ms, moved ? "  MISMATCH" : "");
+    if (moved) ++failures;
     if (checksum_moved) {
-      ++failures;
       std::printf("          checksum %.17g -> %.17g\n", base->result,
                   r.result);
     }
     if (state_moved) {
-      ++failures;
       std::printf("          fingerprint %s -> %s, modelled_ms %s -> %s\n",
                   base->fingerprint.c_str(), fingerprint,
                   base->modelled_ms.c_str(), modelled_ms);
+    }
+    if (!gc_moved.empty()) {
+      std::printf("          GC counters:%s\n", gc_moved.c_str());
     }
   }
   for (std::size_t i = 0; full_sweep && i < baseline.size(); ++i) {
@@ -391,31 +439,16 @@ int CompareToBaseline(const std::vector<Row>& rows,
   }
   if (failures > 0) {
     std::printf(
-        "baseline gate FAILED: %d row(s) changed modelled state or were "
-        "unmatched\n",
+        "baseline gate FAILED: %d row(s) changed modelled state or GC "
+        "counters, or were unmatched\n",
         failures);
   } else {
-    std::printf("baseline gate passed: modelled state bit-identical\n");
+    std::printf(
+        "baseline gate passed: modelled state and GC counters "
+        "bit-identical\n");
   }
   return failures;
 }
-
-// The MemoryFootprint columns of a JSON row, in output order (host-side
-// telemetry, outside the fingerprint).
-struct MemoryJsonField {
-  const char* json_name;
-  std::uint64_t MemoryFootprint::*member;
-};
-const MemoryJsonField kMemoryJsonFields[] = {
-    {"peak_live_intervals", &MemoryFootprint::peak_live_intervals},
-    {"peak_archive_bytes", &MemoryFootprint::peak_archive_bytes},
-    {"reclaimed_intervals", &MemoryFootprint::reclaimed_intervals},
-    {"canonical_base_bytes", &MemoryFootprint::canonical_base_peak_bytes},
-    {"gc_passes", &MemoryFootprint::gc_passes},
-    {"chains_built", &MemoryFootprint::chains_built},
-    {"chains_shared", &MemoryFootprint::chains_shared},
-    {"records_elided", &MemoryFootprint::records_elided},
-};
 
 void WriteJson(const std::vector<Row>& rows, const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "w");

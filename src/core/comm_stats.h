@@ -97,18 +97,6 @@ struct CommBreakdown {
   std::uint64_t units_invalidated = 0;
   std::uint64_t group_prefetch_units = 0;  // units fetched via page groups
 
-  // Sparse-clock wire accounting (DESIGN.md §8), telemetry only: bytes
-  // the per-notice interval clocks would occupy under the run-length
-  // encoding versus the dense 4-bytes-per-proc form, summed over every
-  // notice this node consumed (barrier collection and lock grants).  The
-  // modelled 16-byte notice header abstracts the clock, so neither
-  // counter enters total_data_bytes() or the modelled fingerprint; the
-  // ratio is the scaling evidence — on low-sharing programs the sparse
-  // bytes track the writer-frontier count while the dense bytes track
-  // num_procs.
-  std::uint64_t notice_clock_bytes = 0;
-  std::uint64_t notice_clock_bytes_dense = 0;
-
   std::uint64_t total_messages() const {
     return useful_messages + useless_messages + sync_messages +
            home_flush_messages + recovery_messages + recovery_retransmits;
@@ -142,23 +130,20 @@ enum class CounterGroup : std::uint8_t {
   kEvents,
   kHome,
   kRecovery,
-  kNoticeClocks,
 };
 
 struct CounterGroupInfo {
   const char* name;  // ToString line label
   bool skip_if_zero;
-  bool in_fingerprint;
 };
 
 // Indexed by CounterGroup.
 inline constexpr CounterGroupInfo kCounterGroups[] = {
-    {"messages", false, true},
-    {"data bytes", false, true},
-    {"events", false, true},
-    {"home", true, true},            // HLRC only (DESIGN.md §7)
-    {"recovery", true, true},        // a fault fired (DESIGN.md §9)
-    {"notice clocks", true, false},  // wire telemetry (DESIGN.md §8)
+    {"messages", false},
+    {"data bytes", false},
+    {"events", false},
+    {"home", true},      // HLRC only (DESIGN.md §7)
+    {"recovery", true},  // a fault fired (DESIGN.md §9)
 };
 
 struct CounterRow {
@@ -197,8 +182,6 @@ inline constexpr CounterRow kCounterRows[] = {
     DSM_COUNTER_ROW(recovery_records, kRecovery),
     DSM_COUNTER_ROW(recovery_retransmits, kRecovery),
     DSM_COUNTER_ROW(recovery_retransmit_bytes, kRecovery),
-    DSM_COUNTER_ROW(notice_clock_bytes, kNoticeClocks),
-    DSM_COUNTER_ROW(notice_clock_bytes_dense, kNoticeClocks),
 };
 #undef DSM_COUNTER_ROW
 

@@ -34,11 +34,12 @@
 //           (CommBreakdown::recovery_retransmits).
 //
 // When proc 0 is the victim of an at-barrier event, the coordinator roles
-// it normally holds — serial-GC execution, checkpoint watermark publish,
-// the HLRC watermark prune, and the barrier-manager cost asymmetry —
-// migrate to the lowest surviving rank for exactly that barrier
-// (SharedState::CoordinatorFor) and migrate back once the victim has
-// rebuilt.
+// it normally holds — the GC pass count and peak fold, checkpoint
+// watermark publish, the HLRC watermark prune, and the barrier-manager
+// cost asymmetry — migrate to the lowest surviving rank for exactly that
+// barrier (SharedState::CoordinatorFor) and migrate back once the victim
+// has rebuilt.  The GC work itself never migrates: every node, the victim
+// included, collects its own stripe of units before the crash point.
 //
 // Recovery is *transparent*: the victim's thread continues from the crash
 // point with rebuilt state, so the sync services never lose a live

@@ -599,8 +599,8 @@ void Node::RefreshElided(UnitId unit) {
     shared_.canonical->CopyRuns(unit, table_.twin(unit), runs);
   }
   // Release the storage too: the run list pins the unit's canonical base
-  // (see RunArchiveGc pass 3), so an emptied-but-capacious vector would
-  // read as still pinning under a capacity-based check.
+  // (see GcApply's release-check), so an emptied-but-capacious vector
+  // would read as still pinning under a capacity-based check.
   std::vector<DiffRun>().swap(runs);
 }
 
@@ -1008,17 +1008,24 @@ std::uint64_t BuildChains(std::vector<FlattenedChain>& flat,
 }  // namespace
 
 
-// Flatten phase (pass 1 of DESIGN.md §6): the barrier coordinator
-// converts the dominated pending notices of EVERY node into
-// FlattenedChains, unit by unit and nodes in fixed order, mirroring the
-// fault path's chain coalescing exactly (same absorption predicate over
-// the same record set — live records from later epochs can never block a
-// dominated absorption, because they happened-after every dominated
-// interval).  It also collects the (record, diff) pairs some node still
-// needed into gc_refs_: only those must go into the canonical base — an
-// interval pending nowhere was already applied by every node, and any
-// word of it that a future chain covers is rewritten there by a newer
-// record of that chain.
+// Flatten phase (pass 1 of DESIGN.md §6): for the units of this node's
+// stripe (u % num_procs == id), convert the dominated pending notices of
+// EVERY node into FlattenedChains, unit by unit and nodes in fixed order,
+// mirroring the fault path's chain coalescing exactly (same absorption
+// predicate over the same record set — live records from later epochs can
+// never block a dominated absorption, because they happened-after every
+// dominated interval).  It also collects the (record, diff) pairs some
+// node still needed into gc_refs_: only those must go into the canonical
+// base — an interval pending nowhere was already applied by every node,
+// and any word of it that a future chain covers is rewritten there by a
+// newer record of that chain.
+//
+// Every node runs its stripe concurrently inside the barrier window.  A
+// unit's flatten and apply touch only that unit's state — its pending
+// entries and chain headers on every node, its virgin-store entry, its
+// sharer bits and its base — so stripes never share a mutable object;
+// records and stamp arrays span units, but stripes only copy their
+// shared_ptrs.
 //
 // Read-aware flattening recovers the lock-heavy Water regression: a
 // dominated LOCK-RELEASE record none of whose words the pending node ever
@@ -1092,7 +1099,8 @@ void Node::GcFlatten(const VectorClock& through) {
       (static_cast<std::size_t>(nprocs) + 63) / 64);
 
   DSM_CHECK(gc_refs_.empty());
-  for (UnitId u = 0; u < num_units; ++u) {
+  for (auto u = static_cast<UnitId>(id_); u < num_units;
+       u += static_cast<UnitId>(nprocs)) {
     resolve_memo.clear();
     SharedState::VirginHistory& virgin = shared.virgin_history[u];
 
@@ -1215,10 +1223,11 @@ void Node::GcFlatten(const VectorClock& through) {
   // hold EVERY dominated interval: the victim's rebuilt image is base +
   // surviving log, with nothing else to fall back on.  Under an armed
   // fault schedule, replace the base-routing refs wholesale with the full
-  // dominated record set.  Host-side only (the chain builds above are
-  // untouched), and armed-schedule-gated, so fault-free runs stay
-  // bit-identical.  Each (unit, record) pair appears exactly once; the
-  // apply pass orders each unit group in happens-before order itself.
+  // dominated record set, filtered to this stripe.  Host-side only (the
+  // chain builds above are untouched), and armed-schedule-gated, so
+  // fault-free runs stay bit-identical.  Each (unit, record) pair appears
+  // exactly once; the apply pass orders each unit group in happens-before
+  // order itself.
   if (shared.fault != nullptr) {
     gc_refs_.clear();
     for (ProcId p = 0; p < nprocs; ++p) {
@@ -1227,6 +1236,10 @@ void Node::GcFlatten(const VectorClock& through) {
         const IntervalRecord* rec = owner.get();
         const HbKey key(*rec);
         for (std::size_t k = 0; k < rec->units.size(); ++k) {
+          if (rec->units[k] % static_cast<UnitId>(nprocs) !=
+              static_cast<UnitId>(id_)) {
+            continue;
+          }
           gc_refs_.push_back({rec->units[k], rec, static_cast<int>(k), key});
         }
       }
@@ -1236,21 +1249,21 @@ void Node::GcFlatten(const VectorClock& through) {
   }
 }
 
-// Apply phase (pass 2): flatten the referenced diffs into the canonical
-// base, per unit in happens-before order (HbKey), so ordered overwrites
-// land newest-last.  (Keys are precomputed at resolve time — deriving
-// clock sums inside the comparator dominated this pass on lock-heavy
-// batches.)  Also runs the base release-check: a base neither a chain nor
-// an elided-run list references any more goes back to the pool (elided
-// runs pin the base because the silent refresh reads it at the next
-// fault).
+// Apply phase (pass 2), over the same stripe as the flatten: flatten the
+// referenced diffs into the canonical base, per unit in happens-before
+// order (HbKey), so ordered overwrites land newest-last.  (Keys are
+// precomputed at resolve time — deriving clock sums inside the comparator
+// dominated this pass on lock-heavy batches.)  Also runs the base
+// release-check: a base neither a chain nor an elided-run list references
+// any more goes back to the pool (elided runs pin the base because the
+// silent refresh reads it at the next fault).
 void Node::GcApply() {
   SharedState& shared = shared_;
   const int nprocs = shared.config.num_procs;
   const std::size_t num_units = shared.heap.num_units();
 
   // gc_refs_ is already grouped by unit in ascending order (the flatten
-  // pass walks units ascending), so only each group needs the
+  // pass walks its stripe ascending), so only each group needs the
   // happens-before sort — far cheaper than one global sort on lock-heavy
   // batches.
   for (std::size_t i = 0; i < gc_refs_.size();) {
@@ -1276,7 +1289,8 @@ void Node::GcApply() {
   // checkpoint content the victim's rebuild depends on (DESIGN.md §9).
   if (shared.fault != nullptr) return;
 
-  for (UnitId u = 0; u < num_units; ++u) {
+  for (auto u = static_cast<UnitId>(id_); u < num_units;
+       u += static_cast<UnitId>(nprocs)) {
     if (!shared.canonical->Has(u)) continue;
     // The virgin store pins the base too: any never-faulted node may adopt
     // its chains/elided runs at a later fault and silently refresh from it.
@@ -1308,7 +1322,6 @@ void Node::GcPruneOwn(const VectorClock& through) {
 
 std::size_t Node::CollectNotices(const VectorClock& target,
                                  std::vector<const IntervalRecord*>& out) {
-  CommBreakdown& c = comm_stats_.counters();
   out.clear();
   std::size_t bytes = 0;
   for (ProcId p = 0; p < num_procs(); ++p) {
@@ -1317,14 +1330,9 @@ std::size_t Node::CollectNotices(const VectorClock& target,
     auto range = shared_.archives[p]->Range(notices_seen_[p], target[p]);
     for (const IntervalRecord* rec : range) {
       bytes += rec->NoticeBytes();
-      // Sparse-clock telemetry (DESIGN.md §8): wire bytes the consumed
-      // notices' interval clocks would cost, run-length encoded vs dense.
-      c.notice_clock_bytes += rec->vc.EncodedBytes();
       out.push_back(rec);
     }
   }
-  c.notice_clock_bytes_dense +=
-      out.size() * VectorClock::DenseEncodedBytes(num_procs());
   return bytes;
 }
 
@@ -1417,14 +1425,15 @@ void Node::Barrier() {
       }
     }
   }
-  // Archive GC rides the same idle window (DESIGN.md §6): the
-  // coordinator flattens every node's dominated pending notices and
-  // applies them to the canonical bases while its peers wait at the
-  // closing rendezvous, and every node prunes its own dominated archive
-  // prefix after the window closes (mutex-guarded; nothing live
-  // references it).  Every node derives the same gc_due verdict from
-  // purely local state — gc_history holds min(completed barriers, lag)
-  // entries, so "history full" is exactly sync_phase_ >= lag.
+  // Archive GC rides the same idle window (DESIGN.md §6): every node
+  // flattens the dominated pending notices of its own stripe of units and
+  // applies them to the canonical bases, then arrives at the closing
+  // rendezvous, so the pass is over once the window closes; every node
+  // prunes its own dominated archive prefix after that (mutex-guarded;
+  // nothing live references it).  Every node derives the same gc_due
+  // verdict from purely local state — gc_history holds min(completed
+  // barriers, lag) entries, so "history full" is exactly
+  // sync_phase_ >= lag.
   const int gc_interval = shared_.config.gc_interval_barriers;
   const auto gc_lag = static_cast<std::uint32_t>(
       std::max(1, shared_.config.gc_lag_barriers));
@@ -1432,30 +1441,27 @@ void Node::Barrier() {
       !hlrc_ && gc_interval > 0 && sync_phase_ >= gc_lag &&
       (sync_phase_ + 1) % static_cast<std::uint32_t>(gc_interval) == 0;
   VectorClock gc_through;
+  bool gc_pass = false;
   if (gc_due) {
     // Stable read: the coordinator appends to gc_history only after the
     // closing rendezvous below, which happens-before every other node's
     // next Arrive — so the deque is frozen while any node copies the
     // front.
     gc_through = shared_.gc_history.front();
-  }
-  if (gc_due && id_ == res.coordinator) {
-    // Archives are frozen inside the window; a pass with nothing
-    // dominated is skipped and not counted.
-    bool any_dominated = false;
-    for (ProcId p = 0; p < num_procs() && !any_dominated; ++p) {
-      any_dominated = shared_.archives[p]->CountThrough(gc_through[p]) > 0;
+    // Archives are frozen inside the window, so every node reaches the
+    // same verdict; a pass with nothing dominated is skipped and not
+    // counted.
+    for (ProcId p = 0; p < num_procs() && !gc_pass; ++p) {
+      gc_pass = shared_.archives[p]->CountThrough(gc_through[p]) > 0;
     }
-    if (any_dominated) {
-      // GC role: normally proc 0; migrated to the lowest surviving rank
-      // for a barrier whose schedule kills proc 0 (the about-to-crash
-      // victim's pass would die with it) and back once the victim has
-      // rebuilt.
-      GcFlatten(gc_through);
-      GcApply();
+  }
+  if (gc_pass) {
+    GcFlatten(gc_through);
+    GcApply();
+    if (id_ == res.coordinator) {
       // Checkpoint watermark (DESIGN.md §9): everything <= gc_through is
-      // now in the bases.  Published before the closing rendezvous, which
-      // happens-before any recovery read of it.
+      // in the bases once every stripe is done.  Published before the
+      // closing rendezvous, which happens-before any recovery read of it.
       if (shared_.fault != nullptr) shared_.checkpoint_vc = gc_through;
       ++shared_.gc_passes;
     }
@@ -1471,11 +1477,12 @@ void Node::Barrier() {
     HlrcPruneNotices(res.min_seen);
   }
   shared_.barrier->Rendezvous();
-  // History maintenance after the rendezvous: ordered after every
-  // gc_through copy above and before any node's next barrier (its next
-  // Arrive cannot complete before the coordinator's, which follows this
-  // push).
+  // Coordinator bookkeeping after the rendezvous: ordered after every
+  // stripe's Ensure/Release and gc_through copy above, and before any
+  // node's next barrier (its next Arrive cannot complete before the
+  // coordinator's, which follows this).
   if (id_ == res.coordinator && gc_interval > 0 && !hlrc_) {
+    if (gc_pass) shared_.canonical->EndPass();
     shared_.gc_history.push_back(res.global_vc);
     while (shared_.gc_history.size() > gc_lag) {
       shared_.gc_history.pop_front();
@@ -1487,9 +1494,9 @@ void Node::Barrier() {
                                          sync_phase_);
     if (ev >= 0) {
       // Crash point "at barrier n": the victim dies as barrier n completes
-      // (its interval is archived, any GC pass of this window — run by the
-      // failed-over coordinator if the victim is proc 0 — has fully
-      // applied and pruned) and rebuilds to the barrier's global clock.
+      // (its interval is archived, every stripe of this window's GC pass —
+      // the victim's own included — has fully applied, and its prune is
+      // done) and rebuilds to the barrier's global clock.
       // The CollectNotices below then finds nothing new — recovery already
       // installed everything the global cut covers.
       RecoveryCoordinator::Recover(*this, res.global_vc, ev);

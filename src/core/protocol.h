@@ -110,9 +110,10 @@ struct SharedState {
   std::unique_ptr<RaceDetector> race;
   // Checkpoint watermark: the flatten target (`gc_through`) of the last
   // completed GC apply — every interval at or below it is fully
-  // represented in the canonical bases.  Written by proc 0 inside the GC
-  // window (before the closing rendezvous, which happens-before every
-  // later read); recovery replays only archive records ABOVE it.
+  // represented in the canonical bases.  Written by the barrier
+  // coordinator inside the GC window (before the closing rendezvous, which
+  // happens-before every later read, and so after every stripe's apply);
+  // recovery replays only archive records ABOVE it.
   // Maintained only under an armed fault schedule (dense, all-zero
   // otherwise), so no-fault runs take no new work.
   VectorClock checkpoint_vc;
@@ -163,11 +164,13 @@ struct SharedState {
 
   // Barrier coordinator for `sync_phase`: proc 0 unless an at-barrier
   // event kills it at that phase, in which case the lowest surviving rank
-  // assumes the coordinator roles (serial GC, checkpoint watermark, HLRC
-  // watermark prune, re-home apply, barrier-manager cost asymmetry) for
-  // exactly that barrier.  A pure function of the armed schedule and the
-  // phase, so every node computes the same answer with no communication;
-  // always 0 when no schedule is armed.
+  // assumes the coordinator roles (GC pass count, canonical-base peak fold
+  // and checkpoint watermark, HLRC watermark prune, re-home apply,
+  // barrier-manager cost asymmetry) for exactly that barrier.  Collecting
+  // the units is not one of them: every node, the victim included,
+  // collects its own stripe.  A pure function of the armed schedule and
+  // the phase, so every node computes the same answer with no
+  // communication; always 0 when no schedule is armed.
   ProcId CoordinatorFor(std::uint32_t sync_phase) const;
   // Peer access for the lazy-diffing cost flags; filled in by Runtime
   // after node construction.
@@ -275,14 +278,17 @@ class Node {
   // refreshes the bytes without modelling the reclaimed deliveries).
   void RefreshElided(UnitId unit);
 
-  // Barrier-epoch archive GC (DESIGN.md §6), run by the barrier
-  // coordinator alone inside the extended idle window: flatten the
-  // dominated pending notices of every node for every unit, then apply
-  // the referenced diffs to the canonical bases and run the base
-  // release-check.  GcPruneOwn reclaims this node's own dominated archive
-  // prefix; every node runs it after the window closes, concurrently with
-  // resumed application threads (archives are mutex-guarded and no live
-  // reference to a dominated record can exist).
+  // Barrier-epoch archive GC (DESIGN.md §6), run by every node inside the
+  // extended idle window over its own stripe of units
+  // (u % num_procs == id): flatten the dominated pending notices of every
+  // node for the stripe's units, then apply the referenced diffs to their
+  // canonical bases and run the base release-check.  A unit belongs to
+  // one stripe and its flatten and apply touch only its own state, so the
+  // stripes run concurrently and the window's closing rendezvous ends the
+  // pass.  GcPruneOwn reclaims this node's own dominated archive prefix;
+  // every node runs it after the window closes, concurrently with resumed
+  // application threads (archives are mutex-guarded and no live reference
+  // to a dominated record can exist).
   void GcFlatten(const VectorClock& through);
   void GcApply();
   void GcPruneOwn(const VectorClock& through);
@@ -363,9 +369,8 @@ class Node {
 
   // Collect archive records newly covered by `target` (all procs except
   // self), in (proc, seq) order, into `out` (cleared first; callers pass
-  // the reusable notice_scratch_).  Counts the sparse-clock telemetry of
-  // the collected records and returns their total write-notice payload
-  // size.
+  // the reusable notice_scratch_).  Returns their total write-notice
+  // payload size.
   std::size_t CollectNotices(const VectorClock& target,
                              std::vector<const IntervalRecord*>& out);
 
@@ -496,9 +501,9 @@ class Node {
   std::vector<VirtualNanos> hlrc_flush_server_;        // HlrcFlushInterval
 
   // Archive GC (DESIGN.md §6): the (unit, record) references the flatten
-  // pass routed to the canonical base, unit-ordered (flatten walks units
-  // ascending); consumed and cleared by GcApply.  `key` caches the
-  // record's happens-before sort key.
+  // pass routed to the canonical base for this node's stripe, unit-ordered
+  // (flatten walks the stripe ascending); consumed and cleared by GcApply.
+  // `key` caches the record's happens-before sort key.
   struct GcRef {
     UnitId unit;
     const IntervalRecord* rec;

@@ -59,7 +59,7 @@ void ForEachModelledValue(const RunStats& stats, const ModelledValueFn& fn) {
           "recovery_modelled_ns",
           static_cast<std::uint64_t>(stats.recovery_modelled_ns));
     }
-    emit(kCounterGroups[g].skip_if_zero, kCounterGroups[g].in_fingerprint);
+    emit(kCounterGroups[g].skip_if_zero, true);
   }
 
   const SplitHistogram& sig = stats.comm.signature;

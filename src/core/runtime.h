@@ -194,8 +194,8 @@ struct RunStats {
 // and recovery_events; then one messages/bytes group per NetStats kind.  A
 // skip_if_zero group whose values are all zero yields nothing.
 // `in_fingerprint` is false for the values ModelledFingerprint leaves out
-// (the notice-clock telemetry, the signature and recovery_events), so
-// fingerprints committed before they were compared do not move.  Host-side
+// (the signature and recovery_events), so fingerprints committed before
+// they were compared do not move.  Host-side
 // observations — mem, races, recovery_wall_ns — are not modelled state and
 // are never yielded.
 using ModelledValueFn = std::function<void(

@@ -61,10 +61,11 @@ class BarrierService {
   // state can be read and reset deterministically (no application faults
   // are in flight anywhere).  Two things ride this window: the
   // lazy-diffing cost-model flag drain, and the barrier-epoch archive GC
-  // (DESIGN.md §6), which the coordinator runs before its own rendezvous
-  // arrival — the wait here is what keeps every other node from faulting
-  // into a half-collected archive.  Does not count as a completed
-  // barrier.
+  // (DESIGN.md §6), which every node runs over its own stripe of units
+  // before its rendezvous arrival — the wait here is what keeps any node
+  // from faulting into a half-collected archive, and it orders every
+  // stripe's work before anything after the barrier.  Does not count as a
+  // completed barrier.
   void Rendezvous();
 
   std::uint64_t barriers_completed() const;

@@ -26,14 +26,6 @@ std::uint64_t VectorClock::Sum() const {
   return sum;
 }
 
-std::size_t VectorClock::EncodedBytes() const {
-  std::size_t num_runs = entries_.empty() ? 0 : 1;
-  for (std::size_t i = 1; i < entries_.size(); ++i) {
-    if (entries_[i] != entries_[i - 1]) ++num_runs;
-  }
-  return std::min(4 + 8 * num_runs, DenseEncodedBytes(size()));
-}
-
 std::string VectorClock::ToString() const {
   std::ostringstream out;
   out << "[";

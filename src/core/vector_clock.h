@@ -5,9 +5,7 @@
 // merges the releaser's clock into the acquirer's; the write notices of all
 // newly-covered intervals invalidate the corresponding consistency units.
 //
-// Clocks are dense (one Seq per processor).  Barrier programs advance
-// most components in lockstep, so EncodedBytes() reports what a
-// run-length wire encoding of a clock would cost (DESIGN.md §8).
+// Clocks are dense (one Seq per processor).
 #pragma once
 
 #include <cstdint>
@@ -41,16 +39,6 @@ class VectorClock {
   // Sum of all components (the leading term of HbKey, the happens-before
   // sort key in core/write_notice.h).
   std::uint64_t Sum() const;
-
-  // Wire size of this clock under the sparse encoding: a 4-byte run count
-  // followed by 8-byte (start, value) run descriptors, never worse than
-  // the dense 4-byte-per-entry form it falls back to (DESIGN.md §8).
-  // Telemetry only — the modelled 16-byte notice header abstracts the
-  // clock, so these bytes never enter the modelled message totals.
-  std::size_t EncodedBytes() const;
-  static std::size_t DenseEncodedBytes(int num_procs) {
-    return 4 + 4 * static_cast<std::size_t>(num_procs);
-  }
 
   bool operator==(const VectorClock& other) const {
     return entries_ == other.entries_;

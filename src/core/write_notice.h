@@ -228,11 +228,13 @@ struct FlattenedChain {
 
   // Mutable merged body for tail extension by the GC: converts a
   // single-record chain to a merged body, and clones a body another
-  // header shares (copy-on-write).  Called only by the barrier
-  // coordinator inside the GC window (BuildChains), where every header
-  // copy or drop is either its own or one a node thread made outside the
-  // window, ordered before it by the barrier — so use_count() is exact
-  // here (DESIGN.md §10).  The fault path never writes a body.
+  // header shares (copy-on-write).  Called only inside the GC window
+  // (BuildChains), by the stripe that owns the chain's unit.  A body is
+  // only ever held by headers of one unit (the virgin store's and the
+  // nodes' for that unit), and a unit has a single stripe, so every header
+  // copy or drop is either the stripe's own or one a node thread made
+  // outside the window, ordered before it by the barrier — so use_count()
+  // is exact here (DESIGN.md §10).  The fault path never writes a body.
   ChainBody& MutableBody() {
     if (rec != nullptr) {
       auto b = std::make_shared<ChainBody>();
@@ -253,8 +255,9 @@ struct FlattenedChain {
 
 // Footprint counters shared by all archives of a run (updated under each
 // archive's own mutex; atomics make the cross-archive sums race-free).
-// The chain counters are added once per pass by the barrier coordinator's
-// GC flatten, inside the idle barrier window.
+// The chain counters are added once per pass by each node's GC flatten of
+// its stripe, inside the idle barrier window; they are sums, so the order
+// the stripes finish in does not show.
 struct ArchiveTelemetry {
   std::atomic<std::uint64_t> live_intervals{0};
   std::atomic<std::uint64_t> peak_live_intervals{0};

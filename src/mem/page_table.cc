@@ -21,9 +21,16 @@ std::span<std::byte> CanonicalStore::Ensure(UnitId unit) {
       bases_[unit].reset(new std::byte[unit_bytes_]());
     }
     ++live_count_;
-    peak_count_ = std::max(peak_count_, live_count_);
+    ++pass_new_count_;
   }
   return {bases_[unit].get(), unit_bytes_};
+}
+
+void CanonicalStore::EndPass() {
+  std::lock_guard lock(pool_mutex_);
+  peak_count_ = std::max(peak_count_, pass_start_count_ + pass_new_count_);
+  pass_start_count_ = live_count_;
+  pass_new_count_ = 0;
 }
 
 std::span<const std::byte> CanonicalStore::base(UnitId unit) const {

@@ -40,11 +40,12 @@ enum class UnitState : std::uint8_t {
 // reclaimed interval, applied in happens-before order on top of the
 // zero-initialized heap.  FlattenedChains carry only run lists; at fault
 // time their data is copied from here.  Shared across nodes: mutation
-// (Ensure/Release) happens only in the barrier coordinator's GC pass
-// inside the idle barrier window, and fault-time reads happen only outside
-// the window against an immutable-between-barriers image, so reads need
-// no locking.  The pool mutex is uncontended (one GC pass at a time,
-// ordered by the barrier) and cheaply guards the pool and its counters.
+// (Ensure/Release) happens only in the GC pass inside the idle barrier
+// window, where each node works its own stripe of units, so a unit's slot
+// has one writer; fault-time reads happen only outside the window against
+// an immutable-between-barriers image, so reads need no locking.  The
+// pool mutex guards the pool and its counters against the concurrent
+// stripes.
 //
 // Buffers are allocated lazily (only units that ever had a pending chain
 // flattened pay) and recycled through a free pool, like twins: when a GC
@@ -85,19 +86,30 @@ class CanonicalStore {
   // Return the unit's buffer to the free pool (no-op without a base).
   void Release(UnitId unit);
 
+  // Close a GC pass: fold (live bases at the pass's start + bases it newly
+  // ensured) into the peak and start the next pass's count.  That is what
+  // the pass peaks at when every Ensure precedes every Release, and it
+  // does not depend on how concurrent stripes interleaved their Ensures
+  // and Releases, so the peak replays bit-for-bit.  Called once per pass,
+  // after every stripe finished and before the next pass starts.
+  void EndPass();
+
   std::size_t unit_bytes() const { return unit_bytes_; }
-  // High-water mark of the bytes held by live bases over the run (pooled
-  // free buffers are not counted: they are capacity, not content).
+  // High-water mark of the bytes held by live bases over the run, sampled
+  // per pass (see EndPass); pooled free buffers are not counted: they are
+  // capacity, not content.
   std::size_t peak_bytes() const { return peak_count_ * unit_bytes_; }
 
  private:
   std::size_t unit_bytes_;
   // Guards the pool and counters; per-unit slots are written only by the
-  // GC pass.
+  // stripe that owns the unit.
   mutable std::mutex pool_mutex_;
   std::vector<std::unique_ptr<std::byte[]>> bases_;
   std::vector<std::unique_ptr<std::byte[]>> free_bases_;
   std::size_t live_count_ = 0;
+  std::size_t pass_start_count_ = 0;  // live_count_ when the pass began
+  std::size_t pass_new_count_ = 0;    // bases ensured by the pass so far
   std::size_t peak_count_ = 0;
 };
 

@@ -14,12 +14,13 @@
 // a metadata-scaling device, so a bit is monotone (never cleared — a
 // node that faulted once owns its divergent per-unit state forever).
 //
-// Threading: a processor sets only its own bit, from its own thread
-// (fetch_or; concurrent with other processors' faults on the same
-// unit).  Readers are either the owning thread (fault path) or the
-// coordinator's GC pass inside the barrier's idle window, which every
-// registration happens-before via the barrier arrival — relaxed ordering
-// suffices.
+// Threading: outside the barrier window a processor sets only its own
+// bit, from its own thread (fetch_or; concurrent with other processors'
+// faults on the same unit).  Inside the window each node's GC stripe
+// reads, and sets writer bits of, only its own units.  Readers are either
+// the owning thread (fault path) or the stripe that owns the unit, which
+// every registration outside the window happens-before via the barrier
+// arrival — relaxed ordering suffices.
 #pragma once
 
 #include <atomic>

@@ -5,9 +5,11 @@
 // communication statistic must be bit-identical to the archive-everything
 // run — the flattened chains replay the exact coalescing, wire sizes,
 // lazy-diffing charges, and word deliveries of the records they replace.
-// This suite sweeps the conformance catalogue over gc ∈ {0, 1, 4},
-// drives a targeted base-plus-tail fault, and checks that the live
-// archive stays bounded instead of scaling with barrier count.
+// This suite sweeps the conformance catalogue over gc ∈ {0, 1, 4} (its
+// bit-deterministic apps at 3, 4 and 8 processors, so GC stripes of
+// unequal size and eight concurrent stripes are covered), drives a
+// targeted base-plus-tail fault, and checks that the live archive stays
+// bounded instead of scaling with barrier count.
 #include <gtest/gtest.h>
 
 #include <cctype>
@@ -47,30 +49,39 @@ class GcEquivalenceTest
 
 TEST_P(GcEquivalenceTest, CollectedRunsMatchArchiveEverything) {
   const ConformanceScenario& s = GetParam();
-  for (const AggPoint& agg : kAggs) {
-    AppRun baseline;  // gc off
-    for (int gc : {0, 1, 4}) {
-      const std::string where = s.app + " @ " + agg.label +
-                                " gc=" + std::to_string(gc);
-      auto app = MakeApp(s.app, s.dataset);
-      const AppRun run =
-          Execute(*app, GcConfig(agg, s.num_procs, gc));
-      if (gc == 0) {
-        baseline = run;
-        continue;
-      }
-      if (s.modelled_stable) {
-        // Bit-deterministic apps: GC must be perfectly invisible.
-        EXPECT_EQ(run.result, baseline.result) << where;
-        EXPECT_EQ(ModelledStateDiff(run.stats, baseline.stats), "") << where;
-      } else if (s.rel_tol == 0.0) {
-        // Lock-scheduled statistics but an exact (commuting-sums)
-        // checksum: Fuzz.  The result must still match bit for bit.
-        EXPECT_EQ(run.result, baseline.result) << where;
-      } else {
-        // Lock-ordered apps are not bit-reproducible run to run under ANY
-        // setting; the checksum tolerance is the strongest portable check.
-        EXPECT_NEAR(run.result / baseline.result, 1.0, s.rel_tol) << where;
+  // Every node collects its own stripe of units (u % num_procs == id), so
+  // the bit-deterministic apps also run at 3 processors (stripes of
+  // unequal size) and at 8 (eight concurrent stripes).
+  std::vector<int> procs = {s.num_procs};
+  if (s.modelled_stable) procs.insert(procs.end(), {3, 8});
+  for (const int nprocs : procs) {
+    for (const AggPoint& agg : kAggs) {
+      AppRun baseline;  // gc off
+      for (int gc : {0, 1, 4}) {
+        const std::string where = s.app + " @ " + agg.label + " p" +
+                                  std::to_string(nprocs) +
+                                  " gc=" + std::to_string(gc);
+        auto app = MakeApp(s.app, s.dataset);
+        const AppRun run = Execute(*app, GcConfig(agg, nprocs, gc));
+        if (gc == 0) {
+          baseline = run;
+          continue;
+        }
+        if (s.modelled_stable) {
+          // Bit-deterministic apps: GC must be perfectly invisible.
+          EXPECT_EQ(run.result, baseline.result) << where;
+          EXPECT_EQ(ModelledStateDiff(run.stats, baseline.stats), "")
+              << where;
+        } else if (s.rel_tol == 0.0) {
+          // Lock-scheduled statistics but an exact (commuting-sums)
+          // checksum: Fuzz.  The result must still match bit for bit.
+          EXPECT_EQ(run.result, baseline.result) << where;
+        } else {
+          // Lock-ordered apps are not bit-reproducible run to run under
+          // ANY setting; the checksum tolerance is the strongest portable
+          // check.
+          EXPECT_NEAR(run.result / baseline.result, 1.0, s.rel_tol) << where;
+        }
       }
     }
   }

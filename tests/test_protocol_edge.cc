@@ -258,12 +258,14 @@ TEST(ProtocolEdge, StatsToStringsAreNonEmpty) {
 }
 
 // Deterministic replay: two identical runs produce identical statistics
-// and virtual times, and the archive GC's host-side counters agree too
-// (the pass walks units and nodes in a fixed order).  Besides the shared
-// array every node rewrites, one writer per epoch updates a cold unit
-// (its notices stay pending past the GC lag, so chains get built) and,
-// under a lock no two epochs contend for, a unit nobody reads (its
-// lock-release records get elided).
+// and virtual times, and the archive GC's host-side counters agree too:
+// each node's stripe walks its units and the nodes in a fixed order, the
+// counters are sums, and the canonical-base peak is taken once per pass,
+// so none of them depends on how the concurrent stripes interleave.
+// Besides the shared array every node rewrites, one writer per epoch
+// updates a cold unit (its notices stay pending past the GC lag, so
+// chains get built) and, under a lock no two epochs contend for, a unit
+// nobody reads (its lock-release records get elided).
 TEST(ProtocolEdge, DeterministicReplay) {
   auto run_once = [] {
     Runtime rt(Config(4, 2));
@@ -305,6 +307,8 @@ TEST(ProtocolEdge, DeterministicReplay) {
   EXPECT_EQ(a.mem.chains_built, b.mem.chains_built);
   EXPECT_EQ(a.mem.chains_shared, b.mem.chains_shared);
   EXPECT_EQ(a.mem.records_elided, b.mem.records_elided);
+  EXPECT_GT(a.mem.canonical_base_peak_bytes, 0u);
+  EXPECT_EQ(a.mem.canonical_base_peak_bytes, b.mem.canonical_base_peak_bytes);
 }
 
 // --- RuntimeConfig validation (fail-fast misuse diagnostics) -----------------
