@@ -9,21 +9,17 @@
 #include "bench_common.h"
 
 int main() {
-  using dsm::apps::AppSpec;
-  const AppSpec specs[] = {{"ILINK", "CLP"}, {"MGS", "1Kx1K"}};
   const int group_sizes[] = {1, 2, 4, 8, 16};
 
   std::printf("Ablation: dynamic aggregation max group size\n\n");
-  for (const AppSpec& spec : specs) {
-    std::printf("== %s %s ==\n", spec.app.c_str(), spec.dataset.c_str());
+  for (const dsm::apps::BenchCell& cell : dsm::apps::SliceCells("ablation")) {
+    std::printf("== %s %s ==\n", cell.app.c_str(), cell.dataset.c_str());
     std::printf("%-10s %10s %12s %12s\n", "max_group", "time(s)",
                 "exchanges", "prefetches");
     for (int g : group_sizes) {
-      dsm::RuntimeConfig cfg;
-      cfg.num_procs = 8;
-      cfg.aggregation = dsm::AggregationMode::kDynamic;
+      dsm::RuntimeConfig cfg = cell.Config();
       cfg.max_group_pages = g;
-      auto app = dsm::apps::MakeApp(spec.app, spec.dataset);
+      auto app = dsm::apps::MakeApp(cell.app, cell.dataset);
       const dsm::apps::AppRun run = dsm::apps::Execute(*app, cfg);
       std::printf("%-10d %10.4f %12llu %12llu\n", g,
                   run.stats.exec_seconds(),

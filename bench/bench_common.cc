@@ -1,64 +1,41 @@
 #include "bench_common.h"
 
 #include <cstdio>
+#include <vector>
 
 namespace dsm::bench {
 
-std::vector<ConfigPoint> FigureConfigs() {
-  return {
-      {"4K", AggregationMode::kStatic, 1},
-      {"8K", AggregationMode::kStatic, 2},
-      {"16K", AggregationMode::kStatic, 4},
-      {"Dyn", AggregationMode::kDynamic, 1},
-  };
+apps::AppRun RunOne(const apps::BenchCell& cell) {
+  auto app = apps::MakeApp(cell.app, cell.dataset);
+  return apps::Execute(*app, cell.Config());
 }
 
-RuntimeConfig MakeRuntimeConfig(const ConfigPoint& point, int num_procs) {
-  RuntimeConfig cfg;
-  cfg.num_procs = num_procs;
-  cfg.aggregation = point.mode;
-  cfg.pages_per_unit = point.pages_per_unit;
-  return cfg;
-}
+namespace {
 
-FigureRow RunOne(const apps::AppSpec& spec, const ConfigPoint& point,
-                 int num_procs) {
-  auto app = apps::MakeApp(spec.app, spec.dataset);
-  const apps::AppRun run =
-      apps::Execute(*app, MakeRuntimeConfig(point, num_procs));
-
-  FigureRow row;
-  row.config = point.label;
-  row.exec_seconds = run.stats.exec_seconds();
-  row.comm = run.stats.comm;
-  row.result = run.result;
-  return row;
-}
-
-void PrintFigureBlock(const apps::AppSpec& spec, int num_procs) {
-  std::printf("== %s %s ==\n", spec.app.c_str(), spec.dataset.c_str());
+void PrintFigureBlock(const std::vector<apps::BenchCell>& cells) {
+  std::printf("== %s %s ==\n", cells.front().app.c_str(),
+              cells.front().dataset.c_str());
   std::printf(
       "%-5s %9s %6s | %9s %8s %8s %7s %6s | %9s %9s %9s %6s\n", "cfg",
       "time(s)", "norm", "msg_usef", "msg_usel", "msg_sync", "total",
       "norm", "KB_usef", "KB_piggy", "KB_usel", "norm");
 
-  std::vector<FigureRow> rows;
-  for (const ConfigPoint& point : FigureConfigs()) {
-    rows.push_back(RunOne(spec, point, num_procs));
-  }
+  std::vector<RunStats> runs;
+  for (const apps::BenchCell& cell : cells) runs.push_back(RunOne(cell).stats);
+  const double base_seconds = runs.front().exec_seconds();
   const double base_msgs =
-      static_cast<double>(rows.front().comm.total_messages());
+      static_cast<double>(runs.front().comm.total_messages());
   const double base_bytes =
-      static_cast<double>(rows.front().comm.total_data_bytes());
-  for (const FigureRow& r : rows) {
-    const CommBreakdown& c = r.comm;
+      static_cast<double>(runs.front().comm.total_data_bytes());
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    const CommBreakdown& c = runs[i].comm;
     const std::uint64_t msgs = c.total_messages();
     const std::uint64_t bytes = c.total_data_bytes();
     std::printf(
         "%-5s %9.4f %6.3f | %9llu %8llu %8llu %7llu %6.3f | %9.1f %9.1f "
         "%9.1f %6.3f\n",
-        r.config.c_str(), r.exec_seconds,
-        r.exec_seconds / rows.front().exec_seconds,
+        cells[i].unit.c_str(), runs[i].exec_seconds(),
+        runs[i].exec_seconds() / base_seconds,
         static_cast<unsigned long long>(c.useful_messages),
         static_cast<unsigned long long>(c.useless_messages),
         static_cast<unsigned long long>(c.sync_messages),
@@ -70,6 +47,21 @@ void PrintFigureBlock(const apps::AppSpec& spec, int num_procs) {
         base_bytes > 0 ? static_cast<double>(bytes) / base_bytes : 0.0);
   }
   std::printf("\n");
+}
+
+}  // namespace
+
+void PrintFigure(const std::string& slice) {
+  std::vector<apps::BenchCell> block;
+  for (const apps::BenchCell& cell : apps::SliceCells(slice)) {
+    if (!block.empty() && (cell.app != block.front().app ||
+                           cell.dataset != block.front().dataset)) {
+      PrintFigureBlock(block);
+      block.clear();
+    }
+    block.push_back(cell);
+  }
+  if (!block.empty()) PrintFigureBlock(block);
 }
 
 }  // namespace dsm::bench

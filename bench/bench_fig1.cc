@@ -13,8 +13,6 @@
 
 int main() {
   std::printf("Figure 1: Barnes, ILINK, TSP, Water (normalized to 4K)\n\n");
-  for (const auto& spec : dsm::apps::Figure1Specs()) {
-    dsm::bench::PrintFigureBlock(spec);
-  }
+  dsm::bench::PrintFigure("fig1");
   return 0;
 }

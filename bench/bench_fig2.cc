@@ -14,8 +14,6 @@
 int main() {
   std::printf(
       "Figure 2: Jacobi, 3D-FFT, MGS, Shallow (normalized to 4K)\n\n");
-  for (const auto& spec : dsm::apps::Figure2Specs()) {
-    dsm::bench::PrintFigureBlock(spec);
-  }
+  dsm::bench::PrintFigure("fig2");
   return 0;
 }

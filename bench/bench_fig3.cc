@@ -8,40 +8,25 @@
 // shift dominated by useless exchanges for MGS.
 #include <cstdio>
 
-#include "apps/registry.h"
 #include "bench_common.h"
 
 int main() {
-  using dsm::apps::AppSpec;
-  const std::vector<AppSpec> specs = {
-      {"Barnes", "16K"}, {"ILINK", "CLP"}, {"Water", "512"}, {"MGS", "1Kx1K"},
-  };
-  const std::vector<dsm::bench::ConfigPoint> configs = {
-      {"4K", dsm::AggregationMode::kStatic, 1},
-      {"16K", dsm::AggregationMode::kStatic, 4},
-  };
-
   std::printf("Figure 3: false sharing signatures (4K vs 16K)\n\n");
-  for (const AppSpec& spec : specs) {
-    for (const auto& point : configs) {
-      auto app = dsm::apps::MakeApp(spec.app, spec.dataset);
-      const dsm::apps::AppRun run = dsm::apps::Execute(
-          *app, dsm::bench::MakeRuntimeConfig(point));
-      const dsm::SplitHistogram& sig = run.stats.comm.signature;
-      std::printf("== %s %s @ %s ==\n", spec.app.c_str(),
-                  spec.dataset.c_str(), point.label);
-      std::printf("%8s %12s %12s %10s\n", "writers", "useful_ex",
-                  "useless_ex", "frac");
-      const auto norm = sig.NormalizedTotals();
-      for (std::size_t k = 1; k < sig.num_buckets(); ++k) {
-        if (sig.total(k) == 0) continue;
-        std::printf("%8zu %12llu %12llu %10.3f\n", k,
-                    static_cast<unsigned long long>(sig.useful(k)),
-                    static_cast<unsigned long long>(sig.useless(k)),
-                    norm[k]);
-      }
-      std::printf("\n");
+  for (const dsm::apps::BenchCell& cell : dsm::apps::SliceCells("fig3")) {
+    const dsm::apps::AppRun run = dsm::bench::RunOne(cell);
+    const dsm::SplitHistogram& sig = run.stats.comm.signature;
+    std::printf("== %s %s @ %s ==\n", cell.app.c_str(), cell.dataset.c_str(),
+                cell.unit.c_str());
+    std::printf("%8s %12s %12s %10s\n", "writers", "useful_ex", "useless_ex",
+                "frac");
+    const auto norm = sig.NormalizedTotals();
+    for (std::size_t k = 1; k < sig.num_buckets(); ++k) {
+      if (sig.total(k) == 0) continue;
+      std::printf("%8zu %12llu %12llu %10.3f\n", k,
+                  static_cast<unsigned long long>(sig.useful(k)),
+                  static_cast<unsigned long long>(sig.useless(k)), norm[k]);
     }
+    std::printf("\n");
   }
   return 0;
 }

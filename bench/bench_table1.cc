@@ -14,17 +14,14 @@ int main() {
   std::printf("%-8s %-12s %10s %10s %9s\n", "Program", "Input", "SeqTime(s)",
               "8pTime(s)", "Speedup");
 
-  const dsm::bench::ConfigPoint page{"4K", dsm::AggregationMode::kStatic, 1};
-  for (const auto& spec : dsm::apps::AllSpecs()) {
-    auto seq_app = dsm::apps::MakeApp(spec.app, spec.dataset);
-    const dsm::apps::AppRun seq = dsm::apps::ExecuteSequential(
-        *seq_app, dsm::bench::MakeRuntimeConfig(page));
-    auto par_app = dsm::apps::MakeApp(spec.app, spec.dataset);
-    const dsm::apps::AppRun par =
-        dsm::apps::Execute(*par_app, dsm::bench::MakeRuntimeConfig(page));
+  for (const dsm::apps::BenchCell& cell : dsm::apps::SliceCells("table1")) {
+    auto seq_app = dsm::apps::MakeApp(cell.app, cell.dataset);
+    const dsm::apps::AppRun seq =
+        dsm::apps::ExecuteSequential(*seq_app, cell.Config());
+    const dsm::apps::AppRun par = dsm::bench::RunOne(cell);
 
-    std::printf("%-8s %-12s %10.3f %10.3f %9.2f\n", spec.app.c_str(),
-                spec.dataset.c_str(), seq.stats.exec_seconds(),
+    std::printf("%-8s %-12s %10.3f %10.3f %9.2f\n", cell.app.c_str(),
+                cell.dataset.c_str(), seq.stats.exec_seconds(),
                 par.stats.exec_seconds(),
                 seq.stats.exec_seconds() / par.stats.exec_seconds());
   }

@@ -1,8 +1,9 @@
 // Host wall-clock benchmark gate for the simulator's hot paths.
 //
-// Runs the conformance applications at scaled-up (paper-sized) datasets
-// under the three aggregation modes of the sweep, for both protocol
-// backends ({4 K, 16 K, Dyn} × {LRC, HLRC}; filter with --backend=), and
+// Runs the cells of the bench catalogue (BenchCells(), apps/registry.h) at
+// their paper-sized datasets: every cell of the paper benches' figures and
+// Table 1, the classic {4 K, 16 K, Dyn} × {LRC, HLRC} cells of each
+// application, and the scaling, fault, fault-sweep and KV slices.  It
 // reports, per row:
 //
 //   * host wall-clock (what engine optimizations are allowed to change),
@@ -11,18 +12,19 @@
 //     bits and the hashed modelled state (ForEachModelledValue,
 //     core/runtime.h).
 //
-// Rows whose application is bit-deterministic at a fixed configuration
-// (every conformance scenario with rel_tol == 0) are marked "stable": their
-// fingerprint must be bit-identical across engine changes, making this
-// binary a before/after gate for performance work.  Results land in
-// BENCH_wallclock.json at the repository root (override with --out=PATH)
-// so the perf trajectory is tracked from PR to PR.
+// Rows whose application's modelled state is bit-reproducible at a fixed
+// configuration (ConformanceScenario::modelled_stable) are marked
+// "stable": their fingerprint must be bit-identical across engine changes,
+// making this binary a before/after gate for performance work.  Results
+// land in BENCH_wallclock.json at the repository root (override with
+// --out=PATH) so the perf trajectory is tracked from PR to PR.
 #include <cerrno>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -33,56 +35,8 @@
 namespace dsm::bench {
 namespace {
 
-struct ModePoint {
-  const char* label;
-  AggregationMode mode;
-  int pages_per_unit;
-};
-
-// The conformance sweep's aggregation modes (tests/test_conformance.cc).
-const ModePoint kModes[] = {
-    {"4K", AggregationMode::kStatic, 1},
-    {"16K", AggregationMode::kStatic, 4},
-    {"Dyn", AggregationMode::kDynamic, 1},
-};
-
-struct BenchScenario {
-  const char* app;
-  const char* dataset;  // scaled-up counterpart of the "tiny" scenario
-  bool stable;          // rel_tol == 0 in the conformance catalogue
-};
-
-// One row per conformance application, at the smallest paper-sized dataset
-// (the "tiny" conformance inputs finish in microseconds and would measure
-// only startup).  Water and TSP synchronize through locks, whose grant
-// order depends on host scheduling — their modelled state is not
-// bit-reproducible run to run, so they are benchmarked but not gated.
-const BenchScenario kScenarios[] = {
-    {"Jacobi", "1Kx1K", true},    {"MGS", "1Kx1K", true},
-    {"3D-FFT", "64x64x32", true}, {"Shallow", "1Kx0.5K", true},
-    {"Barnes", "16K", true},      {"ILINK", "CLP", true},
-    {"Water", "512", false},      {"TSP", "11-city", false},
-};
-
-// Protocol backends benched side by side: the paper's LRC and the
-// home-based counterpart (DESIGN.md §7).  The reference oracle is a
-// correctness tool, not a performance point, so it is not swept here.
-struct BackendPoint {
-  const char* label;
-  BackendKind backend;
-};
-
-const BackendPoint kBackends[] = {
-    {"LRC", BackendKind::kLrc},
-    {"HLRC", BackendKind::kHlrc},
-};
-
 struct Row {
-  std::string app, dataset, mode, backend;
-  std::string fault;  // crash-schedule spec, "" = failure-free row
-  int procs = 8;
-  int gc_lag = 0;  // non-default gc_lag_barriers for fault-sweep rows
-  bool stable = false;
+  apps::BenchCell cell;  // as run: --procs and --fault applied
   // --race=on: the happens-before checker ran; `races` is its report
   // count.  Host-side observation only — excluded from the fingerprint
   // (like mem), which must stay bit-identical to a --race=off sweep.
@@ -109,21 +63,23 @@ struct Row {
 void Usage(std::FILE* f) {
   std::fprintf(
       f,
-      "usage: bench_wallclock [--procs=N[,N...]] [--gc=N] [--app=SUBSTR]\n"
-      "                       [--mode=SUBSTR] [--backend=LRC|HLRC]\n"
-      "                       [--fault=EVENT[+EVENT...]|seed:S]\n"
-      "                       [--fault-sweep] [--kv-sweep] [--race=on|off] "
-      "[--out=PATH] [--baseline=PATH]\n"
+      "usage: bench_wallclock [--slice=NAME] [--app=SUBSTR] [--mode=SUBSTR]\n"
+      "                       [--backend=LRC|HLRC] [--procs=N[,N...]] "
+      "[--gc=N]\n"
+      "                       [--fault=EVENT[+EVENT...]|seed:S] "
+      "[--race=on|off]\n"
+      "                       [--out=PATH] [--baseline=PATH]\n"
+      "  With no flags, runs every cell of the bench catalogue once.\n"
+      "  --slice=NAME runs one slice of it: classic, fig1, fig2, fig3,\n"
+      "  table1, ablation, scaling, fault, fault-sweep or kv.\n"
+      "  A run that filters or overrides without --slice runs the classic\n"
+      "  slice.  --procs and --fault replace every selected cell's\n"
+      "  processor count and crash schedule.\n"
       "  EVENT is barrier:V@N (kill proc V at its N-th barrier) or\n"
       "  release:V@M (kill proc V after its M-th interval close); '+'\n"
       "  chains events into an ordered multi-fault schedule.  Any victim\n"
       "  is legal, proc 0 included.  seed:S derives the whole schedule\n"
-      "  from the 64-bit seed S.  --fault-sweep runs the recovery-cost\n"
-      "  slice: a proc-0 + home-crash schedule across gc_lag_barriers\n"
-      "  in {1,2,4,8} on both backends.  --kv-sweep runs the KV request\n"
-      "  slice: the three KV mixes (read-mostly / write-heavy / hot, each\n"
-      "  >= 1M modelled requests) on both backends, reporting modelled\n"
-      "  requests/sec per row.  --race=on runs the sweep under\n"
+      "  from the 64-bit seed S.  --race=on runs the sweep under\n"
       "  the happens-before race checker (DESIGN.md §10): host wall-clock\n"
       "  pays for the shadow analysis, modelled numbers and fingerprints\n"
       "  are bit-identical to --race=off.  --baseline=PATH exits 1 when a\n"
@@ -179,47 +135,14 @@ std::vector<int> ParseProcsList(const char* s) {
   return list;
 }
 
-// One sweep cell: where a row runs and the --fault spec it runs under.
-struct Cell {
-  BenchScenario scenario;
-  ModePoint mode;
-  BackendPoint backend;
-  int procs = 8;
-  std::string fault;  // crash-schedule spec, "" = failure-free
-  int gc_lag = 0;     // non-default gc_lag_barriers for fault-sweep rows
-};
-
-// The cell's config; throws std::invalid_argument for a malformed fault
-// spec (FaultSchedule::Parse), but leaves range checks to Validate().
-RuntimeConfig CellConfig(const Cell& c, int gc_interval, bool race_check) {
-  RuntimeConfig cfg;
-  cfg.num_procs = c.procs;
-  cfg.aggregation = c.mode.mode;
-  cfg.pages_per_unit = c.mode.pages_per_unit;
-  cfg.backend = c.backend.backend;
-  cfg.gc_interval_barriers = gc_interval;
-  if (!c.fault.empty()) cfg.fault = FaultSchedule::Parse(c.fault, c.procs);
-  cfg.race_check = race_check;
-  if (c.gc_lag > 0) cfg.gc_lag_barriers = c.gc_lag;
-  return cfg;
-}
-
-Row RunCell(const Cell& c, const RuntimeConfig& cfg) {
-  const BenchScenario& s = c.scenario;
-  auto app = apps::MakeApp(s.app, s.dataset);
+Row RunCell(const apps::BenchCell& cell, const RuntimeConfig& cfg) {
+  auto app = apps::MakeApp(cell.app, cell.dataset);
   const auto t0 = std::chrono::steady_clock::now();
   const apps::AppRun run = apps::Execute(*app, cfg);
   const auto t1 = std::chrono::steady_clock::now();
 
   Row row;
-  row.app = s.app;
-  row.dataset = s.dataset;
-  row.mode = c.mode.label;
-  row.backend = c.backend.label;
-  row.fault = c.fault;
-  row.procs = cfg.num_procs;
-  row.gc_lag = c.gc_lag;
-  row.stable = s.stable;
+  row.cell = cell;
   row.wall_ms =
       std::chrono::duration<double, std::milli>(t1 - t0).count();
   row.modelled_ms = run.stats.exec_seconds() * 1e3;
@@ -265,12 +188,9 @@ const MemoryJsonField kMemoryJsonFields[] = {
 };
 
 // Minimal reader for the JSON this binary itself writes (one row object
-// per line): extracts each row's key fields and what the gate compares.
+// per line): extracts each row's key and what the gate compares.
 struct BaselineRow {
-  std::string app, dataset, mode, backend;
-  std::string fault;  // absent in pre-fault baselines → ""
-  int procs = 8;
-  int gc_lag = 0;  // absent outside fault-sweep rows → 0
+  std::string key;  // BenchCell::Key() of the row's cell
   bool stable = false;
   double wall_ms = 0;  // printed, never gated
   // Modelled state as written: the fingerprint's hex digits and
@@ -280,7 +200,6 @@ struct BaselineRow {
   // gate on this instead of the fingerprint: their modelled state is
   // lock-schedule dependent, but the commuting checksum must never move.
   double result = 0;
-  bool has_result = false;
   MemoryFootprint mem;  // the gated kMemoryJsonFields columns (absent → 0)
 };
 
@@ -292,67 +211,44 @@ std::vector<BaselineRow> ReadBaseline(const std::string& path) {
     return rows;
   }
   char line[2048];
-  auto field = [](const char* s, const char* key) -> std::string {
-    const char* p = std::strstr(s, key);
+  // The value of `"name": ` on the line: a string's contents or a
+  // number's text, "" when the field is absent (failure-free rows carry
+  // no fault, and only fault-sweep rows a gc_lag).
+  auto field = [&line](const char* name) -> std::string {
+    const std::string key = std::string("\"") + name + "\": ";
+    const char* p = std::strstr(line, key.c_str());
     if (p == nullptr) return {};
-    p += std::strlen(key);
-    const char* e = std::strchr(p, '"');
-    return e != nullptr ? std::string(p, e) : std::string();
+    p += key.size();
+    if (*p == '"') return std::string(p + 1, std::strchr(p + 1, '"'));
+    return std::string(p, std::strcspn(p, ",}"));
   };
   while (std::fgets(line, sizeof(line), f) != nullptr) {
-    if (std::strstr(line, "\"app\"") == nullptr) continue;
+    const std::string app = field("app");
+    if (app.empty()) continue;
+    const apps::BenchCell cell{.app = app,
+                               .dataset = field("dataset"),
+                               .unit = field("mode"),
+                               .backend = field("backend"),
+                               .procs = std::atoi(field("procs").c_str()),
+                               .fault = field("fault"),
+                               .gc_lag = std::atoi(field("gc_lag").c_str())};
     BaselineRow r;
-    r.app = field(line, "\"app\": \"");
-    r.dataset = field(line, "\"dataset\": \"");
-    r.mode = field(line, "\"mode\": \"");
-    // Baselines written before the backend dimension existed are all LRC.
-    r.backend = field(line, "\"backend\": \"");
-    if (r.backend.empty()) r.backend = "LRC";
-    // Rows written before the fault dimension (or failure-free rows, which
-    // omit the field) are all failure-free.
-    r.fault = field(line, "\"fault\": \"");
-    // Baselines written before the procs dimension are all 8-processor.
-    const char* pp = std::strstr(line, "\"procs\": ");
-    if (pp != nullptr) r.procs = std::atoi(pp + 9);
-    const char* gl = std::strstr(line, "\"gc_lag\": ");
-    if (gl != nullptr) r.gc_lag = std::atoi(gl + 10);
-    r.stable = std::strstr(line, "\"stable\": true") != nullptr;
-    const char* w = std::strstr(line, "\"wall_ms\": ");
-    if (w != nullptr) r.wall_ms = std::atof(w + 11);
-    r.fingerprint = field(line, "\"fingerprint\": \"");
-    const char* m = std::strstr(line, "\"modelled_ms\": ");
-    if (m != nullptr) {
-      r.modelled_ms.assign(m + 15, std::strcspn(m + 15, ",}"));
-    }
-    const char* res = std::strstr(line, "\"result\": ");
-    if (res != nullptr) {
-      r.result = std::atof(res + 10);
-      r.has_result = true;
-    }
+    r.key = cell.Key();
+    r.stable = field("stable") == "true";
+    r.wall_ms = std::atof(field("wall_ms").c_str());
+    r.fingerprint = field("fingerprint");
+    r.modelled_ms = field("modelled_ms");
+    r.result = std::atof(field("result").c_str());
     for (const MemoryJsonField& mf : kMemoryJsonFields) {
-      if (!mf.gated) continue;
-      char key[64];
-      std::snprintf(key, sizeof(key), "\"%s\": ", mf.json_name);
-      const char* v = std::strstr(line, key);
-      if (v != nullptr) {
-        r.mem.*mf.member = std::strtoull(v + std::strlen(key), nullptr, 10);
+      if (mf.gated) {
+        r.mem.*mf.member =
+            std::strtoull(field(mf.json_name).c_str(), nullptr, 10);
       }
     }
-    if (!r.app.empty()) rows.push_back(std::move(r));
+    rows.push_back(std::move(r));
   }
   std::fclose(f);
   return rows;
-}
-
-// The key the gate matches a row by, as it prints it: e.g.
-// "Jacobi/1Kx1K/4K/LRC/p8", then any fault spec and gc_lag.
-template <typename R>
-std::string RowKey(const R& r) {
-  std::string key = r.app + "/" + r.dataset + "/" + r.mode + "/" +
-                    r.backend + "/p" + std::to_string(r.procs);
-  if (!r.fault.empty()) key += " " + r.fault;
-  if (r.gc_lag > 0) key += " lag=" + std::to_string(r.gc_lag);
-  return key;
 }
 
 // Gate: modelled state must be bit-identical to the committed baseline.
@@ -371,21 +267,17 @@ int CompareToBaseline(const std::vector<Row>& rows,
   int failures = 0;
   std::vector<bool> matched(baseline.size(), false);
   for (const Row& r : rows) {
+    const std::string key = r.cell.Key();
     const BaselineRow* base = nullptr;
-    for (std::size_t i = 0; i < baseline.size(); ++i) {
-      const BaselineRow& b = baseline[i];
-      if (b.app == r.app && b.dataset == r.dataset && b.mode == r.mode &&
-          b.backend == r.backend && b.fault == r.fault &&
-          b.procs == r.procs && b.gc_lag == r.gc_lag) {
-        base = &b;
+    for (std::size_t i = 0; i < baseline.size() && base == nullptr; ++i) {
+      if (baseline[i].key == key) {
+        base = &baseline[i];
         matched[i] = true;
-        break;
       }
     }
     if (base == nullptr) {
       ++failures;
-      std::printf("baseline: %s not in baseline  MISMATCH\n",
-                  RowKey(r).c_str());
+      std::printf("baseline: %s not in baseline  MISMATCH\n", key.c_str());
       continue;
     }
     char fingerprint[24];
@@ -394,8 +286,8 @@ int CompareToBaseline(const std::vector<Row>& rows,
     char modelled_ms[48];
     std::snprintf(modelled_ms, sizeof(modelled_ms), "%.6f", r.modelled_ms);
     const bool checksum_moved =
-        r.app == "KV" && base->has_result && r.result != base->result;
-    const bool compared = r.stable && base->stable;
+        r.cell.app == "KV" && r.result != base->result;
+    const bool compared = r.cell.stable && base->stable;
     const bool state_moved = compared && (base->fingerprint != fingerprint ||
                                           base->modelled_ms != modelled_ms);
     std::string gc_moved;
@@ -409,14 +301,9 @@ int CompareToBaseline(const std::vector<Row>& rows,
                     static_cast<unsigned long long>(now));
       gc_moved += buf;
     }
-    std::string tag = r.fault;
-    if (r.gc_lag > 0) tag += " lag=" + std::to_string(r.gc_lag);
     const bool moved = checksum_moved || state_moved || !gc_moved.empty();
-    std::printf("baseline: %-8s %-10s %-4s %-4s p%-3d %-30s wall %8.1f -> "
-                "%8.1f ms%s\n",
-                r.app.c_str(), r.dataset.c_str(), r.mode.c_str(),
-                r.backend.c_str(), r.procs, tag.c_str(), base->wall_ms,
-                r.wall_ms, moved ? "  MISMATCH" : "");
+    std::printf("baseline: %-54s wall %8.1f -> %8.1f ms%s\n", key.c_str(),
+                base->wall_ms, r.wall_ms, moved ? "  MISMATCH" : "");
     if (moved) ++failures;
     if (checksum_moved) {
       std::printf("          checksum %.17g -> %.17g\n", base->result,
@@ -435,7 +322,7 @@ int CompareToBaseline(const std::vector<Row>& rows,
     if (matched[i]) continue;
     ++failures;
     std::printf("baseline: %s not in sweep  MISMATCH\n",
-                RowKey(baseline[i]).c_str());
+                baseline[i].key.c_str());
   }
   if (failures > 0) {
     std::printf(
@@ -459,6 +346,7 @@ void WriteJson(const std::vector<Row>& rows, const std::string& path) {
   std::fprintf(f, "{\n  \"rows\": [\n");
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
+    const apps::BenchCell& c = r.cell;
     // Failure-free rows omit the fault/recovery fields entirely
     // (zero-entry skip rule): a pre-fault baseline and a regenerated one
     // stay line-for-line comparable on every pre-existing row.  Fault
@@ -466,17 +354,17 @@ void WriteJson(const std::vector<Row>& rows, const std::string& path) {
     // (modelled recovery latency, recovery bytes, retransmits), and
     // fault-sweep rows add the gc_lag point they were run at.
     std::string fault_field =
-        r.fault.empty() ? "" : "\"fault\": \"" + r.fault + "\", ";
+        c.fault.empty() ? "" : "\"fault\": \"" + c.fault + "\", ";
     // Race column, keyed on the flag (not the count): a checked row with
     // zero races records "certified clean", an unchecked row omits the
     // field so --race=off output is line-for-line the pre-detector shape.
     if (r.race_checked) {
       fault_field += "\"races\": " + std::to_string(r.races) + ", ";
     }
-    if (!r.fault.empty() && r.gc_lag > 0) {
-      fault_field += "\"gc_lag\": " + std::to_string(r.gc_lag) + ", ";
+    if (!c.fault.empty() && c.gc_lag > 0) {
+      fault_field += "\"gc_lag\": " + std::to_string(c.gc_lag) + ", ";
     }
-    if (!r.fault.empty()) {
+    if (!c.fault.empty()) {
       char buf[160];
       std::snprintf(buf, sizeof(buf),
                     "\"recovery_ms\": %.6f, \"recovery_bytes\": %llu, "
@@ -508,8 +396,8 @@ void WriteJson(const std::vector<Row>& rows, const std::string& path) {
         "\"wall_ms\": %.3f, "
         "\"modelled_ms\": %.6f, \"result\": %.17g, "
         "\"fingerprint\": \"%016llx\"%s}%s\n",
-        r.app.c_str(), r.dataset.c_str(), r.mode.c_str(), r.backend.c_str(),
-        fault_field.c_str(), r.procs, r.stable ? "true" : "false", r.wall_ms,
+        c.app.c_str(), c.dataset.c_str(), c.unit.c_str(), c.backend.c_str(),
+        fault_field.c_str(), c.procs, c.stable ? "true" : "false", r.wall_ms,
         r.modelled_ms, r.result,
         static_cast<unsigned long long>(r.fingerprint), mem_fields.c_str(),
         i + 1 < rows.size() ? "," : "");
@@ -531,10 +419,8 @@ int main(int argc, char** argv) {
 #endif
   std::vector<int> procs_list;
   int gc_interval = dsm::RuntimeConfig{}.gc_interval_barriers;
-  std::string app_filter, mode_filter, backend_filter, baseline_path;
+  std::string slice, app_filter, mode_filter, backend_filter, baseline_path;
   std::string fault_spec;  // failure-free unless --fault= is given
-  bool fault_sweep_only = false;
-  bool kv_sweep_only = false;
   bool race_check = false;
   bool explicit_out = false;
   for (int i = 1; i < argc; ++i) {
@@ -546,6 +432,11 @@ int main(int argc, char** argv) {
       // sweep's modelled state against the committed BENCH_wallclock.json
       // and exit non-zero if it moved (see CompareToBaseline).
       baseline_path = argv[i] + 11;
+    } else if (std::strncmp(argv[i], "--slice=", 8) == 0) {
+      slice = argv[i] + 8;
+      if (dsm::apps::SliceCells(slice).empty()) {
+        UsageError("--slice: unknown slice '" + slice + "'");
+      }
     } else if (std::strncmp(argv[i], "--procs=", 8) == 0) {
       procs_list = ParseProcsList(argv[i] + 8);
     } else if (std::strncmp(argv[i], "--gc=", 5) == 0) {
@@ -573,126 +464,55 @@ int main(int argc, char** argv) {
       } catch (const std::invalid_argument& e) {
         UsageError(std::string("--fault: ") + e.what());
       }
-    } else if (std::strcmp(argv[i], "--fault-sweep") == 0) {
-      fault_sweep_only = true;
-    } else if (std::strcmp(argv[i], "--kv-sweep") == 0) {
-      kv_sweep_only = true;
     } else if (std::strncmp(argv[i], "--race=", 7) == 0) {
       race_check = ParseRaceFlag(argv[i] + 7);
     } else {
       UsageError(std::string("unknown flag '") + argv[i] + "'");
     }
   }
-  const bool default_procs = procs_list.empty();
-  if (default_procs) procs_list.push_back(8);
-  auto matches = [](const std::string& filter, const char* value) {
-    return filter.empty() || std::string(value).find(filter) !=
-                                 std::string::npos;
-  };
-  // A filtered (or non-default-GC, non-default-procs, explicitly faulted)
-  // run is a partial sweep: never let it silently clobber the tracked
-  // full-sweep baseline at the default path.
-  // --race=on is partial too: modelled numbers and fingerprints are
-  // bit-identical either way, but the host wall-clock pays for the shadow
-  // analysis and must not overwrite the tracked unchecked trajectory.
-  const bool partial = !app_filter.empty() || !mode_filter.empty() ||
-                       !backend_filter.empty() || !default_procs ||
-                       !fault_spec.empty() || fault_sweep_only ||
-                       kv_sweep_only || race_check ||
-                       gc_interval !=
-                           dsm::RuntimeConfig{}.gc_interval_barriers;
-
-  std::vector<Cell> cells;
-  const BenchScenario jacobi{"Jacobi", "1Kx1K", true};
-  // Recovery-cost slice (DESIGN.md §9): a three-event schedule covering a
-  // proc-0 coordinator failover and — under HLRC, where every victim is
-  // also a home — two home crashes, swept across the GC lag (which sets
-  // how much log tail an LRC rebuild must replay above the checkpoint)
-  // on both backends.  Part of the full default sweep so the rows are
-  // tracked in BENCH_wallclock.json; --fault-sweep runs just this slice.
-  auto add_fault_sweep = [&]() {
-    for (const BackendPoint& backend : kBackends) {
-      for (int lag : {1, 2, 4, 8}) {
-        cells.push_back(
-            {jacobi, kModes[0], backend, 8, "barrier:0@4+release:2@6", lag});
-      }
-    }
-  };
-  // KV request slice (ROADMAP "serve real traffic"): the three bench
-  // mixes — each >= 1M modelled requests at the default 8 processors —
-  // on both protocol backends at the 4 K base unit, reporting modelled
-  // requests/sec.  Rows are unstable (lock-scheduled wall-clock and
-  // modelled time) but their checksums are pinned by the --baseline
-  // gate: the commuting-checksum result must never move.  Rides the full
-  // default sweep; --kv-sweep runs just this slice.
-  auto add_kv_sweep = [&]() {
-    const BenchScenario kKvMixes[] = {
-        {"KV", "read-mostly", false},
-        {"KV", "write-heavy", false},
-        {"KV", "hot", false},
-    };
-    for (const BackendPoint& backend : kBackends) {
-      for (const BenchScenario& s : kKvMixes) {
-        cells.push_back({s, kModes[0], backend, 8, "", 0});
-      }
-    }
-  };
-  if (fault_sweep_only || kv_sweep_only) {
-    if (fault_sweep_only) add_fault_sweep();
-    if (kv_sweep_only) add_kv_sweep();
-  } else {
-    for (const BackendPoint& backend : kBackends) {
-      if (!backend_filter.empty() && backend_filter != backend.label) {
-        continue;
-      }
-      for (const BenchScenario& s : kScenarios) {
-        if (!matches(app_filter, s.app)) continue;
-        for (const ModePoint& mode : kModes) {
-          if (!matches(mode_filter, mode.label)) continue;
-          for (int np : procs_list) {
-            cells.push_back({s, mode, backend, np, fault_spec, 0});
-          }
-        }
-      }
-    }
+  // A run that filters or overrides cells without --slice selects the
+  // classic slice.  Any sliced run is partial: it never silently clobbers
+  // the tracked full-sweep baseline at the default path, and the gate
+  // does not ask it for every baseline row.  --race=on is partial too:
+  // modelled numbers and fingerprints are bit-identical either way, but
+  // the host wall-clock pays for the shadow analysis and must not
+  // overwrite the tracked unchecked trajectory.
+  if (slice.empty() &&
+      (!app_filter.empty() || !mode_filter.empty() ||
+       !backend_filter.empty() || !procs_list.empty() ||
+       !fault_spec.empty() || race_check ||
+       gc_interval != dsm::RuntimeConfig{}.gc_interval_barriers)) {
+    slice = "classic";
   }
-  // Cluster-scaling trajectory (DESIGN.md §8): the full default sweep also
-  // times one bit-deterministic app with the processor count doubling past
-  // the paper's native 8, on both backends, so the sharer-directory and
-  // clock work is gated at scale from PR to PR.
-  if (!partial) {
-    for (const BackendPoint& backend : kBackends) {
-      for (int np : {16, 32, 64, 128}) {
-        cells.push_back({jacobi, kModes[0], backend, np, "", 0});
-      }
+  const bool partial = !slice.empty();
+  auto matches = [](const std::string& filter, const std::string& value) {
+    return filter.empty() || value.find(filter) != std::string::npos;
+  };
+  std::vector<dsm::apps::BenchCell> cells;
+  std::set<std::string> keys;  // --procs can turn two cells into one
+  for (dsm::apps::BenchCell c : partial ? dsm::apps::SliceCells(slice)
+                                        : dsm::apps::BenchCells()) {
+    if (!matches(app_filter, c.app) || !matches(mode_filter, c.unit) ||
+        (!backend_filter.empty() && backend_filter != c.backend)) {
+      continue;
     }
-    // Crash-recovery trajectory (DESIGN.md §9): one barrier app under a
-    // kill-at-barrier and a kill-mid-interval schedule, on both backends.
-    // Barrier apps recover bit-deterministically, so these rows are
-    // stable: the fingerprint pins the post-recovery result AND the full
-    // recovery telemetry from PR to PR.
-    for (const BackendPoint& backend : kBackends) {
-      for (const char* fault : {"barrier:1@4", "release:1@8"}) {
-        cells.push_back({jacobi, kModes[0], backend, 8, fault, 0});
-      }
+    if (!fault_spec.empty()) c.fault = fault_spec;
+    for (int np : procs_list.empty() ? std::vector<int>{c.procs}
+                                     : procs_list) {
+      c.procs = np;
+      if (keys.insert(c.Key()).second) cells.push_back(c);
     }
-    // Recovery-cost axis: the multi-fault gc_lag sweep rides the full
-    // default sweep too, so its recovery_ms / recovery_bytes rows are
-    // tracked in the committed baseline.
-    add_fault_sweep();
-    // Request-throughput axis: the KV mixes ride the default sweep so
-    // their modelled_requests_per_sec trajectory and pinned checksums
-    // are tracked in the committed baseline.
-    add_kv_sweep();
   }
 
   // Build and validate every cell's config before the first row runs: a
   // schedule, --procs or --gc value that Validate() rejects is a usage
   // error, not an abort part-way through the sweep.
   std::vector<dsm::RuntimeConfig> configs;
-  for (const Cell& c : cells) {
+  for (const dsm::apps::BenchCell& c : cells) {
     try {
-      configs.push_back(CellConfig(c, gc_interval, race_check));
+      configs.push_back(c.Config());
+      configs.back().gc_interval_barriers = gc_interval;
+      configs.back().race_check = race_check;
       configs.back().Validate();
     } catch (const std::invalid_argument& e) {
       UsageError(e.what());
@@ -706,21 +526,22 @@ int main(int argc, char** argv) {
               "peak_arch_KB");
   for (std::size_t i = 0; i < cells.size(); ++i) {
     Row row = RunCell(cells[i], configs[i]);
+    const dsm::apps::BenchCell& c = row.cell;
     std::printf(
         "%-8s %-10s %-4s %-4s %5d %10.1f %14.3f  %016llx %-6s %12llu "
         "%14llu%s%s",
-        row.app.c_str(), row.dataset.c_str(), row.mode.c_str(),
-        row.backend.c_str(), row.procs, row.wall_ms, row.modelled_ms,
+        c.app.c_str(), c.dataset.c_str(), c.unit.c_str(), c.backend.c_str(),
+        c.procs, row.wall_ms, row.modelled_ms,
         static_cast<unsigned long long>(row.fingerprint),
-        row.stable ? "yes" : "no",
+        c.stable ? "yes" : "no",
         static_cast<unsigned long long>(row.mem.peak_live_intervals),
         static_cast<unsigned long long>(row.mem.peak_archive_bytes / 1024),
-        row.fault.empty() ? "" : "  fault=", row.fault.c_str());
+        c.fault.empty() ? "" : "  fault=", c.fault.c_str());
     if (row.race_checked) {
       std::printf("  races=%llu", static_cast<unsigned long long>(row.races));
     }
-    if (!row.fault.empty()) {
-      std::printf("  lag=%d recovery=%.3fms/%lluB/%llu rexmit", row.gc_lag,
+    if (!c.fault.empty()) {
+      std::printf("  lag=%d recovery=%.3fms/%lluB/%llu rexmit", c.gc_lag,
                   row.recovery_ms,
                   static_cast<unsigned long long>(row.recovery_bytes),
                   static_cast<unsigned long long>(row.recovery_retransmits));

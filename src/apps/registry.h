@@ -1,5 +1,5 @@
 // Application factory: name + dataset → Application instance, plus the
-// catalogue of (app, dataset) pairs from the paper's evaluation.
+// catalogue of every cell the bench drivers run.
 #pragma once
 
 #include <memory>
@@ -10,19 +10,46 @@
 
 namespace dsm::apps {
 
-struct AppSpec {
-  std::string app;
-  std::string dataset;
-};
-
 // Throws CheckError on unknown names.
 std::unique_ptr<Application> MakeApp(const std::string& app,
                                      const std::string& dataset);
 
-// All (app, dataset) pairs evaluated in the paper (Figures 1 and 2).
-std::vector<AppSpec> Figure1Specs();  // Barnes, ILINK, TSP, Water
-std::vector<AppSpec> Figure2Specs();  // Jacobi, 3D-FFT, MGS, Shallow × sizes
-std::vector<AppSpec> AllSpecs();      // the union, Table 1 order
+// --- bench cell catalogue ---------------------------------------------------
+// One cell of a bench driver: an (app, dataset) run at one consistency
+// unit, backend, processor count and crash schedule.  Every cell that
+// bench_wallclock and the paper benches (bench_fig1/2/3, bench_table1,
+// bench_ablation_dyn) run is declared once, in BenchCells(); each driver
+// selects its cells by slice tag.
+struct BenchCell {
+  std::string app;
+  std::string dataset;
+  std::string unit;     // "4K", "8K", "16K" or "Dyn"
+  std::string backend;  // "LRC" or "HLRC"
+  int procs = 8;
+  std::string fault = "";  // crash-schedule spec, "" = failure-free
+  int gc_lag = 0;          // gc_lag_barriers override, 0 = the default
+  // The app's ConformanceScenario::modelled_stable: the bench gate
+  // bit-compares the cell's modelled state only when it is set.
+  bool stable = false;
+  std::vector<std::string> slices = {};
+
+  // The cell's config.  Throws std::invalid_argument for an unknown unit
+  // or backend label or a malformed fault spec (FaultSchedule::Parse),
+  // but leaves range checks to Validate().
+  RuntimeConfig Config() const;
+  // The key the bench gate matches rows by, e.g. "Jacobi/1Kx1K/4K/LRC/p8",
+  // then any fault spec and " lag=N".
+  std::string Key() const;
+};
+
+// Every bench cell, once, in the fixed order bench_wallclock runs them.
+// Slices: classic (each app's first data set at 4K, 16K and Dyn on both
+// backends), fig1, fig2, fig3, table1, ablation, scaling, fault,
+// fault-sweep and kv.
+const std::vector<BenchCell>& BenchCells();
+
+// The cells tagged `slice`, in catalogue order; empty for an unknown name.
+std::vector<BenchCell> SliceCells(const std::string& slice);
 
 // --- cross-backend conformance sweep ---------------------------------------
 // One row per application — the paper's 8-program suite plus the

@@ -144,8 +144,15 @@ void Runtime::Run(const std::function<void(Proc&)>& body) {
     try {
       body(proc);
     } catch (...) {
-      std::lock_guard lock(error_mutex);
-      if (!first_error) first_error = std::current_exception();
+      {
+        std::lock_guard lock(error_mutex);
+        if (!first_error) first_error = std::current_exception();
+      }
+      // Every processor blocked on this one throws out of its barrier or
+      // lock wait, so the joins below return; the error recorded first is
+      // the one rethrown.
+      shared_.barrier->Abort();
+      shared_.locks->Abort();
     }
   };
 

@@ -17,6 +17,8 @@ VectorClock MaxClock(int num_procs) {
   return vc;
 }
 
+constexpr const char* kAborted = "another processor's body threw";
+
 }  // namespace
 
 BarrierService::BarrierService(int num_procs)
@@ -31,6 +33,7 @@ BarrierService::Result BarrierService::Arrive(ProcId proc,
                                               const VectorClock* seen,
                                               ProcId coordinator) {
   std::unique_lock lock(mutex_);
+  DSM_CHECK(!aborted_) << kAborted;
   if (pending_coordinator_ == -1) {
     pending_coordinator_ = coordinator;
   } else {
@@ -70,12 +73,14 @@ BarrierService::Result BarrierService::Arrive(ProcId proc,
     cv_.notify_all();
     return current_;
   }
-  cv_.wait(lock, [&] { return generation_ != my_generation; });
+  cv_.wait(lock, [&] { return generation_ != my_generation || aborted_; });
+  DSM_CHECK(generation_ != my_generation) << kAborted;
   return current_;
 }
 
 void BarrierService::Rendezvous() {
   std::unique_lock lock(mutex_);
+  DSM_CHECK(!aborted_) << kAborted;
   const std::uint64_t my_generation = rendezvous_generation_;
   if (++rendezvous_arrived_ == num_procs_) {
     rendezvous_arrived_ = 0;
@@ -83,7 +88,16 @@ void BarrierService::Rendezvous() {
     cv_.notify_all();
     return;
   }
-  cv_.wait(lock, [&] { return rendezvous_generation_ != my_generation; });
+  cv_.wait(lock, [&] {
+    return rendezvous_generation_ != my_generation || aborted_;
+  });
+  DSM_CHECK(rendezvous_generation_ != my_generation) << kAborted;
+}
+
+void BarrierService::Abort() {
+  std::lock_guard lock(mutex_);
+  aborted_ = true;
+  cv_.notify_all();
 }
 
 std::uint64_t BarrierService::barriers_completed() const {
@@ -100,6 +114,7 @@ LockService::LockService(int num_locks, int num_procs)
 
 LockService::Grant LockService::Acquire(int lock_id, ProcId proc) {
   std::unique_lock lock(mutex_);
+  DSM_CHECK(!aborted_) << kAborted;
   LockState& st = locks_[lock_id];
   if (st.held || !st.queue.empty()) {
     st.queue.push_back(proc);
@@ -116,6 +131,7 @@ LockService::Grant LockService::Acquire(int lock_id, ProcId proc) {
       }
       if (!st.held && st.queue.front() == proc) break;
       st.cv.wait(lock);
+      DSM_CHECK(!aborted_) << kAborted;
     }
     st.queue.pop_front();
   }
@@ -187,6 +203,12 @@ void LockService::OnCrash(ProcId proc, const VectorClock& vc,
     }
     if (touched) st.cv.notify_all();
   }
+}
+
+void LockService::Abort() {
+  std::lock_guard lock(mutex_);
+  aborted_ = true;
+  for (LockState& st : locks_) st.cv.notify_all();
 }
 
 std::uint64_t LockService::transfers(int lock_id) const {

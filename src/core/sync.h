@@ -68,6 +68,12 @@ class BarrierService {
   // completed barrier.
   void Rendezvous();
 
+  // Wakes every waiter, and from then on Arrive and Rendezvous throw, in
+  // threads already waiting and in threads that arrive later.
+  // Runtime::Run calls it when a processor's body throws, so that no
+  // other processor waits forever for an arrival that will never come.
+  void Abort();
+
   std::uint64_t barriers_completed() const;
 
  private:
@@ -78,6 +84,7 @@ class BarrierService {
   std::uint64_t generation_ = 0;
   int rendezvous_arrived_ = 0;
   std::uint64_t rendezvous_generation_ = 0;
+  bool aborted_ = false;
   // Merge accumulator for the generation in flight; reset with the other
   // per-generation state once the last arriver snapshots it, so a future
   // checkpoint/restore or clock-reset path cannot leak stale maxima into
@@ -135,6 +142,11 @@ class LockService {
   // strict double-release check.
   void OnCrash(ProcId proc, const VectorClock& vc, VirtualNanos time);
 
+  // Wakes every waiter, and from then on Acquire throws, in threads
+  // already queued and in threads that arrive later (see
+  // BarrierService::Abort).
+  void Abort();
+
   std::uint64_t transfers(int lock_id) const;
 
  private:
@@ -159,6 +171,7 @@ class LockService {
   std::deque<LockState> locks_;
   // Processors OnCrash has swept: their orphan releases are tolerated.
   std::vector<std::uint8_t> crash_swept_;
+  bool aborted_ = false;
 };
 
 }  // namespace dsm

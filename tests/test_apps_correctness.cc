@@ -5,6 +5,12 @@
 // every aggregation setting.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "apps/registry.h"
 #include "apps/tsp.h"
 
@@ -141,14 +147,74 @@ INSTANTIATE_TEST_SUITE_P(AllConfigs, TspConfigTest, ::testing::Range(0, 4),
                            return std::string(kConfigs[info.param].label);
                          });
 
-// Registry sanity.
-TEST(Registry, AllSpecsConstructible) {
-  for (const AppSpec& spec : AllSpecs()) {
-    auto app = MakeApp(spec.app, spec.dataset);
-    ASSERT_NE(app, nullptr);
-    EXPECT_EQ(app->name(), spec.app);
-    EXPECT_EQ(app->dataset(), spec.dataset);
-    EXPECT_GT(app->heap_bytes(), 0u);
+// The bench cell catalogue: one entry per cell, every cell buildable, and
+// each slice the shape its bench driver prints.
+TEST(Registry, BenchCatalogue) {
+  std::set<std::string> keys;
+  std::set<std::pair<std::string, std::string>> datasets;
+  int stable = 0;
+  for (const BenchCell& c : BenchCells()) {
+    EXPECT_TRUE(keys.insert(c.Key()).second) << "duplicate " << c.Key();
+    EXPECT_NO_THROW(c.Config().Validate()) << c.Key();
+    datasets.insert({c.app, c.dataset});
+    if (c.stable) ++stable;
+  }
+  EXPECT_EQ(BenchCells().size(), 110u);
+  EXPECT_EQ(stable, 90);
+  for (const auto& [app, dataset] : datasets) {
+    auto made = MakeApp(app, dataset);
+    ASSERT_NE(made, nullptr);
+    EXPECT_EQ(made->name(), app);
+    EXPECT_EQ(made->dataset(), dataset);
+    EXPECT_GT(made->heap_bytes(), 0u);
+  }
+
+  // Figures 1 and 2: each data set at 4K, 8K, 16K and Dyn (4K first, the
+  // row the blocks normalize to), on LRC at 8 processors, failure-free.
+  std::vector<std::pair<std::string, std::string>> figure_datasets;
+  for (const auto& [figure, count] : {std::pair{"fig1", 4}, {"fig2", 11}}) {
+    const std::vector<BenchCell> slice = SliceCells(figure);
+    ASSERT_EQ(slice.size(), 4u * count) << figure;
+    for (std::size_t i = 0; i < slice.size(); ++i) {
+      const BenchCell& c = slice[i];
+      const BenchCell& first = slice[i - i % 4];
+      EXPECT_EQ(c.unit, kConfigs[i % 4].label) << c.Key();
+      EXPECT_EQ(c.app, first.app) << c.Key();
+      EXPECT_EQ(c.dataset, first.dataset) << c.Key();
+      EXPECT_EQ(c.backend, "LRC") << c.Key();
+      EXPECT_EQ(c.procs, 8) << c.Key();
+      EXPECT_TRUE(c.fault.empty()) << c.Key();
+      EXPECT_EQ(c.gc_lag, 0) << c.Key();
+      if (i % 4 == 0) figure_datasets.emplace_back(c.app, c.dataset);
+    }
+  }
+  // Table 1: those 15 data sets, in the same order, at 4K.
+  const std::vector<BenchCell> table1 = SliceCells("table1");
+  ASSERT_EQ(table1.size(), figure_datasets.size());
+  for (std::size_t i = 0; i < table1.size(); ++i) {
+    const BenchCell& c = table1[i];
+    EXPECT_EQ(std::pair(c.app, c.dataset), figure_datasets[i]) << c.Key();
+    EXPECT_EQ(c.Key(), c.app + "/" + c.dataset + "/4K/LRC/p8");
+  }
+
+  for (const auto& [slice, count] :
+       {std::pair{"classic", 48}, {"scaling", 8}, {"fault", 4},
+        {"fault-sweep", 8}, {"kv", 6}}) {
+    EXPECT_EQ(SliceCells(slice).size(), static_cast<std::size_t>(count))
+        << slice;
+  }
+  EXPECT_TRUE(SliceCells("bogus").empty());
+
+  // Config() rejects a unit or backend label it does not know and a fault
+  // spec that does not parse.
+  for (const BenchCell& bad :
+       {BenchCell{.app = "Jacobi", .dataset = "1Kx1K", .unit = "32K",
+                  .backend = "LRC"},
+        BenchCell{.app = "Jacobi", .dataset = "1Kx1K", .unit = "4K",
+                  .backend = "Ref"},
+        BenchCell{.app = "Jacobi", .dataset = "1Kx1K", .unit = "4K",
+                  .backend = "LRC", .fault = "bogus"}}) {
+    EXPECT_THROW(bad.Config(), std::invalid_argument) << bad.Key();
   }
 }
 

@@ -14,11 +14,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cctype>
+#include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "apps/registry.h"
@@ -405,21 +408,52 @@ TEST(RuntimeMisuse, SecondRunThrows) {
 }
 
 TEST(RuntimeMisuse, BodyExceptionPropagatesToCaller) {
-  for (BackendKind backend : {BackendKind::kLrc, BackendKind::kReference}) {
+  for (BackendKind backend :
+       {BackendKind::kLrc, BackendKind::kHlrc, BackendKind::kReference}) {
     RuntimeConfig cfg;
     cfg.num_procs = 4;
     cfg.heap_bytes = 1u << 20;
     cfg.backend = backend;
-    Runtime rt(cfg);
-    auto a = rt.Alloc<int>(64, "a");
-    EXPECT_THROW(
-        rt.Run([&](Proc& p) {
-          p.Write(a, static_cast<std::size_t>(p.id()), p.id());
-          // Every proc throws after its write; the barrier is never
-          // reached, and exactly one exception must surface.
-          throw std::runtime_error("body failure");
-        }),
-        std::runtime_error);
+    {
+      Runtime rt(cfg);
+      auto a = rt.Alloc<int>(64, "a");
+      EXPECT_THROW(
+          rt.Run([&](Proc& p) {
+            p.Write(a, static_cast<std::size_t>(p.id()), p.id());
+            // Every proc throws after its write; the barrier is never
+            // reached, and exactly one exception must surface.
+            throw std::runtime_error("body failure");
+          }),
+          std::runtime_error);
+    }
+    {
+      // Only proc 1 throws: the others wait at a barrier it never
+      // reaches, and must be released for its exception to surface.
+      Runtime rt(cfg);
+      EXPECT_THROW(rt.Run([](Proc& p) {
+                     if (p.id() == 1) throw std::invalid_argument("proc 1");
+                     p.Barrier();
+                   }),
+                   std::invalid_argument);
+    }
+    {
+      // Proc 1 throws while holding a lock the others are queued on.
+      Runtime rt(cfg);
+      std::atomic<bool> held{false};
+      EXPECT_THROW(rt.Run([&](Proc& p) {
+                     if (p.id() == 1) {
+                       p.Lock(0);
+                       held = true;
+                       std::this_thread::sleep_for(
+                           std::chrono::milliseconds(20));
+                       throw std::out_of_range("proc 1 holds lock 0");
+                     }
+                     while (!held) std::this_thread::yield();
+                     p.Lock(0);
+                     p.Unlock(0);
+                   }),
+                   std::out_of_range);
+    }
   }
 }
 

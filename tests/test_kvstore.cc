@@ -15,7 +15,7 @@
 //     reports — the PR 8 torture pattern extended to a lock-dominated
 //     request workload,
 //   * the bench mixes really are the scale the ROADMAP asks for
-//     (>= 1M modelled requests per default --kv-sweep row).
+//     (>= 1M modelled requests per bench_wallclock --slice=kv row).
 #include <gtest/gtest.h>
 
 #include <string>

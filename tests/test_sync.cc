@@ -310,19 +310,5 @@ TEST(LockRecovery, CrashSweepKeepsSurvivorFifoOrderAndRequeuesVictim) {
   EXPECT_EQ(victim_rank, 2);
 }
 
-TEST(Runtime, RunTwiceRejected) {
-  Runtime rt(Config(2));
-  rt.Run([](Proc&) {});
-  EXPECT_THROW(rt.Run([](Proc&) {}), CheckError);
-}
-
-TEST(Runtime, BodyExceptionPropagates) {
-  RuntimeConfig cfg = Config(1);
-  cfg.allow_sequential = true;
-  Runtime rt(cfg);
-  EXPECT_THROW(rt.Run([](Proc&) { throw std::runtime_error("app bug"); }),
-               std::runtime_error);
-}
-
 }  // namespace
 }  // namespace dsm
