@@ -184,7 +184,6 @@ const MemoryJsonField kMemoryJsonFields[] = {
     {"gc_passes", &MemoryFootprint::gc_passes, true},
     {"chains_built", &MemoryFootprint::chains_built, true},
     {"chains_shared", &MemoryFootprint::chains_shared, true},
-    {"records_elided", &MemoryFootprint::records_elided, true},
 };
 
 // Minimal reader for the JSON this binary itself writes (one row object

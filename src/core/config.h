@@ -119,10 +119,9 @@ struct RuntimeConfig {
   // flatten all intervals dominated by the flatten target (below) into
   // canonical base images and reclaim the records.  A host-side
   // optimization — modelled times, statistics, and results are
-  // bit-identical for any setting on barrier programs.  0 disables GC
-  // (the archive-everything behavior, kept reachable for A/B testing).
-  // Read-aware flattening (DESIGN.md §6) only ever elides lock-release
-  // intervals, so barrier programs are unaffected by it.
+  // bit-identical for any setting, given the same lock-grant order.  0
+  // disables GC (the archive-everything behavior, kept reachable for A/B
+  // testing).
   int gc_interval_barriers = 1;
 
   // Flatten target age: collect only intervals dominated by the global

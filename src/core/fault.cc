@@ -343,7 +343,6 @@ void RecoveryCoordinator::Recover(Node& node, const VectorClock& to,
   for (UnitId u = 0; u < num_units; ++u) {
     node.pending_[u].clear();
     node.flattened_[u].clear();
-    node.elided_[u].clear();
     node.retwin_cheap_[u] = 0;
     node.diff_request_seen_[u] = 0;
     // Register the victim as a sharer of EVERY unit: its rebuilt image is

@@ -138,7 +138,6 @@ Node::Node(ProcId id, SharedState& shared)
       tracker_(shared.heap.num_units(), unit_bytes_ / kWordBytes),
       pending_(shared.heap.num_units()),
       flattened_(shared.heap.num_units()),
-      elided_(shared.heap.num_units()),
       retwin_cheap_(shared.heap.num_units(), 0),
       diff_requested_(shared.heap.num_units()),
       diff_request_seen_(shared.heap.num_units(), 0),
@@ -276,30 +275,16 @@ void Node::ValidateUnit(UnitId unit) {
   }
 
   // First fault on this unit adopts the shared virgin history (if any)
-  // into flattened_/elided_ and registers this node as a sharer, so the
-  // checks below see exactly the state the GC would have built per-node.
+  // into flattened_ and registers this node as a sharer, so the check
+  // below sees exactly the state the GC would have built per-node.
   AdoptVirginState(unit);
 
-  if (pending_[unit].empty() && flattened_[unit].empty()) {
-    // Never reached under HLRC: a unit only goes invalid when a write
-    // notice queues a pending entry, and HlrcFetchUnits clears the list
-    // exactly when it revalidates (no GC ever reclaims entries).
-    DSM_CHECK(!hlrc_) << "HLRC: invalid unit " << unit
-                      << " with no pending write notices";
-    // Read-aware flattening left only elided history for this unit: every
-    // reclaimed word was never read here, so there is nothing to fetch —
-    // refresh the bytes from the canonical base (data safety for a
-    // mispredicted later read) and revalidate locally.  Reached only in
-    // lock programs (only lock-release records are elided).
-    DSM_CHECK(!elided_[unit].empty())
-        << "invalid unit " << unit << " with no pending write notices";
-    RefreshElided(unit);
-    retwin_cheap_[unit] = 0;
-    table_.set_state(unit, table_.HasTwin(unit) ? UnitState::kDirty
-                                                : UnitState::kReadValid);
-    clock_.Advance(cost.mprotect_op);
-    return;
-  }
+  // A unit only goes invalid when a write notice queues a pending entry.
+  // The fetch that revalidates the unit consumes the entry, and the GC
+  // turns a dominated one into a flattened chain, so an invalid unit
+  // always has something to fetch.
+  DSM_CHECK(!pending_[unit].empty() || !flattened_[unit].empty())
+      << "invalid unit " << unit << " with no pending write notices";
 
   retwin_cheap_[unit] = 0;
   std::vector<UnitId>& fetch = fetch_scratch_;
@@ -542,11 +527,6 @@ void Node::FetchUnits(const std::vector<UnitId>& units) {
   // tail too, so every ordered pair of writes lands oldest first.
   std::vector<NeedEntry>& for_unit = apply_scratch_;
   for (UnitId unit : units) {
-    // Read-aware flattening fallback: lay any elided reclaimed words down
-    // first (host-side copy from the canonical base — the same source the
-    // chain heads below copy from), so everything applied afterwards lands
-    // on the bytes the full history would have produced.
-    RefreshElided(unit);
     for_unit.clear();
     for (ProcId w = 0; w < nprocs; ++w) {
       for (const auto& need : needs_by_writer_[w]) {
@@ -591,33 +571,18 @@ void Node::FetchUnits(const std::vector<UnitId>& units) {
   }
 }
 
-void Node::RefreshElided(UnitId unit) {
-  std::vector<DiffRun>& runs = elided_[unit];
-  if (runs.empty()) return;
-  shared_.canonical->CopyRuns(unit, UnitSpan(unit), runs);
-  if (table_.HasTwin(unit)) {
-    shared_.canonical->CopyRuns(unit, table_.twin(unit), runs);
-  }
-  // Release the storage too: the run list pins the unit's canonical base
-  // (see GcApply's release-check), so an emptied-but-capacious vector
-  // would read as still pinning under a capacity-based check.
-  std::vector<DiffRun>().swap(runs);
-}
-
-void Node::CloseInterval(bool lock_release) {
+void Node::CloseInterval() {
   if (!protocol_enabled()) return;
   const auto& dirty = table_.dirty_units();
   if (dirty.empty()) return;
   if (hlrc_) {
-    HlrcFlushInterval(lock_release);
+    HlrcFlushInterval();
     return;
   }
-  const CostModel& cost = shared_.config.cost;
 
   IntervalRecord rec;
   rec.proc = id_;
   rec.seq = ++vc_[id_];
-  rec.lock_release = lock_release;
   rec.units.reserve(dirty.size());
   rec.diffs.reserve(dirty.size());
   // Diffs are materialized here for bookkeeping (archived records must be
@@ -635,7 +600,6 @@ void Node::CloseInterval(bool lock_release) {
     retwin_cheap_[unit] = 1;
     comm_stats_.counters().diffs_created += 1;
   }
-  (void)cost;
   rec.vc = vc_;
   table_.ClearDirtyList();
   const IntervalRecord* stored = shared_.archives[id_]->Append(std::move(rec));
@@ -658,14 +622,13 @@ void Node::CloseInterval(bool lock_release) {
 // waits for the slowest ack), and the archived record keeps only the
 // write notices — the payload now lives at the homes, so nothing here
 // ever needs garbage collecting.
-void Node::HlrcFlushInterval(bool lock_release) {
+void Node::HlrcFlushInterval() {
   const CostModel& cost = shared_.config.cost;
   const auto& dirty = table_.dirty_units();
 
   IntervalRecord rec;
   rec.proc = id_;
   rec.seq = ++vc_[id_];
-  rec.lock_release = lock_release;
   rec.units.reserve(dirty.size());
   rec.diffs.reserve(dirty.size());
 
@@ -896,34 +859,6 @@ struct GcResolved {
   int di;
 };
 
-// Canonicalize (sort + coalesce) the elided runs gathered in `accum` and
-// fold them into a unit's outstanding elided-run list.  `canon` is
-// scratch.
-void FoldElidedRuns(std::vector<DiffRun>& accum, std::vector<DiffRun>& canon,
-                    std::vector<DiffRun>& elided) {
-  std::sort(accum.begin(), accum.end(),
-            [](const DiffRun& a, const DiffRun& b) {
-              return a.word_offset < b.word_offset;
-            });
-  canon.clear();
-  for (const DiffRun& r : accum) {
-    if (!canon.empty() &&
-        r.word_offset <= canon.back().word_offset + canon.back().word_count) {
-      DiffRun& back = canon.back();
-      const std::uint32_t end = std::max(back.word_offset + back.word_count,
-                                         r.word_offset + r.word_count);
-      back.word_count = end - back.word_offset;
-    } else {
-      canon.push_back(r);
-    }
-  }
-  if (elided.empty()) {
-    elided = canon;
-  } else {
-    elided = Diff::MergeRuns(elided, canon);
-  }
-}
-
 // Extend a unit's flattened chains `flat` with its kept dominated records,
 // writer by writer, then freeze the blocked verdicts; returns the number
 // of chains started.  `foreign_vcw` is per-writer scratch.
@@ -934,9 +869,7 @@ void FoldElidedRuns(std::vector<DiffRun>& accum, std::vector<DiffRun>& canon,
 // fails exactly when some foreign q has first_seq <= q.vc[w] < tail_seq.
 // Batches from lock-heavy programs can hold hundreds of records per unit,
 // so it is evaluated by binary search over the sorted foreign clock
-// entries instead of rescanning the batch.  (Elided records are excluded: the
-// chains they would have ordered against are not built, and their words
-// reach the image via the base refresh regardless of absorption shape.)
+// entries instead of rescanning the batch.
 std::uint64_t BuildChains(std::vector<FlattenedChain>& flat,
                           const std::vector<GcResolved>& kept, int nprocs,
                           std::vector<std::vector<Seq>>& foreign_vcw) {
@@ -1026,15 +959,6 @@ std::uint64_t BuildChains(std::vector<FlattenedChain>& flat,
 // sharer bits and its base — so stripes never share a mutable object;
 // records and stamp arrays span units, but stripes only copy their
 // shared_ptrs.
-//
-// Read-aware flattening recovers the lock-heavy Water regression: a
-// dominated LOCK-RELEASE record none of whose words the pending node ever
-// read (Water's aux/force slots) builds no chain at all — its words go
-// into the node's per-unit elided-run list, silently refreshed from the
-// canonical base at the next fault.  The record still reaches the base,
-// so a mispredicted later read is data-safe.  Barrier-closed records are
-// never elided, which keeps the pass bit-invisible for barrier
-// (= bit-reproducible) programs.
 void Node::GcFlatten(const VectorClock& through) {
   SharedState& shared = shared_;
   const int nprocs = shared.config.num_procs;
@@ -1065,8 +989,8 @@ void Node::GcFlatten(const VectorClock& through) {
   // One reclaimed record is typically pending at most nodes; resolve each
   // (proc, seq) once per unit and reuse across the node loop.  The first
   // resolution routes the record to the canonical base, exactly once per
-  // unit: every resolved record is kept or elided by SOME node, and either
-  // way its words must reach the base.
+  // unit: every resolved record enters some node's chains, which read
+  // their words from the base.
   std::unordered_map<std::uint64_t, GcResolved> resolve_memo;
   auto resolve = [&](UnitId u,
                      const PendingInterval& pi) -> const GcResolved& {
@@ -1086,12 +1010,10 @@ void Node::GcFlatten(const VectorClock& through) {
   };
   std::vector<PendingInterval> live;
   std::vector<GcResolved> kept;
-  std::vector<DiffRun> elide_accum;
-  std::vector<DiffRun> elide_canon;
   // Per-writer sorted foreign clock entries of the current batch
   // (BuildChains scratch).
   std::vector<std::vector<Seq>> foreign_vcw(nprocs);
-  std::uint64_t chains_built = 0, chains_shared = 0, records_elided = 0;
+  std::uint64_t chains_built = 0, chains_shared = 0;
 
   // Dominated-writer scratch for the virgin bookkeeping below: one bit per
   // processor with a dominated record naming the current unit this pass.
@@ -1102,7 +1024,7 @@ void Node::GcFlatten(const VectorClock& through) {
   for (auto u = static_cast<UnitId>(id_); u < num_units;
        u += static_cast<UnitId>(nprocs)) {
     resolve_memo.clear();
-    SharedState::VirginHistory& virgin = shared.virgin_history[u];
+    std::vector<FlattenedChain>& virgin = shared.virgin_history[u];
 
     // --- virgin-node bookkeeping (DESIGN.md §8) --------------------------
     // Union of dominated writers over every node's pending entries.  A
@@ -1132,73 +1054,47 @@ void Node::GcFlatten(const VectorClock& through) {
           continue;
         }
         if (shared.sharers->Register(u, w)) continue;  // already a sharer
-        Node& writer = *shared.nodes[w];
-        if (!virgin.chains.empty()) writer.flattened_[u] = virgin.chains;
-        if (!virgin.elided.empty()) writer.elided_[u] = virgin.elided;
+        if (!virgin.empty()) shared.nodes[w]->flattened_[u] = virgin;
       }
     }
-    if (shared.sharers->SharerCount(u) == nprocs &&
-        (!virgin.chains.empty() || !virgin.elided.empty())) {
+    if (shared.sharers->SharerCount(u) == nprocs && !virgin.empty()) {
       // Every node adopted the shared history; nothing will read it again.
-      std::vector<FlattenedChain>().swap(virgin.chains);
-      std::vector<DiffRun>().swap(virgin.elided);
+      std::vector<FlattenedChain>().swap(virgin);
     }
-    bool virgin_built = false;        // store build done for this pass
+    bool virgin_built = false;  // store build done for this pass
     std::uint64_t virgin_new_chains = 0;
-    std::uint64_t virgin_elided = 0;  // records elided by the store build
-    int virgin_consumers = 0;         // virgins with dominated pending
+    int virgin_consumers = 0;   // virgins with dominated pending
 
     for (ProcId x = 0; x < nprocs; ++x) {
       Node& node = *shared.nodes[x];
       std::vector<PendingInterval>& pend = node.pending_[u];
       if (pend.empty()) continue;
       // Virgin fast path (DESIGN.md §8): a node that never faulted on the
-      // unit holds the same dominated batch as every other virgin and —
-      // having consumed no deliveries — an empty read-interest bitmap,
-      // collapsing the read-aware predicate to the record kind.  The first
-      // virgin flattens the shared batch once into the virgin store; the
-      // rest only drop their dominated entries.  Chain headers thus stop
-      // scaling with the cluster size on units most nodes never touch.
+      // unit holds the same dominated batch as every other virgin.  The
+      // first virgin flattens the shared batch once into the virgin store;
+      // the rest only drop their dominated entries.  Chain headers thus
+      // stop scaling with the cluster size on units most nodes never
+      // touch.
       const bool is_virgin = !shared.sharers->IsSharer(u, x);
       live.clear();
       kept.clear();
-      elide_accum.clear();
-      bool any_dom = false;
-      std::uint64_t elided = 0;
       for (const PendingInterval& pi : pend) {
         if (pi.seq > through[pi.proc]) {
           live.push_back(pi);
-          continue;
+        } else if (!is_virgin || !virgin_built) {
+          kept.push_back(resolve(u, pi));
         }
-        any_dom = true;
-        if (is_virgin && virgin_built) continue;  // first virgin resolved it
-        const GcResolved& res = resolve(u, pi);
-        const Diff& diff = res.rec->diffs[static_cast<std::size_t>(res.di)];
-        if (res.rec->lock_release &&
-            (is_virgin || !node.tracker_.ReadsAnyOf(u, diff.runs()))) {
-          elide_accum.insert(elide_accum.end(), diff.runs().begin(),
-                             diff.runs().end());
-          ++elided;
-          continue;
-        }
-        kept.push_back(res);
       }
-      if (!any_dom) continue;
+      if (live.size() == pend.size()) continue;  // nothing dominated
       pend.assign(live.begin(), live.end());
       if (is_virgin) {
         ++virgin_consumers;
-        if (virgin_built) continue;
+        if (virgin_built) continue;  // the first virgin built the store
         virgin_built = true;
       }
-      (is_virgin ? virgin_elided : records_elided) += elided;
-      if (!elide_accum.empty()) {
-        FoldElidedRuns(elide_accum, elide_canon,
-                       is_virgin ? virgin.elided : node.elided_[u]);
-      }
-      if (kept.empty()) continue;
       (is_virgin ? virgin_new_chains : chains_built) +=
-          BuildChains(is_virgin ? virgin.chains : node.flattened_[u], kept,
-                      nprocs, foreign_vcw);
+          BuildChains(is_virgin ? virgin : node.flattened_[u], kept, nprocs,
+                      foreign_vcw);
     }
     // The store build ran once; credit it as if each consuming virgin had
     // built (shared) it, keeping the counters comparable across runs with
@@ -1207,14 +1103,11 @@ void Node::GcFlatten(const VectorClock& through) {
       chains_built += virgin_new_chains;
       chains_shared +=
           virgin_new_chains * static_cast<std::uint64_t>(virgin_consumers - 1);
-      records_elided +=
-          virgin_elided * static_cast<std::uint64_t>(virgin_consumers);
     }
   }
   ArchiveTelemetry& tel = shared.archive_telemetry;
   tel.chains_built.fetch_add(chains_built, std::memory_order_relaxed);
   tel.chains_shared.fetch_add(chains_shared, std::memory_order_relaxed);
-  tel.records_elided.fetch_add(records_elided, std::memory_order_relaxed);
 
   // Checkpoint-complete mode (DESIGN.md §9).  The pending-driven routing
   // above sends a record's words to the base only when some node still had
@@ -1254,9 +1147,8 @@ void Node::GcFlatten(const VectorClock& through) {
 // order (HbKey), so ordered overwrites land newest-last.  (Keys are
 // precomputed at resolve time — deriving clock sums inside the comparator
 // dominated this pass on lock-heavy batches.)  Also runs the base
-// release-check: a base neither a chain nor an elided-run list references
-// any more goes back to the pool (elided runs pin the base because the
-// silent refresh reads it at the next fault).
+// release-check: a base no chain references any more goes back to the
+// pool.
 void Node::GcApply() {
   SharedState& shared = shared_;
   const int nprocs = shared.config.num_procs;
@@ -1293,17 +1185,14 @@ void Node::GcApply() {
        u += static_cast<UnitId>(nprocs)) {
     if (!shared.canonical->Has(u)) continue;
     // The virgin store pins the base too: any never-faulted node may adopt
-    // its chains/elided runs at a later fault and silently refresh from it.
-    bool needed = !shared.virgin_history[u].chains.empty() ||
-                  !shared.virgin_history[u].elided.empty();
+    // its chains at a later fault and copy their words from it.
+    bool needed = !shared.virgin_history[u].empty();
     for (ProcId x = 0; x < nprocs; ++x) {
       // Lazy-header invariant (DESIGN.md §8): per-node chain state exists
       // only on registered sharers; everyone else reads the virgin store.
-      DSM_DCHECK((shared.nodes[x]->flattened_[u].empty() &&
-                  shared.nodes[x]->elided_[u].empty()) ||
-                 shared.sharers->IsSharer(u, x));
-      needed = needed || !shared.nodes[x]->flattened_[u].empty() ||
-               !shared.nodes[x]->elided_[u].empty();
+      const bool has_chains = !shared.nodes[x]->flattened_[u].empty();
+      DSM_DCHECK(!has_chains || shared.sharers->IsSharer(u, x));
+      needed = needed || has_chains;
     }
     if (!needed) shared.canonical->Release(u);
   }
@@ -1313,9 +1202,9 @@ void Node::GcApply() {
 // (FlattenedChains keep the lazy-diffing stamp arrays of their member
 // records alive).  Runs after the barrier window closes, concurrent with
 // resumed application threads: archives are mutex-guarded, every
-// dominated reference was converted to a chain or elided run in the
-// flatten phase, and notices_seen_ >= through everywhere, so no fault or
-// notice collection can touch the pruned prefix.
+// dominated reference was converted to a chain in the flatten phase, and
+// notices_seen_ >= through everywhere, so no fault or notice collection
+// can touch the pruned prefix.
 void Node::GcPruneOwn(const VectorClock& through) {
   shared_.archives[id_]->PruneThrough(through[id_]);
 }
@@ -1340,10 +1229,6 @@ void Node::InvalidateFrom(
     const std::vector<const IntervalRecord*>& records) {
   const CostModel& cost = shared_.config.cost;
   for (const IntervalRecord* rec : records) {
-    // Read interest only feeds the LRC archive GC's read-aware
-    // flattening; HLRC has no archive, so its read path keeps the tight
-    // credit loop.
-    if (rec->lock_release && !hlrc_) tracker_.EnableInterest();
     for (UnitId unit : rec->units) {
       pending_[unit].push_back({rec->proc, rec->seq});
       const UnitState s = table_.state(unit);
@@ -1552,8 +1437,6 @@ void Node::AcquireLock(int lock_id) {
   }
   const CostModel& cost = shared_.config.cost;
 
-  // Read interest feeds the LRC archive GC only (no archive under HLRC).
-  if (!hlrc_) tracker_.EnableInterest();
   LockService::Grant grant = shared_.locks->Acquire(lock_id, id_);
   // Detector acquire (before the cached early-out: a cached re-acquire
   // still tracks the held set; a transfer merges the lock's clock).
@@ -1599,7 +1482,7 @@ void Node::AcquireLock(int lock_id) {
 
 void Node::ReleaseLock(int lock_id) {
   if (num_procs() == 1) return;
-  CloseInterval(/*lock_release=*/true);  // no-op when the protocol is off
+  CloseInterval();  // no-op when the protocol is off
   // Detector release strictly before the service release: the next
   // grantee's acquire hook must find this release's clock on the lock.
   if (race_ != nullptr) race_->OnLockRelease(id_, lock_id);

@@ -91,15 +91,11 @@ struct SharedState {
   // (DESIGN.md §8).  All such "virgin" nodes hold identical dominated
   // pending sets (they pass every barrier and never consume notices), so
   // the GC flattens their history once per unit here instead of growing a
-  // chain-header vector on each of them; a node copies the unit's entry
-  // into its own flattened_/elided_ at its first fault and is a sharer
-  // from then on.  Mutated only inside the GC window; read (and copied)
-  // by fault paths, which the window's barrier happens-before.
-  struct VirginHistory {
-    std::vector<FlattenedChain> chains;
-    std::vector<DiffRun> elided;
-  };
-  std::vector<VirginHistory> virgin_history;
+  // chain-header vector on each of them; a node copies the unit's chains
+  // into its own flattened_ at its first fault and is a sharer from then
+  // on.  Mutated only inside the GC window; read (and copied) by fault
+  // paths, which the window's barrier happens-before.
+  std::vector<std::vector<FlattenedChain>> virgin_history;
 
   // Deterministic fault injection (DESIGN.md §9): null unless
   // config.fault is armed.
@@ -219,10 +215,8 @@ class Node {
   IntervalArchive& archive() { return *shared_.archives[id_]; }
 
   // Close the current open interval (normally driven by release/barrier;
-  // public for tests and for Runtime teardown).  `lock_release` tags the
-  // archived record as closed by a lock release — the archive GC's
-  // read-aware flattening only ever elides such records.
-  void CloseInterval(bool lock_release = false);
+  // public for tests and for Runtime teardown).
+  void CloseInterval();
 
   // Flattened (reclaimed-history) chains pending for `unit` on this node —
   // observability for tests.
@@ -232,11 +226,6 @@ class Node {
   // Live pending notices for `unit` (post-GC tail) — observability.
   std::size_t pending_count(UnitId unit) const {
     return pending_[unit].size();
-  }
-  // Reclaimed-history words elided by read-aware flattening and not yet
-  // refreshed from the canonical base — observability for tests.
-  const std::vector<DiffRun>& elided_runs(UnitId unit) const {
-    return elided_[unit];
   }
 
  private:
@@ -271,12 +260,6 @@ class Node {
   // Make an invalid/updated-invalid unit readable.  Does not charge the
   // fault trap itself (callers do).
   void ValidateUnit(UnitId unit);
-
-  // Read-aware flattening fallback: copy any elided reclaimed words of
-  // `unit` from the canonical base into the image (host-side only — the
-  // elided history was never going to be read, so a mispredicted access
-  // refreshes the bytes without modelling the reclaimed deliveries).
-  void RefreshElided(UnitId unit);
 
   // Barrier-epoch archive GC (DESIGN.md §6), run by every node inside the
   // extended idle window over its own stripe of units
@@ -316,7 +299,7 @@ class Node {
   // remote home, answered in parallel), then archive a notice-only
   // interval record (units + clock, empty diffs — the payload lives at
   // the homes now).
-  void HlrcFlushInterval(bool lock_release);
+  void HlrcFlushInterval();
 
   // Resolve the invalid `units` by fetching whole-unit copies from their
   // homes (one combined exchange per remote home; self-homed units are a
@@ -349,14 +332,13 @@ class Node {
 
   // First-fault bookkeeping for `unit` (DESIGN.md §8): register this node
   // in the sharer directory and, if it was a virgin until now, copy the
-  // unit's shared virgin history into this node's flattened_/elided_.
-  // Chain headers are thereby allocated lazily — a node carries them only
-  // for units it has actually faulted on.
+  // unit's shared virgin history into this node's flattened_.  Chain
+  // headers are thereby allocated lazily — a node carries them only for
+  // units it has actually faulted on.
   void AdoptVirginState(UnitId unit) {
     if (shared_.sharers->Register(unit, id_)) return;
-    const SharedState::VirginHistory& v = shared_.virgin_history[unit];
-    if (!v.chains.empty()) flattened_[unit] = v.chains;
-    if (!v.elided.empty()) elided_[unit] = v.elided;
+    const std::vector<FlattenedChain>& v = shared_.virgin_history[unit];
+    if (!v.empty()) flattened_[unit] = v;
   }
 
   // Would this still-virgin node have reclaimed chains pending for `unit`?
@@ -364,7 +346,7 @@ class Node {
   // units this node has never faulted on.
   bool HasVirginChains(UnitId unit) const {
     return !shared_.sharers->IsSharer(unit, id_) &&
-           !shared_.virgin_history[unit].chains.empty();
+           !shared_.virgin_history[unit].empty();
   }
 
   // Collect archive records newly covered by `target` (all procs except
@@ -411,12 +393,6 @@ class Node {
   // they were reclaimed.  Consumed (with any live tail) at the next fault
   // on the unit; their data is served from the shared canonical base.
   std::vector<std::vector<FlattenedChain>> flattened_;
-  // Read-aware flattening (DESIGN.md §6): canonical run list of reclaimed
-  // words the GC elided for this node (lock-release intervals none of
-  // whose words this node ever read).  Silently refreshed from the
-  // canonical base at the next fault on the unit; pins the unit's base
-  // until then.
-  std::vector<std::vector<DiffRun>> elided_;
   // Lazy-diffing cost model (see protocol.cc): a unit whose twin was just
   // diffed at a release can be re-dirtied for free — in real TreadMarks
   // the twin simply persists across the release — unless a peer has

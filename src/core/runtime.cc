@@ -185,8 +185,6 @@ RunStats Runtime::CollectStats() const {
   stats.mem.gc_passes = shared_.gc_passes;
   stats.mem.chains_built = t.chains_built.load(std::memory_order_relaxed);
   stats.mem.chains_shared = t.chains_shared.load(std::memory_order_relaxed);
-  stats.mem.records_elided =
-      t.records_elided.load(std::memory_order_relaxed);
   if (shared_.fault != nullptr && shared_.fault->any_fired()) {
     stats.recovery_events = shared_.fault->fired_count();
     stats.recovery_modelled_ns = shared_.fault->recovery_modelled_ns();

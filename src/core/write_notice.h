@@ -37,12 +37,6 @@ struct IntervalRecord {
   ProcId proc = -1;
   Seq seq = 0;
   VectorClock vc;  // clock at close; vc[proc] == seq
-  // True when the interval was closed by a lock release (as opposed to a
-  // barrier arrival).  The archive GC's read-aware flattening only elides
-  // lock-release records: barrier programs are bit-reproducible and their
-  // GC must stay perfectly invisible, while lock programs are host-order
-  // dependent under any setting (DESIGN.md §6).
-  bool lock_release = false;
   std::vector<UnitId> units;
   // Parallel to `units`.  Archive GC releases the payloads when it prunes
   // the record (IntervalArchive::PruneThrough); runs and sizes survive.
@@ -264,13 +258,11 @@ struct ArchiveTelemetry {
   std::atomic<std::uint64_t> live_bytes{0};
   std::atomic<std::uint64_t> peak_live_bytes{0};
   std::atomic<std::uint64_t> reclaimed_intervals{0};
-  // Archive-GC chain economics (DESIGN.md §6): chains actually built,
+  // Archive-GC chain economics (DESIGN.md §6): chains actually built, and
   // chains credited to virgin nodes that share one virgin-store build
-  // instead of building their own, and dominated record references
-  // skipped entirely by read-aware flattening.
+  // instead of building their own.
   std::atomic<std::uint64_t> chains_built{0};
   std::atomic<std::uint64_t> chains_shared{0};
-  std::atomic<std::uint64_t> records_elided{0};
 
   void OnAppend(std::uint64_t bytes);
   void OnReclaim(std::uint64_t records, std::uint64_t bytes);

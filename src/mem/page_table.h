@@ -66,11 +66,10 @@ class CanonicalStore {
   std::span<const std::byte> base(UnitId unit) const;
 
   // Copy the words named by `runs` from the unit's base image into `dst`
-  // (a unit-sized buffer).  The one primitive behind both flattened-chain
-  // application and the read-aware-flattening silent refresh (DESIGN.md
-  // §6): the base holds the newest dominated value of every flattened
-  // word, so any copy of a run from it yields the bytes the reclaimed
-  // history would have produced.
+  // (a unit-sized buffer).  The primitive behind flattened-chain
+  // application (DESIGN.md §6): the base holds the newest dominated value
+  // of every flattened word, so any copy of a run from it yields the
+  // bytes the reclaimed history would have produced.
   void CopyRuns(UnitId unit, std::span<std::byte> dst,
                 const std::vector<DiffRun>& runs) const;
 

@@ -1,5 +1,4 @@
-// Word-level usefulness instrumentation (paper §5.3) and per-node read
-// interest.
+// Word-level usefulness instrumentation (paper §5.3).
 //
 // The authors instrumented all loads/stores and diff applications:
 //   "After applying a diff to a region of a page, if a word from that
@@ -22,18 +21,6 @@
 // been read or overwritten: OnRead/OnWrite on an exhausted unit is a
 // single counter load, and the word loop stops as soon as the last live
 // tag in range dies.
-//
-// Read interest (archive GC's read-aware flattening, DESIGN.md §6): the
-// tracker additionally accumulates a monotone per-unit bitmap of every
-// word whose *delivery this node ever consumed* — set at the credit site,
-// which already runs only on the slow path (live fresh tags), so the read
-// fast path pays nothing.  For foreign-written data this converges on
-// "words this node reads" after one delivery cycle: any read of a
-// repeatedly-delivered word credits it on the next delivery.  The GC
-// consults the bitmap to elide flattened chains none of whose words the
-// pending node ever consumed (Water's aux/force slots); a mispredicted
-// later read is data-safe — the words are silently refreshed from the
-// canonical base at fault time.
 #pragma once
 
 #include <algorithm>
@@ -42,7 +29,6 @@
 #include <vector>
 
 #include "common/check.h"
-#include "mem/diff.h"
 #include "mem/types.h"
 
 namespace dsm {
@@ -76,13 +62,6 @@ class WordTracker {
               Fn&& credit) {
     std::uint32_t live = fresh_[unit];
     if (live == 0) return;
-    if (interest_enabled_) [[unlikely]] {
-      // Lock programs only: same loop plus interest marking, kept out of
-      // line so the common credit loop below stays tight.
-      OnReadWithInterest(unit, word_in_unit, count,
-                         static_cast<Fn&&>(credit));
-      return;
-    }
     std::uint32_t* tags = units_[unit].get();
     for (std::uint32_t i = 0; i < count; ++i) {
       std::uint32_t& tag = tags[word_in_unit + i];
@@ -110,19 +89,6 @@ class WordTracker {
     fresh_[unit] = live;
   }
 
-  // --- read interest (monotone; consulted only by the archive GC) ----------
-
-  // Start accumulating read interest (idempotent).  Called by the
-  // protocol when this node first touches a lock or learns of a
-  // lock-release interval; earlier reads go unrecorded, which is safe —
-  // an under-full interest set only means a mispredicted elision, and
-  // those refresh from the canonical base.
-  void EnableInterest() { interest_enabled_ = true; }
-
-  // True iff this node ever consumed a delivery of any word covered by
-  // `runs` in `unit`.
-  bool ReadsAnyOf(UnitId unit, const std::vector<DiffRun>& runs) const;
-
   bool HasTracking(UnitId unit) const { return units_[unit] != nullptr; }
 
   // Live fresh tags in `unit` (0 = the hot paths early-out).
@@ -133,45 +99,10 @@ class WordTracker {
 
  private:
   std::uint32_t* EnsureUnit(UnitId unit);
-  std::uint64_t* EnsureInterest(UnitId unit);
-
-  // Credit loop for lock programs: consumes fresh tags AND records each
-  // consumed word in the interest bitmap.  Out of the inline hot path.
-  template <typename Fn>
-  [[gnu::noinline]] void OnReadWithInterest(UnitId unit,
-                                            std::uint32_t word_in_unit,
-                                            std::uint32_t count,
-                                            Fn&& credit) {
-    std::uint32_t live = fresh_[unit];
-    std::uint32_t* tags = units_[unit].get();
-    for (std::uint32_t i = 0; i < count; ++i) {
-      std::uint32_t& tag = tags[word_in_unit + i];
-      if (tag != 0) {
-        credit(tag - 1);
-        tag = 0;
-        NoteCredit(unit, word_in_unit + i);
-        if (--live == 0) break;
-      }
-    }
-    fresh_[unit] = live;
-  }
-
-  // Mark one consumed-delivery word.  Reached only through
-  // OnReadWithInterest, i.e. only once the node has seen lock traffic
-  // (EnableInterest): read interest is consulted exclusively for
-  // lock-release records, so barrier-only programs never execute this.
-  void NoteCredit(UnitId unit, std::uint32_t word_in_unit) {
-    std::uint64_t* bits = interest_[unit].get();
-    if (bits == nullptr) bits = EnsureInterest(unit);
-    bits[word_in_unit >> 6] |= std::uint64_t{1} << (word_in_unit & 63);
-  }
 
   std::size_t words_per_unit_;
-  bool interest_enabled_ = false;
   std::vector<std::unique_ptr<std::uint32_t[]>> units_;
   std::vector<std::uint32_t> fresh_;  // live (non-zero) tags per unit
-  // One bit per word ever read, lazily allocated per unit (read-interest).
-  std::vector<std::unique_ptr<std::uint64_t[]>> interest_;
 };
 
 }  // namespace dsm
