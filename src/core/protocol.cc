@@ -402,7 +402,7 @@ void Node::FetchUnits(const std::vector<UnitId>& units) {
       };
       auto head_need = [&](const FlattenedChain& c) {
         NeedEntry e{};
-        e.key = HbKey(c.last_vc(), w, c.last_seq);
+        e.key = c.body->tail;
         e.head = &c;
         e.runs = &c.runs();
         e.payload_words = c.payload_words();
@@ -575,40 +575,42 @@ void Node::CloseInterval() {
   if (!protocol_enabled()) return;
   const auto& dirty = table_.dirty_units();
   if (dirty.empty()) return;
-  if (hlrc_) {
-    HlrcFlushInterval();
-    return;
-  }
 
   IntervalRecord rec;
-  rec.proc = id_;
-  rec.seq = ++vc_[id_];
-  rec.units.reserve(dirty.size());
-  rec.diffs.reserve(dirty.size());
-  // Diffs are materialized here for bookkeeping (archived records must be
-  // immutable), but no cost is charged: TreadMarks diffs lazily, so a
-  // release only records write notices.  The diff-creation cost is charged
-  // server-side when a peer actually requests the diff (FetchUnits), and a
-  // unit re-dirtied before any such request re-twins for free.
-  for (UnitId unit : dirty) {
-    rec.units.push_back(unit);
-    rec.diffs.push_back(Diff::Create(table_.twin(unit), UnitSpan(unit)));
-    table_.DropTwin(unit);
-    if (table_.state(unit) == UnitState::kDirty) {
-      table_.set_state(unit, UnitState::kReadValid);
+  if (hlrc_) {
+    rec = HlrcFlushInterval();
+  } else {
+    rec.proc = id_;
+    rec.seq = ++vc_[id_];
+    rec.units.reserve(dirty.size());
+    rec.diffs.reserve(dirty.size());
+    // Diffs are materialized here for bookkeeping (archived records must
+    // be immutable), but no cost is charged: TreadMarks diffs lazily, so a
+    // release only records write notices.  The diff-creation cost is
+    // charged server-side when a peer actually requests the diff
+    // (FetchUnits), and a unit re-dirtied before any such request re-twins
+    // for free.
+    for (UnitId unit : dirty) {
+      rec.units.push_back(unit);
+      rec.diffs.push_back(Diff::Create(table_.twin(unit), UnitSpan(unit)));
+      table_.DropTwin(unit);
+      if (table_.state(unit) == UnitState::kDirty) {
+        table_.set_state(unit, UnitState::kReadValid);
+      }
+      retwin_cheap_[unit] = 1;
+      comm_stats_.counters().diffs_created += 1;
     }
-    retwin_cheap_[unit] = 1;
-    comm_stats_.counters().diffs_created += 1;
+    rec.vc = vc_;
+    table_.ClearDirtyList();
   }
-  rec.vc = vc_;
-  table_.ClearDirtyList();
   const IntervalRecord* stored = shared_.archives[id_]->Append(std::move(rec));
   if (shared_.fault != nullptr) {
     const int ev = shared_.fault->Match(id_, FaultPoint::kAfterRelease,
                                          stored->seq);
     if (ev >= 0) {
       // Crash point: the interval just reached the (stable) archive, all
-      // twins are dropped, nothing is half-written.  Rebuild in place and
+      // twins are dropped, nothing is half-written (under HLRC the homes
+      // already absorbed this interval's diffs).  Rebuild in place and
       // continue transparently (DESIGN.md §9).
       RecoveryCoordinator::Recover(*this, stored->vc, ev);
     }
@@ -619,10 +621,10 @@ void Node::CloseInterval() {
 // Diffs are created eagerly (the releaser pays the twin scan now, not a
 // future requester), shipped to each dirty unit's home in one combined
 // message per remote home (homes absorb them in parallel; the release
-// waits for the slowest ack), and the archived record keeps only the
+// waits for the slowest ack), and the returned record keeps only the
 // write notices — the payload now lives at the homes, so nothing here
 // ever needs garbage collecting.
-void Node::HlrcFlushInterval() {
+IntervalRecord Node::HlrcFlushInterval() {
   const CostModel& cost = shared_.config.cost;
   const auto& dirty = table_.dirty_units();
 
@@ -700,17 +702,7 @@ void Node::HlrcFlushInterval() {
     hlrc_flush_server_[h] = 0;
   }
   clock_.Advance(slowest);
-
-  const IntervalRecord* stored = shared_.archives[id_]->Append(std::move(rec));
-  if (shared_.fault != nullptr) {
-    const int ev = shared_.fault->Match(id_, FaultPoint::kAfterRelease,
-                                         stored->seq);
-    if (ev >= 0) {
-      // Same crash point as the LRC path: record archived, homes already
-      // absorbed this interval's diffs, twins dropped.
-      RecoveryCoordinator::Recover(*this, stored->vc, ev);
-    }
-  }
+  return rec;
 }
 
 // Home-based LRC fault resolution (DESIGN.md §7): whole-unit copies from
@@ -850,13 +842,12 @@ VirtualNanos Node::HlrcChargeRehomeLearning(std::size_t request_bytes) {
 
 namespace {
 
-// A dominated record resolved for one unit by the GC flatten pass.
+// A dominated record resolved for one unit by the GC flatten pass, with
+// its happens-before key (a chain's tail key, and the base apply order).
 struct GcResolved {
   const IntervalRecord* rec;
-  // Shared ownership handle (single-record chains retain the record);
-  // points into the pass's dominated-prefix snapshot, which outlives it.
-  const std::shared_ptr<const IntervalRecord>* owner;
   int di;
+  HbKey key;
 };
 
 // Extend a unit's flattened chains `flat` with its kept dominated records,
@@ -898,28 +889,25 @@ std::uint64_t BuildChains(std::vector<FlattenedChain>& flat,
     for (const GcResolved& r : kept) {
       if (r.rec->proc != w) continue;
       const Diff& diff = r.rec->diffs[static_cast<std::size_t>(r.di)];
+      StampRef stamp{r.rec->diffed, static_cast<std::uint32_t>(r.di)};
       if (open != flat.size() && !flat[open].blocked &&
           may_absorb(w, flat[open].first_seq, r.rec->seq)) {
-        FlattenedChain& c = flat[open];
-        // Copy-on-write: converts a single-record chain to a merged body,
-        // or clones a body shared with the virgin store or other nodes.
-        ChainBody& b = c.MutableBody();
+        // Copy-on-write: clones a body shared with the virgin store or
+        // other nodes.
+        ChainBody& b = flat[open].MutableBody();
         b.runs = Diff::MergeRuns(b.runs, diff.runs());
         b.payload_words = Diff::RunWords(b.runs);
-        b.last_vc = r.rec->vc;
-        b.stamps = std::make_shared<const StampNode>(StampNode{
-            StampRef{r.rec->diffed, static_cast<std::uint32_t>(r.di)},
-            std::move(b.stamps)});
-        c.last_seq = r.rec->seq;
+        b.tail = r.key;
+        b.stamps = std::make_shared<const StampNode>(
+            StampNode{std::move(stamp), std::move(b.stamps)});
       } else {
-        // New chains start in the single-record form: one shared_ptr
-        // copy, no merged body until (unless) something is absorbed.
         FlattenedChain c;
         c.writer = w;
         c.first_seq = r.rec->seq;
-        c.last_seq = r.rec->seq;
-        c.rec = *r.owner;
-        c.di = r.di;
+        c.body = std::make_shared<ChainBody>(ChainBody{
+            diff.runs(), diff.payload_words(), r.key,
+            std::make_shared<const StampNode>(
+                StampNode{std::move(stamp), nullptr})});
         flat.push_back(std::move(c));
         ++started;
         open = flat.size() - 1;
@@ -957,8 +945,10 @@ std::uint64_t BuildChains(std::vector<FlattenedChain>& flat,
 // unit's flatten and apply touch only that unit's state — its pending
 // entries and chain headers on every node, its virgin-store entry, its
 // sharer bits and its base — so stripes never share a mutable object;
-// records and stamp arrays span units, but stripes only copy their
-// shared_ptrs.
+// stamp arrays span units, but stripes only copy their shared_ptrs, and
+// the records they read are frozen until the prune after the window.
+// Every chain a pass builds or extends copies what it needs out of its
+// records (run list, tail key, stamp), so the prune frees them.
 void Node::GcFlatten(const VectorClock& through) {
   SharedState& shared = shared_;
   const int nprocs = shared.config.num_procs;
@@ -968,22 +958,19 @@ void Node::GcFlatten(const VectorClock& through) {
   // archive): lock-heavy programs resolve tens of thousands of (proc,
   // seq) references per pass, and per-reference Find() would pay a mutex
   // round-trip each.  The snapshot is a lock-free binary-search index.
-  std::vector<std::vector<std::shared_ptr<const IntervalRecord>>> dom_prefix(
+  std::vector<std::vector<const IntervalRecord*>> dom_prefix(
       static_cast<std::size_t>(nprocs));
   for (ProcId p = 0; p < nprocs; ++p) {
-    dom_prefix[p] = shared.archives[p]->RangeShared(0, through[p]);
+    dom_prefix[p] = shared.archives[p]->Range(0, through[p]);
   }
-  auto find_dominated =
-      [&](ProcId p, Seq seq) -> const std::shared_ptr<const IntervalRecord>* {
+  auto find_dominated = [&](ProcId p, Seq seq) {
     const auto& v = dom_prefix[p];
     auto it = std::lower_bound(
         v.begin(), v.end(), seq,
-        [](const std::shared_ptr<const IntervalRecord>& r, Seq s) {
-          return r->seq < s;
-        });
+        [](const IntervalRecord* r, Seq s) { return r->seq < s; });
     DSM_CHECK(it != v.end() && (*it)->seq == seq)
         << "GC: missing interval (" << p << "," << seq << ")";
-    return &*it;
+    return *it;
   };
 
   // One reclaimed record is typically pending at most nodes; resolve each
@@ -998,13 +985,12 @@ void Node::GcFlatten(const VectorClock& through) {
         (std::uint64_t{static_cast<std::uint32_t>(pi.proc)} << 32) | pi.seq;
     auto memo = resolve_memo.find(rkey);
     if (memo == resolve_memo.end()) {
-      const std::shared_ptr<const IntervalRecord>* owner =
-          find_dominated(pi.proc, pi.seq);
-      const IntervalRecord* rec = owner->get();
+      const IntervalRecord* rec = find_dominated(pi.proc, pi.seq);
       const int di = rec->IndexOf(u);
       DSM_CHECK_GE(di, 0);
-      memo = resolve_memo.emplace(rkey, GcResolved{rec, owner, di}).first;
-      gc_refs_.push_back({u, rec, di, HbKey(*rec)});
+      const GcResolved resolved{rec, di, HbKey(*rec)};
+      gc_refs_.push_back({u, rec, di, resolved.key});
+      memo = resolve_memo.emplace(rkey, resolved).first;
     }
     return memo->second;
   };
@@ -1124,9 +1110,7 @@ void Node::GcFlatten(const VectorClock& through) {
   if (shared.fault != nullptr) {
     gc_refs_.clear();
     for (ProcId p = 0; p < nprocs; ++p) {
-      for (const std::shared_ptr<const IntervalRecord>& owner :
-           dom_prefix[p]) {
-        const IntervalRecord* rec = owner.get();
+      for (const IntervalRecord* rec : dom_prefix[p]) {
         const HbKey key(*rec);
         for (std::size_t k = 0; k < rec->units.size(); ++k) {
           if (rec->units[k] % static_cast<UnitId>(nprocs) !=
@@ -1198,9 +1182,9 @@ void Node::GcApply() {
   }
 }
 
-// Reclaim phase (pass 3): prune this node's own dominated archive prefix
-// (FlattenedChains keep the lazy-diffing stamp arrays of their member
-// records alive).  Runs after the barrier window closes, concurrent with
+// Reclaim phase (pass 3): prune and free this node's own dominated
+// archive prefix (FlattenedChains keep the lazy-diffing stamp arrays of
+// their member records alive).  Runs after the barrier window closes, concurrent with
 // resumed application threads: archives are mutex-guarded, every
 // dominated reference was converted to a chain in the flatten phase, and
 // notices_seen_ >= through everywhere, so no fault or notice collection

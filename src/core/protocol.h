@@ -223,10 +223,6 @@ class Node {
   const std::vector<FlattenedChain>& flattened_chains(UnitId unit) const {
     return flattened_[unit];
   }
-  // Live pending notices for `unit` (post-GC tail) — observability.
-  std::size_t pending_count(UnitId unit) const {
-    return pending_[unit].size();
-  }
 
  private:
   // Crash recovery rebuilds this node's volatile state in place
@@ -296,10 +292,10 @@ class Node {
   // --- home-based LRC (BackendKind::kHlrc, DESIGN.md §7) -------------------
   // Close the open interval by eagerly diffing every dirty unit and
   // flushing the diffs to the units' homes (one combined message per
-  // remote home, answered in parallel), then archive a notice-only
-  // interval record (units + clock, empty diffs — the payload lives at
-  // the homes now).
-  void HlrcFlushInterval();
+  // remote home, answered in parallel).  Returns the notice-only interval
+  // record (units + clock, empty diffs — the payload lives at the homes
+  // now), which CloseInterval archives.
+  IntervalRecord HlrcFlushInterval();
 
   // Resolve the invalid `units` by fetching whole-unit copies from their
   // homes (one combined exchange per remote home; self-homed units are a

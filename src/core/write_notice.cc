@@ -42,25 +42,23 @@ void ArchiveTelemetry::OnReclaim(std::uint64_t records, std::uint64_t bytes) {
 
 const IntervalRecord* IntervalArchive::Append(IntervalRecord record) {
   std::lock_guard lock(mutex_);
-  DSM_CHECK(records_.empty() || records_.back()->seq < record.seq)
+  DSM_CHECK(records_.empty() || records_.back().seq < record.seq)
       << "archive appends must be in increasing seq order";
   DSM_CHECK_EQ(record.units.size(), record.diffs.size());
   record.diffed.reset(
       new std::atomic<std::uint64_t>[record.units.size()]());
   if (telemetry_ != nullptr) telemetry_->OnAppend(record.RetainedBytes());
-  records_.push_back(std::make_shared<IntervalRecord>(std::move(record)));
-  return records_.back().get();
+  records_.push_back(std::move(record));
+  return &records_.back();
 }
 
 const IntervalRecord* IntervalArchive::Find(Seq seq) const {
   std::lock_guard lock(mutex_);
   auto it = std::lower_bound(
       records_.begin(), records_.end(), seq,
-      [](const std::shared_ptr<IntervalRecord>& r, Seq s) {
-        return r->seq < s;
-      });
-  if (it == records_.end() || (*it)->seq != seq) return nullptr;
-  return it->get();
+      [](const IntervalRecord& r, Seq s) { return r.seq < s; });
+  if (it == records_.end() || it->seq != seq) return nullptr;
+  return &*it;
 }
 
 std::vector<const IntervalRecord*> IntervalArchive::Range(Seq from,
@@ -69,27 +67,8 @@ std::vector<const IntervalRecord*> IntervalArchive::Range(Seq from,
   std::vector<const IntervalRecord*> out;
   auto it = std::upper_bound(
       records_.begin(), records_.end(), from,
-      [](Seq s, const std::shared_ptr<IntervalRecord>& r) {
-        return s < r->seq;
-      });
-  for (; it != records_.end() && (*it)->seq <= to; ++it) {
-    out.push_back(it->get());
-  }
-  return out;
-}
-
-std::vector<std::shared_ptr<const IntervalRecord>>
-IntervalArchive::RangeShared(Seq from, Seq to) const {
-  std::lock_guard lock(mutex_);
-  std::vector<std::shared_ptr<const IntervalRecord>> out;
-  auto it = std::upper_bound(
-      records_.begin(), records_.end(), from,
-      [](Seq s, const std::shared_ptr<IntervalRecord>& r) {
-        return s < r->seq;
-      });
-  for (; it != records_.end() && (*it)->seq <= to; ++it) {
-    out.push_back(*it);
-  }
+      [](Seq s, const IntervalRecord& r) { return s < r.seq; });
+  for (; it != records_.end() && it->seq <= to; ++it) out.push_back(&*it);
   return out;
 }
 
@@ -97,10 +76,8 @@ std::size_t IntervalArchive::PruneThrough(Seq through) {
   std::lock_guard lock(mutex_);
   std::size_t reclaimed = 0;
   std::uint64_t bytes = 0;
-  while (!records_.empty() && records_.front()->seq <= through) {
-    IntervalRecord& rec = *records_.front();
-    bytes += rec.RetainedBytes();
-    for (Diff& d : rec.diffs) d.ReleasePayload();
+  while (!records_.empty() && records_.front().seq <= through) {
+    bytes += records_.front().RetainedBytes();
     records_.pop_front();
     ++reclaimed;
   }
@@ -112,16 +89,14 @@ std::size_t IntervalArchive::PruneThrough(Seq through) {
 
 Seq IntervalArchive::min_retained_seq() const {
   std::lock_guard lock(mutex_);
-  return records_.empty() ? 0 : records_.front()->seq;
+  return records_.empty() ? 0 : records_.front().seq;
 }
 
 std::size_t IntervalArchive::CountThrough(Seq through) const {
   std::lock_guard lock(mutex_);
   auto it = std::upper_bound(
       records_.begin(), records_.end(), through,
-      [](Seq s, const std::shared_ptr<IntervalRecord>& r) {
-        return s < r->seq;
-      });
+      [](Seq s, const IntervalRecord& r) { return s < r.seq; });
   return static_cast<std::size_t>(it - records_.begin());
 }
 

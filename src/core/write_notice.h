@@ -14,9 +14,10 @@
 // previous barrier's global vector clock into per-unit canonical base
 // images and reclaims the records.  Chains of reclaimed intervals that
 // some node still had pending survive as FlattenedChains — payload-free
-// run lists whose data is served from the canonical base at fault time,
-// in both chain forms: pruning a record releases its diff payloads.
-// Identical chains pending at several nodes share one immutable ChainBody.
+// run lists whose data is served from the canonical base at fault time.
+// A chain holds its own body (run list, tail key, stamps) and no record,
+// so pruning a record frees it, diff payloads included.  Nodes that adopt
+// the virgin store's chains share its bodies copy-on-write.
 #pragma once
 
 #include <atomic>
@@ -38,8 +39,9 @@ struct IntervalRecord {
   Seq seq = 0;
   VectorClock vc;  // clock at close; vc[proc] == seq
   std::vector<UnitId> units;
-  // Parallel to `units`.  Archive GC releases the payloads when it prunes
-  // the record (IntervalArchive::PruneThrough); runs and sizes survive.
+  // Parallel to `units`.  Archive GC folds them into the canonical base
+  // and copies the run lists its chains need before it prunes the record
+  // (IntervalArchive::PruneThrough), which frees them.
   std::vector<Diff> diffs;
   // Lazy-diffing cost model: diffed[i] holds 1 + the *phase key* under
   // which the diff of units[i] was first materialized (0 = never).
@@ -61,7 +63,7 @@ struct IntervalRecord {
   // Shared ownership: when the record is reclaimed by archive GC, any
   // FlattenedChain built from it keeps the stamp array alive, so the
   // first-requester-pays decision replays identically whether or not the
-  // record's payload was flattened away in the meantime.
+  // record was flattened away in the meantime.
   std::shared_ptr<std::atomic<std::uint64_t>[]> diffed;
 
   // Index of `unit` within units/diffs, or -1.
@@ -141,88 +143,63 @@ struct StampNode {
   std::shared_ptr<const StampNode> next;
 };
 
-// The immutable bulk of a flattened chain, shared (shared_ptr) by every
-// header copied from the virgin store (DESIGN.md §6 and §8): the GC
-// builds a never-faulted unit's history once there, and each node that
-// later faults on the unit copies the cheap per-node headers.  Holds
-// everything the fault path needs to replay bit-identical modelled costs
-// without the reclaimed records' payload:
+// The bulk of a flattened chain: everything the fault path needs to
+// replay bit-identical modelled costs without the reclaimed records,
+// which the archive frees at prune time:
 //
 //   * the canonical run list of the chain's merged diff (wire-size and
 //     word-delivery accounting; the data itself is copied from the
 //     canonical base at apply time),
-//   * the tail's close-time clock (happens-before apply ordering),
+//   * the tail's happens-before key (apply ordering),
 //   * the lazy-diffing stamps of every flattened member (the
 //     first-requester-pays-the-scan decision; the atomics themselves live
-//     in the reclaimed records' arrays and are global across nodes).
+//     in the reclaimed records' stamp arrays, which the stamps keep alive,
+//     and are global across nodes).
+//
+// Shared (shared_ptr) by every header copied from the virgin store
+// (DESIGN.md §6 and §8): the GC builds a never-faulted unit's history
+// once there, and each node that later faults on the unit copies the
+// cheap per-node headers.
 struct ChainBody {
   std::vector<DiffRun> runs;      // merged run list, canonical, payload-free
   std::size_t payload_words = 0;  // == Diff::RunWords(runs), cached
-  VectorClock last_vc;            // tail close-time clock (apply ordering)
+  HbKey tail;                     // tail member's key (apply ordering)
   // One per flattened member interval, newest-first, tail-shared.
   std::shared_ptr<const StampNode> stamps;
 };
 
 // A coalesced chain of reclaimed intervals of ONE writer for ONE unit that
 // some node still had pending when the chain was flattened into the
-// canonical base image.  Two representations behind one header:
-//
-//   * single-record chain (`rec` set): the chain IS one reclaimed
-//     interval — it retains the record itself (shared with the archive's
-//     other referents), and every accessor reads straight through it.
-//     Building one costs a shared_ptr copy, nothing more; the wire
-//     accounting is definitionally identical to a merged chain of one
-//     member.  The record's diff payloads were released when the archive
-//     pruned it, so it pins only runs, clock, stamps and word counts.
-//     The overwhelmingly common case for lock-heavy programs, whose
-//     per-molecule critical sections produce single-unit records, and
-//     for false sharing at coarse units, where concurrent writers block
-//     every chain and each writer-epoch leaves its own.
-//   * merged chain (`body` set): two or more members coalesced into a
-//     shared ChainBody (runs merged payload-free, stamps cons-listed).
+// canonical base image.  A chain of one member is a body of one run list
+// and one stamp: the same form, so its wire accounting is that of any
+// merged chain.  That case dominates for lock-heavy programs, whose
+// per-molecule critical sections produce single-unit records, and for
+// false sharing at coarse units, where concurrent writers block every
+// chain and each writer-epoch leaves its own.
 struct FlattenedChain {
   ProcId writer = -1;
   Seq first_seq = 0;  // chain head, for the absorption safety check
-  Seq last_seq = 0;   // chain tail
   // A reclaimed foreign interval is ordered after the chain's head: no
   // later interval of `writer` may ever be absorbed into this chain
   // (matches the fault path's per-record safety check, whose reclaimed
   // witnesses are gone).
   bool blocked = false;
-  std::shared_ptr<const IntervalRecord> rec;  // single-record form
-  int di = -1;                                // unit's index within *rec
-  std::shared_ptr<ChainBody> body;            // merged form (rec == null)
+  std::shared_ptr<ChainBody> body;
 
-  const Diff& rec_diff() const {
-    return rec->diffs[static_cast<std::size_t>(di)];
-  }
-  const std::vector<DiffRun>& runs() const {
-    return rec != nullptr ? rec_diff().runs() : body->runs;
-  }
-  std::size_t payload_words() const {
-    return rec != nullptr ? rec_diff().payload_words()
-                          : body->payload_words;
-  }
-  const VectorClock& last_vc() const {
-    return rec != nullptr ? rec->vc : body->last_vc;
-  }
+  const std::vector<DiffRun>& runs() const { return body->runs; }
+  std::size_t payload_words() const { return body->payload_words; }
 
   // Visit every member stamp (the first-requester-pays decision).
   template <typename Fn>
   void ForEachStamp(Fn&& fn) const {
-    if (rec != nullptr) {
-      fn(rec->diffed[static_cast<std::size_t>(di)]);
-      return;
-    }
     for (const StampNode* s = body->stamps.get(); s != nullptr;
          s = s->next.get()) {
       fn(s->ref.stamps[s->ref.index]);
     }
   }
 
-  // Mutable merged body for tail extension by the GC: converts a
-  // single-record chain to a merged body, and clones a body another
-  // header shares (copy-on-write).  Called only inside the GC window
+  // Body for tail extension by the GC: clones a body another header
+  // shares (copy-on-write).  Called only inside the GC window
   // (BuildChains), by the stripe that owns the chain's unit.  A body is
   // only ever held by headers of one unit (the virgin store's and the
   // nodes' for that unit), and a unit has a single stripe, so every header
@@ -230,19 +207,7 @@ struct FlattenedChain {
   // outside the window, ordered before it by the barrier — so use_count()
   // is exact here (DESIGN.md §10).  The fault path never writes a body.
   ChainBody& MutableBody() {
-    if (rec != nullptr) {
-      auto b = std::make_shared<ChainBody>();
-      b->runs = rec_diff().runs();
-      b->payload_words = rec_diff().payload_words();
-      b->last_vc = rec->vc;
-      b->stamps = std::make_shared<const StampNode>(StampNode{
-          StampRef{rec->diffed, static_cast<std::uint32_t>(di)}, nullptr});
-      body = std::move(b);
-      rec = nullptr;
-      di = -1;
-    } else if (body.use_count() > 1) {
-      body = std::make_shared<ChainBody>(*body);
-    }
+    if (body.use_count() > 1) body = std::make_shared<ChainBody>(*body);
     return *body;
   }
 };
@@ -268,14 +233,14 @@ struct ArchiveTelemetry {
   void OnReclaim(std::uint64_t records, std::uint64_t bytes);
 };
 
-// Archive of one node's closed intervals.  The owner appends at interval
-// close; peers look up records while handling faults or merging barrier
-// notices; the barrier-epoch garbage collector reclaims the dominated
-// prefix.  std::deque keeps references to surviving records stable across
-// both appends and front-pruning, but all access still takes the mutex
-// (deque bookkeeping itself is not thread-safe); lookups return stable
-// pointers that remain valid after the mutex is released — until the
-// record's seq is pruned.
+// Archive of one node's closed intervals, held by value.  The owner
+// appends at interval close; peers look up records while handling faults
+// or merging barrier notices; the barrier-epoch garbage collector reclaims
+// the dominated prefix.  std::deque keeps references to surviving records
+// stable across both appends and front-pruning, but all access still
+// takes the mutex (deque bookkeeping itself is not thread-safe); lookups
+// return stable pointers that remain valid after the mutex is released —
+// until the record's seq is pruned.
 class IntervalArchive {
  public:
   // Appends a record (records must arrive in increasing seq order).
@@ -289,18 +254,12 @@ class IntervalArchive {
   // All records with from < seq <= to, in increasing seq order.
   std::vector<const IntervalRecord*> Range(Seq from, Seq to) const;
 
-  // Shared-ownership variant of Range (archive GC: single-record chains
-  // retain the reclaimed record itself).
-  std::vector<std::shared_ptr<const IntervalRecord>> RangeShared(
-      Seq from, Seq to) const;
-
-  // Reclaim every record with seq <= through (always a prefix: seqs are
-  // appended in increasing order).  Records survive reclamation exactly
-  // as long as some FlattenedChain retains them (shared ownership); the
-  // GC converts every other reference first.  Each reclaimed record's
-  // diff payloads are released here: their words are already in the
-  // canonical base, and a chain reads only runs and sizes.  Returns the
-  // number of records reclaimed.
+  // Reclaim and free every record with seq <= through (always a prefix:
+  // seqs are appended in increasing order).  Callers prune only a prefix
+  // that nothing references any more: under LRC its words are in the
+  // canonical base by then, and every chain built from it holds copies of
+  // what it reads.  Only a record's stamp array outlives it, held by those
+  // chains.  Returns the number of records reclaimed.
   std::size_t PruneThrough(Seq through);
 
   // Smallest seq still archived (0 when empty) — pruned seqs can never be
@@ -317,7 +276,7 @@ class IntervalArchive {
 
  private:
   mutable std::mutex mutex_;
-  std::deque<std::shared_ptr<IntervalRecord>> records_;
+  std::deque<IntervalRecord> records_;
   ArchiveTelemetry* telemetry_ = nullptr;
 };
 

@@ -132,7 +132,6 @@ Diff Diff::Create(std::span<const std::byte> twin,
   }
 
   // Pass 2: one exact payload allocation, bulk-copied run by run.
-  diff.payload_words_ = total_words;
   diff.payload_.reserve(total_words * kWordBytes);
   for (const DiffRun& run : diff.runs_) {
     const std::byte* src = cp + std::size_t{run.word_offset} * kWordBytes;
@@ -143,7 +142,6 @@ Diff Diff::Create(std::span<const std::byte> twin,
 }
 
 std::uint32_t Diff::payload_word(std::size_t i) const {
-  CheckPayload();
   DSM_CHECK_LT(i, payload_words());
   return Load32(payload_.data() + i * kWordBytes);
 }
@@ -185,13 +183,7 @@ std::size_t Diff::RunWords(const std::vector<DiffRun>& runs) {
   return total;
 }
 
-void Diff::CheckPayload() const {
-  DSM_CHECK_EQ(payload_.size(), payload_bytes())
-      << "diff payload was released";
-}
-
 void Diff::Apply(std::span<std::byte> dst) const {
-  CheckPayload();
   const std::size_t num_words = dst.size() / kWordBytes;
   std::size_t payload_pos = 0;  // bytes
   for (const DiffRun& run : runs_) {

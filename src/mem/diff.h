@@ -35,17 +35,8 @@ class Diff {
   static Diff Create(std::span<const std::byte> twin,
                      std::span<const std::byte> current);
 
-  // Scatter the recorded words into `dst` (a unit-sized buffer).  The
-  // payload must not have been released.
+  // Scatter the recorded words into `dst` (a unit-sized buffer).
   void Apply(std::span<std::byte> dst) const;
-
-  // Free the payload bytes, keeping the run list and every size accessor
-  // intact.  Archive GC calls this on reclaimed records, whose words
-  // already live in the canonical base: what survives is exactly what a
-  // flattened chain reads (runs and wire size).  Only the byte storage
-  // changes, so concurrent readers of runs() and the size accessors stay
-  // race-free.
-  void ReleasePayload() { std::vector<std::byte>().swap(payload_); }
 
   // The canonical (sorted, maximal, disjoint) run decomposition of the
   // union of two canonical run lists.  Used to combat diff accumulation:
@@ -54,7 +45,8 @@ class Diff {
   // of overlapping words can never be observed, so the server ships one
   // combined diff whose runs are this union.  Payload-free, so the fault
   // path and archive GC count that diff's wire size and delivered words
-  // whether or not the members' payloads were reclaimed (DESIGN.md §6).
+  // from run lists alone, including those of flattened chains whose
+  // members the archive has freed (DESIGN.md §6).
   static std::vector<DiffRun> MergeRuns(const std::vector<DiffRun>& a,
                                         const std::vector<DiffRun>& b);
 
@@ -63,8 +55,8 @@ class Diff {
 
   bool empty() const { return runs_.empty(); }
   std::size_t num_runs() const { return runs_.size(); }
-  std::size_t payload_words() const { return payload_words_; }
-  std::size_t payload_bytes() const { return payload_words_ * kWordBytes; }
+  std::size_t payload_words() const { return payload_.size() / kWordBytes; }
+  std::size_t payload_bytes() const { return payload_.size(); }
 
   // Wire size: header + per-run descriptors + payload.  Used for message
   // byte accounting and bandwidth timing.
@@ -74,7 +66,6 @@ class Diff {
   }
 
   const std::vector<DiffRun>& runs() const { return runs_; }
-  const std::vector<std::byte>& payload() const { return payload_; }
   // Payload word `i` in run-major order (testing/inspection).
   std::uint32_t payload_word(std::size_t i) const;
 
@@ -82,17 +73,11 @@ class Diff {
   static constexpr std::size_t kRunDescriptorBytes = 8;
 
  private:
-  // DSM_CHECK that the payload bytes are still present (not released).
-  void CheckPayload() const;
-
   std::vector<DiffRun> runs_;
   // Bytes of the modified words, run by run.  Byte storage keeps payload
   // construction a pure bulk copy (no zero-initializing resize, no
   // aliasing-unsafe word pointers into the unit images).
   std::vector<std::byte> payload_;
-  // Words in the payload, written once by Create.  The size
-  // accessors read this, never payload_, so they survive ReleasePayload.
-  std::size_t payload_words_ = 0;
 };
 
 }  // namespace dsm

@@ -119,9 +119,6 @@ class PageTable {
   UnitState state(UnitId unit) const { return states_[unit]; }
   void set_state(UnitId unit, UnitState s) { states_[unit] = s; }
 
-  // Fast-path pointer for the inline access check.
-  const UnitState* state_array() const { return states_.data(); }
-
   bool NeedsFaultOnRead(UnitId unit) const {
     const UnitState s = states_[unit];
     return s == UnitState::kInvalid || s == UnitState::kUpdatedInvalid;

@@ -10,12 +10,6 @@ std::uint64_t NetStats::total_messages() const {
   return n;
 }
 
-std::uint64_t NetStats::total_bytes() const {
-  std::uint64_t n = 0;
-  for (const auto& e : entries_) n += e.bytes;
-  return n;
-}
-
 std::uint64_t NetStats::data_messages() const {
   return messages(MessageKind::kDiffRequest) +
          messages(MessageKind::kDiffResponse) +

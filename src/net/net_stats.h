@@ -32,7 +32,6 @@ class NetStats {
   }
 
   std::uint64_t total_messages() const;
-  std::uint64_t total_bytes() const;
 
   // Messages/bytes that move application data (diff traffic), as opposed to
   // pure synchronization traffic.

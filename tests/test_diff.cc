@@ -6,7 +6,6 @@
 #include <map>
 #include <vector>
 
-#include "common/check.h"
 #include "common/rng.h"
 #include "mem/diff.h"
 
@@ -82,31 +81,6 @@ TEST(Diff, EncodedBytesAccountsRunsAndPayload) {
   EXPECT_EQ(d.EncodedBytes(), Diff::kHeaderBytes +
                                   2 * Diff::kRunDescriptorBytes +
                                   2 * kWordBytes);
-}
-
-// Archive GC releases a reclaimed record's payload while flattened chains
-// keep reading the record's runs and wire size: everything but the byte
-// storage must survive.
-TEST(Diff, ReleasePayloadKeepsRunsAndSizes) {
-  auto base = Bytes({0, 0, 0, 0, 0, 0, 0, 0});
-  auto v1 = Bytes({1, 1, 0, 0, 2, 0, 0, 0});
-  const Diff original = Diff::Create(base, v1);
-  Diff d = original;
-  ASSERT_GT(d.payload_words(), 0u);
-  d.ReleasePayload();
-  EXPECT_TRUE(d.payload().empty());
-  EXPECT_EQ(d.payload().capacity(), 0u);
-  ASSERT_EQ(d.num_runs(), original.num_runs());
-  for (std::size_t r = 0; r < d.num_runs(); ++r) {
-    EXPECT_EQ(d.runs()[r].word_offset, original.runs()[r].word_offset);
-    EXPECT_EQ(d.runs()[r].word_count, original.runs()[r].word_count);
-  }
-  EXPECT_EQ(d.payload_words(), original.payload_words());
-  EXPECT_EQ(d.payload_bytes(), original.payload_bytes());
-  EXPECT_EQ(d.EncodedBytes(), original.EncodedBytes());
-  // The data is gone: applying it is a checked error.
-  auto target = base;
-  EXPECT_THROW(d.Apply(target), CheckError);
 }
 
 // --- Consecutive diffs vs. a brute-force word-map oracle --------------------

@@ -12,6 +12,8 @@
 // bounded instead of scaling with barrier count.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cctype>
 #include <cstring>
 #include <mutex>
@@ -291,25 +293,24 @@ TEST(GcChainBody, MutableBodyClonesSharedBodyAndExtendsSoleOwnerInPlace) {
   EXPECT_EQ(&original.MutableBody(), own);
 }
 
-// --- payload release under false sharing --------------------------------------
+// --- blocked chains under false sharing -------------------------------------
 //
 // Procs 0 and 2 write disjoint words of ONE unit every epoch, so each
 // writer's records are ordered after the other's previous ones: no chain
 // can absorb the next epoch (the chains are `blocked`) and every reclaimed
-// record survives as a single-record FlattenedChain — the MGS-16K shape.
-// Proc 1 faults once early (so its history lives in its own chain headers,
-// not the virgin store) and then stays away until the history is
-// reclaimed.  Pruning must have dropped every retained record's payload
-// bytes while its runs and sizes — all the fault path reads — survive, and
-// the late fault must still match the archive-everything run bit for bit.
+// record becomes a one-member FlattenedChain — the MGS-16K shape.  Proc 1
+// faults once early (so its history lives in its own chain headers, not
+// the virgin store) and then stays away until the history is reclaimed.
+// Each chain must carry exactly its epoch's run and stamp, read from a
+// body of its own (the archive freed the record), and the late fault must
+// still match the archive-everything run bit for bit.
 struct FalseSharingOutcome {
   std::vector<int> values;
   RunStats stats;
   std::size_t chains = 0;
-  std::size_t single_record = 0;
-  std::size_t blocked = 0;
-  std::size_t released = 0;      // single-record chains with no bytes
-  std::size_t sizes_intact = 0;  // ... whose sizes still read in full
+  std::size_t one_epoch = 0;  // one member: its epoch's single run and stamp
+  std::size_t older = 0;      // chains that are not their writer's newest
+  std::size_t older_blocked = 0;
 };
 
 FalseSharingOutcome RunFalseSharingReader(int gc_interval) {
@@ -318,7 +319,7 @@ FalseSharingOutcome RunFalseSharingReader(int gc_interval) {
   cfg.heap_bytes = 1u << 20;
   cfg.gc_interval_barriers = gc_interval;
   constexpr int kEpochs = 10;
-  constexpr std::size_t kWords = 16;
+  constexpr std::uint32_t kWords = 16;
 
   Runtime rt(cfg);
   auto data = rt.Alloc<int>(1024, "data");
@@ -342,19 +343,27 @@ FalseSharingOutcome RunFalseSharingReader(int gc_interval) {
     for (int i = 0; i < 3; ++i) p.Barrier();
     if (p.id() == 1) {
       FalseSharingOutcome seen;
-      for (const FlattenedChain& c : p.node().flattened_chains(unit)) {
+      const std::vector<FlattenedChain>& flat =
+          p.node().flattened_chains(unit);
+      for (std::size_t i = 0; i < flat.size(); ++i) {
+        const FlattenedChain& c = flat[i];
         ++seen.chains;
-        seen.blocked += c.blocked ? 1 : 0;
-        if (c.rec == nullptr) continue;
-        ++seen.single_record;
-        const Diff& d = c.rec_diff();
-        seen.released += d.payload().empty() ? 1 : 0;
-        const bool intact =
-            d.payload_words() == kWords && c.payload_words() == kWords &&
-            d.EncodedBytes() == Diff::kHeaderBytes +
-                                    Diff::kRunDescriptorBytes +
-                                    kWords * kWordBytes;
-        seen.sizes_intact += intact ? 1 : 0;
+        std::size_t members = 0;
+        c.ForEachStamp([&](std::atomic<std::uint64_t>&) { ++members; });
+        const std::uint32_t first_word = c.writer == 0 ? 0 : kWords;
+        const bool one_epoch =
+            members == 1 && c.body->tail.proc == c.writer &&
+            c.body->tail.seq == c.first_seq && c.runs().size() == 1 &&
+            c.runs()[0].word_offset == first_word &&
+            c.runs()[0].word_count == kWords && c.payload_words() == kWords;
+        seen.one_epoch += one_epoch ? 1 : 0;
+        const bool newest = std::none_of(
+            flat.begin() + static_cast<std::ptrdiff_t>(i) + 1, flat.end(),
+            [&](const FlattenedChain& d) { return d.writer == c.writer; });
+        if (!newest) {
+          ++seen.older;
+          seen.older_blocked += c.blocked ? 1 : 0;
+        }
       }
       std::vector<int> got;
       for (std::size_t i = 0; i < 2 * kWords; ++i) {
@@ -370,19 +379,18 @@ FalseSharingOutcome RunFalseSharingReader(int gc_interval) {
   return out;
 }
 
-TEST(GcPayloadRelease, FalseSharedChainsKeepSizesButNoBytes) {
+TEST(GcFalseSharing, BlockedChainsKeepOneEpochEach) {
   const FalseSharingOutcome off = RunFalseSharingReader(0);
   const FalseSharingOutcome on = RunFalseSharingReader(1);
 
   EXPECT_EQ(off.chains, 0u);
-  // One chain per writer-epoch after the reader's fault, all of them the
-  // single-record form, all but each writer's newest blocked.
+  // One chain per writer-epoch after the reader's fault, each holding
+  // exactly its epoch's 16-word run, and all but each writer's newest
+  // blocked.
   EXPECT_GE(on.chains, 2u * 8u);
-  EXPECT_EQ(on.single_record, on.chains);
-  EXPECT_GE(on.blocked, on.chains - 2);
-  // Every retained record lost its bytes and kept its sizes.
-  EXPECT_EQ(on.released, on.single_record);
-  EXPECT_EQ(on.sizes_intact, on.single_record);
+  EXPECT_EQ(on.one_epoch, on.chains);
+  EXPECT_EQ(on.older, on.chains - 2);
+  EXPECT_EQ(on.older_blocked, on.older);
 
   // The late fault, served from the canonical base, saw the newest values.
   ASSERT_EQ(on.values.size(), 32u);

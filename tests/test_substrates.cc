@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <thread>
 #include <vector>
 
@@ -499,6 +500,46 @@ TEST(IntervalArchiveTest, ConcurrentAppendAndLookup) {
   writer.join();
   EXPECT_EQ(archive.size(), 1000u);
   EXPECT_EQ(archive.Range(0, 1000).size(), 1000u);
+}
+
+// The fault path and CollectNotices read records through the pointers
+// that Find and Range return, after the archive mutex is released, while
+// the owner keeps appending and the GC prunes an older prefix.  Records
+// live in the archive by value, so its storage must never move them.
+TEST(IntervalArchiveTest, PointersSurviveAppendsAndPrefixPrunes) {
+  IntervalArchive archive;
+  auto append = [&archive](Seq s) {
+    IntervalRecord rec;
+    rec.proc = 0;
+    rec.seq = s;
+    rec.vc = VectorClock(2);
+    rec.vc[0] = s;
+    rec.units = {static_cast<UnitId>(s)};
+    std::vector<std::byte> twin(64), current(64);
+    std::memcpy(current.data(), &s, sizeof(s));
+    rec.diffs.push_back(Diff::Create(twin, current));
+    archive.Append(std::move(rec));
+  };
+  for (Seq s = 1; s <= 100; ++s) append(s);
+  const IntervalRecord* found = archive.Find(60);
+  ASSERT_NE(found, nullptr);
+  const std::vector<const IntervalRecord*> range = archive.Range(50, 100);
+  ASSERT_EQ(range.size(), 50u);
+
+  for (Seq s = 101; s <= 5000; ++s) append(s);
+  EXPECT_EQ(archive.PruneThrough(50), 50u);
+  EXPECT_EQ(archive.size(), 4950u);
+
+  EXPECT_EQ(archive.Find(60), found);
+  EXPECT_EQ(found->seq, 60u);
+  EXPECT_EQ(found->units[0], 60u);
+  EXPECT_EQ(found->diffs[0].payload_word(0), 60u);
+  for (std::size_t i = 0; i < range.size(); ++i) {
+    const Seq s = static_cast<Seq>(51 + i);
+    EXPECT_EQ(range[i]->seq, s);
+    EXPECT_EQ(range[i]->vc[0], s);
+    EXPECT_EQ(range[i]->diffs[0].payload_word(0), s);
+  }
 }
 
 // HbKey orders every random 8-proc history in happens-before order.  The
