@@ -342,16 +342,15 @@ void RecoveryCoordinator::Recover(Node& node, const VectorClock& to,
   node.table_.ResetForRecovery();
   for (UnitId u = 0; u < num_units; ++u) {
     node.pending_[u].clear();
-    node.flattened_[u].clear();
     node.retwin_cheap_[u] = 0;
     node.diff_request_seen_[u] = 0;
-    // Register the victim as a sharer of EVERY unit: its rebuilt image is
-    // now newer than the shared virgin history, so a later first-fault
-    // adoption of those dominated chains would clobber replayed content.
-    // Safe — the virgin-store release check requires every proc
-    // registered, which only drops history no one can need.
-    shared.sharers->Register(u, node.id_);
   }
+  // The victim's reclaimed chains go, and it becomes a sharer of EVERY
+  // unit: its rebuilt image is newer than the shared virgin history, so a
+  // later first-fault adoption of those chains would clobber replayed
+  // content.  Safe — the virgin store is dropped only once every proc is
+  // a sharer, which only drops history no one can need.
+  shared.gc.Forget(node.id_);
 
   // --- rebuild the image from the stable substrate --------------------------
   VirtualNanos slowest = 0;  // parallel sources: clock takes the max
@@ -361,10 +360,10 @@ void RecoveryCoordinator::Recover(Node& node, const VectorClock& to,
     // the checkpoint watermark (checkpoint-complete GC mode); the archives
     // — stable write-ahead logs, the victim's own included — hold the
     // rest.  Replay above the watermark in happens-before order.
-    const VectorClock& cvc = shared.checkpoint_vc;
+    const VectorClock& cvc = shared.gc.checkpoint();
     std::size_t base_units = 0;
     for (UnitId u = 0; u < num_units; ++u) {
-      if (shared.canonical->ReadCheckpoint(u, node.UnitSpan(u))) {
+      if (shared.gc.bases().ReadCheckpoint(u, node.UnitSpan(u))) {
         ++base_units;
       }
     }
@@ -511,10 +510,11 @@ void RecoveryCoordinator::Recover(Node& node, const VectorClock& to,
   const VirtualNanos modelled = slowest + install;
   node.clock_.Advance(modelled);
 
-  // Lock-side sweep: drop the victim from every grant queue, force-release
-  // anything it held (publishing the recovered clock/time, exactly what
-  // its own release at the crash point would have), invalidate its cached
-  // tokens.  Its in-flight transparent release becomes an orphan no-op.
+  // Lock-side sweep: force-release anything the victim held (publishing
+  // the recovered clock/time, exactly what its own release at the crash
+  // point would have) and invalidate its cached tokens.  It waits in no
+  // grant queue: this runs on its own thread.  Its in-flight transparent
+  // release becomes an orphan no-op.
   // The race detector sweeps first, for the same reason the detector's
   // release hook precedes LockService::Release: a peer granted a
   // force-released lock must find the victim's detector clock already on

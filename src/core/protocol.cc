@@ -1,7 +1,6 @@
 #include "core/protocol.h"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "analysis/race_detector.h"
 #include "core/fault.h"
@@ -52,10 +51,10 @@ SharedState::SharedState(const RuntimeConfig& cfg)
       heap(cfg.heap_bytes, cfg.unit_bytes()),
       net(cfg.net),
       barrier(std::make_unique<BarrierService>(cfg.num_procs)),
-      locks(std::make_unique<LockService>(kNumLocks, cfg.num_procs)) {
+      locks(std::make_unique<LockService>(kNumLocks, cfg.num_procs)),
+      gc(config, heap.num_units(), heap.unit_bytes()) {
   if (config.fault.armed()) {
     fault = std::make_unique<FaultInjector>(config.fault);
-    checkpoint_vc = VectorClock(config.num_procs);
     if (config.backend == BackendKind::kHlrc) {
       // Any processor may be a crashing home: arm the per-unit re-home
       // override table (DESIGN.md §9).
@@ -86,10 +85,6 @@ SharedState::SharedState(const RuntimeConfig& cfg)
                                           heap.unit_bytes() / kWordBytes,
                                           kNumLocks);
   }
-  canonical =
-      std::make_unique<CanonicalStore>(heap.num_units(), heap.unit_bytes());
-  sharers = std::make_unique<SharerDirectory>(heap.num_units(), cfg.num_procs);
-  virgin_history.resize(heap.num_units());
 }
 
 SharedState::~SharedState() = default;
@@ -137,7 +132,6 @@ Node::Node(ProcId id, SharedState& shared)
       table_(shared.heap.num_units(), unit_bytes_),
       tracker_(shared.heap.num_units(), unit_bytes_ / kWordBytes),
       pending_(shared.heap.num_units()),
-      flattened_(shared.heap.num_units()),
       retwin_cheap_(shared.heap.num_units(), 0),
       diff_requested_(shared.heap.num_units()),
       diff_request_seen_(shared.heap.num_units(), 0),
@@ -275,15 +269,16 @@ void Node::ValidateUnit(UnitId unit) {
   }
 
   // First fault on this unit adopts the shared virgin history (if any)
-  // into flattened_ and registers this node as a sharer, so the check
-  // below sees exactly the state the GC would have built per-node.
-  AdoptVirginState(unit);
+  // and makes this node a sharer, so the check below sees exactly the
+  // state the GC would have built per node.
+  ArchiveGc& gc = shared_.gc;
+  gc.Adopt(id_, unit);
 
   // A unit only goes invalid when a write notice queues a pending entry.
   // The fetch that revalidates the unit consumes the entry, and the GC
   // turns a dominated one into a flattened chain, so an invalid unit
   // always has something to fetch.
-  DSM_CHECK(!pending_[unit].empty() || !flattened_[unit].empty())
+  DSM_CHECK(!pending_[unit].empty() || gc.HasChains(id_, unit))
       << "invalid unit " << unit << " with no pending write notices";
 
   retwin_cheap_[unit] = 0;
@@ -294,9 +289,8 @@ void Node::ValidateUnit(UnitId unit) {
     for (UnitId member : aggregator_.GroupOf(unit)) {
       if (member == unit) continue;
       if (table_.state(member) == UnitState::kInvalid &&
-          (!pending_[member].empty() || !flattened_[member].empty() ||
-           HasVirginChains(member))) {
-        AdoptVirginState(member);  // FetchUnits reads flattened_[member]
+          (!pending_[member].empty() || gc.HasChains(id_, member))) {
+        gc.Adopt(id_, member);  // FetchUnits reads this node's chains
         fetch.push_back(member);
       }
     }
@@ -325,10 +319,9 @@ void Node::FetchUnits(const std::vector<UnitId>& units) {
   const int nprocs = num_procs();
 
   // Gather needed diffs, grouped by writer.  Consecutive intervals of the
-  // SAME writer are coalesced into one combined diff when no foreign
-  // pending interval is ordered after the chain's head without also being
-  // ordered after its tail — in that case no reader could ever observe the
-  // intermediate versions, so the server ships the union (this is the
+  // SAME writer are coalesced into one combined diff when the absorption
+  // rule (MayAbsorb, core/gc.h) allows it: no reader could ever observe
+  // the intermediate versions, so the server ships the union (this is the
   // server-side answer to TreadMarks' diff accumulation problem; without
   // it, a page repeatedly rewritten by one processor ships its entire
   // modification history on first fetch).
@@ -339,6 +332,7 @@ void Node::FetchUnits(const std::vector<UnitId>& units) {
   // the last chain of each writer (every live record happened-after every
   // reclaimed one, so the absorption check degenerates to the foreign
   // live records plus the chain's `blocked` flag).
+  ArchiveGc& gc = shared_.gc;
   for (auto& v : needs_by_writer_) v.clear();
   merged_runs_scratch_.clear();
   live_diffs_scratch_.clear();
@@ -359,7 +353,7 @@ void Node::FetchUnits(const std::vector<UnitId>& units) {
       all.push_back({rec, &rec->diffs[static_cast<std::size_t>(di)],
                      rec->PaysForDiff(di, stamp_key())});
     }
-    const std::vector<FlattenedChain>& flat = flattened_[unit];
+    const std::vector<FlattenedChain>& flat = gc.chains(id_, unit);
     for (ProcId w = 0; w < nprocs; ++w) {
       // This writer's intervals, in increasing seq order (pending notices
       // arrive in acquire order, which respects per-writer seq order);
@@ -415,17 +409,10 @@ void Node::FetchUnits(const std::vector<UnitId>& units) {
         if (c.writer == w && &c != last_flat) push_need(head_need(c));
       }
 
-      // May we absorb r into a chain whose head is (w, first_seq)?  Every
-      // foreign interval must be either not-after the head or after the
-      // candidate tail.  (Foreign reclaimed intervals ordered after a
-      // flattened head are recorded in its `blocked` flag; they can never
-      // be after a live tail.)  Since every candidate r is one of w's own
-      // records, "q after the head but not after the tail" collapses to
-      // first_seq <= q.vc[w] < r.seq — so, as in the GC's flatten pass,
-      // sort the foreign clock components once per (unit, writer) and
-      // answer each absorption check by binary search instead of
-      // rescanning the batch (the batch scan made this loop O(k²) per
-      // fault on rewrite-heavy units).
+      // The live foreign intervals' clock components for MayAbsorb.
+      // (Foreign reclaimed intervals ordered after a flattened head are
+      // recorded in its `blocked` flag; they can never be after a live
+      // tail.)
       std::vector<Seq>& foreign_vcw = foreign_vcw_scratch_;
       if (!chain_input.empty()) {
         foreign_vcw.clear();
@@ -434,11 +421,6 @@ void Node::FetchUnits(const std::vector<UnitId>& units) {
         }
         std::sort(foreign_vcw.begin(), foreign_vcw.end());
       }
-      auto may_absorb = [&](Seq first_seq, const IntervalRecord& r) {
-        auto it = std::lower_bound(foreign_vcw.begin(), foreign_vcw.end(),
-                                   first_seq);
-        return it == foreign_vcw.end() || *it >= r.seq;
-      };
 
       // The open chain (open.runs == nullptr: none) starts as w's last
       // flattened chain.  Each live record joins it or closes it and
@@ -454,7 +436,7 @@ void Node::FetchUnits(const std::vector<UnitId>& units) {
       for (const ResolvedDiff* r : chain_input) {
         const std::vector<DiffRun>& runs = r->diff->runs();
         if (open.runs != nullptr && !blocked &&
-            may_absorb(first_seq, *r->rec)) {
+            MayAbsorb(foreign_vcw, first_seq, r->rec->seq)) {
           merged_runs_scratch_.push_back(Diff::MergeRuns(*open.runs, runs));
           open.runs = &merged_runs_scratch_.back();
           open.payload_words = Diff::RunWords(*open.runs);
@@ -545,10 +527,8 @@ void Node::FetchUnits(const std::vector<UnitId>& units) {
         // runs suffice — a word only a live member covers is written by
         // that member below.
         const std::vector<DiffRun>& runs = need.head->runs();
-        shared_.canonical->CopyRuns(unit, dst, runs);
-        if (twinned) {
-          shared_.canonical->CopyRuns(unit, table_.twin(unit), runs);
-        }
+        gc.bases().CopyRuns(unit, dst, runs);
+        if (twinned) gc.bases().CopyRuns(unit, table_.twin(unit), runs);
       }
       // Live members oldest first: every word of the union ends with its
       // newest member's value, exactly what one combined diff carries.
@@ -567,7 +547,7 @@ void Node::FetchUnits(const std::vector<UnitId>& units) {
       clock_.Advance(cost.DiffApplyCost(payload_bytes));
     }
     pending_[unit].clear();
-    flattened_[unit].clear();
+    gc.chains(id_, unit).clear();
   }
 }
 
@@ -840,359 +820,6 @@ VirtualNanos Node::HlrcChargeRehomeLearning(std::size_t request_bytes) {
           shared_.config.cost.request_service_overhead);
 }
 
-namespace {
-
-// A dominated record resolved for one unit by the GC flatten pass, with
-// its happens-before key (a chain's tail key, and the base apply order).
-struct GcResolved {
-  const IntervalRecord* rec;
-  int di;
-  HbKey key;
-};
-
-// Extend a unit's flattened chains `flat` with its kept dominated records,
-// writer by writer, then freeze the blocked verdicts; returns the number
-// of chains started.  `foreign_vcw` is per-writer scratch.
-//
-// The fault path's absorption predicate — "no foreign interval q with
-// the chain's head happened-before q but not candidate-tail
-// happened-before q" — only reads q.vc[w] for a chain of writer w: it
-// fails exactly when some foreign q has first_seq <= q.vc[w] < tail_seq.
-// Batches from lock-heavy programs can hold hundreds of records per unit,
-// so it is evaluated by binary search over the sorted foreign clock
-// entries instead of rescanning the batch.
-std::uint64_t BuildChains(std::vector<FlattenedChain>& flat,
-                          const std::vector<GcResolved>& kept, int nprocs,
-                          std::vector<std::vector<Seq>>& foreign_vcw) {
-  for (ProcId w = 0; w < nprocs; ++w) foreign_vcw[w].clear();
-  for (const GcResolved& q : kept) {
-    for (ProcId w = 0; w < nprocs; ++w) {
-      if (q.rec->proc != w) foreign_vcw[w].push_back(q.rec->vc[w]);
-    }
-  }
-  for (ProcId w = 0; w < nprocs; ++w) {
-    std::sort(foreign_vcw[w].begin(), foreign_vcw[w].end());
-  }
-  auto may_absorb = [&](ProcId w, Seq first_seq, Seq tail_seq) {
-    const std::vector<Seq>& v = foreign_vcw[w];
-    auto it = std::lower_bound(v.begin(), v.end(), first_seq);
-    return it == v.end() || *it >= tail_seq;
-  };
-
-  std::uint64_t started = 0;
-  for (ProcId w = 0; w < nprocs; ++w) {
-    // Only the last existing chain of writer w may be extended.
-    std::size_t open = flat.size();
-    for (std::size_t i = 0; i < flat.size(); ++i) {
-      if (flat[i].writer == w) open = i;
-    }
-    for (const GcResolved& r : kept) {
-      if (r.rec->proc != w) continue;
-      const Diff& diff = r.rec->diffs[static_cast<std::size_t>(r.di)];
-      StampRef stamp{r.rec->diffed, static_cast<std::uint32_t>(r.di)};
-      if (open != flat.size() && !flat[open].blocked &&
-          may_absorb(w, flat[open].first_seq, r.rec->seq)) {
-        // Copy-on-write: clones a body shared with the virgin store or
-        // other nodes.
-        ChainBody& b = flat[open].MutableBody();
-        b.runs = Diff::MergeRuns(b.runs, diff.runs());
-        b.payload_words = Diff::RunWords(b.runs);
-        b.tail = r.key;
-        b.stamps = std::make_shared<const StampNode>(
-            StampNode{std::move(stamp), std::move(b.stamps)});
-      } else {
-        FlattenedChain c;
-        c.writer = w;
-        c.first_seq = r.rec->seq;
-        c.body = std::make_shared<ChainBody>(ChainBody{
-            diff.runs(), diff.payload_words(), r.key,
-            std::make_shared<const StampNode>(
-                StampNode{std::move(stamp), nullptr})});
-        flat.push_back(std::move(c));
-        ++started;
-        open = flat.size() - 1;
-      }
-    }
-  }
-  // A foreign reclaimed interval ordered after a chain's head means no
-  // later interval may ever be absorbed into the chain (the fault path
-  // would re-check this against the record, which is about to be
-  // reclaimed — freeze the verdict in the flag).
-  for (FlattenedChain& c : flat) {
-    if (c.blocked) continue;
-    const std::vector<Seq>& v = foreign_vcw[c.writer];
-    if (!v.empty() && v.back() >= c.first_seq) c.blocked = true;
-  }
-  return started;
-}
-
-}  // namespace
-
-
-// Flatten phase (pass 1 of DESIGN.md §6): for the units of this node's
-// stripe (u % num_procs == id), convert the dominated pending notices of
-// EVERY node into FlattenedChains, unit by unit and nodes in fixed order,
-// mirroring the fault path's chain coalescing exactly (same absorption
-// predicate over the same record set — live records from later epochs can
-// never block a dominated absorption, because they happened-after every
-// dominated interval).  It also collects the (record, diff) pairs some
-// node still needed into gc_refs_: only those must go into the canonical
-// base — an interval pending nowhere was already applied by every node,
-// and any word of it that a future chain covers is rewritten there by a
-// newer record of that chain.
-//
-// Every node runs its stripe concurrently inside the barrier window.  A
-// unit's flatten and apply touch only that unit's state — its pending
-// entries and chain headers on every node, its virgin-store entry, its
-// sharer bits and its base — so stripes never share a mutable object;
-// stamp arrays span units, but stripes only copy their shared_ptrs, and
-// the records they read are frozen until the prune after the window.
-// Every chain a pass builds or extends copies what it needs out of its
-// records (run list, tail key, stamp), so the prune frees them.
-void Node::GcFlatten(const VectorClock& through) {
-  SharedState& shared = shared_;
-  const int nprocs = shared.config.num_procs;
-  const std::size_t num_units = shared.heap.num_units();
-
-  // Snapshot each archive's dominated prefix once (one mutex hold per
-  // archive): lock-heavy programs resolve tens of thousands of (proc,
-  // seq) references per pass, and per-reference Find() would pay a mutex
-  // round-trip each.  The snapshot is a lock-free binary-search index.
-  std::vector<std::vector<const IntervalRecord*>> dom_prefix(
-      static_cast<std::size_t>(nprocs));
-  for (ProcId p = 0; p < nprocs; ++p) {
-    dom_prefix[p] = shared.archives[p]->Range(0, through[p]);
-  }
-  auto find_dominated = [&](ProcId p, Seq seq) {
-    const auto& v = dom_prefix[p];
-    auto it = std::lower_bound(
-        v.begin(), v.end(), seq,
-        [](const IntervalRecord* r, Seq s) { return r->seq < s; });
-    DSM_CHECK(it != v.end() && (*it)->seq == seq)
-        << "GC: missing interval (" << p << "," << seq << ")";
-    return *it;
-  };
-
-  // One reclaimed record is typically pending at most nodes; resolve each
-  // (proc, seq) once per unit and reuse across the node loop.  The first
-  // resolution routes the record to the canonical base, exactly once per
-  // unit: every resolved record enters some node's chains, which read
-  // their words from the base.
-  std::unordered_map<std::uint64_t, GcResolved> resolve_memo;
-  auto resolve = [&](UnitId u,
-                     const PendingInterval& pi) -> const GcResolved& {
-    const std::uint64_t rkey =
-        (std::uint64_t{static_cast<std::uint32_t>(pi.proc)} << 32) | pi.seq;
-    auto memo = resolve_memo.find(rkey);
-    if (memo == resolve_memo.end()) {
-      const IntervalRecord* rec = find_dominated(pi.proc, pi.seq);
-      const int di = rec->IndexOf(u);
-      DSM_CHECK_GE(di, 0);
-      const GcResolved resolved{rec, di, HbKey(*rec)};
-      gc_refs_.push_back({u, rec, di, resolved.key});
-      memo = resolve_memo.emplace(rkey, resolved).first;
-    }
-    return memo->second;
-  };
-  std::vector<PendingInterval> live;
-  std::vector<GcResolved> kept;
-  // Per-writer sorted foreign clock entries of the current batch
-  // (BuildChains scratch).
-  std::vector<std::vector<Seq>> foreign_vcw(nprocs);
-  std::uint64_t chains_built = 0, chains_shared = 0;
-
-  // Dominated-writer scratch for the virgin bookkeeping below: one bit per
-  // processor with a dominated record naming the current unit this pass.
-  std::vector<std::uint64_t> dom_writers(
-      (static_cast<std::size_t>(nprocs) + 63) / 64);
-
-  DSM_CHECK(gc_refs_.empty());
-  for (auto u = static_cast<UnitId>(id_); u < num_units;
-       u += static_cast<UnitId>(nprocs)) {
-    resolve_memo.clear();
-    std::vector<FlattenedChain>& virgin = shared.virgin_history[u];
-
-    // --- virgin-node bookkeeping (DESIGN.md §8) --------------------------
-    // Union of dominated writers over every node's pending entries.  A
-    // dominated record is pending at every node that never consumed it, so
-    // a writer absent here has no record entering any build this pass.
-    std::fill(dom_writers.begin(), dom_writers.end(), 0);
-    bool any_unit_dom = false;
-    for (ProcId x = 0; x < nprocs; ++x) {
-      for (const PendingInterval& pi : shared.nodes[x]->pending_[u]) {
-        if (pi.seq <= through[pi.proc]) {
-          dom_writers[static_cast<std::size_t>(pi.proc) >> 6] |=
-              std::uint64_t{1} << (pi.proc & 63);
-          any_unit_dom = true;
-        }
-      }
-    }
-    // A still-virgin node whose OWN records are about to be flattened
-    // stops being virgin now: it adopts the shared store — exactly its
-    // per-node state, by induction — and takes the per-node path below.
-    // Every remaining virgin's pending therefore holds the identical full
-    // dominated batch (pending never holds own records), which is what
-    // makes one shared store build exact for all of them.
-    if (any_unit_dom) {
-      for (ProcId w = 0; w < nprocs; ++w) {
-        if (((dom_writers[static_cast<std::size_t>(w) >> 6] >> (w & 63)) &
-             1) == 0) {
-          continue;
-        }
-        if (shared.sharers->Register(u, w)) continue;  // already a sharer
-        if (!virgin.empty()) shared.nodes[w]->flattened_[u] = virgin;
-      }
-    }
-    if (shared.sharers->SharerCount(u) == nprocs && !virgin.empty()) {
-      // Every node adopted the shared history; nothing will read it again.
-      std::vector<FlattenedChain>().swap(virgin);
-    }
-    bool virgin_built = false;  // store build done for this pass
-    std::uint64_t virgin_new_chains = 0;
-    int virgin_consumers = 0;   // virgins with dominated pending
-
-    for (ProcId x = 0; x < nprocs; ++x) {
-      Node& node = *shared.nodes[x];
-      std::vector<PendingInterval>& pend = node.pending_[u];
-      if (pend.empty()) continue;
-      // Virgin fast path (DESIGN.md §8): a node that never faulted on the
-      // unit holds the same dominated batch as every other virgin.  The
-      // first virgin flattens the shared batch once into the virgin store;
-      // the rest only drop their dominated entries.  Chain headers thus
-      // stop scaling with the cluster size on units most nodes never
-      // touch.
-      const bool is_virgin = !shared.sharers->IsSharer(u, x);
-      live.clear();
-      kept.clear();
-      for (const PendingInterval& pi : pend) {
-        if (pi.seq > through[pi.proc]) {
-          live.push_back(pi);
-        } else if (!is_virgin || !virgin_built) {
-          kept.push_back(resolve(u, pi));
-        }
-      }
-      if (live.size() == pend.size()) continue;  // nothing dominated
-      pend.assign(live.begin(), live.end());
-      if (is_virgin) {
-        ++virgin_consumers;
-        if (virgin_built) continue;  // the first virgin built the store
-        virgin_built = true;
-      }
-      (is_virgin ? virgin_new_chains : chains_built) +=
-          BuildChains(is_virgin ? virgin : node.flattened_[u], kept, nprocs,
-                      foreign_vcw);
-    }
-    // The store build ran once; credit it as if each consuming virgin had
-    // built (shared) it, keeping the counters comparable across runs with
-    // different sharer populations.
-    if (virgin_consumers > 0) {
-      chains_built += virgin_new_chains;
-      chains_shared +=
-          virgin_new_chains * static_cast<std::uint64_t>(virgin_consumers - 1);
-    }
-  }
-  ArchiveTelemetry& tel = shared.archive_telemetry;
-  tel.chains_built.fetch_add(chains_built, std::memory_order_relaxed);
-  tel.chains_shared.fetch_add(chains_shared, std::memory_order_relaxed);
-
-  // Checkpoint-complete mode (DESIGN.md §9).  The pending-driven routing
-  // above sends a record's words to the base only when some node still had
-  // the record pending — sufficient for the protocol (every node that
-  // consumed it already applied its words), but a recovery checkpoint must
-  // hold EVERY dominated interval: the victim's rebuilt image is base +
-  // surviving log, with nothing else to fall back on.  Under an armed
-  // fault schedule, replace the base-routing refs wholesale with the full
-  // dominated record set, filtered to this stripe.  Host-side only (the
-  // chain builds above are untouched), and armed-schedule-gated, so
-  // fault-free runs stay bit-identical.  Each (unit, record) pair appears
-  // exactly once; the apply pass orders each unit group in happens-before
-  // order itself.
-  if (shared.fault != nullptr) {
-    gc_refs_.clear();
-    for (ProcId p = 0; p < nprocs; ++p) {
-      for (const IntervalRecord* rec : dom_prefix[p]) {
-        const HbKey key(*rec);
-        for (std::size_t k = 0; k < rec->units.size(); ++k) {
-          if (rec->units[k] % static_cast<UnitId>(nprocs) !=
-              static_cast<UnitId>(id_)) {
-            continue;
-          }
-          gc_refs_.push_back({rec->units[k], rec, static_cast<int>(k), key});
-        }
-      }
-    }
-    std::sort(gc_refs_.begin(), gc_refs_.end(),
-              [](const GcRef& a, const GcRef& b) { return a.unit < b.unit; });
-  }
-}
-
-// Apply phase (pass 2), over the same stripe as the flatten: flatten the
-// referenced diffs into the canonical base, per unit in happens-before
-// order (HbKey), so ordered overwrites land newest-last.  (Keys are
-// precomputed at resolve time — deriving clock sums inside the comparator
-// dominated this pass on lock-heavy batches.)  Also runs the base
-// release-check: a base no chain references any more goes back to the
-// pool.
-void Node::GcApply() {
-  SharedState& shared = shared_;
-  const int nprocs = shared.config.num_procs;
-  const std::size_t num_units = shared.heap.num_units();
-
-  // gc_refs_ is already grouped by unit in ascending order (the flatten
-  // pass walks its stripe ascending), so only each group needs the
-  // happens-before sort — far cheaper than one global sort on lock-heavy
-  // batches.
-  for (std::size_t i = 0; i < gc_refs_.size();) {
-    const UnitId u = gc_refs_[i].unit;
-    std::size_t j = i;
-    while (j < gc_refs_.size() && gc_refs_[j].unit == u) ++j;
-    std::sort(gc_refs_.begin() + static_cast<std::ptrdiff_t>(i),
-              gc_refs_.begin() + static_cast<std::ptrdiff_t>(j),
-              [](const GcRef& a, const GcRef& b) { return a.key < b.key; });
-    std::span<std::byte> base = shared.canonical->Ensure(u);
-    const IntervalRecord* last = nullptr;
-    for (; i < j; ++i) {
-      const GcRef& r = gc_refs_[i];
-      if (r.rec == last) continue;  // several nodes referenced it
-      last = r.rec;
-      r.rec->diffs[static_cast<std::size_t>(r.di)].Apply(base);
-    }
-  }
-  gc_refs_.clear();
-
-  // Armed fault schedule: the bases ARE the recovery checkpoints.  Never
-  // release one — a released base re-Ensures ZEROED, silently dropping
-  // checkpoint content the victim's rebuild depends on (DESIGN.md §9).
-  if (shared.fault != nullptr) return;
-
-  for (auto u = static_cast<UnitId>(id_); u < num_units;
-       u += static_cast<UnitId>(nprocs)) {
-    if (!shared.canonical->Has(u)) continue;
-    // The virgin store pins the base too: any never-faulted node may adopt
-    // its chains at a later fault and copy their words from it.
-    bool needed = !shared.virgin_history[u].empty();
-    for (ProcId x = 0; x < nprocs; ++x) {
-      // Lazy-header invariant (DESIGN.md §8): per-node chain state exists
-      // only on registered sharers; everyone else reads the virgin store.
-      const bool has_chains = !shared.nodes[x]->flattened_[u].empty();
-      DSM_DCHECK(!has_chains || shared.sharers->IsSharer(u, x));
-      needed = needed || has_chains;
-    }
-    if (!needed) shared.canonical->Release(u);
-  }
-}
-
-// Reclaim phase (pass 3): prune and free this node's own dominated
-// archive prefix (FlattenedChains keep the lazy-diffing stamp arrays of
-// their member records alive).  Runs after the barrier window closes, concurrent with
-// resumed application threads: archives are mutex-guarded, every
-// dominated reference was converted to a chain in the flatten phase, and
-// notices_seen_ >= through everywhere, so no fault or notice collection
-// can touch the pruned prefix.
-void Node::GcPruneOwn(const VectorClock& through) {
-  shared_.archives[id_]->PruneThrough(through[id_]);
-}
-
 std::size_t Node::CollectNotices(const VectorClock& target,
                                  std::vector<const IntervalRecord*>& out) {
   out.clear();
@@ -1283,9 +910,7 @@ void Node::Barrier() {
   // This quantizes the lazy-diffing cost decisions to barrier phases,
   // making modelled time independent of host thread scheduling.
   //
-  // HLRC diffs eagerly and keeps no diff archive, so neither the
-  // lazy-diffing flags nor the archive GC exist for it; the idle window
-  // instead hosts the trivial notice-log watermark prune.
+  // HLRC diffs eagerly, so the lazy-diffing flags do not exist for it.
   if (!hlrc_) {
     for (std::size_t u = 0; u < diff_requested_.size(); ++u) {
       if (diff_requested_[u].load(std::memory_order_relaxed) != 0) {
@@ -1295,45 +920,15 @@ void Node::Barrier() {
     }
   }
   // Archive GC rides the same idle window (DESIGN.md §6): every node
-  // flattens the dominated pending notices of its own stripe of units and
-  // applies them to the canonical bases, then arrives at the closing
-  // rendezvous, so the pass is over once the window closes; every node
-  // prunes its own dominated archive prefix after that (mutex-guarded;
-  // nothing live references it).  Every node derives the same gc_due
-  // verdict from purely local state — gc_history holds min(completed
-  // barriers, lag) entries, so "history full" is exactly
-  // sync_phase_ >= lag.
-  const int gc_interval = shared_.config.gc_interval_barriers;
-  const auto gc_lag = static_cast<std::uint32_t>(
-      std::max(1, shared_.config.gc_lag_barriers));
-  const bool gc_due =
-      !hlrc_ && gc_interval > 0 && sync_phase_ >= gc_lag &&
-      (sync_phase_ + 1) % static_cast<std::uint32_t>(gc_interval) == 0;
-  VectorClock gc_through;
-  bool gc_pass = false;
-  if (gc_due) {
-    // Stable read: the coordinator appends to gc_history only after the
-    // closing rendezvous below, which happens-before every other node's
-    // next Arrive — so the deque is frozen while any node copies the
-    // front.
-    gc_through = shared_.gc_history.front();
-    // Archives are frozen inside the window, so every node reaches the
-    // same verdict; a pass with nothing dominated is skipped and not
-    // counted.
-    for (ProcId p = 0; p < num_procs() && !gc_pass; ++p) {
-      gc_pass = shared_.archives[p]->CountThrough(gc_through[p]) > 0;
-    }
-  }
-  if (gc_pass) {
-    GcFlatten(gc_through);
-    GcApply();
-    if (id_ == res.coordinator) {
-      // Checkpoint watermark (DESIGN.md §9): everything <= gc_through is
-      // in the bases once every stripe is done.  Published before the
-      // closing rendezvous, which happens-before any recovery read of it.
-      if (shared_.fault != nullptr) shared_.checkpoint_vc = gc_through;
-      ++shared_.gc_passes;
-    }
+  // collects its own stripe of units, so the pass is over once the window
+  // closes, and then prunes its own dominated archive prefix
+  // (mutex-guarded; nothing live references it).  Only the LRC backend
+  // ever gets a target.
+  const std::optional<VectorClock> gc_target =
+      shared_.gc.PassTarget(sync_phase_, shared_);
+  if (gc_target) {
+    shared_.gc.CollectStripe(shared_, id_, id_ == res.coordinator,
+                             *gc_target);
   }
   // HLRC rides the same idle window for its notice-log watermark prune
   // (and, under an armed schedule, for flipping crash-driven re-home
@@ -1347,17 +942,13 @@ void Node::Barrier() {
   }
   shared_.barrier->Rendezvous();
   // Coordinator bookkeeping after the rendezvous: ordered after every
-  // stripe's Ensure/Release and gc_through copy above, and before any
-  // node's next barrier (its next Arrive cannot complete before the
-  // coordinator's, which follows this).
-  if (id_ == res.coordinator && gc_interval > 0 && !hlrc_) {
-    if (gc_pass) shared_.canonical->EndPass();
-    shared_.gc_history.push_back(res.global_vc);
-    while (shared_.gc_history.size() > gc_lag) {
-      shared_.gc_history.pop_front();
-    }
+  // stripe's work and PassTarget read above, and before any node's next
+  // barrier (its next Arrive cannot complete before the coordinator's,
+  // which follows this).
+  if (id_ == res.coordinator) {
+    shared_.gc.EndBarrier(res.global_vc, gc_target.has_value());
   }
-  if (gc_due) GcPruneOwn(gc_through);
+  if (gc_target) shared_.archives[id_]->PruneThrough((*gc_target)[id_]);
   if (shared_.fault != nullptr) {
     const int ev = shared_.fault->Match(id_, FaultPoint::kAtBarrier,
                                          sync_phase_);

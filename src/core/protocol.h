@@ -19,7 +19,8 @@
 //
 // Threading: a Node is driven only by its own thread.  Peers touch a node
 // exclusively through its immutable-once-appended IntervalArchive (under
-// its mutex) and the sync services.
+// its mutex) and the sync services, and the archive GC's stripes
+// (core/gc.h) rewrite its pending notices inside the barrier window.
 #pragma once
 
 #include <algorithm>
@@ -34,12 +35,12 @@
 #include "core/aggregation.h"
 #include "core/comm_stats.h"
 #include "core/config.h"
+#include "core/gc.h"
 #include "core/sync.h"
 #include "core/vector_clock.h"
 #include "core/write_notice.h"
 #include "mem/global_heap.h"
 #include "mem/page_table.h"
-#include "mem/sharer_directory.h"
 #include "mem/word_tracker.h"
 #include "net/net_stats.h"
 #include "sim/virtual_clock.h"
@@ -59,16 +60,10 @@ struct SharedState {
   std::vector<std::unique_ptr<IntervalArchive>> archives;  // per proc
   std::unique_ptr<BarrierService> barrier;
   std::unique_ptr<LockService> locks;
-  // Archive GC (DESIGN.md §6): canonical base images holding the contents
-  // of reclaimed intervals and archive footprint telemetry.
-  std::unique_ptr<CanonicalStore> canonical;
+  // Archive GC (DESIGN.md §6): all reclaimed history, and the archives'
+  // footprint telemetry.
+  ArchiveGc gc;
   ArchiveTelemetry archive_telemetry;
-  // Global clocks of the most recent gc_lag_barriers completed barriers,
-  // oldest first; the front is the flatten target once full.  gc_history
-  // and gc_passes are written only by the barrier coordinator (see
-  // Node::Barrier for the ordering).
-  std::deque<VectorClock> gc_history;
-  std::uint64_t gc_passes = 0;
   // BackendKind::kReference: the single image all processors access
   // directly (null under the LRC backend, where every node owns a private
   // image).  Race-free programs touch disjoint words between
@@ -83,19 +78,6 @@ struct SharedState {
   // Null unless the backend is kHlrc.
   HeapImage home_image;
   std::unique_ptr<std::mutex[]> home_mutexes;  // one per unit
-  // Per-unit sharer directory (DESIGN.md §8): which processors have ever
-  // faulted on each unit.  Nodes register on the fault path; the GC and
-  // its invariant checks read inside the barrier window.
-  std::unique_ptr<SharerDirectory> sharers;
-  // Reclaimed history shared by every node that never faulted on the unit
-  // (DESIGN.md §8).  All such "virgin" nodes hold identical dominated
-  // pending sets (they pass every barrier and never consume notices), so
-  // the GC flattens their history once per unit here instead of growing a
-  // chain-header vector on each of them; a node copies the unit's chains
-  // into its own flattened_ at its first fault and is a sharer from then
-  // on.  Mutated only inside the GC window; read (and copied) by fault
-  // paths, which the window's barrier happens-before.
-  std::vector<std::vector<FlattenedChain>> virgin_history;
 
   // Deterministic fault injection (DESIGN.md §9): null unless
   // config.fault is armed.
@@ -104,15 +86,6 @@ struct SharedState {
   // config.race_check.  Observational only — nodes feed it access and
   // synchronization events; it never touches modelled state.
   std::unique_ptr<RaceDetector> race;
-  // Checkpoint watermark: the flatten target (`gc_through`) of the last
-  // completed GC apply — every interval at or below it is fully
-  // represented in the canonical bases.  Written by the barrier
-  // coordinator inside the GC window (before the closing rendezvous, which
-  // happens-before every later read, and so after every stripe's apply);
-  // recovery replays only archive records ABOVE it.
-  // Maintained only under an armed fault schedule (dense, all-zero
-  // otherwise), so no-fault runs take no new work.
-  VectorClock checkpoint_vc;
   // HLRC home-crash re-homing (DESIGN.md §9): per-unit home override,
   // sized (all -1) when an HLRC schedule is armed, empty otherwise.  A
   // crashed home's units are reconstructed by the victim's recovery and
@@ -218,17 +191,12 @@ class Node {
   // public for tests and for Runtime teardown).
   void CloseInterval();
 
-  // Flattened (reclaimed-history) chains pending for `unit` on this node —
-  // observability for tests.
-  const std::vector<FlattenedChain>& flattened_chains(UnitId unit) const {
-    return flattened_[unit];
-  }
-
  private:
   // Crash recovery rebuilds this node's volatile state in place
   // (core/fault.h); it needs the same access the node's own protocol
-  // methods have.
+  // methods have.  The archive GC flattens every node's pending notices.
   friend class RecoveryCoordinator;
+  friend class ArchiveGc;
 
   // The LRC protocol machinery runs only when there is someone to talk to
   // and the run is not using the sequentially consistent reference oracle.
@@ -256,21 +224,6 @@ class Node {
   // Make an invalid/updated-invalid unit readable.  Does not charge the
   // fault trap itself (callers do).
   void ValidateUnit(UnitId unit);
-
-  // Barrier-epoch archive GC (DESIGN.md §6), run by every node inside the
-  // extended idle window over its own stripe of units
-  // (u % num_procs == id): flatten the dominated pending notices of every
-  // node for the stripe's units, then apply the referenced diffs to their
-  // canonical bases and run the base release-check.  A unit belongs to
-  // one stripe and its flatten and apply touch only its own state, so the
-  // stripes run concurrently and the window's closing rendezvous ends the
-  // pass.  GcPruneOwn reclaims this node's own dominated archive prefix;
-  // every node runs it after the window closes, concurrently with resumed
-  // application threads (archives are mutex-guarded and no live reference
-  // to a dominated record can exist).
-  void GcFlatten(const VectorClock& through);
-  void GcApply();
-  void GcPruneOwn(const VectorClock& through);
 
   // Lazy-diffing phase key: barrier phase in the upper half, lock-chain
   // sub-phase in the lower (see IntervalRecord::diffed).  Barrier programs
@@ -326,25 +279,6 @@ class Node {
   // modelled cost (lazy-diffing regime, see WriteFault).
   void TwinUnit(UnitId unit, bool cheap = false);
 
-  // First-fault bookkeeping for `unit` (DESIGN.md §8): register this node
-  // in the sharer directory and, if it was a virgin until now, copy the
-  // unit's shared virgin history into this node's flattened_.  Chain
-  // headers are thereby allocated lazily — a node carries them only for
-  // units it has actually faulted on.
-  void AdoptVirginState(UnitId unit) {
-    if (shared_.sharers->Register(unit, id_)) return;
-    const std::vector<FlattenedChain>& v = shared_.virgin_history[unit];
-    if (!v.empty()) flattened_[unit] = v;
-  }
-
-  // Would this still-virgin node have reclaimed chains pending for `unit`?
-  // The group-prefetch predicate's stand-in for the flattened_ check on
-  // units this node has never faulted on.
-  bool HasVirginChains(UnitId unit) const {
-    return !shared_.sharers->IsSharer(unit, id_) &&
-           !shared_.virgin_history[unit].empty();
-  }
-
   // Collect archive records newly covered by `target` (all procs except
   // self), in (proc, seq) order, into `out` (cleared first; callers pass
   // the reusable notice_scratch_).  Returns their total write-notice
@@ -370,7 +304,7 @@ class Node {
   const int unit_shift_;
   const bool protocol_enabled_;
   // Home-based LRC backend active (protocol on + BackendKind::kHlrc):
-  // releases flush to homes, faults fetch whole units, no archive GC.
+  // releases flush to homes and faults fetch whole units.
   const bool hlrc_;
   // Per-word cost of a shared access, cached off the config for the
   // fast path.
@@ -384,11 +318,6 @@ class Node {
   PageTable table_;
   WordTracker tracker_;
   std::vector<std::vector<PendingInterval>> pending_;
-  // Reclaimed-history chains per unit (archive GC, DESIGN.md §6): the
-  // coalesced chains of flattened intervals this node had pending when
-  // they were reclaimed.  Consumed (with any live tail) at the next fault
-  // on the unit; their data is served from the shared canonical base.
-  std::vector<std::vector<FlattenedChain>> flattened_;
   // Lazy-diffing cost model (see protocol.cc): a unit whose twin was just
   // diffed at a release can be re-dirtied for free — in real TreadMarks
   // the twin simply persists across the release — unless a peer has
@@ -471,18 +400,6 @@ class Node {
   std::vector<std::vector<UnitId>> fetch_by_home_;     // HlrcFetchUnits
   std::vector<std::size_t> hlrc_flush_bytes_;          // HlrcFlushInterval
   std::vector<VirtualNanos> hlrc_flush_server_;        // HlrcFlushInterval
-
-  // Archive GC (DESIGN.md §6): the (unit, record) references the flatten
-  // pass routed to the canonical base for this node's stripe, unit-ordered
-  // (flatten walks the stripe ascending); consumed and cleared by GcApply.
-  // `key` caches the record's happens-before sort key.
-  struct GcRef {
-    UnitId unit;
-    const IntervalRecord* rec;
-    int di;
-    HbKey key;
-  };
-  std::vector<GcRef> gc_refs_;
 };
 
 // ---------------------------------------------------------------------------

@@ -118,21 +118,10 @@ LockService::Grant LockService::Acquire(int lock_id, ProcId proc) {
   LockState& st = locks_[lock_id];
   if (st.held || !st.queue.empty()) {
     st.queue.push_back(proc);
-    for (;;) {
-      if (std::find(st.queue.begin(), st.queue.end(), proc) ==
-          st.queue.end()) {
-        // A crash sweep (OnCrash) erased this parked waiter — the service
-        // presumed the processor dead, but it is alive (recovered, or the
-        // sweep was mistaken about a live waiter).  Deterministic requeue:
-        // rejoin at the BACK, so every surviving waiter that was ahead is
-        // served first and the handoff order is independent of wakeup
-        // timing.
-        st.queue.push_back(proc);
-      }
-      if (!st.held && st.queue.front() == proc) break;
-      st.cv.wait(lock);
-      DSM_CHECK(!aborted_) << kAborted;
-    }
+    st.cv.wait(lock, [&] {
+      return aborted_ || (!st.held && st.queue.front() == proc);
+    });
+    DSM_CHECK(!aborted_) << kAborted;
     st.queue.pop_front();
   }
   st.held = true;
@@ -174,17 +163,6 @@ void LockService::OnCrash(ProcId proc, const VectorClock& vc,
   crash_swept_[static_cast<std::size_t>(proc)] = 1;
   for (LockState& st : locks_) {
     bool touched = false;
-    // A crashed waiter never arrives to take its grant; erase it so the
-    // queue's front is always a live waiter.  (Deterministic: queue order
-    // of the survivors is preserved.)
-    for (auto it = st.queue.begin(); it != st.queue.end();) {
-      if (*it == proc) {
-        it = st.queue.erase(it);
-        touched = true;
-      } else {
-        ++it;
-      }
-    }
     if (st.held && st.owner == proc) {
       // Force-release on the victim's behalf, publishing exactly the
       // clock/time its own release would have (the caller passes the

@@ -127,19 +127,20 @@ class LockService {
   void Release(int lock_id, ProcId proc, const VectorClock& vc,
                VirtualNanos time);
 
-  // Crash sweep (DESIGN.md §9): remove every trace of `proc` as a live
-  // participant, deterministically.  For each lock: drop proc from the
-  // grant queue (a crashed waiter never arrives; remaining waiters keep
-  // their FIFO order and the front is re-notified), force-release the
-  // lock if proc held it (publishing `vc`/`time` exactly as proc's own
-  // release would have), and invalidate proc's cached token (owner
-  // becomes -1, so proc's next acquire is a real transfer — the token
-  // died with the node).  After the sweep, a Release() by proc that finds
-  // the lock not held by proc is tolerated as an orphan no-op: recovery
-  // is transparent (the app thread continues from the crash point), so a
-  // crash inside a critical section flows into a release of a lock this
-  // sweep already force-released.  Non-swept processors keep today's
-  // strict double-release check.
+  // Crash sweep (DESIGN.md §9): remove every trace of `proc` as a lock
+  // holder, deterministically.  Recovery runs on the victim's own thread
+  // (at an interval close or inside a barrier), so the victim is never
+  // parked in Acquire and never sits in a grant queue when this runs.
+  // For each lock: force-release it if proc held it (publishing
+  // `vc`/`time` exactly as proc's own release would have, and waking the
+  // waiters), and invalidate proc's cached token (owner becomes -1, so
+  // proc's next acquire is a real transfer — the token died with the
+  // node).  After the sweep, a Release() by proc that finds the lock not
+  // held by proc is tolerated as an orphan no-op: recovery is transparent
+  // (the app thread continues from the crash point), so a crash inside a
+  // critical section flows into a release of a lock this sweep already
+  // force-released.  Non-swept processors keep the strict double-release
+  // check.
   void OnCrash(ProcId proc, const VectorClock& vc, VirtualNanos time);
 
   // Wakes every waiter, and from then on Acquire throws, in threads

@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "common/check.h"
@@ -30,9 +29,6 @@ class VectorClock {
   // Elementwise maximum (the acquire operation on clocks).
   void Merge(const VectorClock& other);
 
-  // True iff every entry of *this is <= the corresponding entry of other.
-  bool DominatedBy(const VectorClock& other) const;
-
   // True iff the interval (proc, seq) is covered by this clock.
   bool Covers(ProcId proc, Seq seq) const { return (*this)[proc] >= seq; }
 
@@ -43,8 +39,6 @@ class VectorClock {
   bool operator==(const VectorClock& other) const {
     return entries_ == other.entries_;
   }
-
-  std::string ToString() const;
 
  private:
   std::vector<Seq> entries_;

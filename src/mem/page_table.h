@@ -35,17 +35,17 @@ enum class UnitState : std::uint8_t {
   kUpdatedInvalid,
 };
 
-// Canonical base images for archive GC (DESIGN.md §6): one full-unit
-// snapshot per consistency unit that holds the contents implied by every
-// reclaimed interval, applied in happens-before order on top of the
-// zero-initialized heap.  FlattenedChains carry only run lists; at fault
-// time their data is copied from here.  Shared across nodes: mutation
-// (Ensure/Release) happens only in the GC pass inside the idle barrier
-// window, where each node works its own stripe of units, so a unit's slot
-// has one writer; fault-time reads happen only outside the window against
-// an immutable-between-barriers image, so reads need no locking.  The
-// pool mutex guards the pool and its counters against the concurrent
-// stripes.
+// Canonical base images for archive GC (DESIGN.md §6), owned by
+// ArchiveGc (core/gc.h): one full-unit snapshot per consistency unit that
+// holds the contents implied by every reclaimed interval, applied in
+// happens-before order on top of the zero-initialized heap.
+// FlattenedChains carry only run lists; at fault time their data is
+// copied from here.  Shared across nodes: mutation (Ensure/Release)
+// happens only in the GC pass inside the idle barrier window, where each
+// node works its own stripe of units, so a unit's slot has one writer;
+// fault-time reads happen only outside the window against an
+// immutable-between-barriers image, so reads need no locking.  The pool
+// mutex guards the pool and its counters against the concurrent stripes.
 //
 // Buffers are allocated lazily (only units that ever had a pending chain
 // flattened pay) and recycled through a free pool, like twins: when a GC
@@ -93,7 +93,6 @@ class CanonicalStore {
   // after every stripe finished and before the next pass starts.
   void EndPass();
 
-  std::size_t unit_bytes() const { return unit_bytes_; }
   // High-water mark of the bytes held by live bases over the run, sampled
   // per pass (see EndPass); pooled free buffers are not counted: they are
   // capacity, not content.

@@ -10,28 +10,6 @@ std::uint64_t NetStats::total_messages() const {
   return n;
 }
 
-std::uint64_t NetStats::data_messages() const {
-  return messages(MessageKind::kDiffRequest) +
-         messages(MessageKind::kDiffResponse) +
-         messages(MessageKind::kHomeFlush) +
-         messages(MessageKind::kHomeFlushAck) +
-         messages(MessageKind::kHomeFetch) +
-         messages(MessageKind::kHomeFetchReply);
-}
-
-std::uint64_t NetStats::data_bytes() const {
-  return bytes(MessageKind::kDiffRequest) +
-         bytes(MessageKind::kDiffResponse) +
-         bytes(MessageKind::kHomeFlush) +
-         bytes(MessageKind::kHomeFlushAck) +
-         bytes(MessageKind::kHomeFetch) +
-         bytes(MessageKind::kHomeFetchReply);
-}
-
-std::uint64_t NetStats::sync_messages() const {
-  return total_messages() - data_messages();
-}
-
 void NetStats::Merge(const NetStats& other) {
   for (std::size_t i = 0; i < entries_.size(); ++i) {
     entries_[i].messages += other.entries_[i].messages;

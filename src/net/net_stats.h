@@ -33,12 +33,6 @@ class NetStats {
 
   std::uint64_t total_messages() const;
 
-  // Messages/bytes that move application data (diff traffic), as opposed to
-  // pure synchronization traffic.
-  std::uint64_t data_messages() const;
-  std::uint64_t data_bytes() const;
-  std::uint64_t sync_messages() const;
-
   void Merge(const NetStats& other);
 
   std::string ToString() const;

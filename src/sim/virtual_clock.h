@@ -42,8 +42,6 @@ class VirtualClock {
   // clocks never run backwards).
   void AdvanceTo(VirtualNanos t);
 
-  void Reset() { now_ = 0; }
-
   double seconds() const {
     return static_cast<double>(now_) / static_cast<double>(kNanosPerSecond);
   }

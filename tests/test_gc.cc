@@ -344,7 +344,7 @@ FalseSharingOutcome RunFalseSharingReader(int gc_interval) {
     if (p.id() == 1) {
       FalseSharingOutcome seen;
       const std::vector<FlattenedChain>& flat =
-          p.node().flattened_chains(unit);
+          rt.shared().gc.chains(p.id(), unit);
       for (std::size_t i = 0; i < flat.size(); ++i) {
         const FlattenedChain& c = flat[i];
         ++seen.chains;

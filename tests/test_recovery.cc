@@ -185,6 +185,51 @@ TEST(RecoveryRebuild, HlrcAfterReleaseRebuildsFromHomes) {
   EXPECT_EQ(fault.stats.comm.recoveries, 1u);
 }
 
+// A rebuilt victim is a sharer of every unit, so it never adopts the
+// virgin store's chains (DESIGN.md §8).  Proc 2 never touches the unit
+// before it crashes, so the pass at barrier 2 (default lag 2) flattens
+// proc 0's first write into the virgin store, which proc 2 would share.
+// Its rebuild replays the newer write over the checkpoint; adopting the
+// older virgin chain at its first fault would copy the stale word back
+// from the canonical base.
+struct VirginVictimOutcome {
+  int read = 0;
+  RunStats stats;
+};
+
+VirginVictimOutcome RunVirginVictim(const Events& events) {
+  RuntimeConfig cfg;
+  cfg.num_procs = 4;
+  cfg.heap_bytes = 1u << 20;
+  cfg.fault.events = events;
+  Runtime rt(cfg);
+  auto data = rt.Alloc<int>(1024, "data");
+  VirginVictimOutcome out;
+  rt.Run([&](Proc& p) {
+    if (p.id() == 0) p.Write(data, 0, 1);
+    for (int b = 0; b < 3; ++b) p.Barrier();  // barriers 0-2
+    if (p.id() == 0) p.Write(data, 0, 2);
+    p.Barrier();  // barrier 3: the crash point
+    if (p.id() == 0) p.Write(data, 1, 5);
+    p.Barrier();
+    if (p.id() == 2) out.read = p.Read(data, 0);
+    p.Barrier();
+  });
+  out.stats = rt.CollectStats();
+  return out;
+}
+
+TEST(RecoveryRebuild, LrcVictimNeverAdoptsOlderVirginHistory) {
+  const VirginVictimOutcome fault = RunVirginVictim({{kBarrier, 2, 3}});
+  const VirginVictimOutcome clean = RunVirginVictim({});
+  EXPECT_EQ(fault.read, 2);
+  EXPECT_EQ(clean.read, 2);
+  EXPECT_EQ(fault.stats.comm.recoveries, 1u);
+  EXPECT_EQ(clean.stats.comm.recoveries, 0u);
+  EXPECT_GT(fault.stats.mem.chains_shared, 0u);
+  EXPECT_GT(clean.stats.mem.chains_shared, 0u);
+}
+
 // --- conformance sweep -------------------------------------------------------
 //
 // Every catalogue app, every unit size, both protocol backends, both crash

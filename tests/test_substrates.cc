@@ -158,9 +158,6 @@ TEST(NetStats, CountsPerKindAndTotals) {
   stats.Record(MessageKind::kDiffResponse, 4096);
   stats.Record(MessageKind::kBarrierArrival, 16);
   EXPECT_EQ(stats.total_messages(), 3u);
-  EXPECT_EQ(stats.data_messages(), 2u);
-  EXPECT_EQ(stats.sync_messages(), 1u);
-  EXPECT_EQ(stats.data_bytes(), 4120u);
 }
 
 // --- mem ---------------------------------------------------------------------
@@ -420,13 +417,10 @@ TEST(VectorClockTest, MergeTakesElementwiseMax) {
   EXPECT_EQ(a[2], 0u);
 }
 
-TEST(VectorClockTest, DominatedByAndCovers) {
-  VectorClock a(2), b(2);
-  a[0] = 1;
+TEST(VectorClockTest, Covers) {
+  VectorClock b(2);
   b[0] = 2;
   b[1] = 1;
-  EXPECT_TRUE(a.DominatedBy(b));
-  EXPECT_FALSE(b.DominatedBy(a));
   EXPECT_TRUE(b.Covers(0, 2));
   EXPECT_FALSE(b.Covers(0, 3));
 }

@@ -231,10 +231,10 @@ TEST(Barrier, GenerationVectorClockDoesNotLeakForward) {
 //
 // LockService::OnCrash must leave the service fully operational for the
 // survivors AND for the transparently-recovered victim: force-released
-// locks publish the recovered clock, parked survivors get woken (the old
-// code's FIFO assumed every queued waiter eventually arrives — a crashed
-// waiter at the front would wedge the handoff), cached tokens die with
-// the node, and the victim's in-flight release becomes an orphan no-op.
+// locks publish the recovered clock, parked survivors get woken, cached
+// tokens die with the node, and the victim's in-flight release becomes an
+// orphan no-op.  Recovery runs on the victim's own thread, so the victim
+// is never a parked waiter when the sweep runs: only survivors wait.
 
 TEST(LockRecovery, CrashSweepForceReleasesAndUnblocksWaiters) {
   LockService svc(2, 4);
@@ -275,39 +275,6 @@ TEST(LockRecovery, CrashSweepForceReleasesAndUnblocksWaiters) {
   EXPECT_FALSE(g1.cached);
   EXPECT_EQ(svc.transfers(1), transfers_before + 1);
   svc.Release(1, 1, crash_vc, 8000);
-}
-
-TEST(LockRecovery, CrashSweepKeepsSurvivorFifoOrderAndRequeuesVictim) {
-  // Queue [victim, survivor] behind a holder.  The sweep erases the
-  // victim; the survivor must be served first, and the (live, recovered)
-  // victim's parked Acquire detects the erasure and deterministically
-  // requeues at the back instead of wedging the handoff.
-  LockService svc(1, 4);
-  (void)svc.Acquire(0, 3);  // holder
-
-  std::atomic<int> grant_order{0};
-  int victim_rank = -1;
-  int survivor_rank = -1;
-  std::thread victim([&] {
-    (void)svc.Acquire(0, 1);
-    victim_rank = grant_order.fetch_add(1) + 1;
-    svc.Release(0, 1, VectorClock(4), 0);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  std::thread survivor([&] {
-    (void)svc.Acquire(0, 2);
-    survivor_rank = grant_order.fetch_add(1) + 1;
-    svc.Release(0, 2, VectorClock(4), 0);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-
-  svc.OnCrash(1, VectorClock(4), 0);
-  svc.Release(0, 3, VectorClock(4), 0);  // holder hands off
-  victim.join();
-  survivor.join();
-
-  EXPECT_EQ(survivor_rank, 1);
-  EXPECT_EQ(victim_rank, 2);
 }
 
 }  // namespace
