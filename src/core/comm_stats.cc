@@ -31,16 +31,13 @@ std::string CommBreakdown::ToString() const {
   return out.str();
 }
 
-std::uint32_t CommStats::NewExchange(ProcId writer) {
-  exchanges_.push_back({writer, 0, 0, 0});
+std::uint32_t CommStats::NewExchange() {
+  exchanges_.emplace_back();
   return static_cast<std::uint32_t>(exchanges_.size() - 1);
 }
 
-void CommStats::AddDelivered(std::uint32_t exchange_id, std::uint32_t words,
-                             std::uint32_t payload_bytes) {
-  auto& e = exchanges_[exchange_id];
-  e.delivered_words += words;
-  e.payload_bytes += payload_bytes;
+void CommStats::AddDelivered(std::uint32_t exchange_id, std::uint32_t words) {
+  exchanges_[exchange_id].delivered_words += words;
 }
 
 void CommStats::RecordFault(int num_writers, std::uint32_t first_exchange) {
@@ -53,6 +50,8 @@ CommBreakdown CommStats::Finalize() const {
   CommBreakdown out = counters_;
 
   for (const auto& e : exchanges_) {
+    // A word is credited at most once per delivery.
+    DSM_CHECK_LE(e.useful_words, e.delivered_words);
     const bool useful = e.useful_words > 0;
     const std::uint64_t useful_bytes =
         static_cast<std::uint64_t>(e.useful_words) * kWordBytes;

@@ -190,12 +190,11 @@ class CommStats {
  public:
   CommStats() = default;
 
-  // Open a new exchange with `writer`; returns its id, which WordTracker
-  // uses to tag delivered words.
-  std::uint32_t NewExchange(ProcId writer);
+  // Open a new exchange with one writer or home; returns its id, which
+  // WordTracker uses to tag delivered words.
+  std::uint32_t NewExchange();
 
-  void AddDelivered(std::uint32_t exchange_id, std::uint32_t words,
-                    std::uint32_t payload_bytes);
+  void AddDelivered(std::uint32_t exchange_id, std::uint32_t words);
   // One delivered word was read before being overwritten.
   void Credit(std::uint32_t exchange_id) {
     exchanges_[exchange_id].useful_words += 1;
@@ -213,15 +212,15 @@ class CommStats {
   CommBreakdown& counters() { return counters_; }
 
   // Classify all exchanges and produce the breakdown.  Words still fresh
-  // (never read) count as useless.  Idempotent snapshot.
+  // (never read) count as useless.  Idempotent snapshot.  Checks that no
+  // exchange credited more words than it delivered.
   CommBreakdown Finalize() const;
 
  private:
+  // One per exchange, kept until the run ends: only what Finalize reads.
   struct ExchangeRecord {
-    ProcId writer = -1;
     std::uint32_t delivered_words = 0;
     std::uint32_t useful_words = 0;
-    std::uint32_t payload_bytes = 0;
   };
   struct FaultRecord {
     std::uint32_t first_exchange = 0;

@@ -385,12 +385,14 @@ void RecoveryCoordinator::Recover(Node& node, const VectorClock& to,
     struct Replay {
       UnitId unit;
       const IntervalRecord* rec;
-      int di;
+      std::uint32_t index;
       HbKey key;
     };
     std::vector<Replay> replay;
+    std::vector<const IntervalRecord*> range;
     for (ProcId p = 0; p < nprocs; ++p) {
-      const auto range = shared.archives[p]->Range(cvc[p], cut[p]);
+      range.clear();
+      shared.archives[p]->Range(cvc[p], cut[p], range);
       if (range.empty()) continue;
       // One exchange per contributing log: request header, per-record
       // notice header plus the encoded diffs.
@@ -398,11 +400,11 @@ void RecoveryCoordinator::Recover(Node& node, const VectorClock& to,
       for (const IntervalRecord* rec : range) {
         const HbKey key(*rec);
         resp += 16;
-        for (std::size_t k = 0; k < rec->units.size(); ++k) {
-          const Diff& d = rec->diffs[k];
-          resp += d.EncodedBytes();
-          c.recovery_data_bytes += d.payload_bytes();
-          replay.push_back({rec->units[k], rec, static_cast<int>(k), key});
+        const std::span<const UnitId> units = rec->units();
+        for (std::uint32_t k = 0; k < units.size(); ++k) {
+          resp += rec->EncodedBytes(k);
+          c.recovery_data_bytes += rec->payload_words(k) * kWordBytes;
+          replay.push_back({units[k], rec, k, key});
         }
       }
       c.recovery_messages += 2;
@@ -417,9 +419,9 @@ void RecoveryCoordinator::Recover(Node& node, const VectorClock& to,
                 return a.key < b.key;
               });
     for (const Replay& r : replay) {
-      const Diff& d = r.rec->diffs[static_cast<std::size_t>(r.di)];
-      d.Apply(node.UnitSpan(r.unit));
-      install += cost.DiffApplyCost(d.payload_bytes());
+      r.rec->Apply(r.index, node.UnitSpan(r.unit));
+      install +=
+          cost.DiffApplyCost(r.rec->payload_words(r.index) * kWordBytes);
     }
   } else {
     // HLRC (DESIGN.md §9): surviving homes serve whole-unit copies — one

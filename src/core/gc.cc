@@ -11,7 +11,7 @@ namespace {
 // (a chain's tail key, and the base apply order).
 struct Resolved {
   const IntervalRecord* rec;
-  int di;
+  std::uint32_t index;  // the unit's diff in rec
   HbKey key;
 };
 
@@ -24,7 +24,7 @@ std::uint64_t BuildChains(std::vector<FlattenedChain>& flat,
   for (ProcId w = 0; w < nprocs; ++w) foreign_vcw[w].clear();
   for (const Resolved& q : kept) {
     for (ProcId w = 0; w < nprocs; ++w) {
-      if (q.rec->proc != w) foreign_vcw[w].push_back(q.rec->vc[w]);
+      if (q.rec->proc() != w) foreign_vcw[w].push_back(q.rec->vc(w));
     }
   }
   for (ProcId w = 0; w < nprocs; ++w) {
@@ -39,27 +39,30 @@ std::uint64_t BuildChains(std::vector<FlattenedChain>& flat,
       if (flat[i].writer == w) open = i;
     }
     for (const Resolved& r : kept) {
-      if (r.rec->proc != w) continue;
-      const Diff& diff = r.rec->diffs[static_cast<std::size_t>(r.di)];
-      StampRef stamp{r.rec->diffed, static_cast<std::uint32_t>(r.di)};
+      if (r.rec->proc() != w) continue;
+      const std::span<const DiffRun> runs = r.rec->runs(r.index);
+      StampRef stamp{r.rec->stamps(), r.index};
       if (open != flat.size() && !flat[open].blocked &&
-          MayAbsorb(foreign_vcw[w], flat[open].first_seq, r.rec->seq)) {
+          MayAbsorb(foreign_vcw[w], flat[open].first_seq, r.rec->seq())) {
         // Copy-on-write: clones a body shared with the virgin store or
         // other nodes.
         ChainBody& b = flat[open].MutableBody();
-        b.runs = Diff::MergeRuns(b.runs, diff.runs());
+        b.runs = Diff::MergeRuns(b.runs, runs);
         b.payload_words = Diff::RunWords(b.runs);
         b.tail = r.key;
-        b.stamps = std::make_shared<const StampNode>(
-            StampNode{std::move(stamp), std::move(b.stamps)});
+        b.older = std::make_shared<const StampNode>(
+            StampNode{std::move(b.newest), std::move(b.older)});
+        b.newest = std::move(stamp);
       } else {
         FlattenedChain c;
         c.writer = w;
-        c.first_seq = r.rec->seq;
-        c.body = std::make_shared<ChainBody>(ChainBody{
-            diff.runs(), diff.payload_words(), r.key,
-            std::make_shared<const StampNode>(
-                StampNode{std::move(stamp), nullptr})});
+        c.first_seq = r.rec->seq();
+        c.body = std::make_shared<ChainBody>(
+            ChainBody{{runs.begin(), runs.end()},
+                      r.rec->payload_words(r.index),
+                      r.key,
+                      std::move(stamp),
+                      nullptr});
         flat.push_back(std::move(c));
         ++started;
         open = flat.size() - 1;
@@ -143,38 +146,24 @@ void ArchiveGc::CollectStripe(SharedState& shared, ProcId id,
   const int nprocs = nprocs_;
   const auto stride = static_cast<UnitId>(nprocs);
 
-  // Snapshot each archive's dominated prefix once (one mutex hold per
-  // archive): lock-heavy programs resolve tens of thousands of (proc,
-  // seq) references per pass, and per-reference Find() would pay a mutex
-  // round-trip each.  The snapshot is a lock-free binary-search index.
-  std::vector<std::vector<const IntervalRecord*>> dom_prefix(
-      static_cast<std::size_t>(nprocs));
-  for (ProcId p = 0; p < nprocs; ++p) {
-    dom_prefix[p] = shared.archives[p]->Range(0, through[p]);
-  }
-
   // The records to apply to the current unit's base.  One reclaimed
-  // record is typically pending at most nodes, so each (proc, seq) is
-  // resolved once per unit, which also routes it to the base once.
+  // record is typically pending at most nodes, so each record is resolved
+  // once per unit, which also routes it to the base once.  A pending
+  // notice carries its record and the unit's index in it, and the record
+  // is frozen until the prune after the window.
   std::vector<Resolved> refs;
-  std::unordered_map<std::uint64_t, Resolved> memo;
-  auto resolve = [&](UnitId u, const Node::PendingInterval& pi) {
-    const std::uint64_t rkey =
-        (std::uint64_t{static_cast<std::uint32_t>(pi.proc)} << 32) | pi.seq;
-    auto it = memo.find(rkey);
+  std::unordered_map<const IntervalRecord*, Resolved> memo;
+  auto resolve = [&](const Node::PendingInterval& pi) {
+    auto it = memo.find(pi.rec);
     if (it == memo.end()) {
-      const auto& v = dom_prefix[pi.proc];
-      auto rec = std::lower_bound(
-          v.begin(), v.end(), pi.seq,
-          [](const IntervalRecord* r, Seq s) { return r->seq < s; });
-      DSM_CHECK(rec != v.end() && (*rec)->seq == pi.seq)
-          << "GC: missing interval (" << pi.proc << "," << pi.seq << ")";
-      const int di = (*rec)->IndexOf(u);
-      DSM_CHECK_GE(di, 0);
-      it = memo.emplace(rkey, Resolved{*rec, di, HbKey(**rec)}).first;
+      it = memo.emplace(pi.rec, Resolved{pi.rec, pi.index, HbKey(*pi.rec)})
+               .first;
       refs.push_back(it->second);
     }
     return it->second;
+  };
+  auto dominated = [&through](const Node::PendingInterval& pi) {
+    return pi.rec->seq() <= through[pi.rec->proc()];
   };
 
   // Checkpoint-complete mode (DESIGN.md §9).  A recovery checkpoint must
@@ -186,13 +175,15 @@ void ArchiveGc::CollectStripe(SharedState& shared, ProcId id,
   // stay bit-identical.
   std::vector<std::pair<UnitId, Resolved>> complete;
   if (checkpoint_complete_) {
+    std::vector<const IntervalRecord*> dominated_records;
     for (ProcId p = 0; p < nprocs; ++p) {
-      for (const IntervalRecord* rec : dom_prefix[p]) {
-        for (std::size_t k = 0; k < rec->units.size(); ++k) {
-          if (rec->units[k] % stride != static_cast<UnitId>(id)) continue;
-          complete.push_back(
-              {rec->units[k], Resolved{rec, static_cast<int>(k), HbKey(*rec)}});
-        }
+      shared.archives[p]->Range(0, through[p], dominated_records);
+    }
+    for (const IntervalRecord* rec : dominated_records) {
+      const std::span<const UnitId> units = rec->units();
+      for (std::uint32_t k = 0; k < units.size(); ++k) {
+        if (units[k] % stride != static_cast<UnitId>(id)) continue;
+        complete.push_back({units[k], Resolved{rec, k, HbKey(*rec)}});
       }
     }
     std::sort(complete.begin(), complete.end(),
@@ -224,7 +215,7 @@ void ArchiveGc::CollectStripe(SharedState& shared, ProcId id,
     std::fill(dom_writer.begin(), dom_writer.end(), 0);
     for (ProcId x = 0; x < nprocs; ++x) {
       for (const Node::PendingInterval& pi : shared.nodes[x]->pending_[u]) {
-        if (pi.seq <= through[pi.proc]) dom_writer[pi.proc] = 1;
+        if (dominated(pi)) dom_writer[pi.rec->proc()] = 1;
       }
     }
     for (ProcId w = 0; w < nprocs; ++w) {
@@ -251,10 +242,10 @@ void ArchiveGc::CollectStripe(SharedState& shared, ProcId id,
       live.clear();
       kept.clear();
       for (const Node::PendingInterval& pi : pend) {
-        if (pi.seq > through[pi.proc]) {
+        if (!dominated(pi)) {
           live.push_back(pi);
         } else if (!is_virgin || !virgin_built) {
-          kept.push_back(resolve(u, pi));
+          kept.push_back(resolve(pi));
         }
       }
       if (live.size() == pend.size()) continue;  // nothing dominated
@@ -294,9 +285,7 @@ void ArchiveGc::CollectStripe(SharedState& shared, ProcId id,
                   return a.key < b.key;
                 });
       const std::span<std::byte> base = bases_.Ensure(u);
-      for (const Resolved& r : refs) {
-        r.rec->diffs[static_cast<std::size_t>(r.di)].Apply(base);
-      }
+      for (const Resolved& r : refs) r.rec->Apply(r.index, base);
     }
     // Under an armed fault schedule the bases ARE the recovery
     // checkpoints: a released base re-Ensures ZEROED, silently dropping

@@ -343,15 +343,12 @@ void Node::FetchUnits(const std::vector<UnitId>& units) {
     all.clear();
     all.reserve(pending_[unit].size());
     for (const PendingInterval& pi : pending_[unit]) {
-      DSM_CHECK_NE(pi.proc, id_);
-      const IntervalRecord* rec = shared_.archives[pi.proc]->Find(pi.seq);
-      DSM_CHECK(rec != nullptr)
-          << "missing interval (" << pi.proc << "," << pi.seq << ")";
-      const int di = rec->IndexOf(unit);
-      DSM_CHECK_GE(di, 0) << "interval (" << pi.proc << "," << pi.seq
-                          << ") has no diff for unit " << unit;
-      all.push_back({rec, &rec->diffs[static_cast<std::size_t>(di)],
-                     rec->PaysForDiff(di, stamp_key())});
+      DSM_CHECK_NE(pi.rec->proc(), id_);
+      DSM_CHECK_EQ(pi.rec->units()[pi.index], unit)
+          << "interval (" << pi.rec->proc() << "," << pi.rec->seq()
+          << ") has no diff for unit " << unit;
+      all.push_back({{pi.rec, pi.index},
+                     pi.rec->PaysForDiff(pi.index, stamp_key())});
     }
     const std::vector<FlattenedChain>& flat = gc.chains(id_, unit);
     for (ProcId w = 0; w < nprocs; ++w) {
@@ -361,7 +358,7 @@ void Node::FetchUnits(const std::vector<UnitId>& units) {
       std::vector<const ResolvedDiff*>& chain_input = chain_scratch_;
       chain_input.clear();
       for (const ResolvedDiff& r : all) {
-        if (r.rec->proc == w) chain_input.push_back(&r);
+        if (r.diff.rec->proc() == w) chain_input.push_back(&r);
       }
       const FlattenedChain* last_flat = nullptr;
       for (const FlattenedChain& c : flat) {
@@ -376,7 +373,7 @@ void Node::FetchUnits(const std::vector<UnitId>& units) {
       bool needs_scan = false;
       for (const FlattenedChain& c : flat) {
         if (c.writer != w) continue;
-        c.ForEachStamp([&](std::atomic<std::uint64_t>& stamp) {
+        c.ForEachStamp([&](std::uint64_t& stamp) {
           if (IntervalRecord::PaysForStamp(stamp, stamp_key())) {
             needs_scan = true;
           }
@@ -398,7 +395,7 @@ void Node::FetchUnits(const std::vector<UnitId>& units) {
         NeedEntry e{};
         e.key = c.body->tail;
         e.head = &c;
-        e.runs = &c.runs();
+        e.runs = c.runs();
         e.payload_words = c.payload_words();
         e.live_begin = static_cast<std::uint32_t>(live_diffs_scratch_.size());
         return e;
@@ -417,44 +414,49 @@ void Node::FetchUnits(const std::vector<UnitId>& units) {
       if (!chain_input.empty()) {
         foreign_vcw.clear();
         for (const ResolvedDiff& q : all) {
-          if (q.rec->proc != w) foreign_vcw.push_back(q.rec->vc[w]);
+          if (q.diff.rec->proc() != w) {
+            foreign_vcw.push_back(q.diff.rec->vc(w));
+          }
         }
         std::sort(foreign_vcw.begin(), foreign_vcw.end());
       }
 
-      // The open chain (open.runs == nullptr: none) starts as w's last
-      // flattened chain.  Each live record joins it or closes it and
-      // starts the next.
+      // The open chain starts as w's last flattened chain, if any.  Each
+      // live record joins it or closes it and starts the next.
       NeedEntry open{};
+      bool is_open = false;
       Seq first_seq = 0;
       bool blocked = false;
       if (last_flat != nullptr) {
         open = head_need(*last_flat);
+        is_open = true;
         first_seq = last_flat->first_seq;
         blocked = last_flat->blocked;
       }
       for (const ResolvedDiff* r : chain_input) {
-        const std::vector<DiffRun>& runs = r->diff->runs();
-        if (open.runs != nullptr && !blocked &&
-            MayAbsorb(foreign_vcw, first_seq, r->rec->seq)) {
-          merged_runs_scratch_.push_back(Diff::MergeRuns(*open.runs, runs));
-          open.runs = &merged_runs_scratch_.back();
-          open.payload_words = Diff::RunWords(*open.runs);
+        const IntervalRecord& rec = *r->diff.rec;
+        const std::span<const DiffRun> runs = rec.runs(r->diff.index);
+        if (is_open && !blocked &&
+            MayAbsorb(foreign_vcw, first_seq, rec.seq())) {
+          merged_runs_scratch_.push_back(Diff::MergeRuns(open.runs, runs));
+          open.runs = merged_runs_scratch_.back();
+          open.payload_words = Diff::RunWords(open.runs);
         } else {
-          if (open.runs != nullptr) push_need(open);
+          if (is_open) push_need(open);
           open = NeedEntry{};
-          open.runs = &runs;
-          open.payload_words = r->diff->payload_words();
+          is_open = true;
+          open.runs = runs;
+          open.payload_words = rec.payload_words(r->diff.index);
           open.live_begin =
               static_cast<std::uint32_t>(live_diffs_scratch_.size());
-          first_seq = r->rec->seq;
+          first_seq = rec.seq();
           blocked = false;
         }
-        open.key = HbKey(*r->rec);
+        open.key = HbKey(rec);
         live_diffs_scratch_.push_back(r->diff);
         ++open.live_count;
       }
-      if (open.runs != nullptr) push_need(open);
+      if (is_open) push_need(open);
     }
   }
 
@@ -468,7 +470,7 @@ void Node::FetchUnits(const std::vector<UnitId>& units) {
     auto& needs = needs_by_writer_[w];
     if (needs.empty()) continue;
     ++num_writers;
-    const std::uint32_t ex = comm_stats_.NewExchange(w);
+    const std::uint32_t ex = comm_stats_.NewExchange();
     std::size_t request_bytes = 16;
     std::size_t response_bytes = 0;
     std::uint32_t delivered_words = 0;
@@ -482,9 +484,7 @@ void Node::FetchUnits(const std::vector<UnitId>& units) {
       response_bytes += need.EncodedBytes();
       delivered_words += static_cast<std::uint32_t>(need.payload_words);
     }
-    comm_stats_.AddDelivered(
-        ex, delivered_words,
-        static_cast<std::uint32_t>(delivered_words * kWordBytes));
+    comm_stats_.AddDelivered(ex, delivered_words);
     net_stats_.Record(MessageKind::kDiffRequest, request_bytes);
     net_stats_.Record(MessageKind::kDiffResponse, response_bytes);
     // Server-side cost: request handling plus lazy diff creation — one
@@ -526,18 +526,18 @@ void Node::FetchUnits(const std::vector<UnitId>& units) {
         // Reclaimed head: its words live in the canonical base.  Its own
         // runs suffice — a word only a live member covers is written by
         // that member below.
-        const std::vector<DiffRun>& runs = need.head->runs();
+        const std::span<const DiffRun> runs = need.head->runs();
         gc.bases().CopyRuns(unit, dst, runs);
         if (twinned) gc.bases().CopyRuns(unit, table_.twin(unit), runs);
       }
       // Live members oldest first: every word of the union ends with its
       // newest member's value, exactly what one combined diff carries.
       for (std::uint32_t i = 0; i < need.live_count; ++i) {
-        const Diff* d = live_diffs_scratch_[need.live_begin + i];
-        d->Apply(dst);
-        if (twinned) d->Apply(table_.twin(unit));
+        const LiveDiff& d = live_diffs_scratch_[need.live_begin + i];
+        d.rec->Apply(d.index, dst);
+        if (twinned) d.rec->Apply(d.index, table_.twin(unit));
       }
-      for (const DiffRun& run : *need.runs) {
+      for (const DiffRun& run : need.runs) {
         tracker_.Deliver(unit, run.word_offset, run.word_count,
                          need.exchange_id);
       }
@@ -556,23 +556,20 @@ void Node::CloseInterval() {
   const auto& dirty = table_.dirty_units();
   if (dirty.empty()) return;
 
-  IntervalRecord rec;
+  IntervalDraft& draft = draft_scratch_;
+  draft.Clear();
   if (hlrc_) {
-    rec = HlrcFlushInterval();
+    HlrcFlushInterval(draft);
   } else {
-    rec.proc = id_;
-    rec.seq = ++vc_[id_];
-    rec.units.reserve(dirty.size());
-    rec.diffs.reserve(dirty.size());
     // Diffs are materialized here for bookkeeping (archived records must
     // be immutable), but no cost is charged: TreadMarks diffs lazily, so a
     // release only records write notices.  The diff-creation cost is
     // charged server-side when a peer actually requests the diff
     // (FetchUnits), and a unit re-dirtied before any such request re-twins
-    // for free.
+    // for free.  The record copies each run's words out of the image,
+    // which nothing writes before it is built.
     for (UnitId unit : dirty) {
-      rec.units.push_back(unit);
-      rec.diffs.push_back(Diff::Create(table_.twin(unit), UnitSpan(unit)));
+      draft.AddDiff(unit, table_.twin(unit), UnitSpan(unit));
       table_.DropTwin(unit);
       if (table_.state(unit) == UnitState::kDirty) {
         table_.set_state(unit, UnitState::kReadValid);
@@ -580,19 +577,19 @@ void Node::CloseInterval() {
       retwin_cheap_[unit] = 1;
       comm_stats_.counters().diffs_created += 1;
     }
-    rec.vc = vc_;
     table_.ClearDirtyList();
   }
-  const IntervalRecord* stored = shared_.archives[id_]->Append(std::move(rec));
+  const Seq seq = ++vc_[id_];
+  shared_.archives[id_]->Append(IntervalRecord(id_, seq, vc_, draft));
   if (shared_.fault != nullptr) {
-    const int ev = shared_.fault->Match(id_, FaultPoint::kAfterRelease,
-                                         stored->seq);
+    const int ev = shared_.fault->Match(id_, FaultPoint::kAfterRelease, seq);
     if (ev >= 0) {
       // Crash point: the interval just reached the (stable) archive, all
       // twins are dropped, nothing is half-written (under HLRC the homes
       // already absorbed this interval's diffs).  Rebuild in place and
-      // continue transparently (DESIGN.md §9).
-      RecoveryCoordinator::Recover(*this, stored->vc, ev);
+      // continue transparently (DESIGN.md §9).  vc_ is the clock the
+      // interval closed at.
+      RecoveryCoordinator::Recover(*this, vc_, ev);
     }
   }
 }
@@ -601,25 +598,16 @@ void Node::CloseInterval() {
 // Diffs are created eagerly (the releaser pays the twin scan now, not a
 // future requester), shipped to each dirty unit's home in one combined
 // message per remote home (homes absorb them in parallel; the release
-// waits for the slowest ack), and the returned record keeps only the
-// write notices — the payload now lives at the homes, so nothing here
-// ever needs garbage collecting.
-IntervalRecord Node::HlrcFlushInterval() {
+// waits for the slowest ack), and the record keeps only the write notices
+// — the payload now lives at the homes, so nothing here ever needs
+// garbage collecting.
+void Node::HlrcFlushInterval(IntervalDraft& draft) {
   const CostModel& cost = shared_.config.cost;
   const auto& dirty = table_.dirty_units();
 
-  IntervalRecord rec;
-  rec.proc = id_;
-  rec.seq = ++vc_[id_];
-  rec.units.reserve(dirty.size());
-  rec.diffs.reserve(dirty.size());
-
   VirtualNanos create_cost = 0;
   for (UnitId unit : dirty) {
-    rec.units.push_back(unit);
-    // Notice-only record: the empty diff keeps the archive's units/diffs
-    // parallel-array invariant without retaining any payload.
-    rec.diffs.emplace_back();
+    draft.AddNotice(unit);
     create_cost += cost.DiffCreateCost(unit_bytes_);
     comm_stats_.counters().diffs_created += 1;
     const Diff diff = Diff::Create(table_.twin(unit), UnitSpan(unit));
@@ -654,7 +642,6 @@ IntervalRecord Node::HlrcFlushInterval() {
     // No retwin_cheap_: under eager diffing the twin is genuinely gone
     // after a release, so the next write pays the full twin again.
   }
-  rec.vc = vc_;
   table_.ClearDirtyList();
   clock_.Advance(create_cost);
 
@@ -682,7 +669,6 @@ IntervalRecord Node::HlrcFlushInterval() {
     hlrc_flush_server_[h] = 0;
   }
   clock_.Advance(slowest);
-  return rec;
 }
 
 // Home-based LRC fault resolution (DESIGN.md §7): whole-unit copies from
@@ -714,13 +700,12 @@ void Node::HlrcFetchUnits(const std::vector<UnitId>& units) {
     const bool remote = h != id_;
     if (remote) {
       ++num_homes;
-      ex = comm_stats_.NewExchange(h);
+      ex = comm_stats_.NewExchange();
       const std::size_t request_bytes = 16 + 8 * list.size();
       const std::size_t response_bytes = list.size() * (16 + unit_bytes_);
       const std::size_t delivered_words = list.size() * words_per_unit;
-      comm_stats_.AddDelivered(
-          ex, static_cast<std::uint32_t>(delivered_words),
-          static_cast<std::uint32_t>(delivered_words * kWordBytes));
+      comm_stats_.AddDelivered(ex,
+                               static_cast<std::uint32_t>(delivered_words));
       net_stats_.Record(MessageKind::kHomeFetch, request_bytes);
       net_stats_.Record(MessageKind::kHomeFetchReply, response_bytes);
       comm_stats_.counters().home_fetches += list.size();
@@ -823,16 +808,13 @@ VirtualNanos Node::HlrcChargeRehomeLearning(std::size_t request_bytes) {
 std::size_t Node::CollectNotices(const VectorClock& target,
                                  std::vector<const IntervalRecord*>& out) {
   out.clear();
-  std::size_t bytes = 0;
   for (ProcId p = 0; p < num_procs(); ++p) {
     if (p == id_) continue;
     if (target[p] <= notices_seen_[p]) continue;
-    auto range = shared_.archives[p]->Range(notices_seen_[p], target[p]);
-    for (const IntervalRecord* rec : range) {
-      bytes += rec->NoticeBytes();
-      out.push_back(rec);
-    }
+    shared_.archives[p]->Range(notices_seen_[p], target[p], out);
   }
+  std::size_t bytes = 0;
+  for (const IntervalRecord* rec : out) bytes += rec->NoticeBytes();
   return bytes;
 }
 
@@ -840,8 +822,13 @@ void Node::InvalidateFrom(
     const std::vector<const IntervalRecord*>& records) {
   const CostModel& cost = shared_.config.cost;
   for (const IntervalRecord* rec : records) {
-    for (UnitId unit : rec->units) {
-      pending_[unit].push_back({rec->proc, rec->seq});
+    const std::span<const UnitId> units = rec->units();
+    for (std::uint32_t i = 0; i < units.size(); ++i) {
+      const UnitId unit = units[i];
+      // HLRC asks only whether a unit has a notice pending, so one entry
+      // per unit answers it; a unit a node stops reading would otherwise
+      // hold every later notice until the run ends.
+      if (!hlrc_ || pending_[unit].empty()) pending_[unit].push_back({rec, i});
       const UnitState s = table_.state(unit);
       if (s != UnitState::kInvalid) {
         table_.set_state(unit, UnitState::kInvalid);
@@ -849,16 +836,17 @@ void Node::InvalidateFrom(
         clock_.Advance(cost.mprotect_op);
       }
     }
-    notices_seen_[rec->proc] = std::max(notices_seen_[rec->proc], rec->seq);
+    notices_seen_[rec->proc()] =
+        std::max(notices_seen_[rec->proc()], rec->seq());
   }
 }
 
 std::size_t Node::OutgoingNoticeBytes() {
+  std::vector<const IntervalRecord*>& own = notice_scratch_;
+  own.clear();
+  shared_.archives[id_]->Range(last_sent_seq_, vc_[id_], own);
   std::size_t bytes = 0;
-  for (const IntervalRecord* rec :
-       shared_.archives[id_]->Range(last_sent_seq_, vc_[id_])) {
-    bytes += rec->NoticeBytes();
-  }
+  for (const IntervalRecord* rec : own) bytes += rec->NoticeBytes();
   last_sent_seq_ = vc_[id_];
   return bytes;
 }

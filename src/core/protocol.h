@@ -226,7 +226,7 @@ class Node {
   void ValidateUnit(UnitId unit);
 
   // Lazy-diffing phase key: barrier phase in the upper half, lock-chain
-  // sub-phase in the lower (see IntervalRecord::diffed).  Barrier programs
+  // sub-phase in the lower (see IntervalRecord::stamps).  Barrier programs
   // keep the sub-phase at 0, reducing to pure barrier-phase quantization.
   std::uint64_t stamp_key() const {
     return (std::uint64_t{sync_phase_} << 32) | lock_subphase_;
@@ -245,10 +245,10 @@ class Node {
   // --- home-based LRC (BackendKind::kHlrc, DESIGN.md §7) -------------------
   // Close the open interval by eagerly diffing every dirty unit and
   // flushing the diffs to the units' homes (one combined message per
-  // remote home, answered in parallel).  Returns the notice-only interval
-  // record (units + clock, empty diffs — the payload lives at the homes
-  // now), which CloseInterval archives.
-  IntervalRecord HlrcFlushInterval();
+  // remote home, answered in parallel).  Adds each unit's write notice to
+  // `draft` with no diff — the payload lives at the homes now — for
+  // CloseInterval to archive.
+  void HlrcFlushInterval(IntervalDraft& draft);
 
   // Resolve the invalid `units` by fetching whole-unit copies from their
   // homes (one combined exchange per remote home; self-homed units are a
@@ -293,9 +293,17 @@ class Node {
   // not yet sent), advancing last_sent_seq_.
   std::size_t OutgoingNoticeBytes();
 
+  // A write notice this node has not yet applied: the record and the
+  // index of the unit's diff in it, so the fault path and the GC read the
+  // diff without searching the archive.  Under LRC the record outlives
+  // the notice: the GC flattens every pending notice of a dominated
+  // record before its owner prunes it.  HLRC's watermark prune may free a
+  // record that is still pending here, so under HLRC a pending notice is
+  // never dereferenced: a unit keeps at most one, which only says that the
+  // unit has something to fetch.
   struct PendingInterval {
-    ProcId proc;
-    Seq seq;
+    const IntervalRecord* rec;
+    std::uint32_t index;
   };
 
   const ProcId id_;
@@ -365,23 +373,26 @@ class Node {
     const FlattenedChain* head;   // reclaimed head, or null
     // Union of every member's runs: the head's or the only record's own
     // list, or a merged list in merged_runs_scratch_.
-    const std::vector<DiffRun>* runs;
-    std::size_t payload_words;    // == Diff::RunWords(*runs)
+    std::span<const DiffRun> runs;
+    std::size_t payload_words;    // == Diff::RunWords(runs)
     // Live diffs, oldest first: indices into live_diffs_scratch_.
     std::uint32_t live_begin;
     std::uint32_t live_count;
     std::uint32_t exchange_id;
     bool needs_scan;  // server must materialize (this requester pays)
 
-    // Wire size of the chain as one combined diff (Diff::EncodedBytes).
+    // Wire size of the chain as one combined diff.
     std::size_t EncodedBytes() const {
-      return Diff::kHeaderBytes + runs->size() * Diff::kRunDescriptorBytes +
-             payload_words * kWordBytes;
+      return Diff::WireBytes(runs.size(), payload_words);
     }
   };
-  struct ResolvedDiff {
+  // One live pending diff: the record and the unit's index in it.
+  struct LiveDiff {
     const IntervalRecord* rec;
-    const Diff* diff;
+    std::uint32_t index;
+  };
+  struct ResolvedDiff {
+    LiveDiff diff;
     bool pays_for_scan;
   };
   std::vector<std::vector<NeedEntry>> needs_by_writer_;  // indexed by proc
@@ -389,12 +400,15 @@ class Node {
   std::vector<const ResolvedDiff*> chain_scratch_;    // FetchUnits
   std::vector<Seq> foreign_vcw_scratch_;              // FetchUnits
   // Merged run lists of multi-member chains; a deque keeps NeedEntry::runs
-  // pointers stable as it grows.
+  // views stable as it grows.
   std::deque<std::vector<DiffRun>> merged_runs_scratch_;  // FetchUnits
   std::vector<NeedEntry> apply_scratch_;              // FetchUnits
-  std::vector<const Diff*> live_diffs_scratch_;       // FetchUnits
+  std::vector<LiveDiff> live_diffs_scratch_;          // FetchUnits
   std::vector<UnitId> fetch_scratch_;                 // ValidateUnit
-  std::vector<const IntervalRecord*> notice_scratch_;  // Barrier/AcquireLock
+  // Records a sync collects notices from, and the release's own unsent
+  // ones (Barrier/AcquireLock).
+  std::vector<const IntervalRecord*> notice_scratch_;
+  IntervalDraft draft_scratch_;                       // CloseInterval
   // HLRC scratch (empty vectors under the other backends): fault-time
   // unit lists grouped by home, and per-home flush message accounting.
   std::vector<std::vector<UnitId>> fetch_by_home_;     // HlrcFetchUnits

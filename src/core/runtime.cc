@@ -174,6 +174,9 @@ RunStats Runtime::CollectStats() const {
     stats.comm.Merge(node->comm_stats().Finalize());
     stats.net.Merge(node->net_stats());
   }
+  // Every applied word is classified useful or useless exactly once
+  // (CommBreakdown::delivered_data_bytes).
+  DSM_CHECK_EQ(stats.comm.total_data_bytes(), stats.comm.delivered_data_bytes);
   const ArchiveTelemetry& t = shared_.archive_telemetry;
   stats.mem.peak_live_intervals =
       t.peak_live_intervals.load(std::memory_order_relaxed);

@@ -11,10 +11,4 @@ void VectorClock::Merge(const VectorClock& other) {
   }
 }
 
-std::uint64_t VectorClock::Sum() const {
-  std::uint64_t sum = 0;
-  for (const Seq v : entries_) sum += v;
-  return sum;
-}
-
 }  // namespace dsm

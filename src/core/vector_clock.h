@@ -32,10 +32,6 @@ class VectorClock {
   // True iff the interval (proc, seq) is covered by this clock.
   bool Covers(ProcId proc, Seq seq) const { return (*this)[proc] >= seq; }
 
-  // Sum of all components (the leading term of HbKey, the happens-before
-  // sort key in core/write_notice.h).
-  std::uint64_t Sum() const;
-
   bool operator==(const VectorClock& other) const {
     return entries_ == other.entries_;
   }

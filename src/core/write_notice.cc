@@ -1,21 +1,81 @@
 #include "core/write_notice.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "common/check.h"
 
 namespace dsm {
 
-int IntervalRecord::IndexOf(UnitId unit) const {
-  for (std::size_t i = 0; i < units.size(); ++i) {
-    if (units[i] == unit) return static_cast<int>(i);
+IntervalRecord::IntervalRecord(ProcId proc, Seq seq, const VectorClock& vc,
+                               const IntervalDraft& draft)
+    : proc_(proc),
+      seq_(seq),
+      nprocs_(static_cast<std::uint32_t>(vc.size())),
+      num_units_(static_cast<std::uint32_t>(draft.units.size())) {
+  const std::size_t n = num_units_;
+  DSM_CHECK_EQ(draft.run_end.size(), n);
+  DSM_CHECK_EQ(draft.images.size(), n);
+  DSM_CHECK_EQ(n == 0 ? 0 : draft.run_end.back(), draft.runs.size());
+  const std::size_t words = Diff::RunWords(draft.runs);
+  block_ = std::make_unique_for_overwrite<std::byte[]>(
+      (nprocs_ + 3 * n + 2 * draft.runs.size() + words) * kWordBytes);
+  std::byte* out = block_.get();
+  auto put = [&out](std::uint32_t v) {
+    std::memcpy(out, &v, sizeof(v));
+    out += sizeof(v);
+  };
+  for (ProcId p = 0; p < vc.size(); ++p) put(vc[p]);
+  for (UnitId u : draft.units) put(u);
+  for (std::uint32_t end : draft.run_end) put(end);
+  // Per unit, the end of its words in the payload region.
+  std::uint32_t word_end = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint32_t begin = i == 0 ? 0 : draft.run_end[i - 1];
+    word_end += static_cast<std::uint32_t>(Diff::RunWords(
+        std::span(draft.runs).subspan(begin, draft.run_end[i] - begin)));
+    put(word_end);
   }
-  return -1;
+  if (!draft.runs.empty()) {
+    std::memcpy(out, draft.runs.data(), draft.runs.size() * sizeof(DiffRun));
+    out += draft.runs.size() * sizeof(DiffRun);
+  }
+  // The payload: each run's words, copied once, straight from the image.
+  for (std::size_t i = 0; i < n; ++i) {
+    if (draft.images[i] == nullptr) continue;  // notice only: no runs
+    for (const DiffRun& run : runs(i)) {
+      const std::size_t bytes = std::size_t{run.word_count} * kWordBytes;
+      std::memcpy(out,
+                  draft.images[i] + std::size_t{run.word_offset} * kWordBytes,
+                  bytes);
+      out += bytes;
+    }
+  }
+  // A notice-only record (HLRC) has no diff to materialize, so it needs
+  // no stamps.
+  if (std::any_of(draft.images.begin(), draft.images.end(),
+                  [](const std::byte* image) { return image != nullptr; })) {
+    stamps_ = std::make_shared<std::uint64_t[]>(n);
+  }
+}
+
+std::uint64_t IntervalRecord::VcSum() const {
+  std::uint64_t sum = 0;
+  for (std::uint32_t p = 0; p < nprocs_; ++p) sum += Clock()[p];
+  return sum;
+}
+
+std::uint32_t IntervalRecord::payload_word(std::size_t i,
+                                           std::size_t k) const {
+  DSM_CHECK_LT(k, payload_words(i));
+  std::uint32_t v;
+  std::memcpy(&v, Payload(i) + k * kWordBytes, sizeof(v));
+  return v;
 }
 
 std::size_t IntervalRecord::RetainedBytes() const {
   std::size_t bytes = NoticeBytes();
-  for (const Diff& d : diffs) bytes += d.EncodedBytes();
+  for (std::size_t i = 0; i < num_units_; ++i) bytes += EncodedBytes(i);
   return bytes;
 }
 
@@ -42,41 +102,27 @@ void ArchiveTelemetry::OnReclaim(std::uint64_t records, std::uint64_t bytes) {
 
 const IntervalRecord* IntervalArchive::Append(IntervalRecord record) {
   std::lock_guard lock(mutex_);
-  DSM_CHECK(records_.empty() || records_.back().seq < record.seq)
+  DSM_CHECK(records_.empty() || records_.back().seq() < record.seq())
       << "archive appends must be in increasing seq order";
-  DSM_CHECK_EQ(record.units.size(), record.diffs.size());
-  record.diffed.reset(
-      new std::atomic<std::uint64_t>[record.units.size()]());
   if (telemetry_ != nullptr) telemetry_->OnAppend(record.RetainedBytes());
   records_.push_back(std::move(record));
   return &records_.back();
 }
 
-const IntervalRecord* IntervalArchive::Find(Seq seq) const {
+void IntervalArchive::Range(Seq from, Seq to,
+                            std::vector<const IntervalRecord*>& out) const {
   std::lock_guard lock(mutex_);
-  auto it = std::lower_bound(
-      records_.begin(), records_.end(), seq,
-      [](const IntervalRecord& r, Seq s) { return r.seq < s; });
-  if (it == records_.end() || it->seq != seq) return nullptr;
-  return &*it;
-}
-
-std::vector<const IntervalRecord*> IntervalArchive::Range(Seq from,
-                                                          Seq to) const {
-  std::lock_guard lock(mutex_);
-  std::vector<const IntervalRecord*> out;
   auto it = std::upper_bound(
       records_.begin(), records_.end(), from,
-      [](Seq s, const IntervalRecord& r) { return s < r.seq; });
-  for (; it != records_.end() && it->seq <= to; ++it) out.push_back(&*it);
-  return out;
+      [](Seq s, const IntervalRecord& r) { return s < r.seq(); });
+  for (; it != records_.end() && it->seq() <= to; ++it) out.push_back(&*it);
 }
 
 std::size_t IntervalArchive::PruneThrough(Seq through) {
   std::lock_guard lock(mutex_);
   std::size_t reclaimed = 0;
   std::uint64_t bytes = 0;
-  while (!records_.empty() && records_.front().seq <= through) {
+  while (!records_.empty() && records_.front().seq() <= through) {
     bytes += records_.front().RetainedBytes();
     records_.pop_front();
     ++reclaimed;
@@ -89,14 +135,14 @@ std::size_t IntervalArchive::PruneThrough(Seq through) {
 
 Seq IntervalArchive::min_retained_seq() const {
   std::lock_guard lock(mutex_);
-  return records_.empty() ? 0 : records_.front().seq;
+  return records_.empty() ? 0 : records_.front().seq();
 }
 
 std::size_t IntervalArchive::CountThrough(Seq through) const {
   std::lock_guard lock(mutex_);
   auto it = std::upper_bound(
       records_.begin(), records_.end(), through,
-      [](Seq s, const IntervalRecord& r) { return s < r.seq; });
+      [](Seq s, const IntervalRecord& r) { return s < r.seq(); });
   return static_cast<std::size_t>(it - records_.begin());
 }
 

@@ -24,6 +24,8 @@
 #include <deque>
 #include <memory>
 #include <mutex>
+#include <new>
+#include <span>
 #include <vector>
 
 #include "core/vector_clock.h"
@@ -32,19 +34,89 @@
 
 namespace dsm {
 
-// A closed interval of one processor: seq, the vector clock at close time,
-// and the modified units with their diffs.
-struct IntervalRecord {
-  ProcId proc = -1;
-  Seq seq = 0;
-  VectorClock vc;  // clock at close; vc[proc] == seq
+// A closing interval's units, gathered by Diff's run pass so that the
+// record's block can be sized exactly before any payload is copied.
+// Reused across intervals (its vectors keep their capacity).
+struct IntervalDraft {
   std::vector<UnitId> units;
-  // Parallel to `units`.  Archive GC folds them into the canonical base
-  // and copies the run lists its chains need before it prunes the record
-  // (IntervalArchive::PruneThrough), which frees them.
-  std::vector<Diff> diffs;
-  // Lazy-diffing cost model: diffed[i] holds 1 + the *phase key* under
-  // which the diff of units[i] was first materialized (0 = never).
+  std::vector<std::uint32_t> run_end;  // per unit: end of its runs in `runs`
+  std::vector<DiffRun> runs;
+  // Per unit: the image the record copies the runs' words from.  It must
+  // hold them unchanged until the record is built.
+  std::vector<const std::byte*> images;
+
+  void Clear() {
+    units.clear();
+    run_end.clear();
+    runs.clear();
+    images.clear();
+  }
+  // A unit whose words differ between `twin` and `current` where the run
+  // pass finds them; the words are copied from `current` later.
+  void AddDiff(UnitId unit, std::span<const std::byte> twin,
+               std::span<const std::byte> current) {
+    Diff::FindRuns(twin, current, runs);
+    Add(unit, current.data());
+  }
+  // A unit named by the write notice alone (HLRC: the payload went home).
+  void AddNotice(UnitId unit) { Add(unit, nullptr); }
+
+ private:
+  void Add(UnitId unit, const std::byte* image) {
+    units.push_back(unit);
+    run_end.push_back(static_cast<std::uint32_t>(runs.size()));
+    images.push_back(image);
+  }
+};
+
+// A closed interval of one processor: seq, the vector clock at close time,
+// and the modified units with their diffs, in ONE heap block that the
+// archive frees when it prunes the record.  Every field of the block is a
+// 32-bit word; per unit i it holds the unit id, the end of its run list
+// and of its payload, then the run lists and the payload words, each
+// unit's packed run by run:
+//
+//   vc[nprocs] | units[n] | run_end[n] | word_end[n] | runs[] | payload[]
+//
+// The lazy-diffing stamps live in a second, shared array (`stamps`),
+// because flattened chains keep them after the record is pruned.
+class IntervalRecord {
+ public:
+  // Copies the draft's runs' words out of its images.  `vc` is the clock
+  // at close (vc[proc] == seq).
+  IntervalRecord(ProcId proc, Seq seq, const VectorClock& vc,
+                 const IntervalDraft& draft);
+
+  ProcId proc() const { return proc_; }
+  Seq seq() const { return seq_; }
+  Seq vc(ProcId p) const { return Clock()[p]; }
+  std::uint64_t VcSum() const;
+
+  std::size_t num_units() const { return num_units_; }
+  std::span<const UnitId> units() const {
+    return {At<UnitId>(UnitsAt()), num_units()};
+  }
+  // The diff of units()[i]: its canonical runs and their words.
+  std::span<const DiffRun> runs(std::size_t i) const {
+    const std::uint32_t begin = i == 0 ? 0 : RunEnd()[i - 1];
+    return {Runs() + begin, RunEnd()[i] - begin};
+  }
+  std::size_t payload_words(std::size_t i) const {
+    return WordEnd()[i] - (i == 0 ? 0 : WordEnd()[i - 1]);
+  }
+  // Wire size of that diff (Diff::EncodedBytes).
+  std::size_t EncodedBytes(std::size_t i) const {
+    return Diff::WireBytes(runs(i).size(), payload_words(i));
+  }
+  // Scatter that diff's words into `dst` (a unit-sized buffer).
+  void Apply(std::size_t i, std::span<std::byte> dst) const {
+    Diff::ApplyRuns(runs(i), Payload(i), dst);
+  }
+  // Payload word `k` of that diff, in run-major order (testing).
+  std::uint32_t payload_word(std::size_t i, std::size_t k) const;
+
+  // Lazy-diffing cost model: stamps()[i] holds 1 + the *phase key* under
+  // which the diff of units()[i] was first materialized (0 = never).
   // Requesters under a LATER key are served from the writer's diff cache
   // for free; the first requester and any requester racing it under the
   // same key each pay the twin-scan cost (modelled as concurrent scans at
@@ -56,30 +128,29 @@ struct IntervalRecord {
   // lock transfer order, so a requester ordered after the materializing
   // acquire is served from cache — sharper for migratory data, and
   // host-order dependent only for lock programs, which cannot replay
-  // bit-for-bit anyway.  (The Diff objects themselves are always
-  // materialized eagerly for bookkeeping — archived records must be
-  // immutable for lock-free peer reads.)
+  // bit-for-bit anyway.  (The diffs themselves are always materialized
+  // eagerly for bookkeeping — archived records must be immutable for
+  // lock-free peer reads.)
   //
-  // Shared ownership: when the record is reclaimed by archive GC, any
-  // FlattenedChain built from it keeps the stamp array alive, so the
-  // first-requester-pays decision replays identically whether or not the
-  // record was flattened away in the meantime.
-  std::shared_ptr<std::atomic<std::uint64_t>[]> diffed;
-
-  // Index of `unit` within units/diffs, or -1.
-  int IndexOf(UnitId unit) const;
+  // Shared ownership: when the record is reclaimed by archive GC, every
+  // FlattenedChain built from it keeps the stamp array alive — one stamp
+  // may be pending at several nodes, in chains the GC built for each — so
+  // the first-requester-pays decision replays identically whether or not
+  // the record was flattened away in the meantime.
+  const std::shared_ptr<std::uint64_t[]>& stamps() const { return stamps_; }
   // True iff a requester under phase key `key` pays the scan cost for
-  // materializing units[i]; the first caller stamps the key.
-  bool PaysForDiff(int i, std::uint64_t key) const {
-    return PaysForStamp(diffed[i], key);
+  // materializing units()[i]; the first caller stamps the key.
+  bool PaysForDiff(std::size_t i, std::uint64_t key) const {
+    return PaysForStamp(stamps_[i], key);
   }
 
   // The stamp protocol, shared with FlattenedChain's retained stamps.
-  static bool PaysForStamp(std::atomic<std::uint64_t>& stamp,
-                           std::uint64_t key) {
+  // Stamps are only ever accessed here, atomically: requesters on every
+  // node race on them.
+  static bool PaysForStamp(std::uint64_t& stamp, std::uint64_t key) {
     std::uint64_t expected = 0;
-    if (stamp.compare_exchange_strong(expected, key + 1,
-                                      std::memory_order_relaxed)) {
+    if (std::atomic_ref<std::uint64_t>(stamp).compare_exchange_strong(
+            expected, key + 1, std::memory_order_relaxed)) {
       return true;
     }
     return expected == key + 1;
@@ -87,11 +158,45 @@ struct IntervalRecord {
 
   // Serialized size of this interval's write notices on a sync message
   // (per notice: unit id + interval id; plus a small interval header).
-  std::size_t NoticeBytes() const { return 16 + units.size() * 8; }
+  std::size_t NoticeBytes() const { return 16 + num_units() * 8; }
 
   // Bytes retained by this record: notice metadata plus the wire size of
   // every diff (runs + payload).  The unit of archive-memory telemetry.
   std::size_t RetainedBytes() const;
+
+ private:
+  // Typed views of the block's regions.  The block is a byte array, which
+  // implicitly creates the word and run arrays its memcpys fill (C++20
+  // [intro.object]); launder reaches them through the byte pointer.
+  template <typename T>
+  const T* At(std::size_t word) const {
+    return std::launder(
+        reinterpret_cast<const T*>(block_.get() + word * kWordBytes));
+  }
+  const Seq* Clock() const { return At<Seq>(0); }
+  // Word offsets of the regions after the clock.
+  std::size_t UnitsAt() const { return nprocs_; }
+  std::size_t RunsAt() const { return UnitsAt() + 3 * num_units(); }
+  const std::uint32_t* RunEnd() const {
+    return At<std::uint32_t>(UnitsAt() + num_units());
+  }
+  const std::uint32_t* WordEnd() const {
+    return At<std::uint32_t>(UnitsAt() + 2 * num_units());
+  }
+  const DiffRun* Runs() const { return At<DiffRun>(RunsAt()); }
+  const std::byte* Payload(std::size_t i) const {
+    const std::size_t num_runs = num_units_ == 0 ? 0 : RunEnd()[num_units_ - 1];
+    const std::size_t word =
+        RunsAt() + 2 * num_runs + (i == 0 ? 0 : WordEnd()[i - 1]);
+    return block_.get() + word * kWordBytes;
+  }
+
+  ProcId proc_ = -1;
+  Seq seq_ = 0;
+  std::uint32_t nprocs_ = 0;
+  std::uint32_t num_units_ = 0;
+  std::unique_ptr<std::byte[]> block_;
+  std::shared_ptr<std::uint64_t[]> stamps_;
 };
 
 // Sort key that puts intervals in happens-before order: the fault path's
@@ -114,10 +219,8 @@ struct HbKey {
   Seq seq = 0;
 
   HbKey() = default;
-  HbKey(const VectorClock& vc, ProcId p, Seq s)
-      : vc_sum(vc.Sum()), proc(p), seq(s) {}
   explicit HbKey(const IntervalRecord& rec)
-      : HbKey(rec.vc, rec.proc, rec.seq) {}
+      : vc_sum(rec.VcSum()), proc(rec.proc()), seq(rec.seq()) {}
 
   friend bool operator<(const HbKey& a, const HbKey& b) {
     if (a.vc_sum != b.vc_sum) return a.vc_sum < b.vc_sum;
@@ -126,9 +229,9 @@ struct HbKey {
 };
 
 // One lazy-diffing stamp retained from a reclaimed record (see
-// IntervalRecord::diffed): the shared array plus the unit's index in it.
+// IntervalRecord::stamps): the shared array plus the unit's index in it.
 struct StampRef {
-  std::shared_ptr<std::atomic<std::uint64_t>[]> stamps;
+  std::shared_ptr<std::uint64_t[]> stamps;
   std::uint32_t index = 0;
 };
 
@@ -154,7 +257,8 @@ struct StampNode {
 //   * the lazy-diffing stamps of every flattened member (the
 //     first-requester-pays-the-scan decision; the atomics themselves live
 //     in the reclaimed records' stamp arrays, which the stamps keep alive,
-//     and are global across nodes).
+//     and are global across nodes).  The newest is held inline, so a
+//     one-member chain allocates only its body and its run list.
 //
 // Shared (shared_ptr) by every header copied from the virgin store
 // (DESIGN.md §6 and §8): the GC builds a never-faulted unit's history
@@ -164,8 +268,9 @@ struct ChainBody {
   std::vector<DiffRun> runs;      // merged run list, canonical, payload-free
   std::size_t payload_words = 0;  // == Diff::RunWords(runs), cached
   HbKey tail;                     // tail member's key (apply ordering)
-  // One per flattened member interval, newest-first, tail-shared.
-  std::shared_ptr<const StampNode> stamps;
+  StampRef newest;                // the tail member's stamp
+  // The older members' stamps, newest-first, tail-shared.
+  std::shared_ptr<const StampNode> older;
 };
 
 // A coalesced chain of reclaimed intervals of ONE writer for ONE unit that
@@ -186,13 +291,14 @@ struct FlattenedChain {
   bool blocked = false;
   std::shared_ptr<ChainBody> body;
 
-  const std::vector<DiffRun>& runs() const { return body->runs; }
+  std::span<const DiffRun> runs() const { return body->runs; }
   std::size_t payload_words() const { return body->payload_words; }
 
   // Visit every member stamp (the first-requester-pays decision).
   template <typename Fn>
   void ForEachStamp(Fn&& fn) const {
-    for (const StampNode* s = body->stamps.get(); s != nullptr;
+    fn(body->newest.stamps[body->newest.index]);
+    for (const StampNode* s = body->older.get(); s != nullptr;
          s = s->next.get()) {
       fn(s->ref.stamps[s->ref.index]);
     }
@@ -234,25 +340,26 @@ struct ArchiveTelemetry {
 };
 
 // Archive of one node's closed intervals, held by value.  The owner
-// appends at interval close; peers look up records while handling faults
-// or merging barrier notices; the barrier-epoch garbage collector reclaims
-// the dominated prefix.  std::deque keeps references to surviving records
-// stable across both appends and front-pruning, but all access still
-// takes the mutex (deque bookkeeping itself is not thread-safe); lookups
-// return stable pointers that remain valid after the mutex is released —
-// until the record's seq is pruned.
+// appends at interval close; peers collect records at acquires and
+// barriers, and keep pointers to them in their pending notices; the
+// barrier-epoch garbage collector reclaims the dominated prefix.
+// std::deque keeps references to surviving records stable across both
+// appends and front-pruning, but all access still takes the mutex (deque
+// bookkeeping itself is not thread-safe); the pointers Append and Range
+// return remain valid after the mutex is released — until the record's
+// seq is pruned.  Under LRC nothing prunes a record some node still has
+// pending: the GC flattens every pending notice of a dominated record
+// before the owner prunes it.  HLRC's watermark prune may drop a record a
+// node still has pending, and HLRC never dereferences a pending notice.
 class IntervalArchive {
  public:
   // Appends a record (records must arrive in increasing seq order).
   // Returns a stable pointer to the stored record.
   const IntervalRecord* Append(IntervalRecord record);
 
-  // Record with exact seq, or nullptr (seqs may have gaps: empty intervals
-  // are never archived).
-  const IntervalRecord* Find(Seq seq) const;
-
-  // All records with from < seq <= to, in increasing seq order.
-  std::vector<const IntervalRecord*> Range(Seq from, Seq to) const;
+  // Appends every record with from < seq <= to to `out`, in increasing seq
+  // order (seqs may have gaps: empty intervals are never archived).
+  void Range(Seq from, Seq to, std::vector<const IntervalRecord*>& out) const;
 
   // Reclaim and free every record with seq <= through (always a prefix:
   // seqs are appended in increasing order).  Callers prune only a prefix
@@ -263,7 +370,7 @@ class IntervalArchive {
   std::size_t PruneThrough(Seq through);
 
   // Smallest seq still archived (0 when empty) — pruned seqs can never be
-  // Find()/Range()d again.
+  // Range()d again.
   Seq min_retained_seq() const;
 
   // Number of archived records with seq <= through (O(log n)).  The GC

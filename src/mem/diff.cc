@@ -69,19 +69,34 @@ inline bool AllWordsDiffer64(const std::byte* t, const std::byte* c) {
 
 Diff Diff::Create(std::span<const std::byte> twin,
                   std::span<const std::byte> current) {
+  Diff diff;
+  diff.runs_.reserve(8);
+  const std::size_t total_words = FindRuns(twin, current, diff.runs_);
+
+  // One exact payload allocation, bulk-copied run by run.
+  const std::byte* cp = current.data();
+  diff.payload_.reserve(total_words * kWordBytes);
+  for (const DiffRun& run : diff.runs_) {
+    const std::byte* src = cp + std::size_t{run.word_offset} * kWordBytes;
+    diff.payload_.insert(diff.payload_.end(), src,
+                         src + std::size_t{run.word_count} * kWordBytes);
+  }
+  return diff;
+}
+
+std::size_t Diff::FindRuns(std::span<const std::byte> twin,
+                           std::span<const std::byte> current,
+                           std::vector<DiffRun>& runs) {
   DSM_CHECK_EQ(twin.size(), current.size());
   DSM_CHECK_EQ(twin.size() % kWordBytes, 0u);
   const std::size_t num_words = twin.size() / kWordBytes;
   const std::byte* tp = twin.data();
   const std::byte* cp = current.data();
 
-  Diff diff;
-  diff.runs_.reserve(8);
-
-  // Pass 1: find the maximal runs of differing words, 64 bits at a time.
-  // Equal stretches skip a word pair per compare and escalate to whole
-  // cache lines (memcmp vectorizes) once 64 equal bytes are seen in a row,
-  // so dense regions never pay for failing wide probes; runs extend four
+  // Find the maximal runs of differing words, 64 bits at a time.  Equal
+  // stretches skip a word pair per compare and escalate to whole cache
+  // lines (memcmp vectorizes) once 64 equal bytes are seen in a row, so
+  // dense regions never pay for failing wide probes; runs extend four
   // words per iteration off two 64-bit XORs.
   std::size_t i = 0;
   std::size_t total_words = 0;
@@ -126,19 +141,11 @@ Diff Diff::Create(std::span<const std::byte> twin,
            Load32(tp + i * kWordBytes) != Load32(cp + i * kWordBytes)) {
       ++i;
     }
-    diff.runs_.push_back({static_cast<std::uint32_t>(run_start),
-                          static_cast<std::uint32_t>(i - run_start)});
+    runs.push_back({static_cast<std::uint32_t>(run_start),
+                    static_cast<std::uint32_t>(i - run_start)});
     total_words += i - run_start;
   }
-
-  // Pass 2: one exact payload allocation, bulk-copied run by run.
-  diff.payload_.reserve(total_words * kWordBytes);
-  for (const DiffRun& run : diff.runs_) {
-    const std::byte* src = cp + std::size_t{run.word_offset} * kWordBytes;
-    diff.payload_.insert(diff.payload_.end(), src,
-                         src + std::size_t{run.word_count} * kWordBytes);
-  }
-  return diff;
+  return total_words;
 }
 
 std::uint32_t Diff::payload_word(std::size_t i) const {
@@ -146,8 +153,8 @@ std::uint32_t Diff::payload_word(std::size_t i) const {
   return Load32(payload_.data() + i * kWordBytes);
 }
 
-std::vector<DiffRun> Diff::MergeRuns(const std::vector<DiffRun>& a,
-                                     const std::vector<DiffRun>& b) {
+std::vector<DiffRun> Diff::MergeRuns(std::span<const DiffRun> a,
+                                     std::span<const DiffRun> b) {
   std::vector<DiffRun> out;
   out.reserve(a.size() + b.size());
   auto append = [&out](std::uint32_t offset, std::uint32_t count) {
@@ -177,23 +184,27 @@ std::vector<DiffRun> Diff::MergeRuns(const std::vector<DiffRun>& a,
   return out;
 }
 
-std::size_t Diff::RunWords(const std::vector<DiffRun>& runs) {
+std::size_t Diff::RunWords(std::span<const DiffRun> runs) {
   std::size_t total = 0;
   for (const DiffRun& r : runs) total += r.word_count;
   return total;
 }
 
 void Diff::Apply(std::span<std::byte> dst) const {
+  ApplyRuns(runs_, payload_.data(), dst);
+}
+
+void Diff::ApplyRuns(std::span<const DiffRun> runs, const std::byte* payload,
+                     std::span<std::byte> dst) {
   const std::size_t num_words = dst.size() / kWordBytes;
-  std::size_t payload_pos = 0;  // bytes
-  for (const DiffRun& run : runs_) {
+  for (const DiffRun& run : runs) {
     DSM_CHECK_LE(static_cast<std::size_t>(run.word_offset) + run.word_count,
                  num_words)
         << "diff run exceeds destination unit";
     const std::size_t run_bytes = std::size_t{run.word_count} * kWordBytes;
     std::memcpy(dst.data() + std::size_t{run.word_offset} * kWordBytes,
-                payload_.data() + payload_pos, run_bytes);
-    payload_pos += run_bytes;
+                payload, run_bytes);
+    payload += run_bytes;
   }
 }
 

@@ -35,8 +35,21 @@ class Diff {
   static Diff Create(std::span<const std::byte> twin,
                      std::span<const std::byte> current);
 
+  // Create's run pass: append the canonical runs of the words where
+  // `current` differs from `twin` to `runs`; returns the words they cover.
+  // An archived interval sizes its one block from it before copying any
+  // payload (IntervalRecord, core/write_notice.h).
+  static std::size_t FindRuns(std::span<const std::byte> twin,
+                              std::span<const std::byte> current,
+                              std::vector<DiffRun>& runs);
+
   // Scatter the recorded words into `dst` (a unit-sized buffer).
   void Apply(std::span<std::byte> dst) const;
+
+  // Scatter `payload`, the words of `runs` packed run by run, into `dst`
+  // (a unit-sized buffer).  Apply for any run list and payload.
+  static void ApplyRuns(std::span<const DiffRun> runs,
+                        const std::byte* payload, std::span<std::byte> dst);
 
   // The canonical (sorted, maximal, disjoint) run decomposition of the
   // union of two canonical run lists.  Used to combat diff accumulation:
@@ -47,22 +60,27 @@ class Diff {
   // path and archive GC count that diff's wire size and delivered words
   // from run lists alone, including those of flattened chains whose
   // members the archive has freed (DESIGN.md §6).
-  static std::vector<DiffRun> MergeRuns(const std::vector<DiffRun>& a,
-                                        const std::vector<DiffRun>& b);
+  static std::vector<DiffRun> MergeRuns(std::span<const DiffRun> a,
+                                        std::span<const DiffRun> b);
 
   // Total words covered by a canonical run list.
-  static std::size_t RunWords(const std::vector<DiffRun>& runs);
+  static std::size_t RunWords(std::span<const DiffRun> runs);
+
+  // Wire size of a diff of `num_runs` runs covering `words` words: header
+  // + per-run descriptors + payload.  Used for message byte accounting,
+  // bandwidth timing and archive telemetry.
+  static constexpr std::size_t WireBytes(std::size_t num_runs,
+                                         std::size_t words) {
+    return kHeaderBytes + num_runs * kRunDescriptorBytes + words * kWordBytes;
+  }
 
   bool empty() const { return runs_.empty(); }
   std::size_t num_runs() const { return runs_.size(); }
   std::size_t payload_words() const { return payload_.size() / kWordBytes; }
   std::size_t payload_bytes() const { return payload_.size(); }
 
-  // Wire size: header + per-run descriptors + payload.  Used for message
-  // byte accounting and bandwidth timing.
   std::size_t EncodedBytes() const {
-    return kHeaderBytes + runs_.size() * kRunDescriptorBytes +
-           payload_bytes();
+    return WireBytes(runs_.size(), payload_words());
   }
 
   const std::vector<DiffRun>& runs() const { return runs_; }

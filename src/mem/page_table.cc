@@ -40,7 +40,7 @@ std::span<const std::byte> CanonicalStore::base(UnitId unit) const {
 }
 
 void CanonicalStore::CopyRuns(UnitId unit, std::span<std::byte> dst,
-                              const std::vector<DiffRun>& runs) const {
+                              std::span<const DiffRun> runs) const {
   const std::span<const std::byte> src = base(unit);
   for (const DiffRun& run : runs) {
     const std::size_t off = std::size_t{run.word_offset} * kWordBytes;

@@ -71,7 +71,7 @@ class CanonicalStore {
   // of every flattened word, so any copy of a run from it yields the
   // bytes the reclaimed history would have produced.
   void CopyRuns(UnitId unit, std::span<std::byte> dst,
-                const std::vector<DiffRun>& runs) const;
+                std::span<const DiffRun> runs) const;
 
   // Checkpoint-read API (crash recovery, DESIGN.md §9): copy the unit's
   // base image — the barrier-epoch checkpoint of every flattened interval

@@ -190,6 +190,55 @@ TEST(GcBasePlusTail, LateFaultMatchesFullHistoryBitForBit) {
   EXPECT_EQ(ModelledStateDiff(on.stats, off.stats), "") << "late reader";
 }
 
+// --- lazy-diffing stamps outlive their records --------------------------------
+//
+// Procs 1, 2 and 3 fault on proc 0's unit once, early, so each holds the
+// rest of its history in chains of its own, not in the virgin store.
+// Once the GC has flattened that history into each node's chains and
+// pruned the records, procs 1 and 2 fault in the same phase and proc 3 in
+// the next.  The first-requester-pays stamp of each reclaimed diff is one
+// stamp for all three nodes, as the record's was: both same-phase
+// requesters pay the twin scan and the later one does not.  A chain that
+// held a copy of its own would charge proc 3 again.
+RunStats RunStampSharers(int gc_interval) {
+  RuntimeConfig cfg;
+  cfg.num_procs = 4;
+  cfg.heap_bytes = 1u << 20;
+  cfg.gc_interval_barriers = gc_interval;
+  constexpr int kEpochs = 6;
+  constexpr std::size_t kWords = 8;
+
+  Runtime rt(cfg);
+  auto data = rt.Alloc<int>(1024, "data");
+  rt.Run([&](Proc& p) {
+    for (int e = 0; e < kEpochs; ++e) {
+      if (p.id() == 0) {
+        for (std::size_t i = 0; i < kWords; ++i) {
+          p.Write(data, i, 100 * (e + 1) + static_cast<int>(i));
+        }
+      }
+      p.Barrier();
+      if (e == 0 && p.id() != 0) (void)p.Read(data, 0);  // become a sharer
+    }
+    // Idle barriers: the GC flattens the last writing epoch and prunes it.
+    for (int i = 0; i < 3; ++i) p.Barrier();
+    if (p.id() == 1 || p.id() == 2) (void)p.Read(data, 0);
+    p.Barrier();
+    if (p.id() == 3) (void)p.Read(data, 0);
+    p.Barrier();
+  });
+  return rt.CollectStats();
+}
+
+TEST(GcStamps, SameAndLaterPhaseRequestersMatchArchiveEverything) {
+  const RunStats off = RunStampSharers(0);
+  const RunStats on = RunStampSharers(1);
+  EXPECT_EQ(off.mem.reclaimed_intervals, 0u);
+  EXPECT_GT(on.mem.reclaimed_intervals, 0u);
+  EXPECT_GE(on.mem.chains_built, 3u);  // one chain per sharer at least
+  EXPECT_EQ(ModelledStateDiff(on, off), "") << "stamp sharers";
+}
+
 // --- virgin store: chain headers live only on sharers ------------------------
 //
 // One writer rewrites a unit for many epochs while the rest of the
@@ -277,7 +326,8 @@ TEST(GcChainBody, MutableBodyClonesSharedBodyAndExtendsSoleOwnerInPlace) {
   FlattenedChain copy = original;
   ASSERT_EQ(copy.body, original.body);
   ChainBody& extended = copy.MutableBody();
-  extended.runs = Diff::MergeRuns(extended.runs, {{5, 1}});
+  extended.runs =
+      Diff::MergeRuns(extended.runs, std::vector<DiffRun>{{5, 1}});
   extended.payload_words = Diff::RunWords(extended.runs);
 
   EXPECT_NE(copy.body, original.body);
@@ -349,7 +399,7 @@ FalseSharingOutcome RunFalseSharingReader(int gc_interval) {
         const FlattenedChain& c = flat[i];
         ++seen.chains;
         std::size_t members = 0;
-        c.ForEachStamp([&](std::atomic<std::uint64_t>&) { ++members; });
+        c.ForEachStamp([&](std::uint64_t&) { ++members; });
         const std::uint32_t first_word = c.writer == 0 ? 0 : kWords;
         const bool one_epoch =
             members == 1 && c.body->tail.proc == c.writer &&

@@ -11,6 +11,7 @@
 #include "common/check.h"
 #include "common/histogram.h"
 #include "common/rng.h"
+#include "core/comm_stats.h"
 #include "core/runtime.h"
 #include "core/vector_clock.h"
 #include "core/write_notice.h"
@@ -425,45 +426,54 @@ TEST(VectorClockTest, Covers) {
   EXPECT_FALSE(b.Covers(0, 3));
 }
 
-TEST(IntervalArchiveTest, AppendFindRange) {
+// A record of `proc`'s interval `seq` at clock `vc` whose units carry no
+// diff: the notice-only form HLRC archives.
+IntervalRecord NoticeRecord(ProcId proc, Seq seq, const VectorClock& vc,
+                            const std::vector<UnitId>& units = {}) {
+  IntervalDraft draft;
+  for (UnitId u : units) draft.AddNotice(u);
+  return IntervalRecord(proc, seq, vc, draft);
+}
+
+VectorClock ClockAt(ProcId proc, Seq seq, int nprocs = 2) {
+  VectorClock vc(nprocs);
+  vc[proc] = seq;
+  return vc;
+}
+
+TEST(IntervalArchiveTest, AppendAndRange) {
   IntervalArchive archive;
   for (Seq s : {1u, 3u, 4u, 7u}) {
-    IntervalRecord rec;
-    rec.proc = 0;
-    rec.seq = s;
-    rec.vc = VectorClock(2);
-    rec.vc[0] = s;
-    archive.Append(std::move(rec));
+    archive.Append(NoticeRecord(0, s, ClockAt(0, s)));
   }
   EXPECT_EQ(archive.size(), 4u);
-  EXPECT_NE(archive.Find(3), nullptr);
-  EXPECT_EQ(archive.Find(2), nullptr);  // seq gaps are legal
-  const auto range = archive.Range(1, 4);
-  ASSERT_EQ(range.size(), 2u);
-  EXPECT_EQ(range[0]->seq, 3u);
-  EXPECT_EQ(range[1]->seq, 4u);
+  EXPECT_EQ(archive.CountThrough(3), 2u);
+  EXPECT_EQ(archive.CountThrough(2), 1u);  // seq gaps are legal
+  // Range appends after what the caller's buffer already holds.
+  std::vector<const IntervalRecord*> range;
+  archive.Range(0, 1, range);
+  archive.Range(1, 4, range);
+  ASSERT_EQ(range.size(), 3u);
+  EXPECT_EQ(range[0]->seq(), 1u);
+  EXPECT_EQ(range[1]->seq(), 3u);
+  EXPECT_EQ(range[2]->seq(), 4u);
 }
 
 TEST(IntervalArchiveTest, RejectsOutOfOrderAppend) {
   IntervalArchive archive;
-  IntervalRecord rec;
-  rec.proc = 0;
-  rec.seq = 5;
-  archive.Append(std::move(rec));
-  IntervalRecord older;
-  older.proc = 0;
-  older.seq = 4;
-  EXPECT_THROW(archive.Append(std::move(older)), CheckError);
+  archive.Append(NoticeRecord(0, 5, ClockAt(0, 5)));
+  EXPECT_THROW(archive.Append(NoticeRecord(0, 4, ClockAt(0, 4))),
+               CheckError);
 }
 
 TEST(IntervalArchiveTest, PaysForDiffPhaseSemantics) {
   IntervalArchive archive;
-  IntervalRecord rec;
-  rec.proc = 0;
-  rec.seq = 1;
-  rec.units = {4};
-  rec.diffs.resize(1);
-  const IntervalRecord* stored = archive.Append(std::move(rec));
+  std::vector<std::byte> twin(64), current(64);
+  current[0] = std::byte{1};
+  IntervalDraft draft;
+  draft.AddDiff(4, twin, current);
+  const IntervalRecord* stored =
+      archive.Append(IntervalRecord(0, 1, ClockAt(0, 1), draft));
   // First requester pays, and so does any requester in the same phase
   // (modelled as concurrent scans at the server — keeps the charge
   // deterministic under host scheduling).
@@ -478,62 +488,170 @@ TEST(IntervalArchiveTest, ConcurrentAppendAndLookup) {
   IntervalArchive archive;
   std::thread writer([&] {
     for (Seq s = 1; s <= 1000; ++s) {
-      IntervalRecord rec;
-      rec.proc = 0;
-      rec.seq = s;
-      archive.Append(std::move(rec));
+      archive.Append(NoticeRecord(0, s, ClockAt(0, s)));
     }
   });
   // Concurrent lookups must be safe and monotone while the writer appends.
   std::size_t prev = 0;
+  std::vector<const IntervalRecord*> range;
   for (int i = 0; i < 2000; ++i) {
-    const std::size_t now = archive.Range(0, 1000).size();
-    EXPECT_GE(now, prev);
-    prev = now;
+    range.clear();
+    archive.Range(0, 1000, range);
+    EXPECT_GE(range.size(), prev);
+    prev = range.size();
   }
   writer.join();
   EXPECT_EQ(archive.size(), 1000u);
-  EXPECT_EQ(archive.Range(0, 1000).size(), 1000u);
+  range.clear();
+  archive.Range(0, 1000, range);
+  EXPECT_EQ(range.size(), 1000u);
 }
 
-// The fault path and CollectNotices read records through the pointers
-// that Find and Range return, after the archive mutex is released, while
-// the owner keeps appending and the GC prunes an older prefix.  Records
-// live in the archive by value, so its storage must never move them.
+// Pending notices and CollectNotices read records through the pointers
+// that Range returns, after the archive mutex is released, while the
+// owner keeps appending and the GC prunes an older prefix.  Records live
+// in the archive by value, so its storage must never move them, and each
+// record's block must stay where it is.
 TEST(IntervalArchiveTest, PointersSurviveAppendsAndPrefixPrunes) {
   IntervalArchive archive;
   auto append = [&archive](Seq s) {
-    IntervalRecord rec;
-    rec.proc = 0;
-    rec.seq = s;
-    rec.vc = VectorClock(2);
-    rec.vc[0] = s;
-    rec.units = {static_cast<UnitId>(s)};
     std::vector<std::byte> twin(64), current(64);
     std::memcpy(current.data(), &s, sizeof(s));
-    rec.diffs.push_back(Diff::Create(twin, current));
-    archive.Append(std::move(rec));
+    IntervalDraft draft;
+    draft.AddDiff(static_cast<UnitId>(s), twin, current);
+    archive.Append(IntervalRecord(0, s, ClockAt(0, s), draft));
   };
   for (Seq s = 1; s <= 100; ++s) append(s);
-  const IntervalRecord* found = archive.Find(60);
-  ASSERT_NE(found, nullptr);
-  const std::vector<const IntervalRecord*> range = archive.Range(50, 100);
+  std::vector<const IntervalRecord*> range;
+  archive.Range(50, 100, range);
   ASSERT_EQ(range.size(), 50u);
+  const IntervalRecord* found = range[9];
+  ASSERT_EQ(found->seq(), 60u);
 
   for (Seq s = 101; s <= 5000; ++s) append(s);
   EXPECT_EQ(archive.PruneThrough(50), 50u);
   EXPECT_EQ(archive.size(), 4950u);
 
-  EXPECT_EQ(archive.Find(60), found);
-  EXPECT_EQ(found->seq, 60u);
-  EXPECT_EQ(found->units[0], 60u);
-  EXPECT_EQ(found->diffs[0].payload_word(0), 60u);
+  std::vector<const IntervalRecord*> again;
+  archive.Range(59, 60, again);
+  ASSERT_EQ(again.size(), 1u);
+  EXPECT_EQ(again[0], found);
+  EXPECT_EQ(found->units()[0], 60u);
+  EXPECT_EQ(found->payload_word(0, 0), 60u);
   for (std::size_t i = 0; i < range.size(); ++i) {
     const Seq s = static_cast<Seq>(51 + i);
-    EXPECT_EQ(range[i]->seq, s);
-    EXPECT_EQ(range[i]->vc[0], s);
-    EXPECT_EQ(range[i]->diffs[0].payload_word(0), s);
+    EXPECT_EQ(range[i]->seq(), s);
+    EXPECT_EQ(range[i]->vc(0), s);
+    EXPECT_EQ(range[i]->payload_word(0, 0), s);
   }
+}
+
+// One record's block holds the clock, the units, every unit's runs and
+// payload words.  Each unit round-trips against the Diff built from the
+// same twin and image: the same runs, payload words and wire size, and
+// applying the record's diff to the twin rebuilds the image.  The notice
+// and retained sizes, and the happens-before key, are the record's own.
+TEST(IntervalRecordTest, PackedBlockMatchesDiffs) {
+  struct UnitCase {
+    UnitId unit;
+    std::vector<std::byte> twin, current;
+  };
+  Xoshiro256 rng(7);
+  auto random_unit = [&rng](UnitId unit, std::size_t words) {
+    UnitCase c{unit, std::vector<std::byte>(words * kWordBytes), {}};
+    for (std::byte& b : c.twin) b = static_cast<std::byte>(rng.UniformInt(256));
+    c.current = c.twin;
+    for (std::size_t w = 0; w < words; ++w) {
+      if (rng.UniformInt(3) == 0) c.current[w * kWordBytes] ^= std::byte{0x5a};
+    }
+    return c;
+  };
+  // Every other word of a 4 KB unit: 512 one-word runs.
+  UnitCase many_runs{9, std::vector<std::byte>(4096), std::vector<std::byte>(4096)};
+  for (std::size_t w = 0; w < 1024; w += 2) {
+    many_runs.current[w * kWordBytes] = std::byte{1};
+  }
+
+  std::vector<std::vector<UnitCase>> records;
+  records.emplace_back();  // no units
+  records.push_back({random_unit(3, 16)});
+  records.push_back({std::move(many_runs)});
+  records.emplace_back();
+  for (UnitId u = 0; u < 512; ++u) {
+    records.back().push_back(random_unit(u * 5 + 1, 1 + u % 24));
+  }
+
+  constexpr int kProcs = 8;
+  for (std::size_t r = 0; r < records.size(); ++r) {
+    const std::vector<UnitCase>& cases = records[r];
+    VectorClock vc(kProcs);
+    for (ProcId p = 0; p < kProcs; ++p) vc[p] = static_cast<Seq>(r * 10 + p);
+    const ProcId proc = static_cast<ProcId>(r % kProcs);
+    const Seq seq = vc[proc];
+    IntervalDraft draft;
+    for (const UnitCase& c : cases) draft.AddDiff(c.unit, c.twin, c.current);
+    const IntervalRecord rec(proc, seq, vc, draft);
+
+    ASSERT_EQ(rec.num_units(), cases.size()) << "record " << r;
+    EXPECT_EQ(rec.proc(), proc);
+    EXPECT_EQ(rec.seq(), seq);
+    for (ProcId p = 0; p < kProcs; ++p) EXPECT_EQ(rec.vc(p), vc[p]);
+    std::uint64_t vc_sum = 0;
+    for (ProcId p = 0; p < kProcs; ++p) vc_sum += vc[p];
+    const HbKey key(rec);
+    EXPECT_EQ(key.vc_sum, vc_sum);
+    EXPECT_EQ(key.proc, proc);
+    EXPECT_EQ(key.seq, seq);
+    EXPECT_EQ(rec.NoticeBytes(), 16 + 8 * cases.size());
+
+    std::size_t retained = rec.NoticeBytes();
+    for (std::size_t i = 0; i < cases.size(); ++i) {
+      const UnitCase& c = cases[i];
+      const Diff d = Diff::Create(c.twin, c.current);
+      EXPECT_EQ(rec.units()[i], c.unit);
+      const std::span<const DiffRun> runs = rec.runs(i);
+      ASSERT_EQ(runs.size(), d.num_runs()) << "record " << r << " unit " << i;
+      for (std::size_t k = 0; k < runs.size(); ++k) {
+        EXPECT_EQ(runs[k].word_offset, d.runs()[k].word_offset);
+        EXPECT_EQ(runs[k].word_count, d.runs()[k].word_count);
+      }
+      ASSERT_EQ(rec.payload_words(i), d.payload_words());
+      for (std::size_t k = 0; k < d.payload_words(); ++k) {
+        EXPECT_EQ(rec.payload_word(i, k), d.payload_word(k));
+      }
+      EXPECT_EQ(rec.EncodedBytes(i), d.EncodedBytes());
+      std::vector<std::byte> rebuilt = c.twin;
+      rec.Apply(i, rebuilt);
+      EXPECT_EQ(rebuilt, c.current) << "record " << r << " unit " << i;
+      retained += d.EncodedBytes();
+    }
+    EXPECT_EQ(rec.RetainedBytes(), retained);
+  }
+  // The many-runs unit really has them.
+  IntervalDraft draft;
+  draft.AddDiff(9, records[2][0].twin, records[2][0].current);
+  EXPECT_EQ(IntervalRecord(0, 1, ClockAt(0, 1), draft).runs(0).size(), 512u);
+}
+
+// HLRC archives notices only: units and clock, no runs, no payload.
+TEST(IntervalRecordTest, NoticeOnlyRecordHasUnitsAndNoDiffs) {
+  VectorClock vc(4);
+  vc[2] = 5;
+  vc[0] = 3;
+  const IntervalRecord rec = NoticeRecord(2, 5, vc, {7, 1, 40});
+  ASSERT_EQ(rec.num_units(), 3u);
+  EXPECT_EQ(rec.units()[0], 7u);
+  EXPECT_EQ(rec.units()[1], 1u);
+  EXPECT_EQ(rec.units()[2], 40u);
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_TRUE(rec.runs(i).empty());
+    EXPECT_EQ(rec.payload_words(i), 0u);
+    EXPECT_EQ(rec.EncodedBytes(i), Diff().EncodedBytes());
+  }
+  EXPECT_EQ(rec.NoticeBytes(), 16u + 3 * 8);
+  EXPECT_EQ(rec.RetainedBytes(), rec.NoticeBytes() + 3 * Diff::kHeaderBytes);
+  EXPECT_EQ(HbKey(rec).vc_sum, 8u);
+  EXPECT_EQ(rec.stamps(), nullptr);  // nothing to materialize
 }
 
 // HbKey orders every random 8-proc history in happens-before order.  The
@@ -546,17 +664,17 @@ TEST(IntervalArchiveTest, PointersSurviveAppendsAndPrefixPrunes) {
 TEST(HbKeyTest, SortIsALinearExtensionOfHappensBefore) {
   constexpr int kProcs = 8;
   constexpr int kLocks = 3;
+  auto covers = [](const IntervalRecord& a, const IntervalRecord& b) {
+    return a.vc(b.proc()) >= b.seq();
+  };
   for (std::uint64_t seed = 1; seed <= 16; ++seed) {
     Xoshiro256 rng(seed);
     std::vector<VectorClock> vc(kProcs, VectorClock(kProcs));
     std::vector<VectorClock> lock_vc(kLocks, VectorClock(kProcs));
     std::vector<IntervalRecord> history;
     auto close = [&](ProcId p) {
-      IntervalRecord rec;
-      rec.proc = p;
-      rec.seq = ++vc[p][p];
-      rec.vc = vc[p];
-      history.push_back(std::move(rec));
+      const Seq seq = ++vc[p][p];
+      history.push_back(NoticeRecord(p, seq, vc[p]));
     };
     for (int step = 0; step < 240; ++step) {
       const auto p = static_cast<ProcId>(rng.UniformInt(kProcs));
@@ -583,9 +701,7 @@ TEST(HbKeyTest, SortIsALinearExtensionOfHappensBefore) {
     std::size_t inverted_by_proc = 0;
     for (const IntervalRecord& a : history) {
       for (const IntervalRecord& b : history) {
-        if (a.proc < b.proc && a.vc.Covers(b.proc, b.seq)) {
-          ++inverted_by_proc;
-        }
+        if (a.proc() < b.proc() && covers(a, b)) ++inverted_by_proc;
       }
     }
     EXPECT_GT(inverted_by_proc, 0u) << "seed " << seed;
@@ -597,13 +713,52 @@ TEST(HbKeyTest, SortIsALinearExtensionOfHappensBefore) {
     std::size_t violations = 0;
     for (std::size_t i = 0; i < history.size(); ++i) {
       for (std::size_t j = i + 1; j < history.size(); ++j) {
-        if (history[i].vc.Covers(history[j].proc, history[j].seq)) {
-          ++violations;
-        }
+        if (covers(history[i], history[j])) ++violations;
       }
     }
     EXPECT_EQ(violations, 0u) << "seed " << seed;
   }
+}
+
+// --- communication statistics ------------------------------------------------
+
+// Finalize's classification on hand-built exchanges: a useful exchange
+// whose unread words ride along as piggybacked useless data, a useless
+// exchange, and the fault that contacted both in the signature's
+// two-writer bucket.
+TEST(CommStatsTest, FinalizeSplitsExchangesAndSignature) {
+  CommStats stats;
+  const std::uint32_t useful = stats.NewExchange();
+  const std::uint32_t useless = stats.NewExchange();
+  stats.AddDelivered(useful, 6);
+  stats.AddDelivered(useful, 4);
+  stats.AddDelivered(useless, 5);
+  for (int i = 0; i < 3; ++i) stats.Credit(useful);
+  stats.RecordFault(2, useful);
+
+  const CommBreakdown c = stats.Finalize();
+  EXPECT_EQ(c.useful_messages, 2u);
+  EXPECT_EQ(c.useless_messages, 2u);
+  EXPECT_EQ(c.useful_data_bytes, 3 * kWordBytes);
+  EXPECT_EQ(c.piggyback_useless_bytes, 7 * kWordBytes);
+  EXPECT_EQ(c.useless_msg_data_bytes, 5 * kWordBytes);
+  EXPECT_EQ(c.total_data_bytes(), 15 * kWordBytes);
+  ASSERT_GE(c.signature.num_buckets(), 3u);
+  EXPECT_EQ(c.signature.useful(2), 1u);
+  EXPECT_EQ(c.signature.useless(2), 1u);
+  EXPECT_EQ(c.signature.grand_total(), 2u);
+}
+
+// An exchange credited with more words than it delivered is an accounting
+// bug, and Finalize refuses it.
+TEST(CommStatsTest, FinalizeRejectsOverCredit) {
+  CommStats stats;
+  const std::uint32_t ex = stats.NewExchange();
+  stats.AddDelivered(ex, 1);
+  stats.Credit(ex);
+  stats.Credit(ex);
+  stats.RecordFault(1, ex);
+  EXPECT_THROW(stats.Finalize(), CheckError);
 }
 
 // --- stats schema -------------------------------------------------------------
