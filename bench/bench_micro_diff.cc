@@ -1,13 +1,14 @@
 // Host-side throughput of the twin/diff machinery (the simulator's hot
 // paths): diff creation and application across unit sizes and
-// modification densities.
+// modification densities.  A diff is built as a release builds it: a
+// one-unit interval record from an interval draft.
 #include <benchmark/benchmark.h>
 
 #include <cstring>
 #include <vector>
 
 #include "common/rng.h"
-#include "mem/diff.h"
+#include "core/write_notice.h"
 
 namespace dsm {
 namespace {
@@ -32,13 +33,24 @@ Buffers MakeBuffers(std::size_t bytes, double modified_fraction,
   return b;
 }
 
+// The one-unit record a release builds from `b`: runs found between twin
+// and working copy, words copied out of the working copy.  `draft` is
+// reused across calls, as the release reuses its own.
+IntervalRecord ReleaseDiff(const Buffers& b, IntervalDraft& draft) {
+  static const VectorClock kClock(1);
+  draft.Clear();
+  draft.AddDiff(0, b.twin, b.current);
+  return IntervalRecord(0, 1, kClock, draft);
+}
+
 void BM_DiffCreate(benchmark::State& state) {
   const std::size_t bytes = static_cast<std::size_t>(state.range(0));
   const double density = static_cast<double>(state.range(1)) / 100.0;
   Buffers b = MakeBuffers(bytes, density, 42);
+  IntervalDraft draft;
   for (auto _ : state) {
-    Diff d = Diff::Create(b.twin, b.current);
-    benchmark::DoNotOptimize(d);
+    IntervalRecord rec = ReleaseDiff(b, draft);
+    benchmark::DoNotOptimize(rec);
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(bytes));
@@ -82,9 +94,10 @@ Buffers MakeRunBuffers(std::size_t bytes, std::size_t num_runs,
 void BM_DiffCreateSparse(benchmark::State& state) {
   const std::size_t bytes = static_cast<std::size_t>(state.range(0));
   Buffers b = MakeRunBuffers(bytes, 4, 8, 42);
+  IntervalDraft draft;
   for (auto _ : state) {
-    Diff d = Diff::Create(b.twin, b.current);
-    benchmark::DoNotOptimize(d);
+    IntervalRecord rec = ReleaseDiff(b, draft);
+    benchmark::DoNotOptimize(rec);
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(bytes));
@@ -96,9 +109,10 @@ void BM_DiffCreateDense(benchmark::State& state) {
   const std::size_t words = bytes / kWordBytes;
   // 8 runs covering ~94% of the unit, short equal gaps between them.
   Buffers b = MakeRunBuffers(bytes, 8, words / 8 - 8, 42);
+  IntervalDraft draft;
   for (auto _ : state) {
-    Diff d = Diff::Create(b.twin, b.current);
-    benchmark::DoNotOptimize(d);
+    IntervalRecord rec = ReleaseDiff(b, draft);
+    benchmark::DoNotOptimize(rec);
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(bytes));
@@ -108,14 +122,16 @@ BENCHMARK(BM_DiffCreateDense)->Arg(4096)->Arg(16384);
 void BM_DiffApply(benchmark::State& state) {
   const std::size_t bytes = static_cast<std::size_t>(state.range(0));
   Buffers b = MakeBuffers(bytes, 0.5, 42);
-  Diff d = Diff::Create(b.twin, b.current);
+  IntervalDraft draft;
+  const IntervalRecord rec = ReleaseDiff(b, draft);
   std::vector<std::byte> target = b.twin;
   for (auto _ : state) {
-    d.Apply(target);
+    rec.Apply(0, target);
     benchmark::DoNotOptimize(target.data());
   }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(d.payload_bytes()));
+  state.SetBytesProcessed(
+      static_cast<std::int64_t>(state.iterations()) *
+      static_cast<std::int64_t>(rec.payload_words(0) * kWordBytes));
 }
 BENCHMARK(BM_DiffApply)->Arg(4096)->Arg(16384);
 

@@ -28,7 +28,7 @@ AppRun Execute(Application& app, RuntimeConfig cfg) {
 
 AppRun ExecuteSequential(Application& app, RuntimeConfig cfg) {
   cfg.num_procs = 1;
-  cfg.allow_sequential = true;  // intentional sequential-oracle run
+  cfg.backend = BackendKind::kReference;  // one processor runs no protocol
   return Execute(app, cfg);
 }
 

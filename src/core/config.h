@@ -27,7 +27,8 @@ enum class BackendKind {
   // directly (plain sequential consistency — no twins, no diffs, no write
   // notices).  Barriers and locks still rendezvous, so any program that is
   // data-race-free under LRC computes the same answer here; divergence
-  // between the two backends indicates a protocol bug.
+  // between the two backends indicates a protocol bug.  The only backend
+  // a one-processor run may use (the sequential Table 1 baseline).
   kReference,
   // Home-based LRC (DESIGN.md §7): every consistency unit has a home node
   // that eagerly absorbs diffs at release time and serves whole-unit
@@ -147,12 +148,6 @@ struct RuntimeConfig {
   // (gc_interval_barriers > 0, see Validate()) — HLRC recovery rebuilds
   // from home images and needs no checkpoints.
   FaultSchedule fault;
-
-  // A DSM with one processor is degenerate (no sharing, no protocol) and
-  // almost always a mis-filled config — Validate() rejects num_procs < 2
-  // unless this flag is set.  The sequential-oracle paths
-  // (apps::ExecuteSequential, single-proc unit tests) opt in explicitly.
-  bool allow_sequential = false;
 
   NetworkConfig net;
   CostModel cost;

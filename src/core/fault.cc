@@ -82,11 +82,10 @@ void RuntimeConfig::Validate() const {
   if (num_procs < 1) {
     Invalid("num_procs must be >= 1 (got " + std::to_string(num_procs) + ")");
   }
-  if (num_procs == 1 && !allow_sequential) {
+  if (num_procs == 1 && backend != BackendKind::kReference) {
     Invalid(
-        "num_procs == 1 is a degenerate DSM (no sharing, protocol "
-        "disabled); set allow_sequential = true for an intentional "
-        "sequential-oracle run");
+        "num_procs == 1 is a degenerate DSM (no sharing, no protocol); a "
+        "sequential run uses the reference backend, BackendKind::kReference");
   }
   if (num_procs > 4096) {
     Invalid("num_procs = " + std::to_string(num_procs) +
@@ -355,7 +354,11 @@ void RecoveryCoordinator::Recover(Node& node, const VectorClock& to,
   // --- rebuild the image from the stable substrate --------------------------
   VirtualNanos slowest = 0;  // parallel sources: clock takes the max
   VirtualNanos install = 0;  // local per-unit / per-diff apply work
-  if (!node.hlrc_) {
+  if (node.hlrc_) {
+    // HLRC (DESIGN.md §9): the homes serve whole-unit copies, and the
+    // victim's own units are reconstructed and re-homed.
+    shared.homes.Rebuild(node, slowest, install);
+  } else {
     // LRC (DESIGN.md §9): canonical bases hold every interval at or below
     // the checkpoint watermark (checkpoint-complete GC mode); the archives
     // — stable write-ahead logs, the victim's own included — hold the
@@ -422,80 +425,6 @@ void RecoveryCoordinator::Recover(Node& node, const VectorClock& to,
       r.rec->Apply(r.index, node.UnitSpan(r.unit));
       install +=
           cost.DiffApplyCost(r.rec->payload_words(r.index) * kWordBytes);
-    }
-  } else {
-    // HLRC (DESIGN.md §9): surviving homes serve whole-unit copies — one
-    // combined exchange per home.  Units homed at the victim itself have
-    // no surviving master: each is reconstructed from survivors' cached
-    // copies and re-homed via the per-unit override table.  The
-    // rebuilding home cannot know which survivors still cache a unit
-    // without asking — the sharer directory is appended concurrently by
-    // running peers, so consulting it here would make recovery cost
-    // depend on host timing — so it probes EVERY survivor (one combined
-    // header-sized probe exchange each) and pulls the full image from the
-    // lowest surviving rank: deterministic, and honestly pessimistic.
-    // The re-home batch is registered here and applied by the barrier
-    // coordinator inside the next barrier's idle window, so every node
-    // flips to the new map at the same deterministic point; lagging nodes
-    // then pay the timeout + retransmit for learning it
-    // (recovery_retransmits).
-    std::vector<std::size_t> units_per_home(
-        static_cast<std::size_t>(nprocs), 0);
-    std::size_t self_homed = 0;
-    std::vector<std::pair<UnitId, ProcId>> rehomes;
-    for (UnitId u = 0; u < num_units; ++u) {
-      const ProcId h = shared.EffectiveHome(u);
-      if (h != node.id_) {
-        ++units_per_home[static_cast<std::size_t>(h)];
-        continue;
-      }
-      ++self_homed;
-      rehomes.emplace_back(u, shared.RehomeTarget(u, node.id_));
-    }
-    for (ProcId h = 0; h < nprocs; ++h) {
-      const std::size_t n = units_per_home[static_cast<std::size_t>(h)];
-      if (n == 0) continue;
-      const std::size_t req = 16 + 8 * n;
-      const std::size_t resp = n * (16 + unit_bytes);
-      c.recovery_messages += 2;
-      c.recovery_data_bytes += n * unit_bytes;
-      slowest = std::max(
-          slowest,
-          shared.net.RoundTripTime(req, resp) +
-              cost.request_service_overhead +
-              static_cast<VirtualNanos>(n) * cost.TwinCost(unit_bytes));
-    }
-    if (self_homed > 0) {
-      const ProcId source = node.id_ == 0 ? 1 : 0;
-      for (ProcId p = 0; p < nprocs; ++p) {
-        if (p == node.id_) continue;
-        // One combined reconstruction exchange per survivor: the lowest
-        // surviving rank ships the full units, the rest ship 16-byte
-        // probe replies.
-        const std::size_t full = p == source ? self_homed : 0;
-        const std::size_t probed = self_homed - full;
-        const std::size_t req = 16 + 8 * self_homed;
-        const std::size_t resp = full * (16 + unit_bytes) + 16 * probed;
-        c.recovery_messages += 2;
-        c.recovery_data_bytes += full * unit_bytes;
-        slowest = std::max(
-            slowest,
-            shared.net.RoundTripTime(req, resp) +
-                cost.request_service_overhead +
-                static_cast<VirtualNanos>(full) * cost.TwinCost(unit_bytes));
-      }
-    }
-    for (UnitId u = 0; u < num_units; ++u) {
-      const std::span<std::byte> dst = node.UnitSpan(u);
-      std::lock_guard lock(shared.home_mutexes[u]);
-      std::memcpy(dst.data(),
-                  shared.home_image.get() + shared.heap.UnitBase(u),
-                  unit_bytes);
-      install += cost.TwinCost(unit_bytes);
-    }
-    if (!rehomes.empty()) {
-      std::lock_guard lock(shared.rehome_mutex);
-      for (const auto& r : rehomes) shared.pending_rehomes.push_back(r);
     }
   }
   c.recovery_units += num_units;

@@ -23,23 +23,24 @@
 //           base, bases are never released), making base + surviving log
 //           a complete history — the honest single-source-of-truth shape
 //           the failure-free protocol does not need.
-//   * HLRC: whole-unit copies from the home images.  A victim that was
-//           itself a home reconstructs each of its units from the
-//           surviving sharers' cached copies (full unit from the
-//           designated freshest sharer, header-sized live-twin probes to
-//           the rest) and re-homes the unit via the per-unit override
-//           table (SharedState::EffectiveHome); surviving nodes learn the
-//           new map lazily — their first home contact after the re-home
-//           batch pays a modelled timeout + retransmit
+//   * HLRC: whole-unit copies from the home image (Homes::Rebuild,
+//           core/hlrc.h).  A victim that was itself a home reconstructs
+//           each of its units from the surviving sharers' cached copies
+//           (full unit from the designated freshest sharer, header-sized
+//           live-twin probes to the rest) and re-homes the unit through
+//           the per-unit re-home table; surviving nodes learn the new map
+//           lazily — their first home contact after the re-home batch
+//           pays a modelled timeout + retransmit
 //           (CommBreakdown::recovery_retransmits).
 //
 // When proc 0 is the victim of an at-barrier event, the coordinator roles
 // it normally holds — the GC pass count and peak fold, checkpoint
-// watermark publish, the HLRC watermark prune, and the barrier-manager
-// cost asymmetry — migrate to the lowest surviving rank for exactly that
+// watermark publish, the HLRC re-home apply, and the barrier-manager cost
+// asymmetry — migrate to the lowest surviving rank for exactly that
 // barrier (SharedState::CoordinatorFor) and migrate back once the victim
-// has rebuilt.  The GC work itself never migrates: every node, the victim
-// included, collects its own stripe of units before the crash point.
+// has rebuilt.  The GC and prune work never migrates: every node, the
+// victim included, collects its own stripe of units and prunes its own
+// HLRC notice log before the crash point.
 //
 // Recovery is *transparent*: the victim's thread continues from the crash
 // point with rebuilt state, so the sync services never lose a live

@@ -52,28 +52,20 @@ SharedState::SharedState(const RuntimeConfig& cfg)
       net(cfg.net),
       barrier(std::make_unique<BarrierService>(cfg.num_procs)),
       locks(std::make_unique<LockService>(kNumLocks, cfg.num_procs)),
-      gc(config, heap.num_units(), heap.unit_bytes()) {
+      gc(config, heap.num_units(), heap.unit_bytes()),
+      homes(config, heap) {
   if (config.fault.armed()) {
     fault = std::make_unique<FaultInjector>(config.fault);
-    if (config.backend == BackendKind::kHlrc) {
-      // Any processor may be a crashing home: arm the per-unit re-home
-      // override table (DESIGN.md §9).
-      home_override.assign(heap.num_units(), -1);
-    }
   }
   if (cfg.backend == BackendKind::kReference) {
     reference_image = AllocZeroedImage(heap.heap_bytes());
-  }
-  if (cfg.backend == BackendKind::kHlrc) {
-    home_image = AllocZeroedImage(heap.heap_bytes());
-    home_mutexes.reset(new std::mutex[heap.num_units()]);
   }
   archives.reserve(cfg.num_procs);
   for (int p = 0; p < cfg.num_procs; ++p) {
     archives.push_back(std::make_unique<IntervalArchive>());
     // The telemetry reports the LRC diff archive the GC keeps bounded.
     // HLRC records are notice-only metadata pruned by a seen-everywhere
-    // watermark (HlrcPruneNotices) — hooking them up would report a
+    // watermark (Homes::OnBarrier) — hooking them up would report a
     // phantom archive for a backend that has none, and the reference
     // backend never archives at all.
     if (cfg.backend == BackendKind::kLrc) {
@@ -88,20 +80,6 @@ SharedState::SharedState(const RuntimeConfig& cfg)
 }
 
 SharedState::~SharedState() = default;
-
-void SharedState::ApplyPendingRehomes() {
-  std::lock_guard lock(rehome_mutex);
-  if (pending_rehomes.empty()) return;
-  DSM_CHECK(!home_override.empty());
-  for (const auto& [unit, new_home] : pending_rehomes) {
-    home_override[static_cast<std::size_t>(unit)] = new_home;
-  }
-  pending_rehomes.clear();
-  // One epoch per applied batch: every node whose private epoch lags pays
-  // the timeout + retransmit for learning the new map at its next home
-  // contact.
-  ++rehome_epoch;
-}
 
 ProcId SharedState::CoordinatorFor(std::uint32_t sync_phase) const {
   if (fault == nullptr) return 0;
@@ -118,10 +96,8 @@ Node::Node(ProcId id, SharedState& shared)
       shared_(shared),
       unit_bytes_(shared.heap.unit_bytes()),
       unit_shift_(shared.heap.unit_shift()),
-      protocol_enabled_(shared.config.num_procs > 1 &&
-                        shared.config.backend != BackendKind::kReference),
-      hlrc_(protocol_enabled_ &&
-            shared.config.backend == BackendKind::kHlrc),
+      protocol_enabled_(shared.config.backend != BackendKind::kReference),
+      hlrc_(shared.config.backend == BackendKind::kHlrc),
       shared_access_cost_(shared.config.cost.shared_access),
       race_(shared.race.get()),
       image_(shared.reference_image
@@ -138,15 +114,7 @@ Node::Node(ProcId id, SharedState& shared)
       aggregator_(shared.heap.num_units(), shared.config.max_group_pages),
       vc_(shared.config.num_procs),
       notices_seen_(shared.config.num_procs),
-      needs_by_writer_(shared.config.num_procs) {
-  if (hlrc_) {
-    fetch_by_home_.resize(static_cast<std::size_t>(shared.config.num_procs));
-    hlrc_flush_bytes_.assign(
-        static_cast<std::size_t>(shared.config.num_procs), 0);
-    hlrc_flush_server_.assign(
-        static_cast<std::size_t>(shared.config.num_procs), 0);
-  }
-}
+      needs_by_writer_(shared.config.num_procs) {}
 
 void Node::ReadBytesSlow(GlobalAddr addr, void* out, std::size_t bytes) {
   auto* dst = static_cast<std::byte*>(out);
@@ -296,7 +264,7 @@ void Node::ValidateUnit(UnitId unit) {
     }
   }
   if (hlrc_) {
-    HlrcFetchUnits(fetch);
+    shared_.homes.Fetch(*this, fetch);
   } else {
     FetchUnits(fetch);
   }
@@ -559,7 +527,7 @@ void Node::CloseInterval() {
   IntervalDraft& draft = draft_scratch_;
   draft.Clear();
   if (hlrc_) {
-    HlrcFlushInterval(draft);
+    shared_.homes.Flush(*this, draft);
   } else {
     // Diffs are materialized here for bookkeeping (archived records must
     // be immutable), but no cost is charged: TreadMarks diffs lazily, so a
@@ -592,217 +560,6 @@ void Node::CloseInterval() {
       RecoveryCoordinator::Recover(*this, vc_, ev);
     }
   }
-}
-
-// Home-based LRC release (DESIGN.md §7): the dual of the lazy path above.
-// Diffs are created eagerly (the releaser pays the twin scan now, not a
-// future requester), shipped to each dirty unit's home in one combined
-// message per remote home (homes absorb them in parallel; the release
-// waits for the slowest ack), and the record keeps only the write notices
-// — the payload now lives at the homes, so nothing here ever needs
-// garbage collecting.
-void Node::HlrcFlushInterval(IntervalDraft& draft) {
-  const CostModel& cost = shared_.config.cost;
-  const auto& dirty = table_.dirty_units();
-
-  VirtualNanos create_cost = 0;
-  for (UnitId unit : dirty) {
-    draft.AddNotice(unit);
-    create_cost += cost.DiffCreateCost(unit_bytes_);
-    comm_stats_.counters().diffs_created += 1;
-    const Diff diff = Diff::Create(table_.twin(unit), UnitSpan(unit));
-    const ProcId home = shared_.EffectiveHome(unit);
-    // An empty diff means the interval changed no bytes: the twin scan
-    // above is still paid (eager diffing discovers the emptiness), but
-    // there is nothing for the home to absorb and the write notice
-    // travels with the sync traffic — no flush message is modelled.
-    if (!diff.empty()) {
-      {
-        std::span<std::byte> home_span{
-            shared_.home_image.get() + shared_.heap.UnitBase(unit),
-            unit_bytes_};
-        std::lock_guard lock(shared_.home_mutexes[unit]);
-        diff.Apply(home_span);
-      }
-      if (home != id_) {
-        if (hlrc_flush_bytes_[home] == 0) {
-          hlrc_flush_bytes_[home] = 16;  // flush message header
-        }
-        hlrc_flush_bytes_[home] += 8 + diff.EncodedBytes();
-        hlrc_flush_server_[home] +=
-            cost.DiffApplyCost(diff.payload_bytes());
-        comm_stats_.counters().home_flushes += 1;
-        comm_stats_.counters().home_flush_bytes += diff.payload_bytes();
-      }
-    }
-    table_.DropTwin(unit);
-    if (table_.state(unit) == UnitState::kDirty) {
-      table_.set_state(unit, UnitState::kReadValid);
-    }
-    // No retwin_cheap_: under eager diffing the twin is genuinely gone
-    // after a release, so the next write pays the full twin again.
-  }
-  table_.ClearDirtyList();
-  clock_.Advance(create_cost);
-
-  // One flush exchange per remote home touched; homes apply in parallel,
-  // the releaser advances to the slowest acknowledgement.
-  VirtualNanos slowest = 0;
-  bool learned = false;
-  for (ProcId h = 0; h < num_procs(); ++h) {
-    if (hlrc_flush_bytes_[h] == 0) continue;
-    net_stats_.Record(MessageKind::kHomeFlush, hlrc_flush_bytes_[h]);
-    net_stats_.Record(MessageKind::kHomeFlushAck, 16);
-    comm_stats_.counters().home_flush_messages += 2;
-    VirtualNanos t =
-        shared_.net.RoundTripTime(hlrc_flush_bytes_[h], 16) +
-        cost.request_service_overhead + hlrc_flush_server_[h];
-    if (!learned) {
-      // First home contact of this release: a stale home map (re-home
-      // batches applied since this node's last contact) times the
-      // exchange out against the dead home and re-sends it.
-      t += HlrcChargeRehomeLearning(hlrc_flush_bytes_[h]);
-      learned = true;
-    }
-    slowest = std::max(slowest, t);
-    hlrc_flush_bytes_[h] = 0;
-    hlrc_flush_server_[h] = 0;
-  }
-  clock_.Advance(slowest);
-}
-
-// Home-based LRC fault resolution (DESIGN.md §7): whole-unit copies from
-// the homes replace the LRC diff chase.  One combined exchange per remote
-// home (homes answer in parallel); a self-homed unit is a local copy with
-// no messages and no delivery accounting (nothing crossed the wire).  The
-// home copy is at least as new as everything the pending notices name —
-// every noticed release flushed before this node's acquire completed —
-// and any newer words it carries belong to intervals this node will be
-// told about later; race-free programs never read those early.
-void Node::HlrcFetchUnits(const std::vector<UnitId>& units) {
-  const CostModel& cost = shared_.config.cost;
-  const std::size_t words_per_unit = unit_bytes_ / kWordBytes;
-
-  for (auto& v : fetch_by_home_) v.clear();
-  for (UnitId unit : units) {
-    fetch_by_home_[static_cast<std::size_t>(shared_.EffectiveHome(unit))]
-        .push_back(unit);
-  }
-
-  const std::uint32_t first_exchange = comm_stats_.num_exchanges();
-  int num_homes = 0;
-  VirtualNanos slowest = 0;
-  for (ProcId h = 0; h < num_procs(); ++h) {
-    const std::vector<UnitId>& list =
-        fetch_by_home_[static_cast<std::size_t>(h)];
-    if (list.empty()) continue;
-    std::uint32_t ex = 0;
-    const bool remote = h != id_;
-    if (remote) {
-      ++num_homes;
-      ex = comm_stats_.NewExchange();
-      const std::size_t request_bytes = 16 + 8 * list.size();
-      const std::size_t response_bytes = list.size() * (16 + unit_bytes_);
-      const std::size_t delivered_words = list.size() * words_per_unit;
-      comm_stats_.AddDelivered(ex,
-                               static_cast<std::uint32_t>(delivered_words));
-      net_stats_.Record(MessageKind::kHomeFetch, request_bytes);
-      net_stats_.Record(MessageKind::kHomeFetchReply, response_bytes);
-      comm_stats_.counters().home_fetches += list.size();
-      comm_stats_.counters().home_fetch_bytes += list.size() * unit_bytes_;
-      comm_stats_.counters().delivered_data_bytes +=
-          list.size() * unit_bytes_;
-      // Home-side cost: request handling plus one unit copy into the
-      // reply per unit served.
-      VirtualNanos t =
-          shared_.net.RoundTripTime(request_bytes, response_bytes) +
-          cost.request_service_overhead +
-          static_cast<VirtualNanos>(list.size()) *
-              cost.TwinCost(unit_bytes_);
-      if (num_homes == 1) {
-        // First remote contact of this fault: pay for learning any
-        // re-home batches applied since this node's last home exchange.
-        t += HlrcChargeRehomeLearning(request_bytes);
-      }
-      slowest = std::max(slowest, t);
-    }
-    for (UnitId unit : list) {
-      const bool twinned = table_.HasTwin(unit);
-      std::span<std::byte> dst = UnitSpan(unit);
-      // Local uncommitted writes (live twin): capture them, lay the home
-      // copy underneath, re-apply them on top — the whole-unit analogue
-      // of the LRC path's "apply foreign diffs to image AND twin", so
-      // diff(twin, image) still yields exactly the local modifications.
-      Diff local;
-      if (twinned) local = Diff::Create(table_.twin(unit), dst);
-      {
-        const std::byte* src =
-            shared_.home_image.get() + shared_.heap.UnitBase(unit);
-        std::lock_guard lock(shared_.home_mutexes[unit]);
-        std::memcpy(dst.data(), src, unit_bytes_);
-        if (twinned) {
-          std::memcpy(table_.twin(unit).data(), src, unit_bytes_);
-        }
-      }
-      if (twinned && !local.empty()) local.Apply(dst);
-      // Installing the received (or locally copied) unit is one memcpy.
-      clock_.Advance(cost.TwinCost(unit_bytes_));
-      if (remote) {
-        tracker_.Deliver(unit, 0, static_cast<std::uint32_t>(words_per_unit),
-                         ex);
-        // Words the local re-apply overwrote can never credit the fetch.
-        for (const DiffRun& run : local.runs()) {
-          tracker_.OnWrite(unit, run.word_offset, run.word_count);
-        }
-      }
-      pending_[unit].clear();
-    }
-  }
-  if (num_homes > 0) {
-    clock_.Advance(slowest);
-    comm_stats_.RecordFault(num_homes, first_exchange);
-  }
-}
-
-// HLRC notice-log watermark pruning: a record every other node has
-// already processed (its seq is at or below everyone's notices_seen_ for
-// the writer) can never be Range()d again — not by a lock acquire, not by
-// a barrier release — so proc 0 drops those prefixes inside the barrier's
-// idle window, where no peer can be appending or collecting.  This is the
-// whole HLRC memory story: records are notice-only metadata, and the log
-// stays bounded by how far the slowest consumer lags.
-//
-// `min_seen` is the componentwise floor the barrier manager accumulated
-// from every arriver's notices_seen_ (BarrierService::Result::min_seen).
-// Peers park between their Arrive and the Rendezvous with notices_seen_
-// frozen (consumption happens only in CollectNotices / InvalidateFrom,
-// which run after the Rendezvous releases them), so the arrival-time fold
-// equals the old in-window rescan of every node's vector while costing
-// O(num_procs) total instead of O(num_procs²) on proc 0.
-void Node::HlrcPruneNotices(const VectorClock& min_seen) {
-  for (ProcId p = 0; p < num_procs(); ++p) {
-    shared_.archives[p]->PruneThrough(min_seen[p]);
-  }
-}
-
-// See protocol.h: lazy learning of crash-driven re-home batches.  The
-// epoch is written by the barrier coordinator inside the idle window and
-// read here strictly after the closing rendezvous of that barrier, so the
-// plain load is ordered; the charge itself is proc-local and
-// deterministic (victim-local trigger points + barrier-quantized batch
-// application).
-VirtualNanos Node::HlrcChargeRehomeLearning(std::size_t request_bytes) {
-  if (shared_.fault == nullptr) return 0;
-  const std::uint64_t epoch = shared_.rehome_epoch;
-  if (rehome_epoch_seen_ == epoch) return 0;
-  const std::uint64_t missed = epoch - rehome_epoch_seen_;
-  rehome_epoch_seen_ = epoch;
-  CommBreakdown& c = comm_stats_.counters();
-  c.recovery_retransmits += missed;
-  c.recovery_retransmit_bytes += missed * request_bytes;
-  return static_cast<VirtualNanos>(missed) *
-         (shared_.net.RoundTripTime(request_bytes, 16) +
-          shared_.config.cost.request_service_overhead);
 }
 
 std::size_t Node::CollectNotices(const VectorClock& target,
@@ -852,7 +609,6 @@ std::size_t Node::OutgoingNoticeBytes() {
 }
 
 void Node::Barrier() {
-  if (num_procs() == 1) return;
   if (!protocol_enabled()) {
     // Reference backend: pure rendezvous.  Clocks still reconcile to the
     // slowest arrival (that is how a barrier behaves on any machine), but
@@ -862,7 +618,7 @@ void Node::Barrier() {
     // its own clocks.
     if (race_ != nullptr) race_->OnBarrierArrive(id_);
     BarrierService::Result res =
-        shared_.barrier->Arrive(id_, vc_, clock_.now(), 0);
+        shared_.barrier->Arrive(vc_, clock_.now(), 0);
     if (race_ != nullptr) race_->OnBarrierDepart(id_);
     clock_.AdvanceTo(res.base_time);
     return;
@@ -885,9 +641,8 @@ void Node::Barrier() {
   // fire before any crash-recovery point of this barrier, so a rebuilt
   // victim continues with ordering already settled.
   if (race_ != nullptr) race_->OnBarrierArrive(id_);
-  BarrierService::Result res = shared_.barrier->Arrive(
-      id_, vc_, clock_.now(), arrival_bytes, hlrc_ ? &notices_seen_ : nullptr,
-      coord);
+  BarrierService::Result res =
+      shared_.barrier->Arrive(vc_, clock_.now(), arrival_bytes, coord);
   if (race_ != nullptr) race_->OnBarrierDepart(id_);
 
   // Extended barrier window: every processor is now inside the barrier,
@@ -918,16 +673,10 @@ void Node::Barrier() {
     shared_.gc.CollectStripe(shared_, id_, id_ == res.coordinator,
                              *gc_target);
   }
-  // HLRC rides the same idle window for its notice-log watermark prune
-  // (and, under an armed schedule, for flipping crash-driven re-home
-  // batches into the shared override table at a point every node passes
-  // together): every peer is parked between Arrive and Rendezvous, so
-  // their notices_seen_ clocks are frozen and nobody can be flushing,
-  // fetching, or collecting while the coordinator works.
-  if (hlrc_ && id_ == res.coordinator) {
-    if (shared_.fault != nullptr) shared_.ApplyPendingRehomes();
-    HlrcPruneNotices(res.min_seen);
-  }
+  // HLRC rides the same window: every node prunes its own notice log,
+  // and the coordinator flips crash-driven re-home batches into the home
+  // map at a point every node passes together (core/hlrc.h).
+  if (hlrc_) shared_.homes.OnBarrier(*this, id_ == res.coordinator);
   shared_.barrier->Rendezvous();
   // Coordinator bookkeeping after the rendezvous: ordered after every
   // stripe's work and PassTarget read above, and before any node's next
@@ -987,7 +736,6 @@ void Node::Barrier() {
 }
 
 void Node::AcquireLock(int lock_id) {
-  if (num_procs() == 1) return;
   if (!protocol_enabled()) {
     // Reference backend: mutual exclusion only.  The grant cannot arrive
     // before the previous holder released.
@@ -1016,9 +764,7 @@ void Node::AcquireLock(int lock_id) {
   // service-wide hand-off order, so diff requests issued from here on are
   // ordered after — and served from the cache of — anything materialized
   // under the previous holder's acquires.
-  if (!hlrc_) {
-    lock_subphase_ = static_cast<std::uint32_t>(grant.chain_pos);
-  }
+  lock_subphase_ = static_cast<std::uint32_t>(grant.chain_pos);
 
   VectorClock target = vc_;
   target.Merge(grant.release_vc);
@@ -1044,7 +790,6 @@ void Node::AcquireLock(int lock_id) {
 }
 
 void Node::ReleaseLock(int lock_id) {
-  if (num_procs() == 1) return;
   CloseInterval();  // no-op when the protocol is off
   // Detector release strictly before the service release: the next
   // grantee's acquire hook must find this release's clock on the lock.

@@ -19,8 +19,9 @@
 //
 // Threading: a Node is driven only by its own thread.  Peers touch a node
 // exclusively through its immutable-once-appended IntervalArchive (under
-// its mutex) and the sync services, and the archive GC's stripes
-// (core/gc.h) rewrite its pending notices inside the barrier window.
+// its mutex) and the sync services; inside the barrier window the archive
+// GC's stripes (core/gc.h) rewrite its pending notices and HLRC peers read
+// its consumed-notice clock (core/hlrc.h).
 #pragma once
 
 #include <algorithm>
@@ -28,7 +29,6 @@
 #include <atomic>
 #include <deque>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "common/check.h"
@@ -36,6 +36,7 @@
 #include "core/comm_stats.h"
 #include "core/config.h"
 #include "core/gc.h"
+#include "core/hlrc.h"
 #include "core/sync.h"
 #include "core/vector_clock.h"
 #include "core/write_notice.h"
@@ -69,15 +70,9 @@ struct SharedState {
   // image).  Race-free programs touch disjoint words between
   // synchronizations, so direct concurrent access is well-defined.
   HeapImage reference_image;
-  // BackendKind::kHlrc (DESIGN.md §7): the home-node master copies of
-  // every consistency unit, as one heap-sized image (which node is a
-  // unit's home is pure metadata — HomeOf).  Releases apply diffs here
-  // eagerly; faults copy whole units out.  Per-unit mutexes serialize a
-  // flush against a concurrent whole-unit fetch (race-free programs never
-  // conflict on the words involved, but the host-level copies overlap).
-  // Null unless the backend is kHlrc.
-  HeapImage home_image;
-  std::unique_ptr<std::mutex[]> home_mutexes;  // one per unit
+  // Home-based LRC (DESIGN.md §7): the home image, its re-home table and
+  // the nodes' HLRC scratch.  Empty unless the backend is kHlrc.
+  Homes homes;
 
   // Deterministic fault injection (DESIGN.md §9): null unless
   // config.fault is armed.
@@ -86,60 +81,16 @@ struct SharedState {
   // config.race_check.  Observational only — nodes feed it access and
   // synchronization events; it never touches modelled state.
   std::unique_ptr<RaceDetector> race;
-  // HLRC home-crash re-homing (DESIGN.md §9): per-unit home override,
-  // sized (all -1) when an HLRC schedule is armed, empty otherwise.  A
-  // crashed home's units are reconstructed by the victim's recovery and
-  // re-homed here; the batch is registered in `pending_rehomes` by the
-  // victim and applied by the barrier coordinator inside the next
-  // barrier's idle window (ApplyPendingRehomes), so every node flips to
-  // the new map at the same deterministic point.  `rehome_epoch` counts
-  // applied batches: a node whose private epoch lags pays the modelled
-  // timeout + retransmit for learning the new map at its next home
-  // contact (CommBreakdown::recovery_retransmits).
-  std::vector<ProcId> home_override;
-  std::mutex rehome_mutex;
-  std::vector<std::pair<UnitId, ProcId>> pending_rehomes;
-  std::uint64_t rehome_epoch = 0;
-  // Applies pending_rehomes into home_override.  Called only by the
-  // barrier coordinator between Arrive and Rendezvous — every other node
-  // is inside the same barrier, so the writes happen-before every
-  // post-barrier EffectiveHome read via the closing rendezvous.
-  void ApplyPendingRehomes();
-
-  // Home node of `unit` under kHlrc: round-robin over processors.  This
-  // is the static base map; EffectiveHome folds in crash-driven overrides.
-  ProcId HomeOf(UnitId unit) const {
-    return static_cast<ProcId>(unit % static_cast<UnitId>(config.num_procs));
-  }
-
-  // HomeOf plus the per-unit crash override table.
-  ProcId EffectiveHome(UnitId unit) const {
-    if (!home_override.empty()) {
-      const ProcId o = home_override[static_cast<std::size_t>(unit)];
-      if (o >= 0) return o;
-    }
-    return HomeOf(unit);
-  }
-
-  // New home for `unit` after home `dead` crashed: the HomeOf round-robin
-  // re-run over the surviving ranks (the dead rank excised, ranks above
-  // shifted down) — deterministic, communication-free, and as balanced as
-  // the primary map.
-  ProcId RehomeTarget(UnitId unit, ProcId dead) const {
-    const ProcId h = static_cast<ProcId>(
-        unit % static_cast<UnitId>(config.num_procs - 1));
-    return h >= dead ? h + 1 : h;
-  }
 
   // Barrier coordinator for `sync_phase`: proc 0 unless an at-barrier
   // event kills it at that phase, in which case the lowest surviving rank
   // assumes the coordinator roles (GC pass count, canonical-base peak fold
-  // and checkpoint watermark, HLRC watermark prune, re-home apply,
-  // barrier-manager cost asymmetry) for exactly that barrier.  Collecting
-  // the units is not one of them: every node, the victim included,
-  // collects its own stripe.  A pure function of the armed schedule and
-  // the phase, so every node computes the same answer with no
-  // communication; always 0 when no schedule is armed.
+  // and checkpoint watermark, HLRC re-home apply, barrier-manager cost
+  // asymmetry) for exactly that barrier.  Collecting the units and
+  // pruning the logs are not among them: every node, the victim included,
+  // collects its own GC stripe and prunes its own log.  A pure function
+  // of the armed schedule and the phase, so every node computes the same
+  // answer with no communication; always 0 when no schedule is armed.
   ProcId CoordinatorFor(std::uint32_t sync_phase) const;
   // Peer access for the lazy-diffing cost flags; filled in by Runtime
   // after node construction.
@@ -178,14 +129,10 @@ class Node {
   const VirtualClock& clock() const { return clock_; }
   CommStats& comm_stats() { return comm_stats_; }
   NetStats& net_stats() { return net_stats_; }
-  PageTable& page_table() { return table_; }
-  WordTracker& word_tracker() { return tracker_; }
   const VectorClock& vector_clock() const { return vc_; }
-  DynamicAggregator& aggregator() { return aggregator_; }
   // The memory this node's accesses hit: its private image under LRC, the
   // single shared image under the reference backend.
   std::byte* image() { return data_; }
-  IntervalArchive& archive() { return *shared_.archives[id_]; }
 
   // Close the current open interval (normally driven by release/barrier;
   // public for tests and for Runtime teardown).
@@ -195,13 +142,14 @@ class Node {
   // Crash recovery rebuilds this node's volatile state in place
   // (core/fault.h); it needs the same access the node's own protocol
   // methods have.  The archive GC flattens every node's pending notices.
+  // The HLRC paths (core/hlrc.h) flush, fetch and prune for the node.
   friend class RecoveryCoordinator;
   friend class ArchiveGc;
+  friend class Homes;
 
-  // The LRC protocol machinery runs only when there is someone to talk to
-  // and the run is not using the sequentially consistent reference oracle.
-  // Fixed at construction; cached so the access fast path pays one bool
-  // load instead of two config reads.
+  // The protocol machinery runs unless the run uses the sequentially
+  // consistent reference oracle.  Fixed at construction; cached so the
+  // access fast path pays one bool load instead of a config read.
   bool protocol_enabled() const { return protocol_enabled_; }
 
   std::span<std::byte> UnitSpan(UnitId unit) {
@@ -242,39 +190,6 @@ class Node {
   // exchanges, the fault record, and all modelled costs.
   void FetchUnits(const std::vector<UnitId>& units);
 
-  // --- home-based LRC (BackendKind::kHlrc, DESIGN.md §7) -------------------
-  // Close the open interval by eagerly diffing every dirty unit and
-  // flushing the diffs to the units' homes (one combined message per
-  // remote home, answered in parallel).  Adds each unit's write notice to
-  // `draft` with no diff — the payload lives at the homes now — for
-  // CloseInterval to archive.
-  void HlrcFlushInterval(IntervalDraft& draft);
-
-  // Resolve the invalid `units` by fetching whole-unit copies from their
-  // homes (one combined exchange per remote home; self-homed units are a
-  // local copy).  Local uncommitted modifications (a live twin) are laid
-  // back on top, mirroring the LRC fault path's image+twin discipline.
-  void HlrcFetchUnits(const std::vector<UnitId>& units);
-
-  // Barrier-window notice-log maintenance (proc 0, inside the idle
-  // window): prune every archived notice record that every other node has
-  // already processed — the HLRC counterpart of the LRC archive GC,
-  // trivial because the records are metadata-only.  `min_seen` is the
-  // barrier-aggregated floor of the peers' notices_seen_ clocks
-  // (min_seen[p] = min over q != p of notices_seen_q[p], accumulated by
-  // BarrierService::Arrive), which replaces the old O(num_procs²)
-  // all-pairs scan over the parked nodes (DESIGN.md §8).
-  void HlrcPruneNotices(const VectorClock& min_seen);
-
-  // HLRC home-crash re-homing (DESIGN.md §9): if re-home batches were
-  // applied since this node's last home contact, its next exchange is
-  // addressed from the stale map, times out against the dead home, and is
-  // re-sent — returns the modelled timeout + retransmit latency (one per
-  // missed batch, request of `request_bytes`) and bumps the
-  // recovery_retransmit counters.  Zero (and counter-free) when no
-  // schedule is armed or the node is current.
-  VirtualNanos HlrcChargeRehomeLearning(std::size_t request_bytes);
-
   // Mark a clean unit dirty (twin + unprotect).  `cheap` re-twins carry no
   // modelled cost (lazy-diffing regime, see WriteFault).
   void TwinUnit(UnitId unit, bool cheap = false);
@@ -311,8 +226,8 @@ class Node {
   const std::size_t unit_bytes_;
   const int unit_shift_;
   const bool protocol_enabled_;
-  // Home-based LRC backend active (protocol on + BackendKind::kHlrc):
-  // releases flush to homes and faults fetch whole units.
+  // Home-based LRC backend active (BackendKind::kHlrc): releases flush
+  // to homes and faults fetch whole units (core/hlrc.h).
   const bool hlrc_;
   // Per-word cost of a shared access, cached off the config for the
   // fast path.
@@ -338,11 +253,6 @@ class Node {
   std::vector<std::uint8_t> retwin_cheap_;
   std::vector<std::atomic<std::uint8_t>> diff_requested_;
   std::vector<std::uint8_t> diff_request_seen_;
-  // Last re-home batch epoch this node has learned
-  // (SharedState::rehome_epoch).  A lagging node's next remote home
-  // contact pays the modelled timeout + retransmit per missed batch and
-  // catches up — the lazy-learning model for HLRC home-crash re-homing.
-  std::uint64_t rehome_epoch_seen_ = 0;
   // Completed barrier phases (identical on every node at any given phase).
   std::uint32_t sync_phase_ = 0;
   // Lock-chain sub-phase: the service-wide position of this node's most
@@ -409,11 +319,6 @@ class Node {
   // ones (Barrier/AcquireLock).
   std::vector<const IntervalRecord*> notice_scratch_;
   IntervalDraft draft_scratch_;                       // CloseInterval
-  // HLRC scratch (empty vectors under the other backends): fault-time
-  // unit lists grouped by home, and per-home flush message accounting.
-  std::vector<std::vector<UnitId>> fetch_by_home_;     // HlrcFetchUnits
-  std::vector<std::size_t> hlrc_flush_bytes_;          // HlrcFlushInterval
-  std::vector<VirtualNanos> hlrc_flush_server_;        // HlrcFlushInterval
 };
 
 // ---------------------------------------------------------------------------

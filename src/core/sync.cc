@@ -1,36 +1,22 @@
 #include "core/sync.h"
 
 #include <algorithm>
-#include <limits>
 
 #include "common/check.h"
 
 namespace dsm {
 namespace {
 
-// Identity of the componentwise-min fold in Arrive.
-VectorClock MaxClock(int num_procs) {
-  VectorClock vc(num_procs);
-  for (ProcId p = 0; p < num_procs; ++p) {
-    vc[p] = std::numeric_limits<Seq>::max();
-  }
-  return vc;
-}
-
 constexpr const char* kAborted = "another processor's body threw";
 
 }  // namespace
 
 BarrierService::BarrierService(int num_procs)
-    : num_procs_(num_procs),
-      pending_vc_(num_procs),
-      min_seen_(MaxClock(num_procs)) {}
+    : num_procs_(num_procs), pending_vc_(num_procs) {}
 
-BarrierService::Result BarrierService::Arrive(ProcId proc,
-                                              const VectorClock& vc,
+BarrierService::Result BarrierService::Arrive(const VectorClock& vc,
                                               VirtualNanos arrival_time,
                                               std::size_t arrival_bytes,
-                                              const VectorClock* seen,
                                               ProcId coordinator) {
   std::unique_lock lock(mutex_);
   DSM_CHECK(!aborted_) << kAborted;
@@ -43,22 +29,14 @@ BarrierService::Result BarrierService::Arrive(ProcId proc,
         << "barrier arrivers disagree on the coordinator rank";
   }
   pending_vc_.Merge(vc);
-  if (seen != nullptr) {
-    // Fold the arriver's consumed-notice clock into the generation floor,
-    // skipping its own component (a node never consumes its own notices,
-    // so including it would pin the floor at zero).
-    for (ProcId p = 0; p < num_procs_; ++p) {
-      if (p != proc) min_seen_[p] = std::min(min_seen_[p], (*seen)[p]);
-    }
-  }
   max_arrival_ = std::max(max_arrival_, arrival_time);
   max_bytes_ = std::max(max_bytes_, arrival_bytes);
   ++arrived_;
 
   const std::uint64_t my_generation = generation_;
   if (arrived_ == num_procs_) {
-    current_ = Result{pending_vc_, max_arrival_, max_bytes_, min_seen_,
-                      pending_coordinator_};
+    current_ =
+        Result{pending_vc_, max_arrival_, max_bytes_, pending_coordinator_};
     // Reset for the next generation.  pending_vc_ is part of the
     // per-generation state: per-proc clocks happen to be monotone today,
     // which would mask a missing reset, but a checkpoint/restore or
@@ -67,7 +45,6 @@ BarrierService::Result BarrierService::Arrive(ProcId proc,
     max_arrival_ = 0;
     max_bytes_ = 0;
     pending_vc_ = VectorClock(num_procs_);
-    min_seen_ = MaxClock(num_procs_);
     pending_coordinator_ = -1;
     ++generation_;
     cv_.notify_all();

@@ -28,12 +28,6 @@ class BarrierService {
     VectorClock global_vc;      // max over all arrivals
     VirtualNanos base_time;     // modelled manager release time
     std::size_t max_arrival_bytes = 0;
-    // Componentwise minimum over the arrivers' consumed-notice clocks
-    // (each arriver's own component excluded — a node never consumes its
-    // own notices).  All-max when no arriver contributed one.  The HLRC
-    // backend prunes each notice log to this floor in O(num_procs)
-    // instead of rescanning every node's consumption vector.
-    VectorClock min_seen;
     // Agreed barrier coordinator for this generation (DESIGN.md §9).
     // Proc 0 on every failure-free barrier; the lowest surviving rank on
     // a barrier whose fault schedule kills proc 0.  Every arriver derives
@@ -46,26 +40,25 @@ class BarrierService {
   // virtual clock at arrival and `arrival_bytes` the write-notice payload
   // it ships to the manager.  The last arriver computes the result.
   // The modelled cost formula lives in the caller (Node::Barrier), which
-  // combines this result with the network/cost models.  `seen`, if
-  // non-null, is folded into Result::min_seen.  `coordinator` is the
-  // caller's view of this barrier's coordinator; all arrivers of one
+  // combines this result with the network/cost models.  `coordinator` is
+  // the caller's view of this barrier's coordinator; all arrivers of one
   // generation must agree (checked), and the agreed value is echoed in
   // Result::coordinator.
-  Result Arrive(ProcId proc, const VectorClock& vc, VirtualNanos arrival_time,
-                std::size_t arrival_bytes,
-                const VectorClock* seen = nullptr, ProcId coordinator = 0);
+  Result Arrive(const VectorClock& vc, VirtualNanos arrival_time,
+                std::size_t arrival_bytes, ProcId coordinator = 0);
 
   // Pure host-level rendezvous with no clock, vc, or statistics effects.
   // The protocol calls it right after Arrive to extend the barrier into a
   // window in which every processor is known to be idle, so cross-node
   // state can be read and reset deterministically (no application faults
-  // are in flight anywhere).  Two things ride this window: the
-  // lazy-diffing cost-model flag drain, and the barrier-epoch archive GC
+  // are in flight anywhere).  Three things ride this window: the
+  // lazy-diffing cost-model flag drain; the barrier-epoch archive GC
   // (DESIGN.md §6), which every node runs over its own stripe of units
   // before its rendezvous arrival — the wait here is what keeps any node
   // from faulting into a half-collected archive, and it orders every
-  // stripe's work before anything after the barrier.  Does not count as a
-  // completed barrier.
+  // stripe's work before anything after the barrier; and HLRC's re-home
+  // apply and per-node notice-log prune (core/hlrc.h).  Does not count as
+  // a completed barrier.
   void Rendezvous();
 
   // Wakes every waiter, and from then on Arrive and Rendezvous throw, in
@@ -90,7 +83,6 @@ class BarrierService {
   // checkpoint/restore or clock-reset path cannot leak stale maxima into
   // the next generation's global clock.
   VectorClock pending_vc_;
-  VectorClock min_seen_;  // accumulator for Result::min_seen
   VirtualNanos max_arrival_ = 0;
   std::size_t max_bytes_ = 0;
   ProcId pending_coordinator_ = -1;  // first arriver's view; -1 = unset

@@ -67,23 +67,6 @@ inline bool AllWordsDiffer64(const std::byte* t, const std::byte* c) {
 
 }  // namespace
 
-Diff Diff::Create(std::span<const std::byte> twin,
-                  std::span<const std::byte> current) {
-  Diff diff;
-  diff.runs_.reserve(8);
-  const std::size_t total_words = FindRuns(twin, current, diff.runs_);
-
-  // One exact payload allocation, bulk-copied run by run.
-  const std::byte* cp = current.data();
-  diff.payload_.reserve(total_words * kWordBytes);
-  for (const DiffRun& run : diff.runs_) {
-    const std::byte* src = cp + std::size_t{run.word_offset} * kWordBytes;
-    diff.payload_.insert(diff.payload_.end(), src,
-                         src + std::size_t{run.word_count} * kWordBytes);
-  }
-  return diff;
-}
-
 std::size_t Diff::FindRuns(std::span<const std::byte> twin,
                            std::span<const std::byte> current,
                            std::vector<DiffRun>& runs) {
@@ -148,11 +131,6 @@ std::size_t Diff::FindRuns(std::span<const std::byte> twin,
   return total_words;
 }
 
-std::uint32_t Diff::payload_word(std::size_t i) const {
-  DSM_CHECK_LT(i, payload_words());
-  return Load32(payload_.data() + i * kWordBytes);
-}
-
 std::vector<DiffRun> Diff::MergeRuns(std::span<const DiffRun> a,
                                      std::span<const DiffRun> b) {
   std::vector<DiffRun> out;
@@ -190,10 +168,6 @@ std::size_t Diff::RunWords(std::span<const DiffRun> runs) {
   return total;
 }
 
-void Diff::Apply(std::span<std::byte> dst) const {
-  ApplyRuns(runs_, payload_.data(), dst);
-}
-
 void Diff::ApplyRuns(std::span<const DiffRun> runs, const std::byte* payload,
                      std::span<std::byte> dst) {
   const std::size_t num_words = dst.size() / kWordBytes;
@@ -205,6 +179,20 @@ void Diff::ApplyRuns(std::span<const DiffRun> runs, const std::byte* payload,
     std::memcpy(dst.data() + std::size_t{run.word_offset} * kWordBytes,
                 payload, run_bytes);
     payload += run_bytes;
+  }
+}
+
+void Diff::CopyRuns(std::span<const DiffRun> runs,
+                    std::span<const std::byte> src, std::span<std::byte> dst) {
+  DSM_CHECK_EQ(src.size(), dst.size());
+  const std::size_t num_words = dst.size() / kWordBytes;
+  for (const DiffRun& run : runs) {
+    DSM_CHECK_LE(static_cast<std::size_t>(run.word_offset) + run.word_count,
+                 num_words)
+        << "diff run exceeds destination unit";
+    const std::size_t offset = std::size_t{run.word_offset} * kWordBytes;
+    std::memcpy(dst.data() + offset, src.data() + offset,
+                std::size_t{run.word_count} * kWordBytes);
   }
 }
 

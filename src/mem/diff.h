@@ -8,7 +8,10 @@
 // order between concurrent writers does not matter.  Consecutive diffs of
 // one writer may overlap: they are applied oldest first, so each word ends
 // with its newest value, and MergeRuns gives the run list of their union,
-// which is what one combined diff would put on the wire.
+// which is what one combined diff would put on the wire.  Diff holds only
+// these run-list primitives: a diff's words live packed in the interval
+// record a release builds (IntervalRecord, core/write_notice.h), or still
+// in the image the runs were found in.
 #pragma once
 
 #include <cstddef>
@@ -28,28 +31,27 @@ struct DiffRun {
 
 class Diff {
  public:
-  Diff() = default;
-
-  // Word-compare `twin` against `current` (both unit-sized, same length,
-  // length a multiple of kWordBytes) and record the words that differ.
-  static Diff Create(std::span<const std::byte> twin,
-                     std::span<const std::byte> current);
-
-  // Create's run pass: append the canonical runs of the words where
-  // `current` differs from `twin` to `runs`; returns the words they cover.
-  // An archived interval sizes its one block from it before copying any
+  // The run pass of diffing: append the canonical runs of the words where
+  // `current` differs from `twin` (both unit-sized, same length, length a
+  // multiple of kWordBytes) to `runs`; returns the words they cover.  An
+  // archived interval sizes its one block from it before copying any
   // payload (IntervalRecord, core/write_notice.h).
   static std::size_t FindRuns(std::span<const std::byte> twin,
                               std::span<const std::byte> current,
                               std::vector<DiffRun>& runs);
 
-  // Scatter the recorded words into `dst` (a unit-sized buffer).
-  void Apply(std::span<std::byte> dst) const;
-
   // Scatter `payload`, the words of `runs` packed run by run, into `dst`
-  // (a unit-sized buffer).  Apply for any run list and payload.
+  // (a unit-sized buffer).
   static void ApplyRuns(std::span<const DiffRun> runs,
                         const std::byte* payload, std::span<std::byte> dst);
+
+  // Copy the words of `runs` from `src` into the same offsets of `dst`
+  // (unit-sized buffers of one length): applying a diff whose payload
+  // still sits in the image it was found in.  Each run is checked against
+  // the unit, as ApplyRuns does.
+  static void CopyRuns(std::span<const DiffRun> runs,
+                       std::span<const std::byte> src,
+                       std::span<std::byte> dst);
 
   // The canonical (sorted, maximal, disjoint) run decomposition of the
   // union of two canonical run lists.  Used to combat diff accumulation:
@@ -74,28 +76,8 @@ class Diff {
     return kHeaderBytes + num_runs * kRunDescriptorBytes + words * kWordBytes;
   }
 
-  bool empty() const { return runs_.empty(); }
-  std::size_t num_runs() const { return runs_.size(); }
-  std::size_t payload_words() const { return payload_.size() / kWordBytes; }
-  std::size_t payload_bytes() const { return payload_.size(); }
-
-  std::size_t EncodedBytes() const {
-    return WireBytes(runs_.size(), payload_words());
-  }
-
-  const std::vector<DiffRun>& runs() const { return runs_; }
-  // Payload word `i` in run-major order (testing/inspection).
-  std::uint32_t payload_word(std::size_t i) const;
-
   static constexpr std::size_t kHeaderBytes = 16;
   static constexpr std::size_t kRunDescriptorBytes = 8;
-
- private:
-  std::vector<DiffRun> runs_;
-  // Bytes of the modified words, run by run.  Byte storage keeps payload
-  // construction a pure bulk copy (no zero-initializing resize, no
-  // aliasing-unsafe word pointers into the unit images).
-  std::vector<std::byte> payload_;
 };
 
 }  // namespace dsm

@@ -41,13 +41,7 @@ std::span<const std::byte> CanonicalStore::base(UnitId unit) const {
 
 void CanonicalStore::CopyRuns(UnitId unit, std::span<std::byte> dst,
                               std::span<const DiffRun> runs) const {
-  const std::span<const std::byte> src = base(unit);
-  for (const DiffRun& run : runs) {
-    const std::size_t off = std::size_t{run.word_offset} * kWordBytes;
-    const std::size_t len = std::size_t{run.word_count} * kWordBytes;
-    DSM_DCHECK(off + len <= unit_bytes_);
-    std::memcpy(dst.data() + off, src.data() + off, len);
-  }
+  Diff::CopyRuns(runs, base(unit), dst);
 }
 
 bool CanonicalStore::ReadCheckpoint(UnitId unit,

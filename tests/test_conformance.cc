@@ -460,7 +460,7 @@ TEST(RuntimeMisuse, BodyExceptionPropagatesToCaller) {
 TEST(RuntimeMisuse, SingleProcBodyExceptionPropagates) {
   RuntimeConfig cfg;
   cfg.num_procs = 1;
-  cfg.allow_sequential = true;
+  cfg.backend = BackendKind::kReference;
   cfg.heap_bytes = 1u << 20;
   Runtime rt(cfg);
   EXPECT_THROW(rt.Run([](Proc&) { throw std::logic_error("boom"); }),

@@ -1,5 +1,7 @@
 // Twin/diff machinery: unit tests plus randomized property tests (the
 // diff is the integrity-critical core of the multiple-writer protocol).
+// A diff is tested in the form a release builds it: a one-unit interval
+// record (core/write_notice.h).
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -7,7 +9,7 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "mem/diff.h"
+#include "core/write_notice.h"
 
 namespace dsm {
 namespace {
@@ -18,47 +20,58 @@ std::vector<std::byte> Bytes(const std::vector<std::uint32_t>& words) {
   return out;
 }
 
+// The record a release archives for one unit with this twin and working
+// copy.
+IntervalRecord DiffOf(std::span<const std::byte> twin,
+                      std::span<const std::byte> current) {
+  IntervalDraft draft;
+  draft.AddDiff(0, twin, current);
+  VectorClock vc(1);
+  vc[0] = 1;
+  return IntervalRecord(0, 1, vc, draft);
+}
+
 TEST(Diff, EmptyWhenIdentical) {
   auto a = Bytes({1, 2, 3, 4});
-  Diff d = Diff::Create(a, a);
-  EXPECT_TRUE(d.empty());
-  EXPECT_EQ(d.payload_words(), 0u);
-  EXPECT_EQ(d.EncodedBytes(), Diff::kHeaderBytes);
+  const IntervalRecord d = DiffOf(a, a);
+  EXPECT_TRUE(d.runs(0).empty());
+  EXPECT_EQ(d.payload_words(0), 0u);
+  EXPECT_EQ(d.EncodedBytes(0), Diff::kHeaderBytes);
 }
 
 TEST(Diff, SingleWordChange) {
   auto twin = Bytes({1, 2, 3, 4});
   auto cur = Bytes({1, 9, 3, 4});
-  Diff d = Diff::Create(twin, cur);
-  ASSERT_EQ(d.num_runs(), 1u);
-  EXPECT_EQ(d.runs()[0].word_offset, 1u);
-  EXPECT_EQ(d.runs()[0].word_count, 1u);
-  EXPECT_EQ(d.payload_word(0), 9u);
+  const IntervalRecord d = DiffOf(twin, cur);
+  ASSERT_EQ(d.runs(0).size(), 1u);
+  EXPECT_EQ(d.runs(0)[0].word_offset, 1u);
+  EXPECT_EQ(d.runs(0)[0].word_count, 1u);
+  EXPECT_EQ(d.payload_word(0, 0), 9u);
 }
 
 TEST(Diff, AdjacentChangesCoalesceIntoOneRun) {
   auto twin = Bytes({1, 2, 3, 4, 5});
   auto cur = Bytes({1, 7, 8, 9, 5});
-  Diff d = Diff::Create(twin, cur);
-  ASSERT_EQ(d.num_runs(), 1u);
-  EXPECT_EQ(d.runs()[0].word_offset, 1u);
-  EXPECT_EQ(d.runs()[0].word_count, 3u);
+  const IntervalRecord d = DiffOf(twin, cur);
+  ASSERT_EQ(d.runs(0).size(), 1u);
+  EXPECT_EQ(d.runs(0)[0].word_offset, 1u);
+  EXPECT_EQ(d.runs(0)[0].word_count, 3u);
 }
 
 TEST(Diff, DisjointChangesMakeSeparateRuns) {
   auto twin = Bytes({1, 2, 3, 4, 5, 6});
   auto cur = Bytes({9, 2, 3, 8, 5, 7});
-  Diff d = Diff::Create(twin, cur);
-  EXPECT_EQ(d.num_runs(), 3u);
-  EXPECT_EQ(d.payload_words(), 3u);
+  const IntervalRecord d = DiffOf(twin, cur);
+  EXPECT_EQ(d.runs(0).size(), 3u);
+  EXPECT_EQ(d.payload_words(0), 3u);
 }
 
 TEST(Diff, ApplyReconstructsModifications) {
   auto twin = Bytes({10, 20, 30, 40});
   auto cur = Bytes({11, 20, 33, 40});
-  Diff d = Diff::Create(twin, cur);
+  const IntervalRecord d = DiffOf(twin, cur);
   auto target = twin;  // an unmodified copy at another node
-  d.Apply(target);
+  d.Apply(0, target);
   EXPECT_EQ(target, cur);
 }
 
@@ -68,19 +81,19 @@ TEST(Diff, ApplyPreservesConcurrentDisjointWrites) {
   auto base = Bytes({0, 0, 0, 0});
   auto a = Bytes({5, 0, 0, 0});
   auto b = Bytes({0, 0, 0, 7});
-  Diff da = Diff::Create(base, a);
+  const IntervalRecord da = DiffOf(base, a);
   auto merged = b;
-  da.Apply(merged);
+  da.Apply(0, merged);
   EXPECT_EQ(merged, Bytes({5, 0, 0, 7}));
 }
 
 TEST(Diff, EncodedBytesAccountsRunsAndPayload) {
   auto twin = Bytes({0, 0, 0, 0});
   auto cur = Bytes({1, 0, 2, 0});
-  Diff d = Diff::Create(twin, cur);
-  EXPECT_EQ(d.EncodedBytes(), Diff::kHeaderBytes +
-                                  2 * Diff::kRunDescriptorBytes +
-                                  2 * kWordBytes);
+  const IntervalRecord d = DiffOf(twin, cur);
+  EXPECT_EQ(d.EncodedBytes(0), Diff::kHeaderBytes +
+                                   2 * Diff::kRunDescriptorBytes +
+                                   2 * kWordBytes);
 }
 
 // --- Consecutive diffs vs. a brute-force word-map oracle --------------------
@@ -90,20 +103,20 @@ TEST(Diff, EncodedBytesAccountsRunsAndPayload) {
 // applies the members oldest first.
 
 // Word-map view of a diff: offset → value, in apply order.
-std::map<std::uint32_t, std::uint32_t> WordMap(const Diff& d) {
+std::map<std::uint32_t, std::uint32_t> WordMap(const IntervalRecord& d) {
   std::map<std::uint32_t, std::uint32_t> map;
   std::size_t p = 0;
-  for (const DiffRun& run : d.runs()) {
+  for (const DiffRun& run : d.runs(0)) {
     for (std::uint32_t i = 0; i < run.word_count; ++i) {
-      map[run.word_offset + i] = d.payload_word(p++);
+      map[run.word_offset + i] = d.payload_word(0, p++);
     }
   }
   return map;
 }
 
 // The oracle: absorb older then newer word by word (newer wins).
-std::map<std::uint32_t, std::uint32_t> MergeOracle(const Diff& older,
-                                                   const Diff& newer) {
+std::map<std::uint32_t, std::uint32_t> MergeOracle(
+    const IntervalRecord& older, const IntervalRecord& newer) {
   std::map<std::uint32_t, std::uint32_t> map = WordMap(older);
   for (const auto& [offset, value] : WordMap(newer)) map[offset] = value;
   return map;
@@ -130,11 +143,12 @@ void ExpectCanonicalRuns(const std::vector<DiffRun>& runs,
 // and applying older then newer to `base` must write exactly the oracle's
 // values.  Returns the merged runs.
 std::vector<DiffRun> ExpectChainMatchesOracle(
-    const Diff& older, const Diff& newer, const std::vector<std::byte>& base) {
+    const IntervalRecord& older, const IntervalRecord& newer,
+    const std::vector<std::byte>& base) {
   const std::map<std::uint32_t, std::uint32_t> oracle =
       MergeOracle(older, newer);
   const std::vector<DiffRun> runs =
-      Diff::MergeRuns(older.runs(), newer.runs());
+      Diff::MergeRuns(older.runs(0), newer.runs(0));
   ExpectCanonicalRuns(runs, base.size() / kWordBytes);
   std::vector<std::uint32_t> covered, oracle_words;
   for (const DiffRun& run : runs) {
@@ -146,8 +160,8 @@ std::vector<DiffRun> ExpectChainMatchesOracle(
   EXPECT_EQ(covered, oracle_words);
 
   std::vector<std::byte> applied = base;
-  older.Apply(applied);
-  newer.Apply(applied);
+  older.Apply(0, applied);
+  newer.Apply(0, applied);
   std::vector<std::byte> expected = base;
   for (const auto& [offset, value] : oracle) {
     std::memcpy(expected.data() + std::size_t{offset} * kWordBytes, &value,
@@ -162,7 +176,7 @@ TEST(DiffMerge, NewerWinsOnOverlap) {
   auto v1 = Bytes({1, 1, 0, 0});
   auto v2 = Bytes({2, 1, 9, 0});
   const std::vector<DiffRun> runs = ExpectChainMatchesOracle(
-      Diff::Create(base, v1), Diff::Create(v1, v2), base);
+      DiffOf(base, v1), DiffOf(v1, v2), base);
   ASSERT_EQ(runs.size(), 1u);  // [0,3)
   EXPECT_EQ(Diff::RunWords(runs), 3u);
 }
@@ -172,7 +186,7 @@ TEST(DiffMerge, UnionOfDisjointRuns) {
   auto v1 = Bytes({1, 0, 0, 0, 0});
   auto v2 = Bytes({1, 0, 0, 0, 5});
   const std::vector<DiffRun> runs = ExpectChainMatchesOracle(
-      Diff::Create(base, v1), Diff::Create(v1, v2), base);
+      DiffOf(base, v1), DiffOf(v1, v2), base);
   EXPECT_EQ(runs.size(), 2u);
   EXPECT_EQ(Diff::RunWords(runs), 2u);
 }
@@ -180,24 +194,24 @@ TEST(DiffMerge, UnionOfDisjointRuns) {
 TEST(DiffMerge, EmptyOlder) {
   auto base = Bytes({0, 0, 0, 0});
   auto v = Bytes({0, 7, 7, 0});
-  Diff empty = Diff::Create(base, base);
-  Diff d = Diff::Create(base, v);
+  const IntervalRecord empty = DiffOf(base, base);
+  const IntervalRecord d = DiffOf(base, v);
   EXPECT_EQ(Diff::RunWords(ExpectChainMatchesOracle(empty, d, base)), 2u);
 }
 
 TEST(DiffMerge, EmptyNewer) {
   auto base = Bytes({0, 0, 0, 0});
   auto v = Bytes({3, 0, 0, 3});
-  Diff d = Diff::Create(base, v);
-  Diff empty = Diff::Create(base, base);
+  const IntervalRecord d = DiffOf(base, v);
+  const IntervalRecord empty = DiffOf(base, base);
   const std::vector<DiffRun> runs = ExpectChainMatchesOracle(d, empty, base);
-  EXPECT_EQ(runs.size(), d.num_runs());
-  EXPECT_EQ(Diff::RunWords(runs), d.payload_words());
+  EXPECT_EQ(runs.size(), d.runs(0).size());
+  EXPECT_EQ(Diff::RunWords(runs), d.payload_words(0));
 }
 
 TEST(DiffMerge, BothEmpty) {
   auto base = Bytes({1, 2, 3});
-  Diff empty = Diff::Create(base, base);
+  const IntervalRecord empty = DiffOf(base, base);
   EXPECT_TRUE(ExpectChainMatchesOracle(empty, empty, base).empty());
 }
 
@@ -205,8 +219,8 @@ TEST(DiffMerge, FullyOverlappingRunsNewerWins) {
   auto base = Bytes({0, 0, 0, 0, 0, 0});
   auto v1 = Bytes({0, 1, 1, 1, 0, 0});
   auto v2 = Bytes({0, 2, 2, 2, 0, 0});
-  Diff older = Diff::Create(base, v1);
-  Diff newer = Diff::Create(base, v2);
+  const IntervalRecord older = DiffOf(base, v1);
+  const IntervalRecord newer = DiffOf(base, v2);
   const std::vector<DiffRun> runs =
       ExpectChainMatchesOracle(older, newer, base);
   ASSERT_EQ(runs.size(), 1u);
@@ -218,8 +232,8 @@ TEST(DiffMerge, PartialOverlapKeepsOlderFringe) {
   auto base = Bytes({0, 0, 0, 0, 0, 0, 0});
   auto v1 = Bytes({0, 1, 1, 1, 0, 0, 0});
   auto v2 = Bytes({0, 0, 0, 2, 2, 2, 0});
-  Diff older = Diff::Create(base, v1);
-  Diff newer = Diff::Create(base, v2);
+  const IntervalRecord older = DiffOf(base, v1);
+  const IntervalRecord newer = DiffOf(base, v2);
   const std::vector<DiffRun> runs =
       ExpectChainMatchesOracle(older, newer, base);
   ASSERT_EQ(runs.size(), 1u);  // [1,6) coalesces
@@ -231,8 +245,8 @@ TEST(DiffMerge, AdjacentRunsCoalesceIntoOne) {
   auto base = Bytes({0, 0, 0, 0, 0, 0});
   auto v1 = Bytes({0, 5, 5, 0, 0, 0});  // run [1,3)
   auto v2 = Bytes({0, 0, 0, 6, 6, 0});  // run [3,5), adjacent
-  Diff older = Diff::Create(base, v1);
-  Diff newer = Diff::Create(base, v2);
+  const IntervalRecord older = DiffOf(base, v1);
+  const IntervalRecord newer = DiffOf(base, v2);
   const std::vector<DiffRun> runs =
       ExpectChainMatchesOracle(older, newer, base);
   ASSERT_EQ(runs.size(), 1u);
@@ -244,8 +258,8 @@ TEST(DiffMerge, InterleavedDisjointRuns) {
   auto base = Bytes({0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0});
   auto v1 = Bytes({1, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0});  // runs at 0, 4, 8
   auto v2 = Bytes({0, 0, 2, 0, 0, 0, 2, 0, 0, 0, 2, 0});  // runs at 2, 6, 10
-  Diff older = Diff::Create(base, v1);
-  Diff newer = Diff::Create(base, v2);
+  const IntervalRecord older = DiffOf(base, v1);
+  const IntervalRecord newer = DiffOf(base, v2);
   const std::vector<DiffRun> runs =
       ExpectChainMatchesOracle(older, newer, base);
   EXPECT_EQ(runs.size(), 6u);
@@ -256,8 +270,8 @@ TEST(DiffMerge, NewerRunSpanningSeveralOlderRuns) {
   auto base = Bytes({0, 0, 0, 0, 0, 0, 0, 0});
   auto v1 = Bytes({1, 1, 0, 1, 0, 1, 1, 0});  // runs [0,2),[3,4),[5,7)
   auto v2 = Bytes({0, 2, 2, 2, 2, 2, 0, 0});  // one run [1,6) across them
-  Diff older = Diff::Create(base, v1);
-  Diff newer = Diff::Create(base, v2);
+  const IntervalRecord older = DiffOf(base, v1);
+  const IntervalRecord newer = DiffOf(base, v2);
   ExpectChainMatchesOracle(older, newer, base);
 }
 
@@ -284,10 +298,10 @@ TEST_P(DiffPropertyTest, CreateApplyRoundTrip) {
   }
   auto twin = Bytes(twin_w);
   auto cur = Bytes(cur_w);
-  Diff d = Diff::Create(twin, cur);
-  EXPECT_EQ(d.payload_words(), expected_modified);
+  const IntervalRecord d = DiffOf(twin, cur);
+  EXPECT_EQ(d.payload_words(0), expected_modified);
   auto target = twin;
-  d.Apply(target);
+  d.Apply(0, target);
   EXPECT_EQ(target, cur);
 }
 
@@ -304,8 +318,8 @@ TEST_P(DiffPropertyTest, MergeMatchesWordMapOracle) {
     v2[i] = rng.UniformDouble() < 0.3 ? v0[i] + 2 : v0[i];
   }
   auto b0 = Bytes(v0), b1 = Bytes(v1), b2 = Bytes(v2);
-  Diff older = Diff::Create(b0, b1);
-  Diff newer = Diff::Create(b0, b2);
+  const IntervalRecord older = DiffOf(b0, b1);
+  const IntervalRecord newer = DiffOf(b0, b2);
   ExpectChainMatchesOracle(older, newer, b0);
 }
 
@@ -318,10 +332,10 @@ TEST_P(DiffPropertyTest, RunsAreCanonical) {
     twin_w[i] = 1;
     cur_w[i] = rng.UniformDouble() < 0.5 ? 1u : 2u;
   }
-  Diff d = Diff::Create(Bytes(twin_w), Bytes(cur_w));
+  const IntervalRecord d = DiffOf(Bytes(twin_w), Bytes(cur_w));
   std::uint32_t prev_end = 0;
   bool first = true;
-  for (const DiffRun& run : d.runs()) {
+  for (const DiffRun& run : d.runs(0)) {
     EXPECT_GT(run.word_count, 0u);
     if (!first) {
       // Maximality: a gap of at least one unmodified word between runs.

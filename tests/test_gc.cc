@@ -561,8 +561,9 @@ TEST(HlrcNoArchive, GcHooksStayOffForTheHomeBackend) {
 // GC — so bound it directly: after many barrier epochs, each node's
 // archive must hold only the last few notice records (everything every
 // consumer has seen is pruned), not one per interval ever closed.  A
-// broken HlrcPruneNotices is an unbounded host-memory leak that the
-// telemetry counters (deliberately unhooked for HLRC) would never show.
+// broken prune (Homes::OnBarrier) is an unbounded host-memory leak that
+// the telemetry counters (deliberately unhooked for HLRC) would never
+// show.
 TEST(HlrcNoArchive, NoticeLogIsWatermarkPruned) {
   RuntimeConfig cfg;
   cfg.num_procs = 4;
@@ -596,6 +597,47 @@ TEST(HlrcNoArchive, NoticeLogIsWatermarkPruned) {
       EXPECT_GT(a.min_retained_seq(), static_cast<Seq>(kEpochs / 2))
           << "proc " << pr;
     }
+  }
+}
+
+// The prune drops exactly what every peer has consumed.  Proc 0 holds
+// lock 1 across barrier A, so proc 1's acquire of it after A waits for
+// proc 0's release, which follows record r (closed by proc 0's release of
+// lock 0): proc 1 consumes r before barrier B.  A third processor
+// consumes r only when B releases it.  So B's prune drops r with two
+// processors and keeps it with three, and C's prune drops it with both;
+// a prune that keeps one record too many, or drops one too many, fails
+// one of the two.
+TEST(HlrcNoArchive, LogPrunesExactlyWhatEveryPeerConsumed) {
+  for (int nprocs : {2, 3}) {
+    RuntimeConfig cfg;
+    cfg.num_procs = nprocs;
+    cfg.backend = BackendKind::kHlrc;
+    cfg.heap_bytes = 1u << 20;
+    Runtime rt(cfg);
+    auto data = rt.Alloc<int>(1024, "data");
+    const IntervalArchive& log = *rt.shared().archives[0];
+    std::size_t after_b = 0, after_c = 0;
+    rt.Run([&](Proc& p) {
+      if (p.id() == 0) p.Lock(1);
+      p.Barrier();  // A
+      if (p.id() == 0) {
+        p.Lock(0);
+        p.Write(data, 0, 1);
+        p.Unlock(0);  // closes r
+        p.Unlock(1);
+      } else if (p.id() == 1) {
+        p.Lock(1);  // consumes r
+        p.Unlock(1);
+      }
+      p.Barrier();  // B
+      if (p.id() == 0) after_b = log.size();
+      p.Barrier();  // C
+      if (p.id() == 0) after_c = log.size();
+    });
+    const std::string where = std::to_string(nprocs) + " procs";
+    EXPECT_EQ(after_b, nprocs == 2 ? 0u : 1u) << where;
+    EXPECT_EQ(after_c, 0u) << where;
   }
 }
 

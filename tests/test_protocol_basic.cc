@@ -180,10 +180,11 @@ TEST(ProtocolBasic, ConcurrentWriterKeepsOwnWordsAfterFetch) {
   EXPECT_EQ(seen0[1], 20);
 }
 
-// Sequential mode (1 processor): no protocol activity at all.
+// Sequential mode (1 processor, reference backend): no protocol activity
+// at all.
 TEST(ProtocolBasic, SequentialModeHasNoProtocolTraffic) {
   RuntimeConfig cfg = SmallConfig(1);
-  cfg.allow_sequential = true;
+  cfg.backend = BackendKind::kReference;
   Runtime rt(cfg);
   auto a = rt.Alloc<int>(4096, "a");
   rt.Run([&](Proc& p) {

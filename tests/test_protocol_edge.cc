@@ -354,10 +354,10 @@ TEST(ConfigValidation, RejectsBadProcessorCounts) {
   cfg = Config(5000);
   ExpectRejected(cfg, "num_procs");
   // One processor is degenerate and almost always a mis-filled config;
-  // the sequential oracle opts in via allow_sequential.
+  // a sequential run uses the reference backend, which runs no protocol.
   cfg = Config(1);
-  ExpectRejected(cfg, "allow_sequential");
-  cfg.allow_sequential = true;
+  ExpectRejected(cfg, "kReference");
+  cfg.backend = BackendKind::kReference;
   EXPECT_NO_THROW(Runtime rt(cfg));
 }
 

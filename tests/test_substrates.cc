@@ -547,10 +547,11 @@ TEST(IntervalArchiveTest, PointersSurviveAppendsAndPrefixPrunes) {
 }
 
 // One record's block holds the clock, the units, every unit's runs and
-// payload words.  Each unit round-trips against the Diff built from the
-// same twin and image: the same runs, payload words and wire size, and
-// applying the record's diff to the twin rebuilds the image.  The notice
-// and retained sizes, and the happens-before key, are the record's own.
+// payload words.  Each unit round-trips against the run pass over the
+// same twin and image: the same runs and their wire size, each payload
+// word equal to the image word at its run offset, and applying the
+// record's diff to the twin rebuilds the image.  The notice and retained
+// sizes, and the happens-before key, are the record's own.
 TEST(IntervalRecordTest, PackedBlockMatchesDiffs) {
   struct UnitCase {
     UnitId unit;
@@ -607,23 +608,34 @@ TEST(IntervalRecordTest, PackedBlockMatchesDiffs) {
     std::size_t retained = rec.NoticeBytes();
     for (std::size_t i = 0; i < cases.size(); ++i) {
       const UnitCase& c = cases[i];
-      const Diff d = Diff::Create(c.twin, c.current);
+      std::vector<DiffRun> expected;
+      const std::size_t words = Diff::FindRuns(c.twin, c.current, expected);
       EXPECT_EQ(rec.units()[i], c.unit);
       const std::span<const DiffRun> runs = rec.runs(i);
-      ASSERT_EQ(runs.size(), d.num_runs()) << "record " << r << " unit " << i;
+      ASSERT_EQ(runs.size(), expected.size())
+          << "record " << r << " unit " << i;
       for (std::size_t k = 0; k < runs.size(); ++k) {
-        EXPECT_EQ(runs[k].word_offset, d.runs()[k].word_offset);
-        EXPECT_EQ(runs[k].word_count, d.runs()[k].word_count);
+        EXPECT_EQ(runs[k].word_offset, expected[k].word_offset);
+        EXPECT_EQ(runs[k].word_count, expected[k].word_count);
       }
-      ASSERT_EQ(rec.payload_words(i), d.payload_words());
-      for (std::size_t k = 0; k < d.payload_words(); ++k) {
-        EXPECT_EQ(rec.payload_word(i, k), d.payload_word(k));
+      ASSERT_EQ(rec.payload_words(i), words);
+      std::size_t k = 0;
+      for (const DiffRun& run : runs) {
+        for (std::uint32_t w = 0; w < run.word_count; ++w) {
+          std::uint32_t image_word = 0;
+          std::memcpy(&image_word,
+                      c.current.data() +
+                          std::size_t{run.word_offset + w} * kWordBytes,
+                      kWordBytes);
+          EXPECT_EQ(rec.payload_word(i, k++), image_word);
+        }
       }
-      EXPECT_EQ(rec.EncodedBytes(i), d.EncodedBytes());
+      const std::size_t wire = Diff::WireBytes(expected.size(), words);
+      EXPECT_EQ(rec.EncodedBytes(i), wire);
       std::vector<std::byte> rebuilt = c.twin;
       rec.Apply(i, rebuilt);
       EXPECT_EQ(rebuilt, c.current) << "record " << r << " unit " << i;
-      retained += d.EncodedBytes();
+      retained += wire;
     }
     EXPECT_EQ(rec.RetainedBytes(), retained);
   }
@@ -646,7 +658,7 @@ TEST(IntervalRecordTest, NoticeOnlyRecordHasUnitsAndNoDiffs) {
   for (std::size_t i = 0; i < 3; ++i) {
     EXPECT_TRUE(rec.runs(i).empty());
     EXPECT_EQ(rec.payload_words(i), 0u);
-    EXPECT_EQ(rec.EncodedBytes(i), Diff().EncodedBytes());
+    EXPECT_EQ(rec.EncodedBytes(i), Diff::WireBytes(0, 0));
   }
   EXPECT_EQ(rec.NoticeBytes(), 16u + 3 * 8);
   EXPECT_EQ(rec.RetainedBytes(), rec.NoticeBytes() + 3 * Diff::kHeaderBytes);

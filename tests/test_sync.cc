@@ -207,8 +207,8 @@ TEST(Barrier, GenerationVectorClockDoesNotLeakForward) {
   a[0] = 5;
   b[1] = 7;
   BarrierService::Result r1;
-  std::thread t1([&] { r1 = svc.Arrive(0, a, 0, 0); });
-  BarrierService::Result r1b = svc.Arrive(1, b, 0, 0);
+  std::thread t1([&] { r1 = svc.Arrive(a, 0, 0); });
+  BarrierService::Result r1b = svc.Arrive(b, 0, 0);
   t1.join();
   EXPECT_EQ(r1b.global_vc[0], 5u);
   EXPECT_EQ(r1b.global_vc[1], 7u);
@@ -218,8 +218,8 @@ TEST(Barrier, GenerationVectorClockDoesNotLeakForward) {
   c[0] = 1;
   d[1] = 2;
   BarrierService::Result r2;
-  std::thread t2([&] { r2 = svc.Arrive(0, c, 0, 0); });
-  BarrierService::Result r2b = svc.Arrive(1, d, 0, 0);
+  std::thread t2([&] { r2 = svc.Arrive(c, 0, 0); });
+  BarrierService::Result r2b = svc.Arrive(d, 0, 0);
   t2.join();
   EXPECT_EQ(r2b.global_vc[0], 1u);
   EXPECT_EQ(r2b.global_vc[1], 2u);
