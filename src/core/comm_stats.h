@@ -39,7 +39,7 @@ struct CommBreakdown {
   std::uint64_t piggyback_useless_bytes = 0;  // useless words on useful msgs
   std::uint64_t useless_msg_data_bytes = 0;   // words on useless msgs
   // Independent tally of diff payload: incremented by the protocol once
-  // per APPLIED diff (Node::FetchUnits' apply loop), a different code path
+  // per APPLIED diff (Lrc::Fetch's apply loop), a different code path
   // from the per-exchange word bookkeeping that Finalize() classifies.
   // Invariant: total_data_bytes() == delivered_data_bytes — every applied
   // word must be accounted for by the useful/useless split, so a missed

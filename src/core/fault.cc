@@ -322,10 +322,8 @@ void RecoveryCoordinator::Recover(Node& node, const VectorClock& to,
                                   int event_index) {
   const auto wall_start = std::chrono::steady_clock::now();
   SharedState& shared = node.shared_;
-  const CostModel& cost = shared.config.cost;
   const int nprocs = shared.config.num_procs;
   const std::size_t num_units = shared.heap.num_units();
-  const std::size_t unit_bytes = node.unit_bytes_;
   CommBreakdown& c = node.comm_stats_.counters();
   c.recoveries += 1;
 
@@ -339,93 +337,14 @@ void RecoveryCoordinator::Recover(Node& node, const VectorClock& to,
   // inside a barrier with every interval closed).
   std::memset(node.data_, 0, shared.heap.heap_bytes());
   node.table_.ResetForRecovery();
-  for (UnitId u = 0; u < num_units; ++u) {
-    node.pending_[u].clear();
-    node.retwin_cheap_[u] = 0;
-    node.diff_request_seen_[u] = 0;
-  }
-  // The victim's reclaimed chains go, and it becomes a sharer of EVERY
-  // unit: its rebuilt image is newer than the shared virgin history, so a
-  // later first-fault adoption of those chains would clobber replayed
-  // content.  Safe — the virgin store is dropped only once every proc is
-  // a sharer, which only drops history no one can need.
-  shared.gc.Forget(node.id_);
 
-  // --- rebuild the image from the stable substrate --------------------------
+  // --- rebuild the image from the stable substrate (DESIGN.md §9) -----------
   VirtualNanos slowest = 0;  // parallel sources: clock takes the max
   VirtualNanos install = 0;  // local per-unit / per-diff apply work
   if (node.hlrc_) {
-    // HLRC (DESIGN.md §9): the homes serve whole-unit copies, and the
-    // victim's own units are reconstructed and re-homed.
     shared.homes.Rebuild(node, slowest, install);
   } else {
-    // LRC (DESIGN.md §9): canonical bases hold every interval at or below
-    // the checkpoint watermark (checkpoint-complete GC mode); the archives
-    // — stable write-ahead logs, the victim's own included — hold the
-    // rest.  Replay above the watermark in happens-before order.
-    const VectorClock& cvc = shared.gc.checkpoint();
-    std::size_t base_units = 0;
-    for (UnitId u = 0; u < num_units; ++u) {
-      if (shared.gc.bases().ReadCheckpoint(u, node.UnitSpan(u))) {
-        ++base_units;
-      }
-    }
-    if (base_units > 0) {
-      // One bulk exchange with the checkpoint store: request header, one
-      // (unit id + payload) per base image.
-      const std::size_t resp = base_units * (16 + unit_bytes);
-      c.recovery_messages += 2;
-      c.recovery_data_bytes += base_units * unit_bytes;
-      slowest = std::max(
-          slowest, shared.net.RoundTripTime(16, resp) +
-                       cost.request_service_overhead +
-                       static_cast<VirtualNanos>(base_units) *
-                           cost.TwinCost(unit_bytes));
-      install += static_cast<VirtualNanos>(base_units) *
-                 cost.TwinCost(unit_bytes);
-    }
-
-    struct Replay {
-      UnitId unit;
-      const IntervalRecord* rec;
-      std::uint32_t index;
-      HbKey key;
-    };
-    std::vector<Replay> replay;
-    std::vector<const IntervalRecord*> range;
-    for (ProcId p = 0; p < nprocs; ++p) {
-      range.clear();
-      shared.archives[p]->Range(cvc[p], cut[p], range);
-      if (range.empty()) continue;
-      // One exchange per contributing log: request header, per-record
-      // notice header plus the encoded diffs.
-      std::size_t resp = 0;
-      for (const IntervalRecord* rec : range) {
-        const HbKey key(*rec);
-        resp += 16;
-        const std::span<const UnitId> units = rec->units();
-        for (std::uint32_t k = 0; k < units.size(); ++k) {
-          resp += rec->EncodedBytes(k);
-          c.recovery_data_bytes += rec->payload_words(k) * kWordBytes;
-          replay.push_back({units[k], rec, k, key});
-        }
-      }
-      c.recovery_messages += 2;
-      c.recovery_records += range.size();
-      slowest = std::max(slowest, shared.net.RoundTripTime(16, resp) +
-                                      cost.request_service_overhead);
-    }
-    // Happens-before order per unit (HbKey, as in the GC apply pass).
-    std::sort(replay.begin(), replay.end(),
-              [](const Replay& a, const Replay& b) {
-                if (a.unit != b.unit) return a.unit < b.unit;
-                return a.key < b.key;
-              });
-    for (const Replay& r : replay) {
-      r.rec->Apply(r.index, node.UnitSpan(r.unit));
-      install +=
-          cost.DiffApplyCost(r.rec->payload_words(r.index) * kWordBytes);
-    }
+    shared.lrc.Rebuild(node, cut, slowest, install);
   }
   c.recovery_units += num_units;
 

@@ -14,7 +14,7 @@
 // substrate:
 //
 //   * LRC:  canonical base images (the archive GC's barrier-epoch
-//           checkpoints, CanonicalStore::ReadCheckpoint) plus the archived
+//           checkpoints, Lrc::Rebuild in core/lrc.h) plus the archived
 //           interval records not yet flattened into them.  Archives model
 //           write-ahead logs on stable storage: a record is durable the
 //           moment the interval closes, so the victim's own log survives

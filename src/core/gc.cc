@@ -1,4 +1,7 @@
-#include "core/gc.h"
+// The archive GC pass of Lrc (core/lrc.h): barrier-epoch flattening of
+// every node's dominated pending notices into chains and canonical bases
+// (DESIGN.md §6).
+#include "core/lrc.h"
 
 #include <unordered_map>
 
@@ -83,48 +86,20 @@ std::uint64_t BuildChains(std::vector<FlattenedChain>& flat,
 
 }  // namespace
 
-ArchiveGc::ArchiveGc(const RuntimeConfig& config, std::size_t num_units,
-                     std::size_t unit_bytes)
-    : nprocs_(config.num_procs),
-      num_units_(num_units),
-      interval_(config.backend == BackendKind::kLrc
-                    ? static_cast<std::uint32_t>(config.gc_interval_barriers)
-                    : 0),
-      lag_(static_cast<std::uint32_t>(config.gc_lag_barriers)),
-      checkpoint_complete_(config.fault.armed()),
-      bases_(num_units, unit_bytes),
-      chains_(num_units * static_cast<std::size_t>(config.num_procs)),
-      sharer_(num_units * static_cast<std::size_t>(config.num_procs), 0),
-      virgin_(num_units),
-      checkpoint_(config.num_procs) {}
-
-void ArchiveGc::Adopt(ProcId node, UnitId unit) {
-  std::uint8_t& sharer = sharer_[Slot(node, unit)];
-  if (sharer != 0) return;
-  sharer = 1;
-  if (!virgin_[unit].empty()) chains_[Slot(node, unit)] = virgin_[unit];
-}
-
-bool ArchiveGc::HasChains(ProcId node, UnitId unit) const {
-  const std::size_t slot = Slot(node, unit);
-  return !chains_[slot].empty() ||
-         (sharer_[slot] == 0 && !virgin_[unit].empty());
-}
-
-std::optional<VectorClock> ArchiveGc::PassTarget(
-    std::uint32_t sync_phase, const SharedState& shared) const {
+const VectorClock* Lrc::PassTarget(std::uint32_t sync_phase,
+                                   const SharedState& shared) const {
   // history_ holds min(completed barriers, lag) clocks, so it is full
   // exactly when sync_phase >= lag.  The coordinator appends only after
   // the closing rendezvous, so it is frozen while any node reads it.
   if (interval_ == 0 || sync_phase < lag_ ||
       (sync_phase + 1) % interval_ != 0) {
-    return std::nullopt;
+    return nullptr;
   }
   const VectorClock& through = history_.front();
   for (ProcId p = 0; p < nprocs_; ++p) {
-    if (shared.archives[p]->CountThrough(through[p]) > 0) return through;
+    if (shared.archives[p]->CountThrough(through[p]) > 0) return &through;
   }
-  return std::nullopt;  // nothing dominated: the pass is skipped
+  return nullptr;  // nothing dominated: the pass is skipped
 }
 
 // For each unit of the stripe, in ascending order: flatten the dominated
@@ -140,9 +115,8 @@ std::optional<VectorClock> ArchiveGc::PassTarget(
 // only that unit's state, and the records it reads are frozen until the
 // prune after the window; every chain copies what it needs out of its
 // records (run list, tail key, stamp), so the prune frees them.
-void ArchiveGc::CollectStripe(SharedState& shared, ProcId id,
-                              bool is_coordinator,
-                              const VectorClock& through) {
+void Lrc::CollectStripe(SharedState& shared, ProcId id, bool is_coordinator,
+                        const VectorClock& through) {
   const int nprocs = nprocs_;
   const auto stride = static_cast<UnitId>(nprocs);
 
@@ -153,7 +127,7 @@ void ArchiveGc::CollectStripe(SharedState& shared, ProcId id,
   // is frozen until the prune after the window.
   std::vector<Resolved> refs;
   std::unordered_map<const IntervalRecord*, Resolved> memo;
-  auto resolve = [&](const Node::PendingInterval& pi) {
+  auto resolve = [&](const Notice& pi) {
     auto it = memo.find(pi.rec);
     if (it == memo.end()) {
       it = memo.emplace(pi.rec, Resolved{pi.rec, pi.index, HbKey(*pi.rec)})
@@ -162,7 +136,7 @@ void ArchiveGc::CollectStripe(SharedState& shared, ProcId id,
     }
     return it->second;
   };
-  auto dominated = [&through](const Node::PendingInterval& pi) {
+  auto dominated = [&through](const Notice& pi) {
     return pi.rec->seq() <= through[pi.rec->proc()];
   };
 
@@ -191,7 +165,7 @@ void ArchiveGc::CollectStripe(SharedState& shared, ProcId id,
   }
   auto next_complete = complete.begin();
 
-  std::vector<Node::PendingInterval> live;
+  std::vector<Notice> live;
   std::vector<Resolved> kept;
   std::vector<std::vector<Seq>> foreign_vcw(nprocs);  // BuildChains scratch
   std::vector<std::uint8_t> dom_writer(static_cast<std::size_t>(nprocs));
@@ -214,7 +188,7 @@ void ArchiveGc::CollectStripe(SharedState& shared, ProcId id,
     // exact for all of them.
     std::fill(dom_writer.begin(), dom_writer.end(), 0);
     for (ProcId x = 0; x < nprocs; ++x) {
-      for (const Node::PendingInterval& pi : shared.nodes[x]->pending_[u]) {
+      for (const Notice& pi : nodes_[x].pending[u]) {
         if (dominated(pi)) dom_writer[pi.rec->proc()] = 1;
       }
     }
@@ -236,12 +210,12 @@ void ArchiveGc::CollectStripe(SharedState& shared, ProcId id,
     std::uint64_t virgin_new_chains = 0;
     int virgin_consumers = 0;
     for (ProcId x = 0; x < nprocs; ++x) {
-      std::vector<Node::PendingInterval>& pend = shared.nodes[x]->pending_[u];
+      std::vector<Notice>& pend = nodes_[x].pending[u];
       if (pend.empty()) continue;
       const bool is_virgin = sharer_[Slot(x, u)] == 0;
       live.clear();
       kept.clear();
-      for (const Node::PendingInterval& pi : pend) {
+      for (const Notice& pi : pend) {
         if (!dominated(pi)) {
           live.push_back(pi);
         } else if (!is_virgin || !virgin_built) {
@@ -316,18 +290,11 @@ void ArchiveGc::CollectStripe(SharedState& shared, ProcId id,
   }
 }
 
-void ArchiveGc::EndBarrier(const VectorClock& global_vc, bool passed) {
+void Lrc::EndBarrier(const VectorClock& global_vc, bool passed) {
   if (interval_ == 0) return;
   if (passed) bases_.EndPass();
   history_.push_back(global_vc);
   while (history_.size() > lag_) history_.pop_front();
-}
-
-void ArchiveGc::Forget(ProcId node) {
-  for (UnitId u = 0; u < num_units_; ++u) {
-    chains_[Slot(node, u)].clear();
-    sharer_[Slot(node, u)] = 1;
-  }
 }
 
 }  // namespace dsm

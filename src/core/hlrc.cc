@@ -67,8 +67,8 @@ void Homes::Flush(Node& node, IntervalDraft& draft) {
     if (table.state(unit) == UnitState::kDirty) {
       table.set_state(unit, UnitState::kReadValid);
     }
-    // No retwin_cheap_: under eager diffing the twin is genuinely gone
-    // after a release, so the next write pays the full twin again.
+    // No free re-twin (Lrc::Twin): under eager diffing the twin is
+    // genuinely gone after a release, so the next write pays in full.
   }
   table.ClearDirtyList();
   node.clock_.Advance(create_cost);
@@ -100,10 +100,10 @@ void Homes::Flush(Node& node, IntervalDraft& draft) {
 // Whole-unit copies from the homes replace the LRC diff chase.  A
 // self-homed unit is a local copy with no messages and no delivery
 // accounting (nothing crossed the wire).  The home copy is at least as
-// new as everything the pending notices name (every noticed release
-// flushed before this node's acquire completed), and any newer words it
-// carries belong to intervals this node will be told about later;
-// race-free programs never read those early.
+// new as everything the received write notices name (every noticed
+// release flushed before this node's acquire completed), and any newer
+// words it carries belong to intervals this node will be told about
+// later; race-free programs never read those early.
 void Homes::Fetch(Node& node, const std::vector<UnitId>& units) {
   const CostModel& cost = node.shared_.config.cost;
   PageTable& table = node.table_;
@@ -180,7 +180,6 @@ void Homes::Fetch(Node& node, const std::vector<UnitId>& units) {
           node.tracker_.OnWrite(unit, run.word_offset, run.word_count);
         }
       }
-      node.pending_[unit].clear();
     }
   }
   if (num_homes > 0) {

@@ -2,32 +2,30 @@
 //
 // Owns the node's private image of the shared address space, its page table
 // (unit protection states + twins), its word tracker, virtual clock, vector
-// clock, pending write notices, and statistics.  Implements the full lazy
-// release consistency + multiple-writer protocol of the paper:
+// clock, and statistics, and runs the access fast path and the write-notice
+// exchange of the paper's lazy release consistency protocol:
 //
-//   read fault   → fetch diffs from all concurrent writers with pending
-//                  notices (combined per writer; writers answer in
-//                  parallel), apply in happens-before order
+//   read fault   → make the unit current (the backend's fetch)
 //   write fault  → validate if needed, then twin the unit
-//   release      → close interval: diff every twinned unit, archive, emit
-//                  write notices
+//   release      → close interval: the backend diffs every twinned unit,
+//                  the record is archived, its write notices go out
 //   acquire      → merge clocks, invalidate units named by newly covered
 //                  write notices
 //
-// With AggregationMode::kDynamic the fault path consults the per-node
-// DynamicAggregator and fetches whole page groups (paper §4).
+// Each backend's release, fault, barrier and crash paths live in its own
+// module, picked by one branch per seam: Lrc (core/lrc.h), the paper's
+// distributed diffs fetched lazily from every concurrent writer, and Homes
+// (core/hlrc.h), home-based LRC.  With AggregationMode::kDynamic the fault
+// path consults the per-node DynamicAggregator and fetches whole page
+// groups (paper §4).
 //
 // Threading: a Node is driven only by its own thread.  Peers touch a node
 // exclusively through its immutable-once-appended IntervalArchive (under
-// its mutex) and the sync services; inside the barrier window the archive
-// GC's stripes (core/gc.h) rewrite its pending notices and HLRC peers read
-// its consumed-notice clock (core/hlrc.h).
+// its mutex) and the sync services; inside the barrier window HLRC peers
+// read its consumed-notice clock (core/hlrc.h).
 #pragma once
 
-#include <algorithm>
 #include <cstring>
-#include <atomic>
-#include <deque>
 #include <memory>
 #include <vector>
 
@@ -35,8 +33,8 @@
 #include "core/aggregation.h"
 #include "core/comm_stats.h"
 #include "core/config.h"
-#include "core/gc.h"
 #include "core/hlrc.h"
+#include "core/lrc.h"
 #include "core/sync.h"
 #include "core/vector_clock.h"
 #include "core/write_notice.h"
@@ -61,9 +59,10 @@ struct SharedState {
   std::vector<std::unique_ptr<IntervalArchive>> archives;  // per proc
   std::unique_ptr<BarrierService> barrier;
   std::unique_ptr<LockService> locks;
-  // Archive GC (DESIGN.md §6): all reclaimed history, and the archives'
-  // footprint telemetry.
-  ArchiveGc gc;
+  // The LRC backend (DESIGN.md §4 and §6): every node's pending notices,
+  // lazy-diffing flags and reclaimed history.  Empty unless the backend is
+  // kLrc.
+  Lrc lrc;
   ArchiveTelemetry archive_telemetry;
   // BackendKind::kReference: the single image all processors access
   // directly (null under the LRC backend, where every node owns a private
@@ -92,8 +91,8 @@ struct SharedState {
   // of the armed schedule and the phase, so every node computes the same
   // answer with no communication; always 0 when no schedule is armed.
   ProcId CoordinatorFor(std::uint32_t sync_phase) const;
-  // Peer access for the lazy-diffing cost flags; filled in by Runtime
-  // after node construction.
+  // Peer access for the HLRC notice-log prune, which reads every peer's
+  // consumed-notice clock; filled in by Runtime after node construction.
   std::vector<Node*> nodes;
 
   explicit SharedState(const RuntimeConfig& cfg);
@@ -129,10 +128,6 @@ class Node {
   const VirtualClock& clock() const { return clock_; }
   CommStats& comm_stats() { return comm_stats_; }
   NetStats& net_stats() { return net_stats_; }
-  const VectorClock& vector_clock() const { return vc_; }
-  // The memory this node's accesses hit: its private image under LRC, the
-  // single shared image under the reference backend.
-  std::byte* image() { return data_; }
 
   // Close the current open interval (normally driven by release/barrier;
   // public for tests and for Runtime teardown).
@@ -141,11 +136,11 @@ class Node {
  private:
   // Crash recovery rebuilds this node's volatile state in place
   // (core/fault.h); it needs the same access the node's own protocol
-  // methods have.  The archive GC flattens every node's pending notices.
-  // The HLRC paths (core/hlrc.h) flush, fetch and prune for the node.
+  // methods have.  The backends (core/lrc.h, core/hlrc.h) close, fetch,
+  // prune and rebuild for the node.
   friend class RecoveryCoordinator;
-  friend class ArchiveGc;
   friend class Homes;
+  friend class Lrc;
 
   // The protocol machinery runs unless the run uses the sequentially
   // consistent reference oracle.  Fixed at construction; cached so the
@@ -180,20 +175,6 @@ class Node {
     return (std::uint64_t{sync_phase_} << 32) | lock_subphase_;
   }
 
-  // Fetch and apply all pending diffs for `units` (all must have pending
-  // notices), combining requests per writer.  Each writer's consecutive
-  // intervals reach the reader as chains of one form: an optional
-  // reclaimed head whose words are copied from the canonical base, then
-  // the live diffs absorbed into it, applied oldest first.  A chain's wire
-  // size, delivered words and apply cost are those of one combined diff
-  // over the union of its members' runs (Diff::MergeRuns).  Records
-  // exchanges, the fault record, and all modelled costs.
-  void FetchUnits(const std::vector<UnitId>& units);
-
-  // Mark a clean unit dirty (twin + unprotect).  `cheap` re-twins carry no
-  // modelled cost (lazy-diffing regime, see WriteFault).
-  void TwinUnit(UnitId unit, bool cheap = false);
-
   // Collect archive records newly covered by `target` (all procs except
   // self), in (proc, seq) order, into `out` (cleared first; callers pass
   // the reusable notice_scratch_).  Returns their total write-notice
@@ -201,25 +182,13 @@ class Node {
   std::size_t CollectNotices(const VectorClock& target,
                              std::vector<const IntervalRecord*>& out);
 
-  // Invalidate the units named in `records` and queue pending notices.
+  // Invalidate the units named in `records`; under LRC, queue their
+  // notices (Lrc::Queue).
   void InvalidateFrom(const std::vector<const IntervalRecord*>& records);
 
   // Write-notice payload this node ships at a release (its own intervals
   // not yet sent), advancing last_sent_seq_.
   std::size_t OutgoingNoticeBytes();
-
-  // A write notice this node has not yet applied: the record and the
-  // index of the unit's diff in it, so the fault path and the GC read the
-  // diff without searching the archive.  Under LRC the record outlives
-  // the notice: the GC flattens every pending notice of a dominated
-  // record before its owner prunes it.  HLRC's watermark prune may free a
-  // record that is still pending here, so under HLRC a pending notice is
-  // never dereferenced: a unit keeps at most one, which only says that the
-  // unit has something to fetch.
-  struct PendingInterval {
-    const IntervalRecord* rec;
-    std::uint32_t index;
-  };
 
   const ProcId id_;
   SharedState& shared_;
@@ -227,7 +196,8 @@ class Node {
   const int unit_shift_;
   const bool protocol_enabled_;
   // Home-based LRC backend active (BackendKind::kHlrc): releases flush
-  // to homes and faults fetch whole units (core/hlrc.h).
+  // to homes and faults fetch whole units (core/hlrc.h); otherwise, with
+  // the protocol enabled, the LRC backend runs (core/lrc.h).
   const bool hlrc_;
   // Per-word cost of a shared access, cached off the config for the
   // fast path.
@@ -240,19 +210,6 @@ class Node {
   std::byte* data_;                     // accesses go here (image_ or shared)
   PageTable table_;
   WordTracker tracker_;
-  std::vector<std::vector<PendingInterval>> pending_;
-  // Lazy-diffing cost model (see protocol.cc): a unit whose twin was just
-  // diffed at a release can be re-dirtied for free — in real TreadMarks
-  // the twin simply persists across the release — unless a peer has
-  // requested a diff of the unit in an earlier barrier phase (which in
-  // the lazy regime forces diff creation, twin discard, and re-protection
-  // at the writer).  Peers set diff_requested_ asynchronously; Barrier
-  // drains it into diff_request_seen_ (the only flag WriteFault consults)
-  // inside the extended barrier window, so the cheap/expensive decision is
-  // quantized to phases and replays deterministically.
-  std::vector<std::uint8_t> retwin_cheap_;
-  std::vector<std::atomic<std::uint8_t>> diff_requested_;
-  std::vector<std::uint8_t> diff_request_seen_;
   // Completed barrier phases (identical on every node at any given phase).
   std::uint32_t sync_phase_ = 0;
   // Lock-chain sub-phase: the service-wide position of this node's most
@@ -270,50 +227,8 @@ class Node {
   CommStats comm_stats_;
   NetStats net_stats_;
 
-  // Scratch buffers reused across faults and synchronizations, so the
-  // steady-state fault path performs few allocations (vector capacity
+  // Scratch reused across faults and synchronizations (vector capacity
   // persists between calls).
-  //
-  // One per-writer coalesced chain the fault must fetch: an optional
-  // reclaimed head (its words live in the canonical base), then the live
-  // diffs absorbed into it, oldest first.
-  struct NeedEntry {
-    UnitId unit;
-    HbKey key;                    // chain tail's happens-before sort key
-    const FlattenedChain* head;   // reclaimed head, or null
-    // Union of every member's runs: the head's or the only record's own
-    // list, or a merged list in merged_runs_scratch_.
-    std::span<const DiffRun> runs;
-    std::size_t payload_words;    // == Diff::RunWords(runs)
-    // Live diffs, oldest first: indices into live_diffs_scratch_.
-    std::uint32_t live_begin;
-    std::uint32_t live_count;
-    std::uint32_t exchange_id;
-    bool needs_scan;  // server must materialize (this requester pays)
-
-    // Wire size of the chain as one combined diff.
-    std::size_t EncodedBytes() const {
-      return Diff::WireBytes(runs.size(), payload_words);
-    }
-  };
-  // One live pending diff: the record and the unit's index in it.
-  struct LiveDiff {
-    const IntervalRecord* rec;
-    std::uint32_t index;
-  };
-  struct ResolvedDiff {
-    LiveDiff diff;
-    bool pays_for_scan;
-  };
-  std::vector<std::vector<NeedEntry>> needs_by_writer_;  // indexed by proc
-  std::vector<ResolvedDiff> resolved_scratch_;        // FetchUnits
-  std::vector<const ResolvedDiff*> chain_scratch_;    // FetchUnits
-  std::vector<Seq> foreign_vcw_scratch_;              // FetchUnits
-  // Merged run lists of multi-member chains; a deque keeps NeedEntry::runs
-  // views stable as it grows.
-  std::deque<std::vector<DiffRun>> merged_runs_scratch_;  // FetchUnits
-  std::vector<NeedEntry> apply_scratch_;              // FetchUnits
-  std::vector<LiveDiff> live_diffs_scratch_;          // FetchUnits
   std::vector<UnitId> fetch_scratch_;                 // ValidateUnit
   // Records a sync collects notices from, and the release's own unsent
   // ones (Barrier/AcquireLock).

@@ -184,8 +184,8 @@ RunStats Runtime::CollectStats() const {
       t.peak_live_bytes.load(std::memory_order_relaxed);
   stats.mem.reclaimed_intervals =
       t.reclaimed_intervals.load(std::memory_order_relaxed);
-  stats.mem.canonical_base_peak_bytes = shared_.gc.bases().peak_bytes();
-  stats.mem.gc_passes = shared_.gc.passes();
+  stats.mem.canonical_base_peak_bytes = shared_.lrc.base_peak_bytes();
+  stats.mem.gc_passes = shared_.lrc.passes();
   stats.mem.chains_built = t.chains_built.load(std::memory_order_relaxed);
   stats.mem.chains_shared = t.chains_shared.load(std::memory_order_relaxed);
   if (shared_.fault != nullptr && shared_.fault->any_fired()) {

@@ -51,14 +51,15 @@ class BarrierService {
   // The protocol calls it right after Arrive to extend the barrier into a
   // window in which every processor is known to be idle, so cross-node
   // state can be read and reset deterministically (no application faults
-  // are in flight anywhere).  Three things ride this window: the
-  // lazy-diffing cost-model flag drain; the barrier-epoch archive GC
-  // (DESIGN.md §6), which every node runs over its own stripe of units
-  // before its rendezvous arrival — the wait here is what keeps any node
-  // from faulting into a half-collected archive, and it orders every
-  // stripe's work before anything after the barrier; and HLRC's re-home
-  // apply and per-node notice-log prune (core/hlrc.h).  Does not count as
-  // a completed barrier.
+  // are in flight anywhere).  Each backend's barrier hook rides this
+  // window.  LRC's (Lrc::OnBarrier, core/lrc.h) drains the lazy-diffing
+  // request flags and runs the barrier-epoch archive GC (DESIGN.md §6)
+  // over the node's own stripe of units before its rendezvous arrival —
+  // the wait here is what keeps any node from faulting into a
+  // half-collected archive, and it orders every stripe's work before
+  // anything after the barrier.  HLRC's (Homes::OnBarrier, core/hlrc.h)
+  // applies re-home batches and prunes the node's notice log.  Does not
+  // count as a completed barrier.
   void Rendezvous();
 
   // Wakes every waiter, and from then on Arrive and Rendezvous throw, in

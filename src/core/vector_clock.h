@@ -29,9 +29,6 @@ class VectorClock {
   // Elementwise maximum (the acquire operation on clocks).
   void Merge(const VectorClock& other);
 
-  // True iff the interval (proc, seq) is covered by this clock.
-  bool Covers(ProcId proc, Seq seq) const { return (*this)[proc] >= seq; }
-
   bool operator==(const VectorClock& other) const {
     return entries_ == other.entries_;
   }

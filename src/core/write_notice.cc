@@ -133,11 +133,6 @@ std::size_t IntervalArchive::PruneThrough(Seq through) {
   return reclaimed;
 }
 
-Seq IntervalArchive::min_retained_seq() const {
-  std::lock_guard lock(mutex_);
-  return records_.empty() ? 0 : records_.front().seq();
-}
-
 std::size_t IntervalArchive::CountThrough(Seq through) const {
   std::lock_guard lock(mutex_);
   auto it = std::upper_bound(

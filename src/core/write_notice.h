@@ -341,16 +341,16 @@ struct ArchiveTelemetry {
 
 // Archive of one node's closed intervals, held by value.  The owner
 // appends at interval close; peers collect records at acquires and
-// barriers, and keep pointers to them in their pending notices; the
-// barrier-epoch garbage collector reclaims the dominated prefix.
-// std::deque keeps references to surviving records stable across both
-// appends and front-pruning, but all access still takes the mutex (deque
-// bookkeeping itself is not thread-safe); the pointers Append and Range
-// return remain valid after the mutex is released — until the record's
-// seq is pruned.  Under LRC nothing prunes a record some node still has
-// pending: the GC flattens every pending notice of a dominated record
-// before the owner prunes it.  HLRC's watermark prune may drop a record a
-// node still has pending, and HLRC never dereferences a pending notice.
+// barriers, and under LRC keep pointers to them in their pending notices
+// (core/lrc.h); the barrier-epoch garbage collector reclaims the
+// dominated prefix.  std::deque keeps references to surviving records
+// stable across both appends and front-pruning, but all access still
+// takes the mutex (deque bookkeeping itself is not thread-safe); the
+// pointers Append and Range return remain valid after the mutex is
+// released — until the record's seq is pruned.  Nothing prunes a record
+// some node still has pending: the GC flattens every pending notice of a
+// dominated record before the owner prunes it, and HLRC keeps no pending
+// notice.
 class IntervalArchive {
  public:
   // Appends a record (records must arrive in increasing seq order).
@@ -368,10 +368,6 @@ class IntervalArchive {
   // what it reads.  Only a record's stamp array outlives it, held by those
   // chains.  Returns the number of records reclaimed.
   std::size_t PruneThrough(Seq through);
-
-  // Smallest seq still archived (0 when empty) — pruned seqs can never be
-  // Range()d again.
-  Seq min_retained_seq() const;
 
   // Number of archived records with seq <= through (O(log n)).  The GC
   // skips a pass that would reclaim nothing.

@@ -36,7 +36,6 @@ class GlobalHeap {
   std::size_t heap_bytes() const { return heap_bytes_; }
   std::size_t unit_bytes() const { return unit_bytes_; }
   std::size_t num_units() const { return heap_bytes_ / unit_bytes_; }
-  std::size_t bytes_used() const { return next_; }
 
   UnitId UnitOf(GlobalAddr addr) const {
     return static_cast<UnitId>(addr >> unit_shift_);

@@ -36,7 +36,7 @@ enum class UnitState : std::uint8_t {
 };
 
 // Canonical base images for archive GC (DESIGN.md §6), owned by
-// ArchiveGc (core/gc.h): one full-unit snapshot per consistency unit that
+// Lrc (core/lrc.h): one full-unit snapshot per consistency unit that
 // holds the contents implied by every reclaimed interval, applied in
 // happens-before order on top of the zero-initialized heap.
 // FlattenedChains carry only run lists; at fault time their data is

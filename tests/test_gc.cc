@@ -394,7 +394,7 @@ FalseSharingOutcome RunFalseSharingReader(int gc_interval) {
     if (p.id() == 1) {
       FalseSharingOutcome seen;
       const std::vector<FlattenedChain>& flat =
-          rt.shared().gc.chains(p.id(), unit);
+          rt.shared().lrc.chains(p.id(), unit);
       for (std::size_t i = 0; i < flat.size(); ++i) {
         const FlattenedChain& c = flat[i];
         ++seen.chains;
@@ -590,13 +590,9 @@ TEST(HlrcNoArchive, NoticeLogIsWatermarkPruned) {
     const IntervalArchive& a = *rt.shared().archives[pr];
     // One interval per epoch was closed; all but the last barrier-or-two
     // of them must be gone (the prune lags one barrier behind the
-    // consumers' merges; min_retained_seq() is 0 when everything was
-    // pruned).
+    // consumers' merges).
     EXPECT_LE(a.size(), 4u) << "proc " << pr;
-    if (a.size() > 0) {
-      EXPECT_GT(a.min_retained_seq(), static_cast<Seq>(kEpochs / 2))
-          << "proc " << pr;
-    }
+    EXPECT_EQ(a.CountThrough(kEpochs / 2), 0u) << "proc " << pr;
   }
 }
 

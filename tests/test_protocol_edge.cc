@@ -166,6 +166,49 @@ TEST(ProtocolEdge, DirtyUnitSurvivesInvalidationAndMerge) {
   EXPECT_EQ(final512, 200);
 }
 
+// The lazy-diffing re-twin rule (DESIGN.md §4).  Under LRC a unit diffed
+// at a release re-twins for free, as the twin persists in TreadMarks,
+// until a peer requests its diff in an earlier barrier phase; a request
+// in the same phase as the write is seen only at the next barrier.  HLRC
+// diffs eagerly, so every twin after a release costs a write fault.
+// Proc 0 writes word 0 in phases 0, 1 and 3 (and 4); proc 1 reads word 0
+// in phase 2 (and word 1 in phase 4, concurrently with the write).
+TEST(ProtocolEdge, LazyDiffingRetwinRule) {
+  struct Expect {
+    BackendKind backend;
+    bool same_phase_read;
+    std::uint64_t write_faults;
+    std::uint64_t twins;
+  };
+  for (const Expect& e : {Expect{BackendKind::kLrc, false, 2, 3},
+                          Expect{BackendKind::kLrc, true, 2, 4},
+                          Expect{BackendKind::kHlrc, false, 3, 3},
+                          Expect{BackendKind::kHlrc, true, 4, 4}}) {
+    RuntimeConfig cfg = Config(2);
+    cfg.backend = e.backend;
+    Runtime rt(cfg);
+    auto a = rt.AllocUnitAligned<int>(1024, "page");
+    const int phases = e.same_phase_read ? 5 : 4;
+    CommBreakdown writer;
+    int read0 = -1, read1 = -1;
+    rt.Run([&](Proc& p) {
+      for (int phase = 0; phase < phases; ++phase) {
+        if (p.id() == 0 && phase != 2) p.Write(a, 0, phase + 1);
+        if (p.id() == 1 && phase == 2) read0 = p.Read(a, 0);
+        if (p.id() == 1 && phase == 4) read1 = p.Read(a, 1);
+        p.Barrier();
+      }
+      if (p.id() == 0) writer = p.node().comm_stats().counters();
+    });
+    const std::string where = std::string(cfg.BackendLabel()) +
+                              (e.same_phase_read ? ", same-phase read" : "");
+    EXPECT_EQ(read0, 2) << where;
+    EXPECT_EQ(read1, e.same_phase_read ? 0 : -1) << where;
+    EXPECT_EQ(writer.write_faults, e.write_faults) << where;
+    EXPECT_EQ(writer.twins_created, e.twins) << where;
+  }
+}
+
 // Multi-unit element access: a struct spanning two consistency units is
 // read and written coherently.
 TEST(ProtocolEdge, AccessSpanningUnits) {

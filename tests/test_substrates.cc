@@ -418,14 +418,6 @@ TEST(VectorClockTest, MergeTakesElementwiseMax) {
   EXPECT_EQ(a[2], 0u);
 }
 
-TEST(VectorClockTest, Covers) {
-  VectorClock b(2);
-  b[0] = 2;
-  b[1] = 1;
-  EXPECT_TRUE(b.Covers(0, 2));
-  EXPECT_FALSE(b.Covers(0, 3));
-}
-
 // A record of `proc`'s interval `seq` at clock `vc` whose units carry no
 // diff: the notice-only form HLRC archives.
 IntervalRecord NoticeRecord(ProcId proc, Seq seq, const VectorClock& vc,
