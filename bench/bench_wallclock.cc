@@ -83,10 +83,10 @@ void Usage(std::FILE* f) {
       "  the happens-before race checker (DESIGN.md §10): host wall-clock\n"
       "  pays for the shadow analysis, modelled numbers and fingerprints\n"
       "  are bit-identical to --race=off.  --baseline=PATH exits 1 when a\n"
-      "  stable row's fingerprint, modelled_ms or GC counters, or a KV\n"
-      "  row's checksum, differs from the matching row of PATH, when a row\n"
-      "  has no match in PATH, or, on the full sweep, when a row of PATH\n"
-      "  was not run.\n");
+      "  row's result, or a stable row's fingerprint, modelled_ms or GC\n"
+      "  counters, differs from the matching row of PATH, when a row has\n"
+      "  no match in PATH, or, on the full sweep, when a row of PATH was\n"
+      "  not run.\n");
 }
 
 [[noreturn]] void UsageError(const std::string& msg) {
@@ -149,7 +149,7 @@ Row RunCell(const apps::BenchCell& cell, const RuntimeConfig& cfg) {
   row.result = run.result;
   row.fingerprint = ModelledFingerprint(run.result, run.stats);
   row.recovery_ms =
-      static_cast<double>(run.stats.recovery_modelled_ns) / 1e6;
+      static_cast<double>(run.stats.comm.recovery_modelled_ns) / 1e6;
   row.recovery_bytes = run.stats.comm.recovery_data_bytes;
   row.recovery_retransmits = run.stats.comm.recovery_retransmits;
   row.race_checked = run.stats.races.checked;
@@ -195,9 +195,9 @@ struct BaselineRow {
   // Modelled state as written: the fingerprint's hex digits and
   // modelled_ms's %.6f text, compared as strings.
   std::string fingerprint, modelled_ms;
-  // Result checksum, %.17g-round-tripped (exact for doubles).  KV rows
-  // gate on this instead of the fingerprint: their modelled state is
-  // lock-schedule dependent, but the commuting checksum must never move.
+  // Result checksum, %.17g-round-tripped (exact for doubles).  Every
+  // row gates on it: a lock row's modelled state follows the host's grant
+  // order, but its result is exact.
   double result = 0;
   MemoryFootprint mem;  // the gated kMemoryJsonFields columns (absent → 0)
 };
@@ -251,15 +251,14 @@ std::vector<BaselineRow> ReadBaseline(const std::string& path) {
 }
 
 // Gate: modelled state must be bit-identical to the committed baseline.
-// A stable row fails when its fingerprint or modelled_ms (as written) or
-// one of its gated GC counters differs; a KV row — lock-scheduled, so
-// unstable — fails when its commuting checksum moves.  A row the gate
-// cannot compare fails too: a sweep row with no baseline match and, when
-// `full_sweep`, a baseline row the sweep did not run.  Host wall-clock is
-// printed for every matched row but never gates: one sample of one row
-// moves 2x from run to run on a shared host, so host time is gated by
-// benchmark/run.py's repeated parent/change pairs instead.  Returns the
-// number of failing rows.
+// Every row fails when its result moves; a stable row also fails when its
+// fingerprint or modelled_ms (as written) or one of its gated GC counters
+// differs.  A row the gate cannot compare fails too: a sweep row with no
+// baseline match and, when `full_sweep`, a baseline row the sweep did not
+// run.  Host wall-clock is printed for every matched row but never gates:
+// one sample of one row moves 2x from run to run on a shared host, so host
+// time is gated by benchmark/run.py's repeated parent/change pairs
+// instead.  Returns the number of failing rows.
 int CompareToBaseline(const std::vector<Row>& rows,
                       const std::vector<BaselineRow>& baseline,
                       bool full_sweep) {
@@ -284,8 +283,7 @@ int CompareToBaseline(const std::vector<Row>& rows,
                   static_cast<unsigned long long>(r.fingerprint));
     char modelled_ms[48];
     std::snprintf(modelled_ms, sizeof(modelled_ms), "%.6f", r.modelled_ms);
-    const bool checksum_moved =
-        r.cell.app == "KV" && r.result != base->result;
+    const bool result_moved = r.result != base->result;
     const bool compared = r.cell.stable && base->stable;
     const bool state_moved = compared && (base->fingerprint != fingerprint ||
                                           base->modelled_ms != modelled_ms);
@@ -300,12 +298,12 @@ int CompareToBaseline(const std::vector<Row>& rows,
                     static_cast<unsigned long long>(now));
       gc_moved += buf;
     }
-    const bool moved = checksum_moved || state_moved || !gc_moved.empty();
+    const bool moved = result_moved || state_moved || !gc_moved.empty();
     std::printf("baseline: %-54s wall %8.1f -> %8.1f ms%s\n", key.c_str(),
                 base->wall_ms, r.wall_ms, moved ? "  MISMATCH" : "");
     if (moved) ++failures;
-    if (checksum_moved) {
-      std::printf("          checksum %.17g -> %.17g\n", base->result,
+    if (result_moved) {
+      std::printf("          result %.17g -> %.17g\n", base->result,
                   r.result);
     }
     if (state_moved) {
@@ -325,12 +323,12 @@ int CompareToBaseline(const std::vector<Row>& rows,
   }
   if (failures > 0) {
     std::printf(
-        "baseline gate FAILED: %d row(s) changed modelled state or GC "
-        "counters, or were unmatched\n",
+        "baseline gate FAILED: %d row(s) changed result, modelled state or "
+        "GC counters, or were unmatched\n",
         failures);
   } else {
     std::printf(
-        "baseline gate passed: modelled state and GC counters "
+        "baseline gate passed: results, modelled state and GC counters "
         "bit-identical\n");
   }
   return failures;

@@ -13,7 +13,7 @@
 //     matter how the host schedules the lock hand-offs.
 //
 // Its lock traffic still makes the *modelled* state host-order dependent
-// (like Water/TSP), so conformance scenarios mark it rel_tol == 0 but
+// (like Water/TSP), so its conformance scenario has an exact golden but
 // modelled_stable == false.
 #pragma once
 

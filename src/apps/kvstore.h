@@ -25,7 +25,7 @@
 //     reduced tallies into the result.
 //
 // Like Fuzz/Water/TSP, the *modelled* state is host-order dependent
-// (lock chains), so conformance scenarios mark rel_tol == 0 with
+// (lock chains), so its conformance scenario has an exact golden with
 // modelled_stable == false.
 #pragma once
 

@@ -183,31 +183,27 @@ std::vector<BenchCell> SliceCells(const std::string& slice) {
 std::vector<ConformanceScenario> ConformanceScenarios() {
   // Golden checksums recorded from the reference backend at 4 processors
   // (see tests/test_conformance.cc, which re-derives and cross-checks
-  // them on every run).  rel_tol 0 marks apps whose result is
-  // bit-deterministic at fixed num_procs; Water accumulates forces under
-  // locks and TSP races its branch-and-bound pruning, so their results
-  // carry a scheduling tolerance.
+  // them on every run).  The lock apps (Water, TSP, Fuzz, KV) have exact
+  // results but lock-scheduled statistics.
   return {
-      {"Jacobi", "tiny", 4, 189321.05570180155, 0.0, true},
-      {"MGS", "tiny", 4, 1.4165231243520721e-06, 0.0, true},
-      {"3D-FFT", "tiny", 4, 13.190211990917534, 0.0, true},
-      {"Shallow", "tiny", 4, 164279.61499786377, 0.0, true},
-      {"Barnes", "tiny", 4, 263.25515289674513, 0.0, true},
-      {"ILINK", "tiny", 4, 6720.7531095147133, 0.0, true},
-      {"Water", "tiny", 4, 1084.9943868517876, 1e-3, false},
-      {"TSP", "tiny", 4, 262.54638671875, 1e-6, false},
-      // Property-based randomized mix (src/apps/fuzz.cc): exact checksum
-      // (commuting integer sums → rel_tol 0) but lock-scheduled
-      // statistics.  Golden recorded from the reference backend.
-      {"Fuzz", "tiny", 4, 547927.0, 0.0, false},
+      {"Jacobi", "tiny", 4, 189321.05570180155, true},
+      {"MGS", "tiny", 4, 1.4165231243520721e-06, true},
+      {"3D-FFT", "tiny", 4, 13.190211990917534, true},
+      {"Shallow", "tiny", 4, 164279.61499786377, true},
+      {"Barnes", "tiny", 4, 263.25515289674513, true},
+      {"ILINK", "tiny", 4, 6720.7531095147133, true},
+      // Fixed-point forces (src/apps/water.cc).
+      {"Water", "tiny", 4, 1084.9947509765625, false},
+      // Integer distances (src/apps/tsp.cc): the optimal tour's cost.
+      {"TSP", "tiny", 4, 262546.0, false},
+      // Property-based randomized mix (src/apps/fuzz.cc).
+      {"Fuzz", "tiny", 4, 547927.0, false},
       // Partitioned key-value store (src/apps/kvstore.cc): request-shaped
-      // lock-sharded traffic.  Checksum exact by construction (additive
-      // updates + per-proc tallies, DESIGN.md §11) but, like every lock
-      // app, the modelled state follows the host's grant order.
-      {"KV", "tiny", 4, 10525358.0, 0.0, false},
+      // lock-sharded traffic.
+      {"KV", "tiny", 4, 10525358.0, false},
       // Game of life (src/apps/life.cc): barrier-only integer stencil,
       // bit-deterministic everywhere.
-      {"Life", "tiny", 4, 43872.0, 0.0, true},
+      {"Life", "tiny", 4, 43872.0, true},
   };
 }
 

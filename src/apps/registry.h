@@ -56,7 +56,9 @@ std::vector<BenchCell> SliceCells(const std::string& slice);
 // repo-local additions (Fuzz, KV, Life): a seeded, test-sized input plus
 // the golden checksum its result() must reproduce at `num_procs`
 // processors under every (backend × aggregation) cell of the conformance
-// sweep (tests/test_conformance.cc).
+// sweep (tests/test_conformance.cc).  Every app's result is exact at fixed
+// num_procs, so every cell must produce the identical bits; the lock apps
+// build theirs only from commuting integer parts (DESIGN.md §11).
 struct ConformanceScenario {
   std::string app;
   std::string dataset;  // deterministic (seeded) test-sized input
@@ -64,26 +66,11 @@ struct ConformanceScenario {
   // Golden result for (app, dataset, num_procs), recorded from the
   // sequentially consistent reference backend.
   double checksum;
-  // Cross-cell comparison tolerance (relative).  0 → the app is
-  // bit-deterministic at fixed num_procs, so every cell must produce the
-  // identical bits.  >0 → scheduling-dependent floating-point accumulation
-  // (e.g. force sums under locks); cells agree only within this error.
-  //
-  // A lock-synchronized app can still earn rel_tol 0 by building its
-  // checksum exclusively from commuting, per-proc-deterministic parts
-  // (DESIGN.md §11): shared updates that are additive integer
-  // read-modify-writes (the applied-delta sum commutes across any grant
-  // order), per-proc tallies that are pure functions of the proc's own
-  // seeded stream, and a final whole-state fold taken after the last
-  // barrier.  Values READ mid-stream under a lock are schedule-dependent
-  // and must never feed the checksum.  Fuzz and KV follow this recipe.
-  double rel_tol;
   // True iff the app's full modelled state (times, comm statistics) is
   // bit-reproducible at a fixed configuration.  False for any app that
-  // synchronizes through locks, whose grant order the host schedules —
-  // including Fuzz, whose *checksum* is exact (rel_tol 0: commuting
-  // integer sums) while its statistics are not.  test_gc bit-compares
-  // modelled state across GC settings only when this is set.
+  // synchronizes through locks, whose grant order the host schedules:
+  // its result is exact while its statistics are not.  test_gc
+  // bit-compares modelled state across GC settings only when this is set.
   bool modelled_stable = true;
 };
 

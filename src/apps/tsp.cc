@@ -19,35 +19,36 @@ TspParams TspDataset(const std::string& label) {
   return {};
 }
 
-std::vector<float> Tsp::Distances(const TspParams& params) {
-  // Cities on a deterministic random plane; symmetric Euclidean distances.
+std::vector<std::int32_t> Tsp::Distances(const TspParams& params) {
+  // Cities on a deterministic random 100,000 x 100,000 plane; symmetric
+  // Euclidean distances rounded to the nearest integer.
   Xoshiro256 rng(params.seed);
   const int n = params.num_cities;
   std::vector<double> xs(n), ys(n);
   for (int i = 0; i < n; ++i) {
-    xs[i] = rng.UniformDouble(0.0, 100.0);
-    ys[i] = rng.UniformDouble(0.0, 100.0);
+    xs[i] = rng.UniformDouble(0.0, 100000.0);
+    ys[i] = rng.UniformDouble(0.0, 100000.0);
   }
-  std::vector<float> d(static_cast<std::size_t>(n) * n);
+  std::vector<std::int32_t> d(static_cast<std::size_t>(n) * n);
   for (int i = 0; i < n; ++i) {
     for (int j = 0; j < n; ++j) {
       const double dx = xs[i] - xs[j], dy = ys[i] - ys[j];
       d[static_cast<std::size_t>(i) * n + j] =
-          static_cast<float>(std::sqrt(dx * dx + dy * dy));
+          static_cast<std::int32_t>(std::lround(std::sqrt(dx * dx + dy * dy)));
     }
   }
   return d;
 }
 
-double Tsp::BruteForce(const TspParams& params) {
+std::int32_t Tsp::BruteForce(const TspParams& params) {
   const int n = params.num_cities;
   DSM_CHECK_LE(n, 10) << "brute force verification limited to 10 cities";
-  const std::vector<float> d = Distances(params);
+  const std::vector<std::int32_t> d = Distances(params);
   std::vector<int> perm(n - 1);
   for (int i = 0; i < n - 1; ++i) perm[i] = i + 1;
-  double best = std::numeric_limits<double>::infinity();
+  std::int32_t best = std::numeric_limits<std::int32_t>::max();
   do {
-    double cost = d[static_cast<std::size_t>(perm[0])];
+    std::int32_t cost = d[static_cast<std::size_t>(perm[0])];
     int prev = perm[0];
     for (int k = 1; k < n - 1; ++k) {
       cost += d[static_cast<std::size_t>(prev) * n + perm[k]];
@@ -69,13 +70,14 @@ std::size_t Tsp::heap_bytes() const {
 
 void Tsp::Setup(Runtime& rt) {
   const int n = params_.num_cities;
-  dist_ = rt.AllocUnitAligned<float>(static_cast<std::size_t>(n) * n, "dist");
+  dist_ = rt.AllocUnitAligned<std::int32_t>(static_cast<std::size_t>(n) * n,
+                                            "dist");
   pool_ = rt.AllocUnitAligned<TspTour>(kPoolSize, "tour_pool");
-  pq_keys_ = rt.AllocUnitAligned<float>(kPoolSize, "pq_keys");
+  pq_keys_ = rt.AllocUnitAligned<std::int32_t>(kPoolSize, "pq_keys");
   pq_tours_ = rt.AllocUnitAligned<std::int32_t>(kPoolSize, "pq_tours");
   freelist_ = rt.AllocUnitAligned<std::int32_t>(kPoolSize, "freelist");
   meta_ = rt.AllocUnitAligned<std::int32_t>(1024, "meta");
-  best_cost_ = rt.AllocUnitAligned<float>(1024, "best");
+  best_cost_ = rt.AllocUnitAligned<std::int32_t>(1024, "best");
   reducer_.Setup(rt, "tsp_check");
 }
 
@@ -84,11 +86,12 @@ void Tsp::Body(Proc& p) {
 
   // Private copy of the distance matrix (read-only shared data is fetched
   // once per processor) and per-city minimum outgoing edge for the bound.
-  std::vector<float> d(static_cast<std::size_t>(n) * n);
-  std::vector<float> min_edge(n, std::numeric_limits<float>::infinity());
+  std::vector<std::int32_t> d(static_cast<std::size_t>(n) * n);
+  std::vector<std::int32_t> min_edge(n,
+                                     std::numeric_limits<std::int32_t>::max());
 
   if (p.id() == 0) {
-    const std::vector<float> host = Distances(params_);
+    const std::vector<std::int32_t> host = Distances(params_);
     for (std::size_t i = 0; i < host.size(); ++i) p.Write(dist_, i, host[i]);
     // Free list holds every pool slot; seed tour goes in slot taken below.
     for (std::size_t i = 0; i < kPoolSize; ++i) {
@@ -97,17 +100,18 @@ void Tsp::Body(Proc& p) {
     p.Write(meta_, 2, static_cast<std::int32_t>(kPoolSize));  // free top
     // Seed the bound with a greedy nearest-neighbour tour, as the Rice TSP
     // does; a tight initial bound also makes the explored node set nearly
-    // schedule-independent.
+    // schedule-independent.  The bound is one above the greedy cost, so
+    // the search still finds the greedy tour when it is optimal.
     {
       std::vector<bool> used(n, false);
       used[0] = true;
       int last = 0;
-      float greedy = 0.0f;
+      std::int32_t greedy = 0;
       for (int k = 1; k < n; ++k) {
         int next = -1;
-        float best_w = std::numeric_limits<float>::max();
+        std::int32_t best_w = std::numeric_limits<std::int32_t>::max();
         for (int c = 1; c < n; ++c) {
-          const float w = host[static_cast<std::size_t>(last) * n + c];
+          const std::int32_t w = host[static_cast<std::size_t>(last) * n + c];
           if (!used[c] && w < best_w) {
             best_w = w;
             next = c;
@@ -118,17 +122,17 @@ void Tsp::Body(Proc& p) {
         last = next;
       }
       greedy += host[static_cast<std::size_t>(last) * n];
-      p.Write(best_cost_, 0, greedy * 1.0001f);
+      p.Write(best_cost_, 0, greedy + 1);
     }
     // Seed: the partial tour {0}.
     TspTour seed{};
     seed.ncity = 1;
-    seed.cost = 0.0f;
-    seed.bound = 0.0f;
+    seed.cost = 0;
+    seed.bound = 0;
     seed.path[0] = 0;
     p.Write(pool_, 0, seed);
     p.Write(meta_, 2, static_cast<std::int32_t>(kPoolSize - 1));
-    p.Write(pq_keys_, 0, 0.0f);
+    p.Write(pq_keys_, 0, 0);
     p.Write(pq_tours_, 0, 0);
     p.Write(meta_, 0, 1);  // queue size
     p.Write(meta_, 1, 0);  // in-flight
@@ -137,7 +141,8 @@ void Tsp::Body(Proc& p) {
 
   for (int i = 0; i < n; ++i) {
     for (int j = 0; j < n; ++j) {
-      const float w = p.Read(dist_, static_cast<std::size_t>(i) * n + j);
+      const std::int32_t w =
+          p.Read(dist_, static_cast<std::size_t>(i) * n + j);
       d[static_cast<std::size_t>(i) * n + j] = w;
       if (i != j) min_edge[i] = std::min(min_edge[i], w);
     }
@@ -145,7 +150,7 @@ void Tsp::Body(Proc& p) {
 
   auto lower_bound = [&](const TspTour& t) {
     // Cost so far + min outgoing edge of every city still to leave.
-    float lb = t.cost + min_edge[t.path[t.ncity - 1]];
+    std::int32_t lb = t.cost + min_edge[t.path[t.ncity - 1]];
     bool used[kTspMaxCities] = {};
     for (int k = 0; k < t.ncity; ++k) used[t.path[k]] = true;
     for (int c = 1; c < n; ++c) {
@@ -154,16 +159,16 @@ void Tsp::Body(Proc& p) {
     return lb;
   };
 
-  // Sequential DFS below the queue depth, pruning against `limit`.
-  // Returns the best complete cost found (or +inf) and its path.
+  // Sequential DFS below the queue depth, pruning against `limit`, which
+  // it lowers to the best complete cost found (with `best_path`).
   std::uint64_t dfs_nodes = 0;
   auto dfs = [&](auto&& self, std::vector<int>& path, bool used[],
-                 float cost, float& limit, std::vector<int>& best_path)
-      -> void {
+                 std::int32_t cost, std::int32_t& limit,
+                 std::vector<int>& best_path) -> void {
     ++dfs_nodes;
     const int last = path.back();
     if (static_cast<int>(path.size()) == n) {
-      const float total = cost + d[static_cast<std::size_t>(last) * n];
+      const std::int32_t total = cost + d[static_cast<std::size_t>(last) * n];
       if (total < limit) {
         limit = total;
         best_path = path;
@@ -172,9 +177,9 @@ void Tsp::Body(Proc& p) {
     }
     for (int c = 1; c < n; ++c) {
       if (used[c]) continue;
-      const float nc = cost + d[static_cast<std::size_t>(last) * n + c];
+      const std::int32_t nc = cost + d[static_cast<std::size_t>(last) * n + c];
       // Cheap bound: remaining cities each cost at least their min edge.
-      float lb = nc;
+      std::int32_t lb = nc;
       for (int r = 1; r < n; ++r) {
         if (!used[r] && r != c) lb += min_edge[r];
       }
@@ -208,22 +213,22 @@ void Tsp::Body(Proc& p) {
     const std::int32_t tour_idx = p.Read(pq_tours_, 0);
     --qsize;
     if (qsize > 0) {
-      float k = p.Read(pq_keys_, qsize);
+      std::int32_t k = p.Read(pq_keys_, qsize);
       std::int32_t t = p.Read(pq_tours_, qsize);
       std::size_t hole = 0;
       for (;;) {
         const std::size_t l = 2 * hole + 1, r = 2 * hole + 2;
         std::size_t child = hole;
-        float ck = k;
+        std::int32_t ck = k;
         if (l < static_cast<std::size_t>(qsize)) {
-          const float lk = p.Read(pq_keys_, l);
+          const std::int32_t lk = p.Read(pq_keys_, l);
           if (lk < ck) {
             child = l;
             ck = lk;
           }
         }
         if (r < static_cast<std::size_t>(qsize)) {
-          const float rk = p.Read(pq_keys_, r);
+          const std::int32_t rk = p.Read(pq_keys_, r);
           if (rk < ck) {
             child = r;
             ck = rk;
@@ -246,10 +251,10 @@ void Tsp::Body(Proc& p) {
     const TspTour tour = p.Read(pool_, static_cast<std::size_t>(tour_idx));
 
     p.Lock(kBestLock);
-    const float best_now = p.Read(best_cost_, 0);
+    const std::int32_t best_now = p.Read(best_cost_, 0);
     p.Unlock(kBestLock);
 
-    std::vector<std::pair<float, TspTour>> children;
+    std::vector<std::pair<std::int32_t, TspTour>> children;
     if (tour.bound < best_now) {
       if (tour.ncity < params_.queue_depth) {
         // Expand one level into the shared queue.
@@ -273,7 +278,7 @@ void Tsp::Body(Proc& p) {
         std::vector<int> path(tour.path, tour.path + tour.ncity);
         bool used[kTspMaxCities] = {};
         for (int k = 0; k < tour.ncity; ++k) used[tour.path[k]] = true;
-        float limit = best_now;
+        std::int32_t limit = best_now;
         std::vector<int> best_path;
         dfs_nodes = 0;
         dfs(dfs, path, used, tour.cost, limit, best_path);
@@ -287,7 +292,7 @@ void Tsp::Body(Proc& p) {
             p.Write(best_cost_, 0, limit);
             for (int k = 0; k < n; ++k) {
               p.Write(best_cost_, 16 + static_cast<std::size_t>(k),
-                      static_cast<float>(best_path[k]));
+                      std::int32_t{best_path[k]});
             }
           }
           p.Unlock(kBestLock);
@@ -315,11 +320,11 @@ void Tsp::Body(Proc& p) {
     std::int32_t size = p.Read(meta_, 0);
     for (std::size_t k = 0; k < children.size(); ++k) {
       std::size_t hole = static_cast<std::size_t>(size);
-      float key = children[k].first;
+      const std::int32_t key = children[k].first;
       ++size;
       while (hole > 0) {
         const std::size_t parent = (hole - 1) / 2;
-        const float pk = p.Read(pq_keys_, parent);
+        const std::int32_t pk = p.Read(pq_keys_, parent);
         if (pk <= key) break;
         p.Write(pq_keys_, hole, pk);
         p.Write(pq_tours_, hole, p.Read(pq_tours_, parent));

@@ -11,6 +11,10 @@
 // Partial tours shorter than the recursion threshold are expanded through
 // the queue; deeper subtrees are solved by sequential DFS on the popping
 // processor (the classic Rice TSP structure).
+//
+// Distances are integers, so every cost, bound and queue key is an exact
+// integer sum and the search ends at the one optimal cost whichever
+// processor finds it.
 #pragma once
 
 #include <cstddef>
@@ -34,8 +38,8 @@ inline constexpr int kTspMaxCities = 16;
 
 struct TspTour {
   std::int32_t ncity;                  // cities placed so far
-  float cost;                          // path cost so far
-  float bound;                         // lower bound for the full tour
+  std::int32_t cost;                   // path cost so far
+  std::int32_t bound;                  // lower bound for the full tour
   std::int32_t path[kTspMaxCities];
   std::int32_t pad[13];                // pad record to 128 bytes
 };
@@ -54,22 +58,22 @@ class Tsp : public Application {
   double result() const override { return result_; }
 
   // Host-side exhaustive solver for verification (small city counts).
-  static double BruteForce(const TspParams& params);
+  static std::int32_t BruteForce(const TspParams& params);
 
   // The deterministic distance matrix both solvers use.
-  static std::vector<float> Distances(const TspParams& params);
+  static std::vector<std::int32_t> Distances(const TspParams& params);
 
  private:
   TspParams params_;
   static constexpr std::size_t kPoolSize = 8192;
 
-  SharedArray<float> dist_;        // num_cities^2
+  SharedArray<std::int32_t> dist_;  // num_cities^2
   SharedArray<TspTour> pool_;
-  SharedArray<float> pq_keys_;     // binary heap: bound per entry
+  SharedArray<std::int32_t> pq_keys_;  // binary heap: bound per entry
   SharedArray<std::int32_t> pq_tours_;
   SharedArray<std::int32_t> freelist_;
   SharedArray<std::int32_t> meta_;  // [0]=pq size, [1]=in-flight, [2]=free top
-  SharedArray<float> best_cost_;
+  SharedArray<std::int32_t> best_cost_;  // [0]=cost, [16..]=its path
   Reducer reducer_;
   double result_ = 0.0;
 

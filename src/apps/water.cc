@@ -2,6 +2,9 @@
 
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <cstdlib>
+#include <limits>
 #include <vector>
 
 #include "common/check.h"
@@ -76,7 +79,7 @@ void Water::Body(Proc& p) {
     // --- Inter-molecular phase: pairs (m, j) for the n/2 molecules
     // following m, wrap-around.  Contributions accumulate privately, then
     // flush under per-molecule locks.
-    std::vector<double> df(3 * n, 0.0);
+    std::vector<std::int64_t> df(3 * n, 0);
     std::vector<bool> touched(n, false);
     for (std::size_t m = own.begin; m < own.end; ++m) {
       float pm[3];
@@ -89,21 +92,21 @@ void Water::Body(Proc& p) {
         for (int k = 0; k < 3; ++k) {
           pj[k] = p.ReadAt<float>(fld(j, offsetof(WaterMol, pos) + 4 * k));
         }
-        const float dx = pj[0] - pm[0], dy = pj[1] - pm[1],
-                    dz = pj[2] - pm[2];
-        const float r2 = dx * dx + dy * dy + dz * dz;
+        float dr[3];
+        for (int k = 0; k < 3; ++k) dr[k] = pj[k] - pm[k];
+        const float r2 = dr[0] * dr[0] + dr[1] * dr[1] + dr[2] * dr[2];
         p.Compute(20);  // distance + cutoff test
         if (r2 > params_.cutoff2 || r2 < 1e-6f) continue;
         // Soft-sphere pair force (stands in for the water potential; the
         // modelled cost below reflects the real 9-site computation).
         const float inv2 = 1.0f / (r2 + 0.01f);
         const float f = (inv2 * inv2 - 0.1f * inv2);
-        df[3 * m + 0] -= static_cast<double>(f) * dx;
-        df[3 * m + 1] -= static_cast<double>(f) * dy;
-        df[3 * m + 2] -= static_cast<double>(f) * dz;
-        df[3 * j + 0] += static_cast<double>(f) * dx;
-        df[3 * j + 1] += static_cast<double>(f) * dy;
-        df[3 * j + 2] += static_cast<double>(f) * dz;
+        for (int k = 0; k < 3; ++k) {
+          const std::int64_t q = std::llround(static_cast<double>(f) * dr[k] *
+                                              kWaterForceScale);
+          df[3 * m + k] -= q;
+          df[3 * j + k] += q;
+        }
         touched[m] = true;
         touched[j] = true;
         p.Compute(3000);  // 3x3 site-site interactions, sqrt/exp terms
@@ -115,8 +118,11 @@ void Water::Body(Proc& p) {
       p.Lock(static_cast<int>(m));
       for (int k = 0; k < 3; ++k) {
         const GlobalAddr a = fld(m, offsetof(WaterMol, force) + 4 * k);
-        p.WriteAt<float>(
-            a, p.ReadAt<float>(a) + static_cast<float>(df[3 * m + k]));
+        const std::int64_t sum = p.ReadAt<std::int32_t>(a) + df[3 * m + k];
+        DSM_CHECK(sum >= std::numeric_limits<std::int32_t>::min() &&
+                  sum <= std::numeric_limits<std::int32_t>::max())
+            << "Water force of molecule " << m << " overflows fixed point";
+        p.WriteAt<std::int32_t>(a, static_cast<std::int32_t>(sum));
       }
       p.Unlock(static_cast<int>(m));
     }
@@ -129,31 +135,33 @@ void Water::Body(Proc& p) {
     for (std::size_t m = own.begin; m < own.end; ++m) {
       for (int k = 0; k < 3; ++k) {
         const GlobalAddr fa = fld(m, offsetof(WaterMol, force) + 4 * k);
-        const float f = p.ReadAt<float>(fa);
+        const auto f = static_cast<float>(p.ReadAt<std::int32_t>(fa) /
+                                          kWaterForceScale);
         const GlobalAddr va = fld(m, offsetof(WaterMol, vel) + 4 * k);
         const float v = p.ReadAt<float>(va) + f * params_.dt;
         p.WriteAt<float>(va, v);
         const GlobalAddr xa = fld(m, offsetof(WaterMol, pos) + 4 * k);
         p.WriteAt<float>(xa, p.ReadAt<float>(xa) + v * params_.dt);
-        if (!last_step) p.WriteAt<float>(fa, 0.0f);
+        if (!last_step) p.WriteAt<std::int32_t>(fa, 0);
       }
       p.Compute(12);
     }
     p.Barrier();
   }
 
-  // Verification: total |force| (order-insensitive up to fp tolerance).
-  double local = 0.0;
+  // Verification: total |force|.  Every partial sum is an integer below
+  // 2^53, so the double sums are exact in any order.
+  std::int64_t local = 0;
   for (std::size_t m = own.begin; m < own.end; ++m) {
     for (int k = 0; k < 3; ++k) {
-      local += std::abs(
-          p.ReadAt<float>(fld(m, offsetof(WaterMol, force) + 4 * k)));
+      local += std::abs(std::int64_t{p.ReadAt<std::int32_t>(
+          fld(m, offsetof(WaterMol, force) + 4 * k))});
     }
   }
-  reducer_.Contribute(p, local);
+  reducer_.Contribute(p, static_cast<double>(local));
   p.Barrier();
   const double total = reducer_.Sum(p);
-  if (p.id() == 0) result_ = total;
+  if (p.id() == 0) result_ = total / kWaterForceScale;
 }
 
 }  // namespace dsm::apps

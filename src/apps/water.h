@@ -13,9 +13,14 @@
 //   * inter-molecular phase: each processor reads positions of the n/2
 //     molecules following its own (wrap-around) and accumulates force
 //     contributions under per-molecule locks (migratory data).
+//
+// Forces are fixed point: each pair's contribution is rounded to an
+// integer before it is summed, so a molecule's force, and the result, are
+// exact integer sums that no grant order or processor count can change.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 
 #include "apps/app_common.h"
@@ -32,10 +37,13 @@ struct WaterParams {
 
 WaterParams WaterDataset(const std::string& label);  // "512"
 
+// Fixed-point scale of WaterMol::force: 16 fraction bits.
+inline constexpr double kWaterForceScale = 65536.0;
+
 struct WaterMol {
   float pos[3];
   float vel[3];
-  float force[3];
+  std::int32_t force[3];  // fixed point, kWaterForceScale per unit
   float scratch[15];  // intra-phase bookkeeping; owner-only
 };
 static_assert(sizeof(WaterMol) == 96);

@@ -82,6 +82,8 @@ struct CommBreakdown {
   // the reader-side taxonomy unless a schedule actually fired.
   std::uint64_t recovery_retransmits = 0;       // timed-out, re-sent requests
   std::uint64_t recovery_retransmit_bytes = 0;  // request payload re-sent
+  // Modelled latency the rebuilds charged to the victims' clocks (ns).
+  std::uint64_t recovery_modelled_ns = 0;
 
   // False sharing signature (Figure 3): bucket k = faults that contacted k
   // concurrent writers; per bucket, exchanges split useful/useless.
@@ -182,6 +184,7 @@ inline constexpr CounterRow kCounterRows[] = {
     DSM_COUNTER_ROW(recovery_records, kRecovery),
     DSM_COUNTER_ROW(recovery_retransmits, kRecovery),
     DSM_COUNTER_ROW(recovery_retransmit_bytes, kRecovery),
+    DSM_COUNTER_ROW(recovery_modelled_ns, kRecovery),
 };
 #undef DSM_COUNTER_ROW
 

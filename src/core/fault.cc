@@ -302,16 +302,13 @@ bool FaultInjector::CrashesAtBarrier(ProcId proc,
   return false;
 }
 
-void FaultInjector::OnRecovered(int event_index, VirtualNanos modelled_ns,
-                                std::uint64_t wall_ns) {
+void FaultInjector::OnRecovered(int event_index, std::uint64_t wall_ns) {
   DSM_CHECK_GE(event_index, 0);
   DSM_CHECK_LT(static_cast<std::size_t>(event_index),
                schedule_.events.size());
-  recovery_modelled_ns_.fetch_add(modelled_ns, std::memory_order_acq_rel);
   recovery_wall_ns_.fetch_add(wall_ns, std::memory_order_acq_rel);
   fired_[static_cast<std::size_t>(event_index)].store(
       1, std::memory_order_release);
-  fired_count_.fetch_add(1, std::memory_order_acq_rel);
 }
 
 // ---------------------------------------------------------------------------
@@ -359,6 +356,7 @@ void RecoveryCoordinator::Recover(Node& node, const VectorClock& to,
 
   const VirtualNanos modelled = slowest + install;
   node.clock_.Advance(modelled);
+  c.recovery_modelled_ns += static_cast<std::uint64_t>(modelled);
 
   // Lock-side sweep: force-release anything the victim held (publishing
   // the recovered clock/time, exactly what its own release at the crash
@@ -374,7 +372,7 @@ void RecoveryCoordinator::Recover(Node& node, const VectorClock& to,
 
   const auto wall_end = std::chrono::steady_clock::now();
   shared.fault->OnRecovered(
-      event_index, modelled,
+      event_index,
       static_cast<std::uint64_t>(
           std::chrono::duration_cast<std::chrono::nanoseconds>(wall_end -
                                                                wall_start)

@@ -59,7 +59,6 @@
 
 #include "core/config.h"
 #include "core/vector_clock.h"
-#include "sim/virtual_clock.h"
 
 namespace dsm {
 
@@ -92,18 +91,10 @@ class FaultInjector {
   // the same phase, with no communication.
   bool CrashesAtBarrier(ProcId proc, std::uint32_t sync_phase) const;
 
-  // Recovery telemetry, recorded by the RecoveryCoordinator once per
-  // fired event.  Totals accumulate across the schedule.
-  void OnRecovered(int event_index, VirtualNanos modelled_ns,
-                   std::uint64_t wall_ns);
+  // Marks the event fired and adds the host time its rebuild took; called
+  // by the RecoveryCoordinator once per fired event.
+  void OnRecovered(int event_index, std::uint64_t wall_ns);
 
-  bool any_fired() const { return fired_count() > 0; }
-  int fired_count() const {
-    return fired_count_.load(std::memory_order_acquire);
-  }
-  VirtualNanos recovery_modelled_ns() const {
-    return recovery_modelled_ns_.load(std::memory_order_acquire);
-  }
   std::uint64_t recovery_wall_ns() const {
     return recovery_wall_ns_.load(std::memory_order_acquire);
   }
@@ -114,14 +105,12 @@ class FaultInjector {
   // thread in OnRecovered; predicates load acquire so a second event on a
   // re-armed victim observes the completed earlier recovery.
   std::unique_ptr<std::atomic<std::uint8_t>[]> fired_;
-  std::atomic<int> fired_count_{0};
-  std::atomic<VirtualNanos> recovery_modelled_ns_{0};
   std::atomic<std::uint64_t> recovery_wall_ns_{0};
 };
 
 // Rebuilds a crashed node.  Stateless — a friend of Node that performs the
 // wipe-and-rebuild described above; all bookkeeping lands in the victim's
-// CommBreakdown/clock and the injector's telemetry.
+// CommBreakdown/clock, and the host time in the injector.
 class RecoveryCoordinator {
  public:
   // Rebuild `victim` to the consistent cut `to`: the merged global clock

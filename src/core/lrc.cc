@@ -87,8 +87,9 @@ void Lrc::Fetch(Node& node, const std::vector<UnitId>& units) {
   NodeState& n = nodes_[self];
   CommStats& comm = node.comm_stats_;
 
-  // Validation discards the faulting unit's persisting twin.
-  n.retwin_free[units.front()] = 0;
+  // Validation discards the persisting twin of every unit it fetches, the
+  // Dyn group members included.
+  for (UnitId unit : units) n.retwin_free[unit] = 0;
 
   // Gather needed diffs, grouped by writer.  Consecutive intervals of the
   // SAME writer are coalesced into one combined diff when the absorption

@@ -17,9 +17,7 @@ std::string RunStats::ToString() const {
   std::ostringstream out;
   out << "exec_time: " << exec_seconds() << " s\n";
   if (comm.recoveries > 0) {
-    out << "recovery: events " << recovery_events << ", modelled "
-        << recovery_modelled_ns << " ns, host " << recovery_wall_ns
-        << " ns\n";
+    out << "recovery host time: " << recovery_wall_ns << " ns\n";
   }
   if (races.checked) out << races.ToString();
   out << comm.ToString();
@@ -54,11 +52,6 @@ void ForEachModelledValue(const RunStats& stats, const ModelledValueFn& fn) {
         group.emplace_back(row.name, stats.comm.*row.member);
       }
     }
-    if (g == static_cast<std::size_t>(CounterGroup::kRecovery)) {
-      group.emplace_back(
-          "recovery_modelled_ns",
-          static_cast<std::uint64_t>(stats.recovery_modelled_ns));
-    }
     emit(kCounterGroups[g].skip_if_zero, true);
   }
 
@@ -68,8 +61,6 @@ void ForEachModelledValue(const RunStats& stats, const ModelledValueFn& fn) {
     group.emplace_back(bucket + ".useful", sig.useful(k));
     group.emplace_back(bucket + ".useless", sig.useless(k));
   }
-  group.emplace_back("recovery_events",
-                     static_cast<std::uint64_t>(stats.recovery_events));
   emit(false, false);
 
   for (std::size_t k = 0; k < kNumMessageKinds; ++k) {
@@ -188,9 +179,7 @@ RunStats Runtime::CollectStats() const {
   stats.mem.gc_passes = shared_.lrc.passes();
   stats.mem.chains_built = t.chains_built.load(std::memory_order_relaxed);
   stats.mem.chains_shared = t.chains_shared.load(std::memory_order_relaxed);
-  if (shared_.fault != nullptr && shared_.fault->any_fired()) {
-    stats.recovery_events = shared_.fault->fired_count();
-    stats.recovery_modelled_ns = shared_.fault->recovery_modelled_ns();
+  if (shared_.fault != nullptr) {
     stats.recovery_wall_ns = shared_.fault->recovery_wall_ns();
   }
   if (shared_.race != nullptr) stats.races = shared_.race->Collect();

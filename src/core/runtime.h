@@ -167,12 +167,9 @@ struct RunStats {
   CommBreakdown comm;
   NetStats net;
   MemoryFootprint mem;
-  // Crash recovery (DESIGN.md §9): how many schedule events fired, the
-  // modelled latency the rebuilds charged to the victims' clocks, and the
-  // host wall-clock they took.  Zero — and absent from ToString — unless
-  // at least one event of the fault schedule fired.
-  int recovery_events = 0;
-  VirtualNanos recovery_modelled_ns = 0;
+  // Host wall-clock the crash rebuilds took (DESIGN.md §9); their modelled
+  // totals are comm's recovery counters.  Zero — and absent from ToString
+  // — unless at least one event of the fault schedule fired.
   std::uint64_t recovery_wall_ns = 0;
   // Happens-before race detection (DESIGN.md §10): deduplicated reports
   // in deterministic order.  Default (races.checked == false — and absent
@@ -189,15 +186,13 @@ struct RunStats {
 };
 
 // The modelled state of a run, value by value, in a fixed order: exec_time
-// and node_times; the CommBreakdown counter groups of kCounterRows, with
-// recovery_modelled_ns closing the recovery group; the signature buckets
-// and recovery_events; then one messages/bytes group per NetStats kind.  A
+// and node_times; the CommBreakdown counter groups of kCounterRows; the
+// signature buckets; then one messages/bytes group per NetStats kind.  A
 // skip_if_zero group whose values are all zero yields nothing.
 // `in_fingerprint` is false for the values ModelledFingerprint leaves out
-// (the signature and recovery_events), so fingerprints committed before
-// they were compared do not move.  Host-side
-// observations — mem, races, recovery_wall_ns — are not modelled state and
-// are never yielded.
+// (the signature), so fingerprints committed before it was compared do not
+// move.  Host-side observations — mem, races, recovery_wall_ns — are not
+// modelled state and are never yielded.
 using ModelledValueFn = std::function<void(
     std::string_view name, std::uint64_t value, bool in_fingerprint)>;
 void ForEachModelledValue(const RunStats& stats, const ModelledValueFn& fn);

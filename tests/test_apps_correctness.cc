@@ -5,6 +5,7 @@
 // every aggregation setting.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -43,7 +44,7 @@ class AppConfigTest
 
 // App names paired with the index into kConfigs.
 const char* const kDeterministicApps[] = {
-    "Jacobi", "MGS", "Shallow", "Barnes", "ILINK",
+    "Jacobi", "MGS", "Shallow", "Barnes", "ILINK", "Water",
 };
 
 TEST_P(AppConfigTest, ParallelMatchesSequential) {
@@ -56,8 +57,9 @@ TEST_P(AppConfigTest, ParallelMatchesSequential) {
   auto par_app = MakeApp(app_name, "tiny");
   const AppRun par = Execute(*par_app, MakeConfig(cc));
 
-  // These six programs partition writes disjointly and reduce in fixed
-  // order, so parallel results are bit-identical to sequential.
+  // These programs partition writes disjointly and reduce in fixed order,
+  // or (Water) sum fixed-point integers, so parallel results are
+  // bit-identical to sequential.
   EXPECT_EQ(seq.result, par.result)
       << app_name << " @ " << cc.label << ": seq=" << seq.result
       << " par=" << par.result;
@@ -99,47 +101,19 @@ INSTANTIATE_TEST_SUITE_P(AllConfigs, FftConfigTest, ::testing::Range(0, 4),
                            return std::string(kConfigs[info.param].label);
                          });
 
-// Water accumulates forces under locks; addition order varies with the
-// interleaving, so parallel matches sequential only up to fp tolerance.
-class WaterConfigTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(WaterConfigTest, ParallelMatchesSequentialWithinTolerance) {
-  const ConfigCase& cc = kConfigs[GetParam()];
-  auto seq_app = MakeApp("Water", "tiny");
-  const AppRun seq = ExecuteSequential(*seq_app, MakeConfig(cc));
-  auto par_app = MakeApp("Water", "tiny");
-  const AppRun par = Execute(*par_app, MakeConfig(cc));
-  ASSERT_NE(seq.result, 0.0);
-  EXPECT_NEAR(par.result / seq.result, 1.0, 1e-3)
-      << "Water @ " << cc.label;
-}
-
-INSTANTIATE_TEST_SUITE_P(AllConfigs, WaterConfigTest, ::testing::Range(0, 4),
-                         [](const auto& info) {
-                           return std::string(kConfigs[info.param].label);
-                         });
-
 // TSP is a branch-and-bound search: the explored node set is
-// schedule-dependent but the optimum is not, and must match brute force.
+// schedule-dependent but the optimum is not, and must match brute force
+// in parallel and sequentially.
 class TspConfigTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(TspConfigTest, FindsOptimalTour) {
   const ConfigCase& cc = kConfigs[GetParam()];
-  const TspParams params = TspDataset("tiny");
-  const double optimal = Tsp::BruteForce(params);
-
-  auto app = MakeApp("TSP", "tiny");
-  const AppRun par = Execute(*app, MakeConfig(cc));
-  EXPECT_NEAR(par.result, optimal, 1e-3) << "TSP @ " << cc.label;
-}
-
-TEST_P(TspConfigTest, SequentialFindsOptimalTour) {
-  const ConfigCase& cc = kConfigs[GetParam()];
-  const TspParams params = TspDataset("tiny");
-  const double optimal = Tsp::BruteForce(params);
-  auto app = MakeApp("TSP", "tiny");
-  const AppRun seq = ExecuteSequential(*app, MakeConfig(cc));
-  EXPECT_NEAR(seq.result, optimal, 1e-3);
+  const std::int32_t optimal = Tsp::BruteForce(TspDataset("tiny"));
+  auto par_app = MakeApp("TSP", "tiny");
+  EXPECT_EQ(Execute(*par_app, MakeConfig(cc)).result, optimal) << cc.label;
+  auto seq_app = MakeApp("TSP", "tiny");
+  EXPECT_EQ(ExecuteSequential(*seq_app, MakeConfig(cc)).result, optimal)
+      << cc.label;
 }
 
 INSTANTIATE_TEST_SUITE_P(AllConfigs, TspConfigTest, ::testing::Range(0, 4),

@@ -87,9 +87,8 @@ RuntimeConfig CellConfig(const Cell& cell, int num_procs) {
 // produces residuals orders of magnitude above 1e-3.
 void ExpectMatchesGolden(const ConformanceScenario& s, double actual,
                          const std::string& where) {
-  const double slack = std::max(s.rel_tol, 1e-3);
   EXPECT_LE(std::abs(actual - s.checksum),
-            std::max(std::abs(s.checksum), 1.0) * slack)
+            std::max(std::abs(s.checksum), 1.0) * 1e-3)
       << where << ": result " << actual << " vs golden " << s.checksum;
 }
 
@@ -182,17 +181,12 @@ TEST_P(ConformanceTest, AllCellsAgree) {
     results.push_back({where, run.result});
   }
 
-  // Cross-cell agreement: the strong check.  Bit-deterministic apps must
-  // agree exactly between the LRC protocol and the reference oracle at
-  // every aggregation setting; scheduling-tolerant apps within rel_tol.
+  // Cross-cell agreement: the strong check.  Every app must agree exactly
+  // between the protocol backends and the reference oracle at every
+  // aggregation setting.
   for (std::size_t i = 1; i < results.size(); ++i) {
-    if (s.rel_tol == 0.0) {
-      EXPECT_EQ(results[i].result, results[0].result)
-          << results[i].label << " diverged from " << results[0].label;
-    } else {
-      EXPECT_NEAR(results[i].result / results[0].result, 1.0, s.rel_tol)
-          << results[i].label << " vs " << results[0].label;
-    }
+    EXPECT_EQ(results[i].result, results[0].result)
+        << results[i].label << " diverged from " << results[0].label;
   }
 }
 

@@ -3,10 +3,12 @@
 // and label / config helpers.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/runtime.h"
@@ -207,6 +209,61 @@ TEST(ProtocolEdge, LazyDiffingRetwinRule) {
     EXPECT_EQ(writer.write_faults, e.write_faults) << where;
     EXPECT_EQ(writer.twins_created, e.twins) << where;
   }
+}
+
+// The re-twin rule for a Dyn group member.  Proc 0 groups units A and B by
+// read-faulting both in one interval, then dirties B, so B's twin persists
+// across the barrier release.  Proc 1 then writes both under a lock; its
+// write fault on B requests proc 0's diff, and no barrier drains that
+// request before proc 0 re-acquires the lock.  Proc 0's fault on A fetches
+// B as a group member, so a later read of B is a silent validation, and
+// the write that follows must pay a write fault and a twin: the fetch
+// discarded B's persisting twin.
+TEST(ProtocolEdge, DynGroupMemberRetwinIsCharged) {
+  RuntimeConfig cfg = Config(2);
+  cfg.aggregation = AggregationMode::kDynamic;
+  Runtime rt(cfg);
+  auto a = rt.AllocUnitAligned<int>(2048, "two pages");
+  constexpr std::size_t kB = 1024;  // first word of unit B
+  std::atomic<bool> released{false};
+  CommBreakdown reader;
+  int seen_a = -1, seen_b = -1;
+  rt.Run([&](Proc& p) {
+    if (p.id() == 1) {
+      p.Write(a, 0, 1);
+      p.Write(a, kB, 1);
+    }
+    p.Barrier();
+    if (p.id() == 0) {
+      p.Read(a, 0);
+      p.Read(a, kB);
+      p.Write(a, kB + 1, 2);
+    }
+    p.Barrier();
+    if (p.id() == 1) {
+      p.Lock(0);
+      p.Write(a, kB + 2, 3);
+      p.Write(a, 2, 3);
+      p.Unlock(0);
+      released.store(true);
+    } else {
+      // The host flag orders the grant: proc 0 acquires after proc 1.
+      while (!released.load()) std::this_thread::yield();
+      p.Lock(0);
+      seen_a = p.Read(a, 2);
+      seen_b = p.Read(a, kB + 2);
+      p.Write(a, kB + 3, 4);
+      p.Unlock(0);
+      reader = p.node().comm_stats().counters();
+    }
+    p.Barrier();
+  });
+  EXPECT_EQ(seen_a, 3);
+  EXPECT_EQ(seen_b, 3);
+  EXPECT_EQ(reader.group_prefetch_units, 1u);
+  EXPECT_EQ(reader.silent_validations, 1u);
+  EXPECT_EQ(reader.write_faults, 2u);
+  EXPECT_EQ(reader.twins_created, 2u);
 }
 
 // Multi-unit element access: a struct spanning two consistency units is

@@ -118,7 +118,7 @@ TEST(RacyFuzz, StillExactUnderAnArmedCrashSchedule) {
   RacyFuzz app(FuzzDataset("tiny"));
   const AppRun run = Execute(app, cfg);
   ASSERT_TRUE(run.stats.races.checked);
-  EXPECT_GT(run.stats.recovery_events, 0u);
+  EXPECT_GT(run.stats.comm.recoveries, 0u);
   EXPECT_EQ(run.stats.races.reports,
             app.ExpectedRaces(cfg.num_procs, cfg.unit_bytes()))
       << "got:\n"
@@ -184,7 +184,7 @@ TEST(RaceFreeSuite, ZeroReportsUnderCrashSchedules) {
     auto app = MakeApp(c.app, c.dataset);
     const AppRun run = Execute(*app, cfg);
     ASSERT_TRUE(run.stats.races.checked) << where;
-    EXPECT_GT(run.stats.recovery_events, 0u) << where;
+    EXPECT_GT(run.stats.comm.recoveries, 0u) << where;
     EXPECT_TRUE(run.stats.races.reports.empty())
         << where << " reported:\n"
         << ReportDump(run.stats.races);
@@ -261,9 +261,9 @@ TEST(RaceCheckObservational, LockChainModelledStateBitIdenticalOnAndOff) {
 }
 
 TEST(RaceCheckObservational, LockAppChecksumIdenticalOnAndOffAndClean) {
-  // Fuzz's checksum commutes across lock schedules (rel_tol 0), so the
-  // result must survive the checker even though its modelled statistics
-  // are host-order dependent.
+  // Fuzz's checksum commutes across lock schedules, so the result must
+  // survive the checker even though its modelled statistics are
+  // host-order dependent.
   for (BackendKind backend : {BackendKind::kLrc, BackendKind::kHlrc}) {
     AppRun runs[2];
     for (int on = 0; on < 2; ++on) {

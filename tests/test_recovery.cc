@@ -11,8 +11,7 @@
 // crash barrier.  The gates:
 //
 //   * post-recovery results bit-identical to the failure-free run for
-//     every conformance cell (tolerance only for lock-scheduled apps),
-//     proc-0 and home-crash schedules included,
+//     every conformance cell, proc-0 and home-crash schedules included,
 //   * the same schedule twice → bit-identical everything, recovery
 //     telemetry included — swept over ≥32 seeded schedules,
 //   * FaultSchedule::FromSeed pins the seeded crash points, and Parse
@@ -143,7 +142,7 @@ TEST(RecoveryRebuild, LrcAtBarrierMatchesFailureFree) {
   EXPECT_EQ(fault.stats.comm.recoveries, 1u);
   EXPECT_GT(fault.stats.comm.recovery_messages, 0u);
   EXPECT_GT(fault.stats.comm.recovery_units, 0u);
-  EXPECT_GT(fault.stats.recovery_modelled_ns, 0);
+  EXPECT_GT(fault.stats.comm.recovery_modelled_ns, 0u);
   EXPECT_EQ(clean.stats.comm.recoveries, 0u);
 }
 
@@ -234,7 +233,7 @@ TEST(RecoveryRebuild, LrcVictimNeverAdoptsOlderVirginHistory) {
 //
 // Every catalogue app, every unit size, both protocol backends, both crash
 // kinds: the post-recovery checksum must match the failure-free run bit
-// for bit (lock-scheduled apps to their catalogue tolerance).
+// for bit.
 class RecoveryConformanceTest
     : public ::testing::TestWithParam<ConformanceScenario> {};
 
@@ -266,19 +265,16 @@ TEST_P(RecoveryConformanceTest, PostRecoveryChecksumMatchesFailureFree) {
         fcfg.fault.events = {event};
         auto app = MakeApp(s.app, s.dataset);
         const AppRun run = Execute(*app, fcfg);
-        if (event.point == kRelease && s.rel_tol > 0.0) {
-          // Lock-scheduled apps distribute work by host timing: the victim
-          // may close fewer non-empty intervals than the trigger (TSP's
-          // queue can starve a worker), so the event fires at most once.
+        if (event.point == kRelease && s.app == "TSP") {
+          // TSP's workers take tours from the shared queue in host order:
+          // the victim may close fewer non-empty intervals than the
+          // trigger (the queue can starve a worker), so the event fires
+          // at most once.
           EXPECT_LE(run.stats.comm.recoveries, 1u) << where;
         } else {
           EXPECT_EQ(run.stats.comm.recoveries, 1u) << where;
         }
-        if (s.rel_tol == 0.0) {
-          EXPECT_EQ(run.result, baseline.result) << where;
-        } else {
-          EXPECT_NEAR(run.result / baseline.result, 1.0, s.rel_tol) << where;
-        }
+        EXPECT_EQ(run.result, baseline.result) << where;
       }
     }
   }
@@ -325,7 +321,7 @@ TEST(RecoveryDeterminism, SameScheduleTwiceIsBitIdentical) {
           const AppRun b = Execute(*app_b, cfg);
 
           EXPECT_EQ(a.stats.comm.recoveries, 1u) << where;
-          EXPECT_GT(a.stats.recovery_modelled_ns, 0) << where;
+          EXPECT_GT(a.stats.comm.recovery_modelled_ns, 0u) << where;
           EXPECT_EQ(a.result, b.result) << where;
           EXPECT_EQ(ModelledStateDiff(a.stats, b.stats), "") << where;
         }
@@ -442,7 +438,6 @@ TEST(CoordinatorFailover, ProcZeroCrashMatchesFailureFree) {
     EXPECT_EQ(fault.victim_saw, clean.victim_saw) << where;
     EXPECT_EQ(fault.peer_saw, clean.peer_saw) << where;
     EXPECT_EQ(fault.stats.comm.recoveries, 1u) << where;
-    EXPECT_EQ(fault.stats.recovery_events, 1) << where;
   }
 }
 
@@ -497,7 +492,6 @@ TEST(MultiFaultSchedules, SameVictimTwiceRecoversTwice) {
     EXPECT_EQ(fault.victim_saw, clean.victim_saw) << where;
     EXPECT_EQ(fault.peer_saw, clean.peer_saw) << where;
     EXPECT_EQ(fault.stats.comm.recoveries, 2u) << where;
-    EXPECT_EQ(fault.stats.recovery_events, 2) << where;
   }
 }
 
@@ -512,8 +506,7 @@ TEST(MultiFaultSchedules, ThreeVictimsMixedKindsAcrossBackends) {
     EXPECT_EQ(fault.victim_saw, clean.victim_saw) << where;
     EXPECT_EQ(fault.peer_saw, clean.peer_saw) << where;
     EXPECT_EQ(fault.stats.comm.recoveries, 3u) << where;
-    EXPECT_EQ(fault.stats.recovery_events, 3) << where;
-    EXPECT_GT(fault.stats.recovery_modelled_ns, 0) << where;
+    EXPECT_GT(fault.stats.comm.recovery_modelled_ns, 0u) << where;
   }
 }
 
@@ -602,11 +595,11 @@ TEST(RecoveryTelemetry, EmittedOnlyWhenAFaultFired) {
   const EpochOutcome clean = RunEpochs(BackendKind::kLrc, {});
   EXPECT_EQ(clean.stats.ToString().find("recovery"), std::string::npos);
   EXPECT_EQ(clean.stats.comm.ToString().find("recovery"), std::string::npos);
-  EXPECT_EQ(clean.stats.recovery_modelled_ns, 0);
+  EXPECT_EQ(clean.stats.comm.recovery_modelled_ns, 0u);
   EXPECT_EQ(clean.stats.recovery_wall_ns, 0u);
 
   const EpochOutcome fault = RunEpochs(BackendKind::kLrc, {{kBarrier, 1, 3}});
-  EXPECT_NE(fault.stats.ToString().find("recovery: events 1"),
+  EXPECT_NE(fault.stats.ToString().find("recovery host time: "),
             std::string::npos);
   EXPECT_NE(fault.stats.comm.ToString().find("recovery: recoveries=1"),
             std::string::npos);
