@@ -64,8 +64,7 @@ void Usage(std::FILE* f) {
   std::fprintf(
       f,
       "usage: bench_wallclock [--slice=NAME] [--app=SUBSTR] [--mode=SUBSTR]\n"
-      "                       [--backend=LRC|HLRC] [--procs=N[,N...]] "
-      "[--gc=N]\n"
+      "                       [--backend=LRC|HLRC] [--procs=N[,N...]]\n"
       "                       [--fault=EVENT[+EVENT...]|seed:S] "
       "[--race=on|off]\n"
       "                       [--out=PATH] [--baseline=PATH]\n"
@@ -83,8 +82,8 @@ void Usage(std::FILE* f) {
       "  the happens-before race checker (DESIGN.md §10): host wall-clock\n"
       "  pays for the shadow analysis, modelled numbers and fingerprints\n"
       "  are bit-identical to --race=off.  --baseline=PATH exits 1 when a\n"
-      "  row's result, or a stable row's fingerprint, modelled_ms or GC\n"
-      "  counters, differs from the matching row of PATH, when a row has\n"
+      "  row's result, or a stable row's fingerprint, modelled_ms or memory\n"
+      "  columns, differs from the matching row of PATH, when a row has\n"
       "  no match in PATH, or, on the full sweep, when a row of PATH was\n"
       "  not run.\n");
 }
@@ -96,7 +95,7 @@ void Usage(std::FILE* f) {
 }
 
 // --race takes exactly "on" or "off" — the same whole-token strictness as
-// ParseCount: a typo ('--race=On', '--race=1') must not silently run an
+// --procs: a typo ('--race=On', '--race=1') must not silently run an
 // unchecked sweep that is then read as a clean race report.
 bool ParseRaceFlag(const char* s) {
   if (std::strcmp(s, "on") == 0) return true;
@@ -104,22 +103,9 @@ bool ParseRaceFlag(const char* s) {
   UsageError(std::string("--race: invalid value '") + s + "' (want on|off)");
 }
 
-// Validated numeric flag parsing: the whole token must be a base-10
-// integer >= min_value.  std::atoi silently turned garbage ('--procs=8x',
-// '--gc=') into 0 and ran a nonsense sweep; reject with a usage error.
-int ParseCount(const char* flag, const char* s, int min_value) {
-  char* end = nullptr;
-  errno = 0;
-  const long v = std::strtol(s, &end, 10);
-  if (errno != 0 || end == s || *end != '\0' || v < min_value ||
-      v > 1 << 20) {
-    UsageError(std::string(flag) + ": invalid value '" + s +
-               "' (integer >= " + std::to_string(min_value) + " required)");
-  }
-  return static_cast<int>(v);
-}
-
-// --procs accepts a comma-separated sweep list ("--procs=8,16,64").
+// --procs accepts a comma-separated sweep list ("--procs=8,16,64").  Each
+// token must be a whole base-10 integer >= 1: std::atoi silently turned
+// garbage ('--procs=8x', '--procs=') into 0 and ran a nonsense sweep.
 std::vector<int> ParseProcsList(const char* s) {
   std::vector<int> list;
   std::string token;
@@ -128,7 +114,15 @@ std::vector<int> ParseProcsList(const char* s) {
       token.push_back(*p);
       continue;
     }
-    list.push_back(ParseCount("--procs", token.c_str(), 1));
+    char* end = nullptr;
+    errno = 0;
+    const long v = std::strtol(token.c_str(), &end, 10);
+    if (errno != 0 || end == token.c_str() || *end != '\0' || v < 1 ||
+        v > 1 << 20) {
+      UsageError("--procs: invalid value '" + token +
+                 "' (integer >= 1 required)");
+    }
+    list.push_back(static_cast<int>(v));
     token.clear();
     if (*p == '\0') break;
   }
@@ -166,24 +160,20 @@ Row RunCell(const apps::BenchCell& cell, const RuntimeConfig& cfg) {
 }
 
 // The MemoryFootprint columns of a JSON row, in output order (host-side
-// telemetry, outside the fingerprint).  `gated` columns replay exactly at
-// a fixed configuration, so the gate compares them on stable rows; the
-// two archive peaks sample archive appends, which host scheduling orders,
-// and are only reported.
+// telemetry, outside the fingerprint).  Each replays exactly at a fixed
+// configuration, so the gate compares them all on stable rows.
 struct MemoryJsonField {
   const char* json_name;
   std::uint64_t MemoryFootprint::*member;
-  bool gated;
 };
 const MemoryJsonField kMemoryJsonFields[] = {
-    {"peak_live_intervals", &MemoryFootprint::peak_live_intervals, false},
-    {"peak_archive_bytes", &MemoryFootprint::peak_archive_bytes, false},
-    {"reclaimed_intervals", &MemoryFootprint::reclaimed_intervals, true},
-    {"canonical_base_bytes", &MemoryFootprint::canonical_base_peak_bytes,
-     true},
-    {"gc_passes", &MemoryFootprint::gc_passes, true},
-    {"chains_built", &MemoryFootprint::chains_built, true},
-    {"chains_shared", &MemoryFootprint::chains_shared, true},
+    {"peak_live_intervals", &MemoryFootprint::peak_live_intervals},
+    {"peak_archive_bytes", &MemoryFootprint::peak_archive_bytes},
+    {"reclaimed_intervals", &MemoryFootprint::reclaimed_intervals},
+    {"canonical_base_bytes", &MemoryFootprint::canonical_base_peak_bytes},
+    {"gc_passes", &MemoryFootprint::gc_passes},
+    {"chains_built", &MemoryFootprint::chains_built},
+    {"chains_shared", &MemoryFootprint::chains_shared},
 };
 
 // Minimal reader for the JSON this binary itself writes (one row object
@@ -199,7 +189,7 @@ struct BaselineRow {
   // row gates on it: a lock row's modelled state follows the host's grant
   // order, but its result is exact.
   double result = 0;
-  MemoryFootprint mem;  // the gated kMemoryJsonFields columns (absent → 0)
+  MemoryFootprint mem;  // the kMemoryJsonFields columns (absent → 0)
 };
 
 std::vector<BaselineRow> ReadBaseline(const std::string& path) {
@@ -239,10 +229,8 @@ std::vector<BaselineRow> ReadBaseline(const std::string& path) {
     r.modelled_ms = field("modelled_ms");
     r.result = std::atof(field("result").c_str());
     for (const MemoryJsonField& mf : kMemoryJsonFields) {
-      if (mf.gated) {
-        r.mem.*mf.member =
-            std::strtoull(field(mf.json_name).c_str(), nullptr, 10);
-      }
+      r.mem.*mf.member =
+          std::strtoull(field(mf.json_name).c_str(), nullptr, 10);
     }
     rows.push_back(std::move(r));
   }
@@ -252,7 +240,7 @@ std::vector<BaselineRow> ReadBaseline(const std::string& path) {
 
 // Gate: modelled state must be bit-identical to the committed baseline.
 // Every row fails when its result moves; a stable row also fails when its
-// fingerprint or modelled_ms (as written) or one of its gated GC counters
+// fingerprint or modelled_ms (as written) or one of its memory columns
 // differs.  A row the gate cannot compare fails too: a sweep row with no
 // baseline match and, when `full_sweep`, a baseline row the sweep did not
 // run.  Host wall-clock is printed for every matched row but never gates:
@@ -287,18 +275,18 @@ int CompareToBaseline(const std::vector<Row>& rows,
     const bool compared = r.cell.stable && base->stable;
     const bool state_moved = compared && (base->fingerprint != fingerprint ||
                                           base->modelled_ms != modelled_ms);
-    std::string gc_moved;
+    std::string mem_moved;
     for (const MemoryJsonField& mf : kMemoryJsonFields) {
       const std::uint64_t was = base->mem.*mf.member;
       const std::uint64_t now = r.mem.*mf.member;
-      if (!compared || !mf.gated || was == now) continue;
+      if (!compared || was == now) continue;
       char buf[128];
       std::snprintf(buf, sizeof(buf), " %s %llu -> %llu", mf.json_name,
                     static_cast<unsigned long long>(was),
                     static_cast<unsigned long long>(now));
-      gc_moved += buf;
+      mem_moved += buf;
     }
-    const bool moved = result_moved || state_moved || !gc_moved.empty();
+    const bool moved = result_moved || state_moved || !mem_moved.empty();
     std::printf("baseline: %-54s wall %8.1f -> %8.1f ms%s\n", key.c_str(),
                 base->wall_ms, r.wall_ms, moved ? "  MISMATCH" : "");
     if (moved) ++failures;
@@ -311,8 +299,8 @@ int CompareToBaseline(const std::vector<Row>& rows,
                   base->fingerprint.c_str(), fingerprint,
                   base->modelled_ms.c_str(), modelled_ms);
     }
-    if (!gc_moved.empty()) {
-      std::printf("          GC counters:%s\n", gc_moved.c_str());
+    if (!mem_moved.empty()) {
+      std::printf("          memory columns:%s\n", mem_moved.c_str());
     }
   }
   for (std::size_t i = 0; full_sweep && i < baseline.size(); ++i) {
@@ -324,11 +312,11 @@ int CompareToBaseline(const std::vector<Row>& rows,
   if (failures > 0) {
     std::printf(
         "baseline gate FAILED: %d row(s) changed result, modelled state or "
-        "GC counters, or were unmatched\n",
+        "memory columns, or were unmatched\n",
         failures);
   } else {
     std::printf(
-        "baseline gate passed: results, modelled state and GC counters "
+        "baseline gate passed: results, modelled state and memory columns "
         "bit-identical\n");
   }
   return failures;
@@ -415,7 +403,6 @@ int main(int argc, char** argv) {
   std::string out = "BENCH_wallclock.json";
 #endif
   std::vector<int> procs_list;
-  int gc_interval = dsm::RuntimeConfig{}.gc_interval_barriers;
   std::string slice, app_filter, mode_filter, backend_filter, baseline_path;
   std::string fault_spec;  // failure-free unless --fault= is given
   bool race_check = false;
@@ -436,8 +423,6 @@ int main(int argc, char** argv) {
       }
     } else if (std::strncmp(argv[i], "--procs=", 8) == 0) {
       procs_list = ParseProcsList(argv[i] + 8);
-    } else if (std::strncmp(argv[i], "--gc=", 5) == 0) {
-      gc_interval = ParseCount("--gc", argv[i] + 5, 0);
     } else if (std::strncmp(argv[i], "--app=", 6) == 0) {
       // Row filters for local iteration (case-sensitive substring match,
       // so the full sweep is not the only way to time one app):
@@ -477,8 +462,7 @@ int main(int argc, char** argv) {
   if (slice.empty() &&
       (!app_filter.empty() || !mode_filter.empty() ||
        !backend_filter.empty() || !procs_list.empty() ||
-       !fault_spec.empty() || race_check ||
-       gc_interval != dsm::RuntimeConfig{}.gc_interval_barriers)) {
+       !fault_spec.empty() || race_check)) {
     slice = "classic";
   }
   const bool partial = !slice.empty();
@@ -502,13 +486,12 @@ int main(int argc, char** argv) {
   }
 
   // Build and validate every cell's config before the first row runs: a
-  // schedule, --procs or --gc value that Validate() rejects is a usage
-  // error, not an abort part-way through the sweep.
+  // schedule or --procs value that Validate() rejects is a usage error,
+  // not an abort part-way through the sweep.
   std::vector<dsm::RuntimeConfig> configs;
   for (const dsm::apps::BenchCell& c : cells) {
     try {
       configs.push_back(c.Config());
-      configs.back().gc_interval_barriers = gc_interval;
       configs.back().race_check = race_check;
       configs.back().Validate();
     } catch (const std::invalid_argument& e) {

@@ -18,11 +18,9 @@
 //           interval records not yet flattened into them.  Archives model
 //           write-ahead logs on stable storage: a record is durable the
 //           moment the interval closes, so the victim's own log survives
-//           the crash.  With an armed schedule the GC runs in
-//           *checkpoint-complete* mode (every dominated record reaches the
-//           base, bases are never released), making base + surviving log
-//           a complete history — the honest single-source-of-truth shape
-//           the failure-free protocol does not need.
+//           the crash.  Every GC pass applies every dominated record to
+//           the bases and no base is ever released, so base + surviving
+//           log is a complete history.
 //   * HLRC: whole-unit copies from the home image (Homes::Rebuild,
 //           core/hlrc.h).  A victim that was itself a home reconstructs
 //           each of its units from the surviving sharers' cached copies
@@ -34,13 +32,13 @@
 //           (CommBreakdown::recovery_retransmits).
 //
 // When proc 0 is the victim of an at-barrier event, the coordinator roles
-// it normally holds — the GC pass count and peak fold, checkpoint
-// watermark publish, the HLRC re-home apply, and the barrier-manager cost
-// asymmetry — migrate to the lowest surviving rank for exactly that
-// barrier (SharedState::CoordinatorFor) and migrate back once the victim
-// has rebuilt.  The GC and prune work never migrates: every node, the
-// victim included, collects its own stripe of units and prunes its own
-// HLRC notice log before the crash point.
+// it normally holds — the archive sample, the GC pass count, the
+// checkpoint watermark publish, the HLRC re-home apply, and the
+// barrier-manager cost asymmetry — migrate to the lowest surviving rank
+// for exactly that barrier (SharedState::CoordinatorFor) and migrate back
+// once the victim has rebuilt.  The GC and prune work never migrates:
+// every node, the victim included, collects its own stripe of units and
+// prunes its own HLRC notice log before the crash point.
 //
 // Recovery is *transparent*: the victim's thread continues from the crash
 // point with rebuilt state, so the sync services never lose a live

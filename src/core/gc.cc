@@ -3,8 +3,6 @@
 // (DESIGN.md §6).
 #include "core/lrc.h"
 
-#include <unordered_map>
-
 #include "core/protocol.h"
 
 namespace dsm {
@@ -106,74 +104,54 @@ const VectorClock* Lrc::PassTarget(std::uint32_t sync_phase,
 // pending notices of EVERY node, in fixed node order, with the fault
 // path's absorption rule over the same record set (live records from
 // later epochs can never block a dominated absorption: they happened
-// after every dominated interval); then apply the records some node still
-// needed to the unit's canonical base, in happens-before order, and
-// release the base if no chain references it.  Only those records must
-// reach the base: an interval pending nowhere was already applied by
-// every node, and any word of it a future chain covers is rewritten
-// there by a newer record of that chain.  A unit's collection touches
-// only that unit's state, and the records it reads are frozen until the
-// prune after the window; every chain copies what it needs out of its
-// records (run list, tail key, stamp), so the prune frees them.
+// after every dominated interval); then apply every dominated record that
+// names the unit to its canonical base, in happens-before order.  Earlier
+// passes applied everything they reclaimed, so the base then holds every
+// interval at or below `through` and is a complete recovery checkpoint
+// (DESIGN.md §9).  A unit's collection touches only that unit's state,
+// and the records it reads are frozen until the prune after the window;
+// every chain copies what it needs out of its records (run list, tail
+// key, stamp), so the prune frees them.
 void Lrc::CollectStripe(SharedState& shared, ProcId id, bool is_coordinator,
                         const VectorClock& through) {
   const int nprocs = nprocs_;
   const auto stride = static_cast<UnitId>(nprocs);
-
-  // The records to apply to the current unit's base.  One reclaimed
-  // record is typically pending at most nodes, so each record is resolved
-  // once per unit, which also routes it to the base once.  A pending
-  // notice carries its record and the unit's index in it, and the record
-  // is frozen until the prune after the window.
-  std::vector<Resolved> refs;
-  std::unordered_map<const IntervalRecord*, Resolved> memo;
-  auto resolve = [&](const Notice& pi) {
-    auto it = memo.find(pi.rec);
-    if (it == memo.end()) {
-      it = memo.emplace(pi.rec, Resolved{pi.rec, pi.index, HbKey(*pi.rec)})
-               .first;
-      refs.push_back(it->second);
-    }
-    return it->second;
-  };
   auto dominated = [&through](const Notice& pi) {
     return pi.rec->seq() <= through[pi.rec->proc()];
   };
 
-  // Checkpoint-complete mode (DESIGN.md §9).  A recovery checkpoint must
-  // hold EVERY dominated interval, not only those some node still had
-  // pending: the victim's rebuilt image is base + surviving log, with
-  // nothing else to fall back on.  So under an armed fault schedule each
-  // unit's base takes the full dominated record set naming it instead.
-  // Host-side only (the chain builds are untouched), so fault-free runs
-  // stay bit-identical.
-  std::vector<std::pair<UnitId, Resolved>> complete;
-  if (checkpoint_complete_) {
-    std::vector<const IntervalRecord*> dominated_records;
+  // The stripe's share of the dominated records, one entry per unit a
+  // record names, in base apply order: by unit, then happens-before
+  // (HbKey), so ordered overwrites land newest last.
+  std::vector<std::pair<UnitId, Resolved>> to_apply;
+  {
+    std::vector<const IntervalRecord*> records;
     for (ProcId p = 0; p < nprocs; ++p) {
-      shared.archives[p]->Range(0, through[p], dominated_records);
+      shared.archives[p]->Range(0, through[p], records);
     }
-    for (const IntervalRecord* rec : dominated_records) {
+    for (const IntervalRecord* rec : records) {
+      const HbKey key(*rec);
       const std::span<const UnitId> units = rec->units();
       for (std::uint32_t k = 0; k < units.size(); ++k) {
         if (units[k] % stride != static_cast<UnitId>(id)) continue;
-        complete.push_back({units[k], Resolved{rec, k, HbKey(*rec)}});
+        to_apply.push_back({units[k], Resolved{rec, k, key}});
       }
     }
-    std::sort(complete.begin(), complete.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
   }
-  auto next_complete = complete.begin();
+  std::sort(to_apply.begin(), to_apply.end(),
+            [](const auto& a, const auto& b) {
+              if (a.first != b.first) return a.first < b.first;
+              return a.second.key < b.second.key;
+            });
+  auto next_apply = to_apply.begin();
 
   std::vector<Notice> live;
   std::vector<Resolved> kept;
   std::vector<std::vector<Seq>> foreign_vcw(nprocs);  // BuildChains scratch
   std::vector<std::uint8_t> dom_writer(static_cast<std::size_t>(nprocs));
-  std::uint64_t chains_built = 0, chains_shared = 0;
+  NodeState& own = nodes_[id];
 
   for (auto u = static_cast<UnitId>(id); u < num_units_; u += stride) {
-    memo.clear();
-    refs.clear();
     std::vector<FlattenedChain>& virgin = virgin_[u];
 
     // --- virgin-node bookkeeping (DESIGN.md §8) --------------------------
@@ -219,7 +197,7 @@ void Lrc::CollectStripe(SharedState& shared, ProcId id, bool is_coordinator,
         if (!dominated(pi)) {
           live.push_back(pi);
         } else if (!is_virgin || !virgin_built) {
-          kept.push_back(resolve(pi));
+          kept.push_back(Resolved{pi.rec, pi.index, HbKey(*pi.rec)});
         }
       }
       if (live.size() == pend.size()) continue;  // nothing dominated
@@ -229,7 +207,7 @@ void Lrc::CollectStripe(SharedState& shared, ProcId id, bool is_coordinator,
         if (virgin_built) continue;
         virgin_built = true;
       }
-      (is_virgin ? virgin_new_chains : chains_built) +=
+      (is_virgin ? virgin_new_chains : own.chains_built) +=
           BuildChains(is_virgin ? virgin : chains_[Slot(x, u)], kept, nprocs,
                       foreign_vcw);
     }
@@ -237,62 +215,33 @@ void Lrc::CollectStripe(SharedState& shared, ProcId id, bool is_coordinator,
     // built (shared) it, keeping the counters comparable across runs with
     // different sharer populations.
     if (virgin_consumers > 0) {
-      chains_built += virgin_new_chains;
-      chains_shared +=
+      own.chains_built += virgin_new_chains;
+      own.chains_shared +=
           virgin_new_chains * static_cast<std::uint64_t>(virgin_consumers - 1);
     }
 
-    // --- the canonical base ------------------------------------------------
-    // Happens-before order (HbKey), so ordered overwrites land newest
-    // last.  The keys were computed at resolve time: deriving clock sums
-    // inside the comparator dominated this step on lock-heavy batches.
-    if (checkpoint_complete_) {
-      refs.clear();
-      for (; next_complete != complete.end() && next_complete->first == u;
-           ++next_complete) {
-        refs.push_back(next_complete->second);
+    // --- the canonical base ----------------------------------------------
+    if (next_apply != to_apply.end() && next_apply->first == u) {
+      const std::span<std::byte> base = Base(u);
+      for (; next_apply != to_apply.end() && next_apply->first == u;
+           ++next_apply) {
+        next_apply->second.rec->Apply(next_apply->second.index, base);
       }
+      has_base_[u] = 1;
     }
-    if (!refs.empty()) {
-      std::sort(refs.begin(), refs.end(),
-                [](const Resolved& a, const Resolved& b) {
-                  return a.key < b.key;
-                });
-      const std::span<std::byte> base = bases_.Ensure(u);
-      for (const Resolved& r : refs) r.rec->Apply(r.index, base);
-    }
-    // Under an armed fault schedule the bases ARE the recovery
-    // checkpoints: a released base re-Ensures ZEROED, silently dropping
-    // content the victim's rebuild depends on.  Otherwise a base no chain
-    // references any more goes back to the pool; the virgin store pins it
-    // too, since any never-faulted node may adopt its chains later.
-    if (checkpoint_complete_ || !bases_.Has(u)) continue;
-    bool needed = !virgin.empty();
-    for (ProcId x = 0; x < nprocs; ++x) {
-      // Lazy-header invariant (DESIGN.md §8): per-node chains exist only
-      // on sharers; everyone else reads the virgin store.
-      const bool has_chains = !chains_[Slot(x, u)].empty();
-      DSM_DCHECK(!has_chains || sharer_[Slot(x, u)] != 0);
-      needed = needed || has_chains;
-    }
-    if (!needed) bases_.Release(u);
   }
-  ArchiveTelemetry& tel = shared.archive_telemetry;
-  tel.chains_built.fetch_add(chains_built, std::memory_order_relaxed);
-  tel.chains_shared.fetch_add(chains_shared, std::memory_order_relaxed);
 
   if (is_coordinator) {
     // Checkpoint watermark: everything <= through is in the bases once
     // every stripe is done.  Published before the closing rendezvous,
     // which happens-before any recovery read of it.
-    if (checkpoint_complete_) checkpoint_ = through;
+    checkpoint_ = through;
     ++passes_;
   }
 }
 
-void Lrc::EndBarrier(const VectorClock& global_vc, bool passed) {
+void Lrc::EndBarrier(const VectorClock& global_vc) {
   if (interval_ == 0) return;
-  if (passed) bases_.EndPass();
   history_.push_back(global_vc);
   while (history_.size() > lag_) history_.pop_front();
 }

@@ -5,6 +5,27 @@
 #include "core/protocol.h"
 
 namespace dsm {
+namespace {
+
+struct ArchiveTotals {
+  std::uint64_t records = 0;
+  std::uint64_t bytes = 0;
+};
+
+// The live records and retained bytes of every archive.  Inside a barrier
+// window no archive changes (appends happen at interval close, prunes
+// after the closing rendezvous), so a window's sum does not depend on the
+// order the nodes arrived in.
+ArchiveTotals SumArchives(const SharedState& shared) {
+  ArchiveTotals t;
+  for (const auto& archive : shared.archives) {
+    t.records += archive->size();
+    t.bytes += archive->retained_bytes();
+  }
+  return t;
+}
+
+}  // namespace
 
 Lrc::Lrc(const RuntimeConfig& config, std::size_t num_units,
          std::size_t unit_bytes)
@@ -13,13 +34,13 @@ Lrc::Lrc(const RuntimeConfig& config, std::size_t num_units,
       unit_bytes_(unit_bytes),
       interval_(static_cast<std::uint32_t>(config.gc_interval_barriers)),
       lag_(static_cast<std::uint32_t>(config.gc_lag_barriers)),
-      checkpoint_complete_(config.fault.armed()),
       nodes_(config.backend == BackendKind::kLrc
                  ? static_cast<std::size_t>(config.num_procs)
                  : 0),
-      bases_(nodes_.empty() ? 0 : num_units, unit_bytes),
       checkpoint_(config.num_procs) {
   if (nodes_.empty()) return;
+  bases_ = AllocZeroedImage(num_units * unit_bytes);
+  has_base_.assign(num_units, 0);
   for (NodeState& n : nodes_) {
     n.pending.resize(num_units);
     n.retwin_free.assign(num_units, 0);
@@ -76,6 +97,9 @@ bool Lrc::Twin(ProcId node, UnitId unit, bool was_valid) {
 void Lrc::Adopt(ProcId node, UnitId unit) {
   std::uint8_t& sharer = sharer_[Slot(node, unit)];
   if (sharer != 0) return;
+  // Lazy-header invariant (DESIGN.md §8): per-node chains exist only on
+  // sharers; everyone else reads the virgin store.
+  DSM_DCHECK(chains_[Slot(node, unit)].empty());
   sharer = 1;
   if (!virgin_[unit].empty()) chains_[Slot(node, unit)] = virgin_[unit];
 }
@@ -301,9 +325,11 @@ void Lrc::Fetch(Node& node, const std::vector<UnitId>& units) {
         // Reclaimed head: its words live in the canonical base.  Its own
         // runs suffice — a word only a live member covers is written by
         // that member below.
+        DSM_CHECK(has_base_[unit] != 0)
+            << "unit " << unit << " has no canonical base";
         const std::span<const DiffRun> runs = need.head->runs();
-        bases_.CopyRuns(unit, dst, runs);
-        if (twinned) bases_.CopyRuns(unit, table.twin(unit), runs);
+        Diff::CopyRuns(runs, Base(unit), dst);
+        if (twinned) Diff::CopyRuns(runs, Base(unit), table.twin(unit));
       }
       // Live members oldest first: every word of the union ends with its
       // newest member's value, exactly what one combined diff carries.
@@ -331,7 +357,8 @@ void Lrc::Fetch(Node& node, const std::vector<UnitId>& units) {
 // closing rendezvous keeps any node from issuing new ones before every
 // drain finished.  Archive GC rides the same idle window (DESIGN.md §6):
 // every node collects its own stripe of units, so the pass is over once
-// the window closes.
+// the window closes, and the coordinator samples the archives, which no
+// node changes inside it.
 void Lrc::OnBarrier(Node& node, bool is_coordinator) {
   NodeState& n = nodes_[node.id_];
   for (std::size_t u = 0; u < n.requested.size(); ++u) {
@@ -339,6 +366,11 @@ void Lrc::OnBarrier(Node& node, bool is_coordinator) {
       n.requested[u].store(0, std::memory_order_relaxed);
       n.request_seen[u] = 1;
     }
+  }
+  if (is_coordinator) {
+    const ArchiveTotals now = SumArchives(node.shared_);
+    peak_live_intervals_ = std::max(peak_live_intervals_, now.records);
+    peak_archive_bytes_ = std::max(peak_archive_bytes_, now.bytes);
   }
   const VectorClock* target = PassTarget(node.sync_phase_, node.shared_);
   n.prune_through.reset();
@@ -353,15 +385,18 @@ void Lrc::OnBarrier(Node& node, bool is_coordinator) {
 // prune is mutex-guarded, and nothing live references the prefix.
 void Lrc::AfterBarrier(Node& node, bool is_coordinator,
                        const VectorClock& global_vc) {
-  const std::optional<Seq> prune = nodes_[node.id_].prune_through;
-  if (is_coordinator) EndBarrier(global_vc, prune.has_value());
-  if (prune) node.shared_.archives[node.id_]->PruneThrough(*prune);
+  NodeState& n = nodes_[node.id_];
+  if (is_coordinator) EndBarrier(global_vc);
+  if (n.prune_through) {
+    n.reclaimed += node.shared_.archives[node.id_]->PruneThrough(
+        *n.prune_through);
+  }
 }
 
 // Canonical bases hold every interval at or below the checkpoint
-// watermark (checkpoint-complete GC mode); the archives — stable
-// write-ahead logs, the victim's own included — hold the rest.  Replay
-// above the watermark in happens-before order.
+// watermark; the archives — stable write-ahead logs, the victim's own
+// included — hold the rest.  Replay above the watermark in
+// happens-before order.
 void Lrc::Rebuild(Node& victim, const VectorClock& cut, VirtualNanos& slowest,
                   VirtualNanos& install) {
   const SharedState& shared = victim.shared_;
@@ -383,7 +418,11 @@ void Lrc::Rebuild(Node& victim, const VectorClock& cut, VirtualNanos& slowest,
     n.request_seen[u] = 0;
     chains_[Slot(self, u)].clear();
     sharer_[Slot(self, u)] = 1;
-    if (bases_.ReadCheckpoint(u, victim.UnitSpan(u))) ++base_units;
+    if (has_base_[u] != 0) {
+      const std::span<const std::byte> base = Base(u);
+      std::copy(base.begin(), base.end(), victim.UnitSpan(u).begin());
+      ++base_units;
+    }
   }
   if (base_units > 0) {
     // One bulk exchange with the checkpoint store: request header, one
@@ -440,6 +479,25 @@ void Lrc::Rebuild(Node& victim, const VectorClock& cut, VirtualNanos& slowest,
     r.rec->Apply(r.index, victim.UnitSpan(r.unit));
     install += cost.DiffApplyCost(r.rec->payload_words(r.index) * kWordBytes);
   }
+}
+
+MemoryFootprint Lrc::Footprint(const SharedState& shared) const {
+  MemoryFootprint m;
+  if (nodes_.empty()) return m;
+  const ArchiveTotals last = SumArchives(shared);
+  m.peak_live_intervals = std::max(peak_live_intervals_, last.records);
+  m.peak_archive_bytes = std::max(peak_archive_bytes_, last.bytes);
+  m.canonical_base_peak_bytes =
+      static_cast<std::uint64_t>(
+          std::count(has_base_.begin(), has_base_.end(), 1)) *
+      unit_bytes_;
+  m.gc_passes = passes_;
+  for (const NodeState& n : nodes_) {
+    m.reclaimed_intervals += n.reclaimed;
+    m.chains_built += n.chains_built;
+    m.chains_shared += n.chains_shared;
+  }
+  return m;
 }
 
 }  // namespace dsm

@@ -4,12 +4,12 @@
 // Lrc owns all LRC state of a run beyond each node's page table, word
 // tracker and clocks: every (node, unit)'s pending write notices, each
 // node's lazy-diffing flags and fault scratch, and all reclaimed history —
-// the canonical base images holding the words of reclaimed intervals,
+// the canonical base image holding the words of reclaimed intervals,
 // every node's flattened chains, the virgin store shared by the nodes that
 // never faulted on a unit (DESIGN.md §8), the per-(node, unit) sharer
 // flags, the recent barrier clocks that supply the flatten target, the
-// pass count and the recovery checkpoint watermark (DESIGN.md §9).  It
-// runs the backend's four paths:
+// pass count and the recovery checkpoint watermark (DESIGN.md §9) — and
+// the footprint counters of all of it.  It runs the backend's four paths:
 //
 //   release   Close         archive the dirty units' diffs, cost deferred
 //   fault     Fetch         diffs from every concurrent writer, in parallel
@@ -22,16 +22,19 @@
 //
 // Who touches what, and when:
 //   * A node's own thread, outside the barrier window, reads and writes
-//     its own notices, chains, sharer flags, re-twin flags and scratch.
+//     its own notices, chains, sharer flags, re-twin flags and scratch,
+//     and reads the bases.
 //   * Any peer's fault sets a node's diff-request flags (relaxed atomics);
 //     the node drains them inside the window.
 //   * Inside the window (between BarrierService::Arrive and Rendezvous)
 //     every node collects its own stripe of units (u % num_procs == id):
-//     CollectStripe reads and writes only its units' entries, on every
-//     node, so the stripes share no mutable object.
-//   * The barrier coordinator publishes the checkpoint and counts the
-//     pass inside the window, and closes it in EndBarrier after the
-//     closing rendezvous, before any node's next Arrive can complete.
+//     CollectStripe reads and writes only its units' entries and bases,
+//     on every node, and its own node's counters, so the stripes share no
+//     mutable object.
+//   * The barrier coordinator samples the archives, publishes the
+//     checkpoint and counts the pass inside the window, and remembers the
+//     barrier's clock in EndBarrier after the closing rendezvous, before
+//     any node's next Arrive can complete.
 // The barrier orders the two sides, so the per-entry state is plain
 // bytes and vectors: no atomics but the request flags.
 #pragma once
@@ -47,13 +50,38 @@
 #include "core/config.h"
 #include "core/vector_clock.h"
 #include "core/write_notice.h"
-#include "mem/page_table.h"
+#include "mem/global_heap.h"
 #include "sim/virtual_clock.h"
 
 namespace dsm {
 
 class Node;
 struct SharedState;
+
+// Host-side memory footprint of one Run (archive GC telemetry).  NOT part
+// of the modelled state: these numbers change with
+// RuntimeConfig::gc_interval_barriers while every modelled quantity stays
+// bit-identical, so fingerprints and equivalence checks must exclude them.
+// All zero unless the backend is LRC.
+struct MemoryFootprint {
+  // Across all archives, sampled inside every barrier window and once
+  // after the run.
+  std::uint64_t peak_live_intervals = 0;
+  std::uint64_t peak_archive_bytes = 0;  // notice metadata + diff wire size
+  std::uint64_t reclaimed_intervals = 0;
+  // Units with a canonical base × unit bytes; bases are never released.
+  std::uint64_t canonical_base_peak_bytes = 0;
+  std::uint64_t gc_passes = 0;
+  // Archive-GC chain economics (DESIGN.md §6): chains built, and chains
+  // credited to virgin nodes sharing one virgin-store build.
+  std::uint64_t chains_built = 0;
+  std::uint64_t chains_shared = 0;
+  // Always 0 (the GC elides nothing); the benchmark still reports it.
+  std::uint64_t records_elided = 0;
+
+  friend bool operator==(const MemoryFootprint&,
+                         const MemoryFootprint&) = default;
+};
 
 // The absorption rule, shared by the fault path's chain building
 // (Lrc::Fetch) and the GC's (Lrc::CollectStripe), so a flattened chain is
@@ -107,24 +135,26 @@ class Lrc {
 
   // Inside the barrier window: drain the diff requests peers made of
   // `node` into the view Twin reads, and collect `node`'s GC stripe if a
-  // pass is due.
+  // pass is due.  The coordinator also samples the archives' footprint.
   void OnBarrier(Node& node, bool is_coordinator);
-  // After the closing rendezvous: the coordinator closes the pass and
-  // remembers the barrier's global clock, and `node` prunes the prefix of
-  // its own archive the pass reclaimed.
+  // After the closing rendezvous: the coordinator remembers the barrier's
+  // global clock, and `node` prunes the prefix of its own archive the
+  // pass reclaimed.
   void AfterBarrier(Node& node, bool is_coordinator,
                     const VectorClock& global_vc);
 
   // Crash recovery (DESIGN.md §9), on the victim's thread: drop the
   // victim's notices, flags and chains, then copy in every canonical base
   // and replay the archived records above the checkpoint up to `cut`.
+  // A unit with no base is zero in the checkpoint and costs nothing.
   // Raises `slowest` to the slowest parallel exchange and adds the local
   // install work to `install`.
   void Rebuild(Node& victim, const VectorClock& cut, VirtualNanos& slowest,
                VirtualNanos& install);
 
-  std::size_t base_peak_bytes() const { return bases_.peak_bytes(); }
-  std::uint64_t passes() const { return passes_; }
+  // The run's footprint, after it ended: every node's tallies, the
+  // window samples' peaks and one more sample of the archives.
+  MemoryFootprint Footprint(const SharedState& shared) const;
   // The node's reclaimed chains for `unit`, oldest first per writer
   // (testing).
   const std::vector<FlattenedChain>& chains(ProcId node, UnitId unit) const {
@@ -176,6 +206,11 @@ class Lrc {
     // Through which seq this barrier's GC pass lets the node prune its
     // own archive after the window; none when no pass ran.
     std::optional<Seq> prune_through;
+    // Footprint tallies: chains the node's stripe built and shared, and
+    // records the node pruned from its own archive.
+    std::uint64_t chains_built = 0;
+    std::uint64_t chains_shared = 0;
+    std::uint64_t reclaimed = 0;
     // Fault scratch, reused so the steady-state fault path performs few
     // allocations (vector capacity persists between calls).
     std::vector<std::vector<NeedEntry>> needs_by_writer;  // indexed by proc
@@ -197,6 +232,10 @@ class Lrc {
   // Chain headers are thereby allocated lazily — a node carries them only
   // for units it has faulted on.
   void Adopt(ProcId node, UnitId unit);
+  // The unit's canonical base, a unit of the base image.
+  std::span<std::byte> Base(UnitId unit) {
+    return {bases_.get() + unit * unit_bytes_, unit_bytes_};
+  }
 
   // --- the GC pass (core/gc.cc), run by the barrier hooks -----------------
   // The flatten target of the pass due inside the window of barrier
@@ -206,26 +245,29 @@ class Lrc {
   const VectorClock* PassTarget(std::uint32_t sync_phase,
                                 const SharedState& shared) const;
   // Collect node `id`'s stripe: turn every node's pending notices
-  // dominated by `through` into flattened chains, fold the records some
-  // node still needed into the canonical bases, and release the bases no
-  // chain references any more.  The coordinator also counts the pass and
-  // publishes the checkpoint watermark.
+  // dominated by `through` into flattened chains, and apply every
+  // dominated record to the canonical bases.  The coordinator also counts
+  // the pass and publishes the checkpoint watermark.
   void CollectStripe(SharedState& shared, ProcId id, bool is_coordinator,
                      const VectorClock& through);
-  // Coordinator only, after the closing rendezvous: fold the pass's base
-  // peak and remember the barrier's global clock for later targets.
-  void EndBarrier(const VectorClock& global_vc, bool passed);
+  // Coordinator only, after the closing rendezvous: remember the
+  // barrier's global clock for later targets.
+  void EndBarrier(const VectorClock& global_vc);
 
   const int nprocs_;
   const std::size_t num_units_;
   const std::size_t unit_bytes_;
   const std::uint32_t interval_;
   const std::uint32_t lag_;
-  // Armed fault schedule: every dominated record reaches the bases and no
-  // base is released, so the bases are complete recovery checkpoints.
-  const bool checkpoint_complete_;
   std::vector<NodeState> nodes_;
-  CanonicalStore bases_;
+  // The canonical bases (DESIGN.md §6): one zeroed heap-sized image whose
+  // unit u holds every reclaimed interval naming u, applied in
+  // happens-before order, and per unit whether any has been applied.
+  // Only u's stripe writes them, inside the window; the fault path and
+  // recovery read them outside it.  Pages no base touches stay
+  // unallocated.
+  HeapImage bases_;
+  std::vector<std::uint8_t> has_base_;
   // Per (unit, node), unit-major: the node's flattened chains, and
   // whether it has ever faulted on the unit (monotone).  Crash recovery
   // must not read other nodes' flags to pick reconstruction sources:
@@ -241,9 +283,12 @@ class Lrc {
   // the flatten target once full.
   std::deque<VectorClock> history_;
   std::uint64_t passes_ = 0;
-  // Every interval at or below this clock is in the bases.  Maintained
-  // only under an armed fault schedule (all-zero otherwise).
+  // Every interval at or below this clock is in the bases.
   VectorClock checkpoint_;
+  // The largest sum of the archives' live records and retained bytes
+  // over the barrier windows so far, sampled by the coordinator.
+  std::uint64_t peak_live_intervals_ = 0;
+  std::uint64_t peak_archive_bytes_ = 0;
 };
 
 }  // namespace dsm

@@ -63,14 +63,6 @@ SharedState::SharedState(const RuntimeConfig& cfg)
   archives.reserve(cfg.num_procs);
   for (int p = 0; p < cfg.num_procs; ++p) {
     archives.push_back(std::make_unique<IntervalArchive>());
-    // The telemetry reports the LRC diff archive the GC keeps bounded.
-    // HLRC records are notice-only metadata pruned by a seen-everywhere
-    // watermark (Homes::OnBarrier) — hooking them up would report a
-    // phantom archive for a backend that has none, and the reference
-    // backend never archives at all.
-    if (cfg.backend == BackendKind::kLrc) {
-      archives.back()->set_telemetry(&archive_telemetry);
-    }
   }
   if (cfg.race_check) {
     race = std::make_unique<RaceDetector>(cfg.num_procs, heap.num_units(),

@@ -60,10 +60,9 @@ struct SharedState {
   std::unique_ptr<BarrierService> barrier;
   std::unique_ptr<LockService> locks;
   // The LRC backend (DESIGN.md §4 and §6): every node's pending notices,
-  // lazy-diffing flags and reclaimed history.  Empty unless the backend is
-  // kLrc.
+  // lazy-diffing flags and reclaimed history, and its footprint counters.
+  // Empty unless the backend is kLrc.
   Lrc lrc;
-  ArchiveTelemetry archive_telemetry;
   // BackendKind::kReference: the single image all processors access
   // directly (null under the LRC backend, where every node owns a private
   // image).  Race-free programs touch disjoint words between
@@ -83,8 +82,8 @@ struct SharedState {
 
   // Barrier coordinator for `sync_phase`: proc 0 unless an at-barrier
   // event kills it at that phase, in which case the lowest surviving rank
-  // assumes the coordinator roles (GC pass count, canonical-base peak fold
-  // and checkpoint watermark, HLRC re-home apply, barrier-manager cost
+  // assumes the coordinator roles (archive sample, GC pass count and
+  // checkpoint watermark, HLRC re-home apply, barrier-manager cost
   // asymmetry) for exactly that barrier.  Collecting the units and
   // pruning the logs are not among them: every node, the victim included,
   // collects its own GC stripe and prunes its own log.  A pure function

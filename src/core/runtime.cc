@@ -168,17 +168,7 @@ RunStats Runtime::CollectStats() const {
   // Every applied word is classified useful or useless exactly once
   // (CommBreakdown::delivered_data_bytes).
   DSM_CHECK_EQ(stats.comm.total_data_bytes(), stats.comm.delivered_data_bytes);
-  const ArchiveTelemetry& t = shared_.archive_telemetry;
-  stats.mem.peak_live_intervals =
-      t.peak_live_intervals.load(std::memory_order_relaxed);
-  stats.mem.peak_archive_bytes =
-      t.peak_live_bytes.load(std::memory_order_relaxed);
-  stats.mem.reclaimed_intervals =
-      t.reclaimed_intervals.load(std::memory_order_relaxed);
-  stats.mem.canonical_base_peak_bytes = shared_.lrc.base_peak_bytes();
-  stats.mem.gc_passes = shared_.lrc.passes();
-  stats.mem.chains_built = t.chains_built.load(std::memory_order_relaxed);
-  stats.mem.chains_shared = t.chains_shared.load(std::memory_order_relaxed);
+  stats.mem = shared_.lrc.Footprint(shared_);
   if (shared_.fault != nullptr) {
     stats.recovery_wall_ns = shared_.fault->recovery_wall_ns();
   }

@@ -142,24 +142,6 @@ class Proc {
   Node& node_;
 };
 
-// Host-side memory footprint of one Run (archive GC telemetry).  NOT part
-// of the modelled state: these numbers change with
-// RuntimeConfig::gc_interval_barriers while every modelled quantity stays
-// bit-identical, so fingerprints and equivalence checks must exclude them.
-struct MemoryFootprint {
-  std::uint64_t peak_live_intervals = 0;  // across all archives
-  std::uint64_t peak_archive_bytes = 0;   // notice metadata + diff wire size
-  std::uint64_t reclaimed_intervals = 0;
-  std::uint64_t canonical_base_peak_bytes = 0;
-  std::uint64_t gc_passes = 0;
-  // Archive-GC chain economics (DESIGN.md §6): chains built, and chains
-  // credited to virgin nodes sharing one virgin-store build.
-  std::uint64_t chains_built = 0;
-  std::uint64_t chains_shared = 0;
-  // Always 0 (the GC elides nothing); the benchmark still reports it.
-  std::uint64_t records_elided = 0;
-};
-
 // Aggregated results of one Run.
 struct RunStats {
   VirtualNanos exec_time = 0;  // max over nodes (the run's critical path)

@@ -79,32 +79,11 @@ std::size_t IntervalRecord::RetainedBytes() const {
   return bytes;
 }
 
-void ArchiveTelemetry::OnAppend(std::uint64_t bytes) {
-  const std::uint64_t live =
-      live_intervals.fetch_add(1, std::memory_order_relaxed) + 1;
-  std::uint64_t peak = peak_live_intervals.load(std::memory_order_relaxed);
-  while (live > peak && !peak_live_intervals.compare_exchange_weak(
-                            peak, live, std::memory_order_relaxed)) {
-  }
-  const std::uint64_t total =
-      live_bytes.fetch_add(bytes, std::memory_order_relaxed) + bytes;
-  std::uint64_t peak_b = peak_live_bytes.load(std::memory_order_relaxed);
-  while (total > peak_b && !peak_live_bytes.compare_exchange_weak(
-                               peak_b, total, std::memory_order_relaxed)) {
-  }
-}
-
-void ArchiveTelemetry::OnReclaim(std::uint64_t records, std::uint64_t bytes) {
-  live_intervals.fetch_sub(records, std::memory_order_relaxed);
-  live_bytes.fetch_sub(bytes, std::memory_order_relaxed);
-  reclaimed_intervals.fetch_add(records, std::memory_order_relaxed);
-}
-
 const IntervalRecord* IntervalArchive::Append(IntervalRecord record) {
   std::lock_guard lock(mutex_);
   DSM_CHECK(records_.empty() || records_.back().seq() < record.seq())
       << "archive appends must be in increasing seq order";
-  if (telemetry_ != nullptr) telemetry_->OnAppend(record.RetainedBytes());
+  retained_bytes_ += record.RetainedBytes();
   records_.push_back(std::move(record));
   return &records_.back();
 }
@@ -121,14 +100,10 @@ void IntervalArchive::Range(Seq from, Seq to,
 std::size_t IntervalArchive::PruneThrough(Seq through) {
   std::lock_guard lock(mutex_);
   std::size_t reclaimed = 0;
-  std::uint64_t bytes = 0;
   while (!records_.empty() && records_.front().seq() <= through) {
-    bytes += records_.front().RetainedBytes();
+    retained_bytes_ -= records_.front().RetainedBytes();
     records_.pop_front();
     ++reclaimed;
-  }
-  if (telemetry_ != nullptr && reclaimed > 0) {
-    telemetry_->OnReclaim(reclaimed, bytes);
   }
   return reclaimed;
 }
@@ -144,6 +119,11 @@ std::size_t IntervalArchive::CountThrough(Seq through) const {
 std::size_t IntervalArchive::size() const {
   std::lock_guard lock(mutex_);
   return records_.size();
+}
+
+std::size_t IntervalArchive::retained_bytes() const {
+  std::lock_guard lock(mutex_);
+  return retained_bytes_;
 }
 
 }  // namespace dsm

@@ -318,27 +318,6 @@ struct FlattenedChain {
   }
 };
 
-// Footprint counters shared by all archives of a run (updated under each
-// archive's own mutex; atomics make the cross-archive sums race-free).
-// The chain counters are added once per pass by each node's GC flatten of
-// its stripe, inside the idle barrier window; they are sums, so the order
-// the stripes finish in does not show.
-struct ArchiveTelemetry {
-  std::atomic<std::uint64_t> live_intervals{0};
-  std::atomic<std::uint64_t> peak_live_intervals{0};
-  std::atomic<std::uint64_t> live_bytes{0};
-  std::atomic<std::uint64_t> peak_live_bytes{0};
-  std::atomic<std::uint64_t> reclaimed_intervals{0};
-  // Archive-GC chain economics (DESIGN.md §6): chains actually built, and
-  // chains credited to virgin nodes that share one virgin-store build
-  // instead of building their own.
-  std::atomic<std::uint64_t> chains_built{0};
-  std::atomic<std::uint64_t> chains_shared{0};
-
-  void OnAppend(std::uint64_t bytes);
-  void OnReclaim(std::uint64_t records, std::uint64_t bytes);
-};
-
 // Archive of one node's closed intervals, held by value.  The owner
 // appends at interval close; peers collect records at acquires and
 // barriers, and under LRC keep pointers to them in their pending notices
@@ -373,14 +352,14 @@ class IntervalArchive {
   // skips a pass that would reclaim nothing.
   std::size_t CountThrough(Seq through) const;
 
-  void set_telemetry(ArchiveTelemetry* t) { telemetry_ = t; }
-
+  // Records held, and the sum of their RetainedBytes().
   std::size_t size() const;
+  std::size_t retained_bytes() const;
 
  private:
   mutable std::mutex mutex_;
   std::deque<IntervalRecord> records_;
-  ArchiveTelemetry* telemetry_ = nullptr;
+  std::size_t retained_bytes_ = 0;
 };
 
 }  // namespace dsm

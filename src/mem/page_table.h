@@ -19,11 +19,9 @@
 
 #include <cstddef>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <vector>
 
-#include "mem/diff.h"
 #include "mem/types.h"
 
 namespace dsm {
@@ -33,82 +31,6 @@ enum class UnitState : std::uint8_t {
   kDirty,
   kInvalid,
   kUpdatedInvalid,
-};
-
-// Canonical base images for archive GC (DESIGN.md §6), owned by
-// Lrc (core/lrc.h): one full-unit snapshot per consistency unit that
-// holds the contents implied by every reclaimed interval, applied in
-// happens-before order on top of the zero-initialized heap.
-// FlattenedChains carry only run lists; at fault time their data is
-// copied from here.  Shared across nodes: mutation (Ensure/Release)
-// happens only in the GC pass inside the idle barrier window, where each
-// node works its own stripe of units, so a unit's slot has one writer;
-// fault-time reads happen only outside the window against an
-// immutable-between-barriers image, so reads need no locking.  The pool
-// mutex guards the pool and its counters against the concurrent stripes.
-//
-// Buffers are allocated lazily (only units that ever had a pending chain
-// flattened pay) and recycled through a free pool, like twins: when a GC
-// pass observes that no node holds a flattened chain for a unit any more,
-// the unit's base is dropped to the pool and a later flatten re-ensures a
-// zeroed buffer (safe: a fresh stub's runs are always covered by the
-// records applied after re-ensuring).
-class CanonicalStore {
- public:
-  CanonicalStore(std::size_t num_units, std::size_t unit_bytes);
-
-  bool Has(UnitId unit) const { return bases_[unit] != nullptr; }
-
-  // Base image of `unit`, allocating a zero-filled buffer on first use.
-  std::span<std::byte> Ensure(UnitId unit);
-
-  // Read-only view; unit must have a base.
-  std::span<const std::byte> base(UnitId unit) const;
-
-  // Copy the words named by `runs` from the unit's base image into `dst`
-  // (a unit-sized buffer).  The primitive behind flattened-chain
-  // application (DESIGN.md §6): the base holds the newest dominated value
-  // of every flattened word, so any copy of a run from it yields the
-  // bytes the reclaimed history would have produced.
-  void CopyRuns(UnitId unit, std::span<std::byte> dst,
-                std::span<const DiffRun> runs) const;
-
-  // Checkpoint-read API (crash recovery, DESIGN.md §9): copy the unit's
-  // base image — the barrier-epoch checkpoint of every flattened interval
-  // — into `dst` (a unit-sized buffer) and return true, or return false
-  // untouched when the unit has no base (no dominated interval ever wrote
-  // it; its checkpoint content is the zero-initialized heap).  The one
-  // sanctioned way to read checkpoint data from outside the GC: recovery
-  // must not see (or depend on) the store's pooling internals.
-  bool ReadCheckpoint(UnitId unit, std::span<std::byte> dst) const;
-
-  // Return the unit's buffer to the free pool (no-op without a base).
-  void Release(UnitId unit);
-
-  // Close a GC pass: fold (live bases at the pass's start + bases it newly
-  // ensured) into the peak and start the next pass's count.  That is what
-  // the pass peaks at when every Ensure precedes every Release, and it
-  // does not depend on how concurrent stripes interleaved their Ensures
-  // and Releases, so the peak replays bit-for-bit.  Called once per pass,
-  // after every stripe finished and before the next pass starts.
-  void EndPass();
-
-  // High-water mark of the bytes held by live bases over the run, sampled
-  // per pass (see EndPass); pooled free buffers are not counted: they are
-  // capacity, not content.
-  std::size_t peak_bytes() const { return peak_count_ * unit_bytes_; }
-
- private:
-  std::size_t unit_bytes_;
-  // Guards the pool and counters; per-unit slots are written only by the
-  // stripe that owns the unit.
-  mutable std::mutex pool_mutex_;
-  std::vector<std::unique_ptr<std::byte[]>> bases_;
-  std::vector<std::unique_ptr<std::byte[]>> free_bases_;
-  std::size_t live_count_ = 0;
-  std::size_t pass_start_count_ = 0;  // live_count_ when the pass began
-  std::size_t pass_new_count_ = 0;    // bases ensured by the pass so far
-  std::size_t peak_count_ = 0;
 };
 
 class PageTable {

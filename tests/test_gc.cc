@@ -21,21 +21,10 @@
 #include <vector>
 
 #include "apps/registry.h"
+#include "test_matrix.h"
 
 namespace dsm::apps {
 namespace {
-
-struct AggPoint {
-  const char* label;
-  AggregationMode mode;
-  int ppu;
-};
-
-const AggPoint kAggs[] = {
-    {"4K", AggregationMode::kStatic, 1},
-    {"16K", AggregationMode::kStatic, 4},
-    {"Dyn", AggregationMode::kDynamic, 1},
-};
 
 RuntimeConfig GcConfig(const AggPoint& agg, int num_procs, int gc_interval) {
   RuntimeConfig cfg;
@@ -651,6 +640,79 @@ TEST(GcBoundedArchive, MgsPeakLiveIntervalsDoNotScaleWithBarriers) {
   EXPECT_GT(on.gc_passes, 10u);
   EXPECT_GT(on.reclaimed_intervals, 100u);
   EXPECT_LT(on.peak_archive_bytes, off.peak_archive_bytes / 4);
+}
+
+// --- the footprint -----------------------------------------------------------
+//
+// Every GC pass applies every dominated record to its unit's canonical
+// base, pending somewhere or not, and no base is ever released, so the
+// bases are complete checkpoints in every run.  Here proc 0 writes one
+// unit once and every peer reads it in the same epoch: no notice of the
+// record is pending anywhere when the pass collects it (as in ILINK), and
+// the base must still take it and count the unit.
+TEST(GcFootprint, BaseCountsAUnitEveryReaderConsumed) {
+  RuntimeConfig cfg;
+  cfg.num_procs = 4;
+  cfg.heap_bytes = 1u << 20;
+
+  Runtime rt(cfg);
+  auto data = rt.AllocUnitAligned<int>(1024, "data");
+  std::atomic<int> read_sum{0};
+  rt.Run([&](Proc& p) {
+    if (p.id() == 0) p.Write(data, 0, 42);
+    p.Barrier();  // 0: the record (proc 0, seq 1) is closed
+    if (p.id() != 0) read_sum += p.Read(data, 0);
+    p.Barrier();
+    p.Barrier();  // 2: the pass (lag 2) collects through barrier 0
+  });
+  const MemoryFootprint mem = rt.CollectStats().mem;
+  EXPECT_EQ(read_sum.load(), 3 * 42);
+  EXPECT_EQ(mem.gc_passes, 1u);
+  EXPECT_EQ(mem.reclaimed_intervals, 1u);
+  EXPECT_EQ(mem.chains_built, 0u);  // nothing was pending
+  EXPECT_EQ(mem.canonical_base_peak_bytes, cfg.unit_bytes());
+}
+
+// The archive peaks are the largest sum, over the barrier windows and the
+// end of the run, of every archive's live records and retained bytes.
+// Each of 4 procs rewrites one word of its own unit before each of 6
+// barriers, then once more under a lock, so every record is one unit of
+// one one-word run.  With gc 0 the archives keep all 28, which only the
+// sample after the run sees.  With gc 1 (lag 2) the window of barrier
+// b >= 2 holds each proc's records b - 1, b and b + 1: the pass before
+// pruned through b - 2, and this one prunes through b - 1 after the
+// window.  The end of the run holds 5, 6 and the lock's 7.
+TEST(GcFootprint, ArchivePeaksAreWindowSums) {
+  constexpr int kProcs = 4;
+  constexpr int kBarriers = 6;
+  // Notice bytes (16 + 8 per unit) plus the diff's wire size (a 16-byte
+  // header, one 8-byte run descriptor and one word).
+  constexpr std::uint64_t kRecordBytes = (16 + 8) + (16 + 8 + 4);
+  for (int gc : {0, 1}) {
+    RuntimeConfig cfg;
+    cfg.num_procs = kProcs;
+    cfg.heap_bytes = 1u << 20;
+    cfg.gc_interval_barriers = gc;
+    Runtime rt(cfg);
+    auto data = rt.AllocUnitAligned<int>(kProcs * 1024, "data");
+    rt.Run([&](Proc& p) {
+      const std::size_t word = static_cast<std::size_t>(p.id()) * 1024;
+      for (int b = 0; b < kBarriers; ++b) {
+        p.Write(data, word, b + 1);
+        p.Barrier();
+      }
+      p.Lock(p.id());
+      p.Write(data, word, kBarriers + 1);
+      p.Unlock(p.id());
+    });
+    const MemoryFootprint mem = rt.CollectStats().mem;
+    const std::string where = "gc=" + std::to_string(gc);
+    const std::uint64_t records = gc == 0 ? kProcs * (kBarriers + 1)
+                                          : kProcs * 3;
+    EXPECT_EQ(mem.peak_live_intervals, records) << where;
+    EXPECT_EQ(mem.peak_archive_bytes, records * kRecordBytes) << where;
+    EXPECT_EQ(mem.reclaimed_intervals, gc == 0 ? 0u : kProcs * 4u) << where;
+  }
 }
 
 // --- HLRC value-identical rewrites ------------------------------------------

@@ -24,41 +24,10 @@
 #include "apps/kvstore.h"
 #include "apps/registry.h"
 #include "core/fault.h"
+#include "test_matrix.h"
 
 namespace dsm::apps {
 namespace {
-
-struct AggPoint {
-  const char* label;
-  AggregationMode mode;
-  int ppu;
-};
-
-const AggPoint kAggs[] = {
-    {"4K", AggregationMode::kStatic, 1},
-    {"16K", AggregationMode::kStatic, 4},
-    {"Dyn", AggregationMode::kDynamic, 1},
-};
-
-const BackendKind kBackends[] = {BackendKind::kLrc, BackendKind::kHlrc,
-                                 BackendKind::kReference};
-
-RuntimeConfig CellConfig(BackendKind backend, const AggPoint& agg,
-                         int num_procs) {
-  RuntimeConfig cfg;
-  cfg.num_procs = num_procs;
-  cfg.backend = backend;
-  cfg.aggregation = agg.mode;
-  cfg.pages_per_unit = agg.ppu;
-  cfg.race_check = true;
-  return cfg;
-}
-
-std::string ReportDump(const RaceStats& races) {
-  std::string out;
-  for (const RaceReport& r : races.reports) out += "  " + r.ToString() + "\n";
-  return out;
-}
 
 // --- correctly-locked KV: exact checksums, certified race-free ---------------
 

@@ -21,41 +21,10 @@
 #include "analysis/race_detector.h"
 #include "apps/fuzz.h"
 #include "apps/registry.h"
+#include "test_matrix.h"
 
 namespace dsm::apps {
 namespace {
-
-struct AggPoint {
-  const char* label;
-  AggregationMode mode;
-  int ppu;
-};
-
-const AggPoint kAggs[] = {
-    {"4K", AggregationMode::kStatic, 1},
-    {"16K", AggregationMode::kStatic, 4},
-    {"Dyn", AggregationMode::kDynamic, 1},
-};
-
-const BackendKind kBackends[] = {BackendKind::kLrc, BackendKind::kHlrc,
-                                 BackendKind::kReference};
-
-RuntimeConfig CellConfig(BackendKind backend, const AggPoint& agg,
-                         int num_procs) {
-  RuntimeConfig cfg;
-  cfg.num_procs = num_procs;
-  cfg.backend = backend;
-  cfg.aggregation = agg.mode;
-  cfg.pages_per_unit = agg.ppu;
-  cfg.race_check = true;
-  return cfg;
-}
-
-std::string ReportDump(const RaceStats& races) {
-  std::string out;
-  for (const RaceReport& r : races.reports) out += "  " + r.ToString() + "\n";
-  return out;
-}
 
 // --- injected races: exact match across the full matrix ----------------------
 

@@ -12,6 +12,9 @@
 //
 //   * post-recovery results bit-identical to the failure-free run for
 //     every conformance cell, proc-0 and home-crash schedules included,
+//   * a schedule that never fires changes nothing: every conformance
+//     app keeps its result, and every barrier app models exactly what
+//     the unarmed run models, GC footprint included,
 //   * the same schedule twice → bit-identical everything, recovery
 //     telemetry included — swept over ≥32 seeded schedules,
 //   * FaultSchedule::FromSeed pins the seeded crash points, and Parse
@@ -32,21 +35,10 @@
 
 #include "apps/registry.h"
 #include "core/fault.h"
+#include "test_matrix.h"
 
 namespace dsm::apps {
 namespace {
-
-struct AggPoint {
-  const char* label;
-  AggregationMode mode;
-  int ppu;
-};
-
-const AggPoint kAggs[] = {
-    {"4K", AggregationMode::kStatic, 1},
-    {"16K", AggregationMode::kStatic, 4},
-    {"Dyn", AggregationMode::kDynamic, 1},
-};
 
 using Events = std::vector<FaultSchedule::Event>;
 constexpr FaultPoint kBarrier = FaultPoint::kAtBarrier;
@@ -277,6 +269,34 @@ TEST_P(RecoveryConformanceTest, PostRecoveryChecksumMatchesFailureFree) {
         EXPECT_EQ(run.result, baseline.result) << where;
       }
     }
+  }
+}
+
+// Arming a schedule sets up the injector, the coordinator choice and the
+// re-home table, and none of them may change the model until an event
+// fires.  A schedule whose one event never comes must leave every cell
+// exactly as the unarmed run left it, the GC's footprint included.  Lock
+// apps take their grants in host order, so only their results compare.
+TEST_P(RecoveryConformanceTest, UnfiredScheduleChangesNothing) {
+  const ConformanceScenario& s = GetParam();
+  for (BackendKind backend : {BackendKind::kLrc, BackendKind::kHlrc}) {
+    RuntimeConfig cfg;
+    cfg.num_procs = 4;
+    cfg.backend = backend;
+    RuntimeConfig armed = cfg;
+    armed.fault.events = {{kRelease, 1, 1000000}};
+    const std::string where =
+        s.app + (backend == BackendKind::kLrc ? " LRC" : " HLRC");
+
+    auto off_app = MakeApp(s.app, s.dataset);
+    const AppRun off = Execute(*off_app, cfg);
+    auto on_app = MakeApp(s.app, s.dataset);
+    const AppRun on = Execute(*on_app, armed);
+    EXPECT_EQ(on.stats.comm.recoveries, 0u) << where;
+    EXPECT_EQ(on.result, off.result) << where;
+    if (!s.modelled_stable) continue;
+    EXPECT_EQ(ModelledStateDiff(on.stats, off.stats), "") << where;
+    EXPECT_TRUE(on.stats.mem == off.stats.mem) << where;
   }
 }
 

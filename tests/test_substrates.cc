@@ -243,36 +243,6 @@ TEST(PageTable, TwinPoolRecyclesDroppedBuffers) {
   EXPECT_EQ(table.twin_recycles(), 2u);
 }
 
-// The canonical-base peak is taken once per GC pass, as live-at-start plus
-// newly ensured: concurrent stripes may release one unit's base before
-// another stripe ensures a new one, and the peak must not depend on that
-// interleaving.
-TEST(CanonicalStore, PeakIsLiveAtPassStartPlusNewBases) {
-  constexpr std::size_t kUnitBytes = 64;
-  CanonicalStore store(8, kUnitBytes);
-  EXPECT_EQ(store.peak_bytes(), 0u);
-
-  store.Ensure(0)[0] = std::byte{7};
-  store.Ensure(1);
-  store.Ensure(1);  // already live: not new
-  store.EndPass();
-  EXPECT_EQ(store.peak_bytes(), 2 * kUnitBytes);
-
-  // Releases first, then a new base: two live at the start plus one new.
-  // The new base reuses unit 0's pooled buffer, zeroed.
-  store.Release(0);
-  EXPECT_EQ(store.Ensure(2)[0], std::byte{0});
-  EXPECT_EQ(store.peak_bytes(), 2 * kUnitBytes);  // folded only at EndPass
-  store.EndPass();
-  EXPECT_EQ(store.peak_bytes(), 3 * kUnitBytes);
-
-  // A pass that only releases leaves the peak where it was.
-  store.Release(1);
-  store.Release(2);
-  store.EndPass();
-  EXPECT_EQ(store.peak_bytes(), 3 * kUnitBytes);
-}
-
 TEST(WordTracker, CreditOnFirstReadOnly) {
   WordTracker tracker(2, 1024);
   tracker.Deliver(0, 5, 1, /*msg_id=*/3);
